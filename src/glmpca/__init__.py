@@ -11,31 +11,26 @@ dimensions by magnitude so the output behaves like PCA scores/loadings.
 from .exceptions import (ConfigError, DataError, DegenerateColumnError,
                          DomainError, FitError, GlmPcaError, OracleError,
                          PostprocessError)
-from .families import (Family, bernoulli, gaussian, make_family,
-                       negative_binomial, poisson)
+from .families import Family, bernoulli, gaussian, negative_binomial, poisson
 from .io import LoadedMatrix, read_matrix, write_result
 from .model import (IndexSets, ModelState, build_model, check_data_matrix,
-                    fisher_info_u, fisher_info_v, gradient_u, gradient_v,
-                    linear_predictor, objective, predictor_stats)
-from .optimizer import (FitConfig, FitResult, fit, full_scoring_A,
-                        full_scoring_Gamma, update_u_column, update_v_column)
-from .postprocess import (Projector, order_dims, orthogonalize, postprocess,
-                          project_out_covariates)
+                    fisher_info, gradient, linear_predictor, objective,
+                    predictor_stats)
+from .optimizer import (FitConfig, FitResult, fit, full_scoring,
+                        update_column)
+from .postprocess import Projector, postprocess, project_out_covariates
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ConfigError", "DataError", "DegenerateColumnError", "DomainError",
     "FitError", "GlmPcaError", "OracleError", "PostprocessError",
-    "Family", "bernoulli", "gaussian", "make_family", "negative_binomial",
-    "poisson",
+    "Family", "bernoulli", "gaussian", "negative_binomial", "poisson",
     "LoadedMatrix", "read_matrix", "write_result",
     "IndexSets", "ModelState", "build_model", "check_data_matrix",
-    "fisher_info_u", "fisher_info_v", "gradient_u", "gradient_v",
-    "linear_predictor", "objective", "predictor_stats",
-    "FitConfig", "FitResult", "fit", "full_scoring_A", "full_scoring_Gamma",
-    "update_u_column", "update_v_column",
-    "Projector", "order_dims", "orthogonalize", "postprocess",
-    "project_out_covariates",
+    "fisher_info", "gradient", "linear_predictor", "objective",
+    "predictor_stats",
+    "FitConfig", "FitResult", "fit", "full_scoring", "update_column",
+    "Projector", "postprocess", "project_out_covariates",
     "__version__",
 ]

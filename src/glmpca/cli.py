@@ -13,8 +13,8 @@ from dataclasses import asdict, dataclass
 
 from . import io as gio
 from .exceptions import ConfigError, GlmPcaError
-from .families import KINDS, make_family
-from .model import build_model, check_data_matrix, resolve_offset
+from .families import KINDS, Family
+from .model import build_model
 from .optimizer import FitConfig, fit
 
 
@@ -111,26 +111,21 @@ def run_cli(argv=None) -> int:
             raise ConfigError(
                 "--dispersion is only valid for --family negative_binomial")
 
-        fmt = args.format
-        loaded = gio.read_matrix(args.input, fmt)
-        if fmt is None:
-            suffix = args.input.lower()
-            fmt = "matrixmarket" if suffix.endswith((".mtx", ".mm")) else "csv"
-        family = make_family(args.family, args.dispersion, args.link)
-        data = check_data_matrix(loaded.values, family)
+        loaded = gio.read_matrix(args.input, args.format)
+        family = Family(args.family, dispersion=args.dispersion,
+                        link=args.link)
 
         obs_cov = feat_cov = None
         if args.obs_covariates:
             obs_cov = gio.read_matrix(args.obs_covariates, "csv").values
         if args.feat_covariates:
             feat_cov = gio.read_matrix(args.feat_covariates, "csv").values
-        offset = _load_offset(args.offset, data.shape[1])
-        # validate early so offset problems report before the fit starts
-        resolve_offset(offset, data, family)
+        offset = _load_offset(args.offset, loaded.values.shape[1])
 
         run_config = RunConfig(
-            input_path=args.input, input_format=fmt, family=args.family,
-            dispersion=args.dispersion, link=family.link, dims=args.dims,
+            input_path=args.input, input_format=loaded.format,
+            family=args.family, dispersion=args.dispersion,
+            link=family.link, dims=args.dims,
             obs_covariates=args.obs_covariates,
             feat_covariates=args.feat_covariates, offset=args.offset,
             intercept=args.intercept, penalty=args.penalty,
@@ -140,8 +135,9 @@ def run_cli(argv=None) -> int:
             trace_every=args.trace_every, seed=args.seed,
             output_dir=args.output_dir)
 
+        # build_model validates the data and the offset before any sweep
         state = build_model(
-            data, n_latent=args.dims, family=family,
+            loaded.values, n_latent=args.dims, family=family,
             obs_covariates=obs_cov, feat_covariates=feat_cov,
             intercept=args.intercept, offset=offset,
             penalty_u=args.penalty, penalty_v=args.penalty, seed=args.seed)

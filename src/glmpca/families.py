@@ -238,9 +238,3 @@ def bernoulli() -> Family:
 
 def negative_binomial(dispersion: float) -> Family:
     return Family("negative_binomial", dispersion=dispersion)
-
-
-def make_family(kind: str, dispersion: float | None = None,
-                link: str = "canonical") -> Family:
-    """Construct a family from plain strings (CLI helper)."""
-    return Family(kind, dispersion=dispersion, link=link)

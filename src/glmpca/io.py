@@ -22,11 +22,13 @@ from .optimizer import FitResult
 
 @dataclass
 class LoadedMatrix:
-    """A parsed matrix plus any name metadata found alongside it."""
+    """A parsed matrix, the format it was read as, and any name metadata
+    found alongside it."""
 
     values: np.ndarray
     row_names: list[str] | None = None
     col_names: list[str] | None = None
+    format: str | None = None  # "matrixmarket" or "csv" once read
 
 
 def _fmt(x: float) -> str:
@@ -100,7 +102,7 @@ def read_matrix_market(path) -> LoadedMatrix:
         raise DataError(f"{path}: {remaining} entries missing at end of file")
     if remaining < 0:
         raise DataError(f"{path}: more entries than declared")
-    return LoadedMatrix(values)
+    return LoadedMatrix(values, format="matrixmarket")
 
 
 def read_csv_matrix(path) -> LoadedMatrix:
@@ -145,7 +147,7 @@ def read_csv_matrix(path) -> LoadedMatrix:
     if col_names is not None and len(col_names) != width:
         raise DataError(
             f"{path}: header has {len(col_names)} names for {width} columns")
-    return LoadedMatrix(np.array(data), row_names, col_names)
+    return LoadedMatrix(np.array(data), row_names, col_names, "csv")
 
 
 def read_matrix(path, fmt: str | None = None) -> LoadedMatrix:
@@ -168,10 +170,12 @@ def read_matrix(path, fmt: str | None = None) -> LoadedMatrix:
 
 def _write_csv(path: Path, values: np.ndarray, row_names: list[str],
                col_names: list[str]) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write("id," + ",".join(col_names) + "\n")
+    with open(path, "w", newline="") as fh:
+        # csv quotes names holding commas or quotes; others are written bare
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["id", *col_names])
         for name, row in zip(row_names, np.atleast_2d(values)):
-            fh.write(name + "," + ",".join(_fmt(v) for v in row) + "\n")
+            writer.writerow([name, *(_fmt(v) for v in row)])
 
 
 def write_result(result: FitResult, out_dir, row_names=None, col_names=None,

@@ -10,13 +10,15 @@ matrices,
 where K = n_obs_cov + n_feat_cov + n_latent, so that the linear predictor
 is R = V U' + 1 delta'.  The X and Z blocks are fixed; A, Gamma, and the
 latent blocks are estimated.  The objective is the partial log likelihood
-minus ridge penalties on the updateable columns.
+minus ridge penalties on the updateable columns.  Its per-column gradient
+and diagonal Fisher information take a block, "U" or "V"; the U versions
+are the V ones on transposed J x N arrays.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -371,52 +373,61 @@ def objective(state: ModelState, stats: PredictorStats | None = None) -> float:
     return q
 
 
-def _require_col(k: int, cols, what: str) -> None:
-    if k not in cols:
-        raise ConfigError(f"column {k} is not an updateable {what} column")
+class Block(NamedTuple):
+    """One factor matrix seen from its own side.
+
+    The U step is the V step with U and V swapped and every J x N array
+    read through its transpose, so each derivative is written once.
+    """
+
+    own: np.ndarray        # the block's factor matrix, U or V
+    partner: np.ndarray    # the other factor matrix
+    penalty: np.ndarray    # ridge penalties of the block's columns
+    cols: list[int]        # updateable columns
+    coef: slice            # coefficient columns: Gamma in U, A in V
+    rows: Callable         # views a J x N array with one row per own row
 
 
-def gradient_u(state: ModelState, k: int,
-               stats: PredictorStats | None = None) -> np.ndarray:
-    """dQ/dU[:, k]: length-N gradient for one updateable column of U."""
-    _require_col(k, state.index.u_cols, "U")
+def block_of(state: ModelState, block: str, k: int | None = None) -> Block:
+    """The "U" or "V" side of ``state``; ``k``, when given, must be one of
+    its updateable columns."""
+    idx = state.index
+    if block == "U":
+        side = Block(state.U, state.V, state.lambda_u, idx.u_cols,
+                     idx.feat_slice, np.transpose)
+    elif block == "V":
+        side = Block(state.V, state.U, state.lambda_v, idx.v_cols,
+                     idx.obs_slice, np.asarray)
+    else:
+        raise ConfigError(f"block must be 'U' or 'V', got {block!r}")
+    if k is not None and k not in side.cols:
+        raise ConfigError(f"column {k} is not an updateable {block} column")
+    return side
+
+
+def gradient(state: ModelState, block: str, k: int,
+             stats: PredictorStats | None = None) -> np.ndarray:
+    """dQ/dU[:, k] (length N) or dQ/dV[:, k] (length J) for one
+    updateable column of ``block``."""
+    side = block_of(state, block, k)
     if stats is None:
         stats = predictor_stats(state)
     resid = (state.Y - stats.M) * stats.W * stats.H
-    return resid.T @ state.V[:, k] - state.lambda_u[k] * state.U[:, k]
+    return (side.rows(resid) @ side.partner[:, k]
+            - side.penalty[k] * side.own[:, k])
 
 
-def fisher_info_u(state: ModelState, k: int,
-                  stats: PredictorStats | None = None) -> np.ndarray:
-    """Diagonal Fisher information for U[:, k]; entries strictly positive
-    unless the column is unpenalized and paired with an all-zero V column,
-    which raises DegenerateColumnError."""
-    _require_col(k, state.index.u_cols, "U")
+def fisher_info(state: ModelState, block: str, k: int,
+                stats: PredictorStats | None = None) -> np.ndarray:
+    """Diagonal Fisher information for one updateable column of
+    ``block``; entries strictly positive unless the column is unpenalized
+    and paired with an all-zero partner column, which raises
+    DegenerateColumnError."""
+    side = block_of(state, block, k)
     if stats is None:
         stats = predictor_stats(state)
-    info = (stats.W * stats.H ** 2).T @ state.V[:, k] ** 2 + state.lambda_u[k]
-    if not info.any():
-        raise DegenerateColumnError(k)
-    return info
-
-
-def gradient_v(state: ModelState, k: int,
-               stats: PredictorStats | None = None) -> np.ndarray:
-    """dQ/dV[:, k]: length-J gradient for one updateable column of V."""
-    _require_col(k, state.index.v_cols, "V")
-    if stats is None:
-        stats = predictor_stats(state)
-    resid = (state.Y - stats.M) * stats.W * stats.H
-    return resid @ state.U[:, k] - state.lambda_v[k] * state.V[:, k]
-
-
-def fisher_info_v(state: ModelState, k: int,
-                  stats: PredictorStats | None = None) -> np.ndarray:
-    """Diagonal Fisher information for V[:, k]; see fisher_info_u."""
-    _require_col(k, state.index.v_cols, "V")
-    if stats is None:
-        stats = predictor_stats(state)
-    info = (stats.W * stats.H ** 2) @ state.U[:, k] ** 2 + state.lambda_v[k]
+    info = (side.rows(stats.W * stats.H ** 2) @ side.partner[:, k] ** 2
+            + side.penalty[k])
     if not info.any():
         raise DegenerateColumnError(k)
     return info

@@ -2,9 +2,9 @@
 
 One sweep refreshes the predictor statistics before every column update
 (the update for a column always sees the effect of the previous one),
-walks the updateable U columns in ascending order, then the updateable V
-columns in ascending order, and finally re-evaluates the objective.  The
-per-column step is
+walks the updateable columns of block "U" in ascending order, then those
+of block "V", and finally re-evaluates the objective.  The per-column
+step, written once for both blocks, is
 
     column += gradient / fisher_information
 
@@ -23,22 +23,16 @@ import numpy as np
 
 from .exceptions import (ConfigError, DegenerateColumnError, DomainError,
                          FitError, GlmPcaError)
-from .model import (INIT_SCALE, ModelState, PredictorStats, fisher_info_u,
-                    fisher_info_v, gradient_u, gradient_v, objective,
-                    predictor_stats)
-from .postprocess import order_dims, orthogonalize, project_out_covariates
+from .model import (INIT_SCALE, ModelState, PredictorStats, block_of,
+                    fisher_info, gradient, objective, predictor_stats)
+from .postprocess import postprocess
 
 ASCENT_SLACK = 1e-12  # accepted drop per sweep: ASCENT_SLACK * (1 + |Q|)
 
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Optimization hyperparameters.
-
-    postprocess_every periodically re-projects and re-rotates the latent
-    blocks during optimization; it is exposed for experimentation only
-    and is not validated beyond a smoke test.
-    """
+    """Optimization hyperparameters."""
 
     max_iters: int = 1000
     tol: float = 1e-6
@@ -46,7 +40,6 @@ class FitConfig:
     max_halvings: int = 10
     full_scoring_coef: bool = False
     trace_every: int = 1
-    postprocess_every: int | None = None
 
     def __post_init__(self):
         if self.max_iters < 1:
@@ -81,80 +74,48 @@ class FitResult:
 # column updates
 
 
-def update_u_column(state: ModelState, k: int, M: np.ndarray, W: np.ndarray,
-                    H: np.ndarray, scale: float = 1.0) -> ModelState:
-    """One Fisher-scoring step on U[:, k], in place.
+def update_column(state: ModelState, block: str, k: int,
+                  stats: PredictorStats, scale: float = 1.0) -> ModelState:
+    """One Fisher-scoring step on column k of block "U" or "V", in place.
 
-    M, W, H must reflect the current state (refresh them between column
+    ``stats`` must reflect the current state (refresh it between column
     updates).  ``scale`` multiplies the step for damping.
     """
-    stats = PredictorStats(None, M, W, H)
-    step = gradient_u(state, k, stats) / fisher_info_u(state, k, stats)
-    state.U[:, k] += scale * step
+    step = (gradient(state, block, k, stats)
+            / fisher_info(state, block, k, stats))
+    block_of(state, block).own[:, k] += scale * step
     return state
 
 
-def update_v_column(state: ModelState, k: int, M: np.ndarray, W: np.ndarray,
-                    H: np.ndarray, scale: float = 1.0) -> ModelState:
-    """One Fisher-scoring step on V[:, k], in place; transpose of
-    update_u_column."""
-    stats = PredictorStats(None, M, W, H)
-    step = gradient_v(state, k, stats) / fisher_info_v(state, k, stats)
-    state.V[:, k] += scale * step
-    return state
+def full_scoring(state: ModelState, block: str,
+                 stats: PredictorStats | None = None,
+                 scale: float = 1.0) -> int:
+    """Full (non-diagonal) Fisher scoring step for the coefficient block
+    of ``block``: Gamma in U, A in V.
 
-
-def full_scoring_A(state: ModelState, stats: PredictorStats | None = None,
-                   scale: float = 1.0) -> int:
-    """Full (non-diagonal) Fisher scoring step for the coefficient block A.
-
-    Each feature row solves its own K_o x K_o weighted least-squares
-    system; a singular system falls back to the diagonal update for that
-    row.  Returns the number of fallback rows.
+    Each row of the block solves its own weighted least-squares system
+    against the fixed design of the partner (Z for Gamma, X for A); a
+    singular system falls back to the diagonal update for that row.
+    Returns the number of fallback rows.
     """
-    idx = state.index
-    if idx.n_obs_cov == 0:
+    side = block_of(state, block)
+    design = np.array(side.partner[:, side.coef])
+    if design.shape[1] == 0:
         return 0
     if stats is None:
         stats = predictor_stats(state)
-    X = np.array(state.X)
-    wh2 = stats.W * stats.H ** 2
-    whres = stats.W * stats.H * (state.Y - stats.M)
+    wh2 = side.rows(stats.W * stats.H ** 2)
+    whres = side.rows(stats.W * stats.H * (state.Y - stats.M))
     fallbacks = 0
-    for j in range(state.n_feat):
-        gram = X.T @ (wh2[j][:, None] * X)
-        rhs = X.T @ whres[j]
+    for r in range(side.own.shape[0]):
+        gram = design.T @ (wh2[r][:, None] * design)
+        rhs = design.T @ whres[r]
         try:
             step = np.linalg.solve(gram, rhs)
         except np.linalg.LinAlgError:
             step = rhs / np.diag(gram)
             fallbacks += 1
-        state.V[j, idx.obs_slice] += scale * step
-    return fallbacks
-
-
-def full_scoring_Gamma(state: ModelState, stats: PredictorStats | None = None,
-                       scale: float = 1.0) -> int:
-    """Symmetric full-scoring step for Gamma when feature covariates are
-    present; returns the number of singular-system fallbacks."""
-    idx = state.index
-    if idx.n_feat_cov == 0:
-        return 0
-    if stats is None:
-        stats = predictor_stats(state)
-    Z = np.array(state.Z)
-    wh2 = stats.W * stats.H ** 2
-    whres = stats.W * stats.H * (state.Y - stats.M)
-    fallbacks = 0
-    for i in range(state.n_obs):
-        gram = Z.T @ (wh2[:, i][:, None] * Z)
-        rhs = Z.T @ whres[:, i]
-        try:
-            step = np.linalg.solve(gram, rhs)
-        except np.linalg.LinAlgError:
-            step = rhs / np.diag(gram)
-            fallbacks += 1
-        state.U[i, idx.feat_slice] += scale * step
+        side.own[r, side.coef] += scale * step
     return fallbacks
 
 
@@ -169,60 +130,32 @@ def _reinit_column(state: ModelState, matrix: np.ndarray, k: int) -> None:
 
 def _sweep(state: ModelState, cfg: FitConfig, scale: float,
            reinit_done: set, notes: Counter) -> None:
-    """One full pass over the updateable columns, steps scaled by
-    ``scale``.  Degenerate latent columns get their all-zero partner
+    """One full pass over the updateable columns, U then V, steps scaled
+    by ``scale``.  Degenerate latent columns get their all-zero partner
     column reinitialized once, then are skipped."""
-    idx = state.index
-    latent = set(idx.latent_cols)
-
-    def handle_degenerate(k: int, partner: np.ndarray, tag: str) -> None:
-        if k in latent and (tag, k) not in reinit_done:
-            reinit_done.add((tag, k))
-            _reinit_column(state, partner, k)
-            notes[f"degenerate column {k}: partner reinitialized"] += 1
-        else:
-            notes[f"degenerate column {k}: update skipped"] += 1
-
-    if cfg.full_scoring_coef and idx.n_feat_cov:
-        fb = full_scoring_Gamma(state, predictor_stats(state), scale)
-        if fb:
-            notes["full scoring fell back to diagonal for Gamma rows"] += fb
-        u_cols = list(idx.latent_cols)
-    else:
-        u_cols = idx.u_cols
-    for k in u_cols:
-        stats = predictor_stats(state)
-        try:
-            update_u_column(state, k, stats.M, stats.W, stats.H, scale)
-        except DegenerateColumnError:
-            handle_degenerate(k, state.V, "v")
-
-    if cfg.full_scoring_coef and idx.n_obs_cov:
-        fb = full_scoring_A(state, predictor_stats(state), scale)
-        if fb:
-            notes["full scoring fell back to diagonal for A rows"] += fb
-        v_cols = list(idx.latent_cols)
-    else:
-        v_cols = idx.v_cols
-    for k in v_cols:
-        stats = predictor_stats(state)
-        try:
-            update_v_column(state, k, stats.M, stats.W, stats.H, scale)
-        except DegenerateColumnError:
-            handle_degenerate(k, state.U, "u")
-
-
-def _inline_postprocess(state: ModelState, notes: Counter) -> None:
-    # experimental: re-project and re-rotate mid-run, writing the rotated
-    # factors back into the latent blocks (means are unchanged)
-    try:
-        project_out_covariates(state)
-        u_hat, v_hat = orthogonalize(state)
-        state.U[:, state.index.latent_slice] = u_hat
-        state.V[:, state.index.latent_slice] = v_hat
-        notes["interleaved postprocessing applied"] += 1
-    except GlmPcaError:
-        notes["interleaved postprocessing failed; skipped"] += 1
+    latent = list(state.index.latent_cols)
+    for block in ("U", "V"):
+        side = block_of(state, block)
+        cols = side.cols
+        if cfg.full_scoring_coef:
+            # an empty coefficient block leaves only latent columns anyway
+            fb = full_scoring(state, block, scale=scale)
+            if fb:
+                coef = "Gamma" if block == "U" else "A"
+                notes["full scoring fell back to diagonal for "
+                      f"{coef} rows"] += fb
+            cols = latent
+        for k in cols:
+            stats = predictor_stats(state)
+            try:
+                update_column(state, block, k, stats, scale)
+            except DegenerateColumnError:
+                if k in latent and (block, k) not in reinit_done:
+                    reinit_done.add((block, k))
+                    _reinit_column(state, side.partner, k)
+                    notes[f"degenerate column {k}: partner reinitialized"] += 1
+                else:
+                    notes[f"degenerate column {k}: update skipped"] += 1
 
 
 def fit(state: ModelState, config: FitConfig | None = None) -> FitResult:
@@ -296,7 +229,6 @@ def fit(state: ModelState, config: FitConfig | None = None) -> FitResult:
             state.U[...] = u_snap
             state.V[...] = v_snap
             notes["sweep rejected after max halvings; stopped early"] += 1
-            trace.append((t, q_prev))
             converged = True
             break
 
@@ -306,24 +238,16 @@ def fit(state: ModelState, config: FitConfig | None = None) -> FitResult:
             trace.append((t, q_new))
         if rel_change < cfg.tol:
             converged = True
-            if t % cfg.trace_every != 0:
-                trace.append((t, q_new))
             break
-        if cfg.postprocess_every and t % cfg.postprocess_every == 0:
-            _inline_postprocess(state, notes)
-            # rotation redistributes the penalized norms, so the damping
-            # baseline must be re-anchored
-            q_prev = objective(state)
-    if not converged and trace and trace[-1][0] != iterations:
+    # the last sweep always ends the trace, whatever trace_every says
+    if not trace or trace[-1][0] != iterations:
         trace.append((iterations, q_prev))
 
     warnings = [f"{msg} (x{n})" if n > 1 else msg
                 for msg, n in sorted(notes.items())]
     postprocessed = True
     try:
-        project_out_covariates(state)
-        u_hat, v_hat = orthogonalize(state)
-        u_hat, v_hat = order_dims(u_hat, v_hat)
+        u_hat, v_hat = postprocess(state)
     except GlmPcaError as exc:
         warnings.append(f"postprocessing skipped: {exc}")
         postprocessed = False

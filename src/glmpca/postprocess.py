@@ -26,9 +26,9 @@ from .model import ModelState
 class Projector:
     """Orthogonal projector onto the column span of a design matrix.
 
-    Applied implicitly through the (X'X)^{-1} factors; the n x n matrix
-    is only materialized on demand for small checks.  A missing or empty
-    design yields the zero projector.
+    Applied implicitly through the (X'X)^{-1} factors, so the n x n
+    matrix is never formed.  A missing or empty design yields the zero
+    projector.
     """
 
     def __init__(self, design: np.ndarray | None):
@@ -56,12 +56,6 @@ class Projector:
         if self.design is None:
             return mat.copy()
         return mat - self.apply(mat)
-
-    def materialize(self, n: int) -> np.ndarray:
-        """The dense n x n projector, for desk-scale verification only."""
-        if self.design is None:
-            return np.zeros((n, n))
-        return self.apply(np.eye(n))
 
 
 def project_factors(u_latent, v_latent, coef_a, coef_gamma, X, Z):
@@ -127,7 +121,7 @@ def order_factors(u_hat: np.ndarray, v_hat: np.ndarray):
 
 
 # ----------------------------------------------------------------------
-# state-level wrappers
+# on the model state
 
 
 def project_out_covariates(state: ModelState) -> ModelState:
@@ -146,16 +140,6 @@ def project_out_covariates(state: ModelState) -> ModelState:
     return state
 
 
-def orthogonalize(state: ModelState):
-    """Rotation step; returns (factors, loadings) without touching state."""
-    return rotate_factors(state.U_latent, state.V_latent)
-
-
-def order_dims(u_hat: np.ndarray, v_hat: np.ndarray):
-    """Ordering step; returns the permuted (factors, loadings)."""
-    return order_factors(u_hat, v_hat)
-
-
 def postprocess(state: ModelState):
     """Run projection, rotation, and ordering; returns (factors, loadings).
 
@@ -163,5 +147,4 @@ def postprocess(state: ModelState):
     then derives the rotated, ordered factors from the projected blocks.
     """
     project_out_covariates(state)
-    u_hat, v_hat = orthogonalize(state)
-    return order_dims(u_hat, v_hat)
+    return order_factors(*rotate_factors(state.U_latent, state.V_latent))

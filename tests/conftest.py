@@ -60,10 +60,10 @@ def advance(state, n_sweeps=10):
     for _ in range(n_sweeps):
         for k in state.index.u_cols:
             s = predictor_stats(state)
-            g.update_u_column(state, k, s.M, s.W, s.H)
+            g.update_column(state, "U", k, s)
         for k in state.index.v_cols:
             s = predictor_stats(state)
-            g.update_v_column(state, k, s.M, s.W, s.H)
+            g.update_column(state, "V", k, s)
     return state
 
 

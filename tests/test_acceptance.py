@@ -41,11 +41,11 @@ def test_c1_gradient_correctness():
         for family in ALL_FAMILIES:
             for state in acceptance_grid(family):
                 for k in state.index.u_cols:
-                    analytic = g.gradient_u(state, k)
+                    analytic = g.gradient(state, "U", k)
                     fd = oracle.finite_diff_gradient(state, "U", k)
                     assert oracle.report(fd, analytic).max_rel_err <= 1e-4
                 for k in state.index.v_cols:
-                    analytic = g.gradient_v(state, k)
+                    analytic = g.gradient(state, "V", k)
                     fd = oracle.finite_diff_gradient(state, "V", k)
                     assert oracle.report(fd, analytic).max_rel_err <= 1e-4
 
@@ -138,10 +138,10 @@ def test_c6_canonical_link_simplification():
                     simple_info = rho.T @ state.V[:, k] ** 2 \
                         + state.lambda_u[k]
                     np.testing.assert_allclose(
-                        g.gradient_u(state, k, stats), simple_grad,
+                        g.gradient(state, "U", k, stats), simple_grad,
                         rtol=1e-12, atol=1e-12)
                     np.testing.assert_allclose(
-                        g.fisher_info_u(state, k, stats), simple_info,
+                        g.fisher_info(state, "U", k, stats), simple_info,
                         rtol=1e-12, atol=1e-12)
                 for k in state.index.v_cols:
                     simple_grad = ((state.Y - stats.M) @ state.U[:, k]
@@ -149,10 +149,10 @@ def test_c6_canonical_link_simplification():
                     simple_info = rho @ state.U[:, k] ** 2 \
                         + state.lambda_v[k]
                     np.testing.assert_allclose(
-                        g.gradient_v(state, k, stats), simple_grad,
+                        g.gradient(state, "V", k, stats), simple_grad,
                         rtol=1e-12, atol=1e-12)
                     np.testing.assert_allclose(
-                        g.fisher_info_v(state, k, stats), simple_info,
+                        g.fisher_info(state, "V", k, stats), simple_info,
                         rtol=1e-12, atol=1e-12)
 
 

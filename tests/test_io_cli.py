@@ -168,6 +168,17 @@ class TestWriteResult:
         factors = (tmp_path / "factors.csv").read_text().splitlines()
         assert [line.split(",")[0] for line in factors[1:]] == ["s1", "s2"]
 
+    def test_names_with_commas_and_quotes_round_trip(self, tmp_path):
+        result = make_result(n_obs=2, n_feat=3, n_latent=1)
+        names = ["g0,x", 'say "hi"', "g2"]
+        gio.write_result(result, tmp_path, row_names=names,
+                         col_names=["s,1", "s2"])
+        loadings = gio.read_matrix(tmp_path / "loadings.csv")
+        assert loadings.row_names == names
+        np.testing.assert_array_equal(loadings.values, result.loadings)
+        factors = gio.read_matrix(tmp_path / "factors.csv")
+        assert factors.row_names == ["s,1", "s2"]
+
 
 CSV_OUTPUTS = ("factors.csv", "loadings.csv", "coef_A.csv", "offset.csv",
                "trace.csv")

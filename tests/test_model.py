@@ -235,16 +235,16 @@ class TestGradients:
             U=np.array([[0.0]]), V=np.array([[1.0]]),
             delta=np.zeros(1), lambda_u=np.zeros(1), lambda_v=np.zeros(1),
             index=idx, rng=np.random.default_rng(0))
-        np.testing.assert_allclose(g.gradient_u(state, 0), [1.0])
+        np.testing.assert_allclose(g.gradient(state, "U", 0), [1.0])
 
     def test_zero_at_saturated_fit(self):
         state = random_state(g.gaussian(), seed=8, penalty=0.0)
         state.Y = predictor_stats(state).M.copy()
         for k in state.index.u_cols:
-            np.testing.assert_allclose(g.gradient_u(state, k), 0.0,
+            np.testing.assert_allclose(g.gradient(state, "U", k), 0.0,
                                        atol=1e-12)
         for k in state.index.v_cols:
-            np.testing.assert_allclose(g.gradient_v(state, k), 0.0,
+            np.testing.assert_allclose(g.gradient(state, "V", k), 0.0,
                                        atol=1e-12)
 
     def test_poisson_matches_finite_difference(self):
@@ -252,7 +252,7 @@ class TestGradients:
                              n_latent=1, with_feat_cov=False)
         for k in state.index.u_cols:
             fd = oracle.finite_diff_gradient(state, "U", k)
-            np.testing.assert_allclose(g.gradient_u(state, k), fd,
+            np.testing.assert_allclose(g.gradient(state, "U", k), fd,
                                        rtol=1e-5, atol=1e-7)
 
     @pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: f.kind)
@@ -261,19 +261,26 @@ class TestGradients:
             state = random_state(family, seed=500 + seed, n_feat=5, n_obs=7)
             for k in state.index.u_cols:
                 fd = oracle.finite_diff_gradient(state, "U", k)
-                np.testing.assert_allclose(g.gradient_u(state, k), fd,
+                np.testing.assert_allclose(g.gradient(state, "U", k), fd,
                                            rtol=1e-4, atol=1e-6)
             for k in state.index.v_cols:
                 fd = oracle.finite_diff_gradient(state, "V", k)
-                np.testing.assert_allclose(g.gradient_v(state, k), fd,
+                np.testing.assert_allclose(g.gradient(state, "V", k), fd,
                                            rtol=1e-4, atol=1e-6)
 
     def test_fixed_columns_rejected(self):
         state = random_state(g.poisson(), seed=2)
         with pytest.raises(ConfigError):
-            g.gradient_u(state, 0)  # X block is not updateable
+            g.gradient(state, "U", 0)  # X block is not updateable
         with pytest.raises(ConfigError):
-            g.gradient_v(state, 1)  # Z block is not updateable
+            g.gradient(state, "V", 1)  # Z block is not updateable
+
+    def test_unknown_block_rejected(self):
+        state = random_state(g.poisson(), seed=2)
+        k = state.index.latent_cols[0]
+        for fn in (g.gradient, g.fisher_info):
+            with pytest.raises(ConfigError, match="block must be"):
+                fn(state, "u", k)
 
 
 class TestFisherInformation:
@@ -281,7 +288,7 @@ class TestFisherInformation:
         state = random_state(g.gaussian(), seed=5)
         k = state.index.u_cols[-1]
         expect = np.sum(state.V[:, k] ** 2) + state.lambda_u[k]
-        np.testing.assert_allclose(g.fisher_info_u(state, k),
+        np.testing.assert_allclose(g.fisher_info(state, "U", k),
                                    np.full(state.n_obs, expect), rtol=1e-12)
 
     def test_canonical_variance_form(self):
@@ -290,18 +297,18 @@ class TestFisherInformation:
         k = state.index.u_cols[0]
         expect = stats.M * (1 - stats.M)  # rho(mu) for the bernoulli
         simplified = expect.T @ state.V[:, k] ** 2 + state.lambda_u[k]
-        np.testing.assert_allclose(g.fisher_info_u(state, k, stats),
+        np.testing.assert_allclose(g.fisher_info(state, "U", k, stats),
                                    simplified, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: f.kind)
     def test_matches_scalar_loop(self, family):
         state = random_state(family, seed=41, n_feat=5, n_obs=6)
         for k in state.index.u_cols:
-            np.testing.assert_allclose(g.fisher_info_u(state, k),
+            np.testing.assert_allclose(g.fisher_info(state, "U", k),
                                        oracle.scalar_fisher_u(state, k),
                                        rtol=0, atol=1e-12)
         for k in state.index.v_cols:
-            np.testing.assert_allclose(g.fisher_info_v(state, k),
+            np.testing.assert_allclose(g.fisher_info(state, "V", k),
                                        oracle.scalar_fisher_v(state, k),
                                        rtol=0, atol=1e-12)
 
@@ -309,25 +316,25 @@ class TestFisherInformation:
     def test_positive_under_default_penalty(self, family):
         state = random_state(family, seed=51)
         for k in state.index.u_cols:
-            assert np.all(g.fisher_info_u(state, k) > 0)
+            assert np.all(g.fisher_info(state, "U", k) > 0)
         for k in state.index.v_cols:
-            assert np.all(g.fisher_info_v(state, k) > 0)
+            assert np.all(g.fisher_info(state, "V", k) > 0)
 
     def test_degenerate_column_raises(self):
         state = random_state(g.poisson(), seed=61, penalty=0.0)
         k = state.index.u_cols[-1]
         state.V[:, k] = 0.0
         with pytest.raises(DegenerateColumnError):
-            g.fisher_info_u(state, k)
+            g.fisher_info(state, "U", k)
 
     def test_scalar_gradient_matches_vectorized(self):
         state = random_state(g.negative_binomial(2.0), seed=71, n_feat=5,
                              n_obs=6)
         for k in state.index.u_cols:
-            np.testing.assert_allclose(g.gradient_u(state, k),
+            np.testing.assert_allclose(g.gradient(state, "U", k),
                                        oracle.scalar_gradient_u(state, k),
                                        rtol=0, atol=1e-12)
         for k in state.index.v_cols:
-            np.testing.assert_allclose(g.gradient_v(state, k),
+            np.testing.assert_allclose(g.gradient(state, "V", k),
                                        oracle.scalar_gradient_v(state, k),
                                        rtol=0, atol=1e-12)

@@ -57,7 +57,7 @@ class TestColumnUpdates:
         before = state.U.copy()
         stats = predictor_stats(state)
         for k in state.index.u_cols:
-            g.update_u_column(state, k, stats.M, stats.W, stats.H)
+            g.update_column(state, "U", k, stats)
         np.testing.assert_array_equal(state.U, before)
 
     def test_gaussian_update_solves_least_squares_in_one_step(self):
@@ -67,7 +67,7 @@ class TestColumnUpdates:
         u0 = rng.normal(size=7)
         state = tiny_state(Y, g.gaussian(), U=u0[:, None], V=v[:, None])
         stats = predictor_stats(state)
-        g.update_u_column(state, 0, stats.M, stats.W, stats.H)
+        g.update_column(state, "U", 0, stats)
         np.testing.assert_allclose(state.U[:, 0], Y.T @ v / (v @ v),
                                    rtol=0, atol=1e-12)
 
@@ -76,7 +76,7 @@ class TestColumnUpdates:
         # (y - mu) * v / (rho(mu) * v^2) = 1, landing exactly at u = 1
         state = tiny_state([[2.0]], g.poisson(), U=[[0.0]], V=[[1.0]])
         stats = predictor_stats(state)
-        g.update_u_column(state, 0, stats.M, stats.W, stats.H)
+        g.update_column(state, "U", 0, stats)
         assert state.U[0, 0] == pytest.approx(1.0, rel=1e-14)
 
     @pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: f.kind)
@@ -86,14 +86,14 @@ class TestColumnUpdates:
         expected = state.U[:, k] + (oracle.scalar_gradient_u(state, k)
                                     / oracle.scalar_fisher_u(state, k))
         stats = predictor_stats(state)
-        g.update_u_column(state, k, stats.M, stats.W, stats.H)
+        g.update_column(state, "U", k, stats)
         np.testing.assert_allclose(state.U[:, k], expected, rtol=0,
                                    atol=1e-12)
         k = state.index.v_cols[0]
         expected = state.V[:, k] + (oracle.scalar_gradient_v(state, k)
                                     / oracle.scalar_fisher_v(state, k))
         stats = predictor_stats(state)
-        g.update_v_column(state, k, stats.M, stats.W, stats.H)
+        g.update_column(state, "V", k, stats)
         np.testing.assert_allclose(state.V[:, k], expected, rtol=0,
                                    atol=1e-12)
 
@@ -104,7 +104,7 @@ class TestColumnUpdates:
         u_before = state.U.copy()
         v_before = state.V.copy()
         stats = predictor_stats(state)
-        g.update_v_column(state, k, stats.M, stats.W, stats.H)
+        g.update_column(state, "V", k, stats)
         np.testing.assert_array_equal(state.U, u_before)
         others = [c for c in range(state.index.n_total) if c != k]
         np.testing.assert_array_equal(state.V[:, others], v_before[:, others])
@@ -114,10 +114,10 @@ class TestColumnUpdates:
         state = random_state(g.poisson(), seed=29)
         k = state.index.u_cols[-1]
         stats = predictor_stats(state)
-        full = state.U[:, k] + g.gradient_u(state, k, stats) \
-            / g.fisher_info_u(state, k, stats)
+        full = state.U[:, k] + g.gradient(state, "U", k, stats) \
+            / g.fisher_info(state, "U", k, stats)
         half_expected = state.U[:, k] + 0.5 * (full - state.U[:, k])
-        g.update_u_column(state, k, stats.M, stats.W, stats.H, scale=0.5)
+        g.update_column(state, "U", k, stats, scale=0.5)
         np.testing.assert_allclose(state.U[:, k], half_expected, rtol=0,
                                    atol=1e-15)
 
@@ -132,7 +132,7 @@ class TestFullScoring:
                               obs_covariates=X[:, 1:], seed=0)
         state.U[:, state.index.latent_slice] = 0.0
         state.V[:, state.index.latent_slice] = 0.0
-        fallbacks = g.full_scoring_A(state)
+        fallbacks = g.full_scoring(state, "V")
         assert fallbacks == 0
         ols = np.linalg.solve(X.T @ X, X.T @ Y.T).T
         np.testing.assert_allclose(state.A, ols, rtol=0, atol=1e-10)
@@ -186,7 +186,7 @@ class TestFullScoring:
                               intercept=False, feat_covariates=Z, seed=0)
         state.U[:, state.index.latent_slice] = 0.0
         state.V[:, state.index.latent_slice] = 0.0
-        assert g.full_scoring_Gamma(state) == 0
+        assert g.full_scoring(state, "U") == 0
         ols = np.linalg.solve(Z.T @ Z, Z.T @ Y).T
         np.testing.assert_allclose(state.Gamma, ols, rtol=0, atol=1e-10)
 
@@ -202,7 +202,7 @@ class TestFullScoring:
                            lambda_u=[0.0, 0.0, 1e-4],
                            lambda_v=[0.0, 0.0, 1e-4],
                            index=IndexSets(2, 0, 1))
-        fallbacks = g.full_scoring_A(state)
+        fallbacks = g.full_scoring(state, "V")
         assert fallbacks == 3
         assert np.all(np.isfinite(state.A))
 
@@ -283,6 +283,13 @@ class TestFit:
                                           trace_every=3))
         assert [it for it, _ in result.trace] == [3, 6]
 
+    def test_last_sweep_traced_when_trace_every_exceeds_sweeps(self):
+        state = random_state(g.poisson(), seed=93)
+        result = g.fit(state, g.FitConfig(max_iters=2, tol=1e-16,
+                                          trace_every=5))
+        assert not result.converged
+        assert result.trace[-1] == (2, result.final_q)
+
     def test_nonfinite_objective_raises_fit_error(self):
         Y = np.full((4, 8), 1e200)
         state = g.build_model(Y, n_latent=1, family=g.gaussian(), seed=0)
@@ -332,12 +339,6 @@ class TestFit:
         assert not result.postprocessed
         assert any("postprocessing skipped" in w for w in result.warnings)
         assert result.factors.shape == (n_obs, 1)
-
-    def test_interleaved_postprocess_smoke(self):
-        state = random_state(g.poisson(), seed=101, penalty=0.0)
-        result = g.fit(state, g.FitConfig(max_iters=25, tol=1e-9,
-                                          postprocess_every=10))
-        assert np.all(np.isfinite(result.factors))
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):

@@ -17,7 +17,7 @@ class TestProjector:
     def test_idempotent_and_symmetric(self):
         rng = np.random.default_rng(1)
         X = np.column_stack([np.ones(9), rng.normal(size=9)])
-        P = Projector(X).materialize(9)
+        P = Projector(X).apply(np.eye(9))
         np.testing.assert_allclose(P @ P, P, rtol=0, atol=1e-10)
         np.testing.assert_allclose(P, P.T, rtol=0, atol=1e-10)
 
@@ -141,22 +141,22 @@ class TestOrdering:
         u = np.zeros((4, 3))
         u[0] = [3.0, 1.0, 2.0]
         v = np.eye(3)
-        u_ord, v_ord = g.order_dims(u, v)
+        u_ord, v_ord = order_factors(u, v)
         np.testing.assert_array_equal(u_ord[0], [3.0, 2.0, 1.0])
         np.testing.assert_array_equal(v_ord, v[:, [0, 2, 1]])
 
     def test_ties_are_stable(self):
         u = np.ones((4, 3))
         v = np.eye(3)
-        u_ord, v_ord = g.order_dims(u, v)
+        u_ord, v_ord = order_factors(u, v)
         np.testing.assert_array_equal(v_ord, v)
 
     def test_idempotent(self):
         rng = np.random.default_rng(37)
         u = rng.normal(size=(8, 4))
         v = np.linalg.qr(rng.normal(size=(6, 4)))[0]
-        u1, v1 = g.order_dims(u, v)
-        u2, v2 = g.order_dims(u1, v1)
+        u1, v1 = order_factors(u, v)
+        u2, v2 = order_factors(u1, v1)
         np.testing.assert_array_equal(u1, u2)
         np.testing.assert_array_equal(v1, v2)
 
@@ -164,7 +164,7 @@ class TestOrdering:
         rng = np.random.default_rng(41)
         u = rng.normal(size=(8, 3))
         v = rng.normal(size=(5, 3))
-        u_ord, v_ord = g.order_dims(u, v)
+        u_ord, v_ord = order_factors(u, v)
         np.testing.assert_allclose(v_ord @ u_ord.T, v @ u.T, atol=1e-12)
 
 
@@ -193,7 +193,7 @@ class TestFullPipeline:
         state = advance(random_state(g.gaussian(), seed=47, n_latent=3,
                                      n_feat=7, n_obs=12), 6)
         g.project_out_covariates(state)
-        u_hat, v_hat = g.orthogonalize(state)
+        u_hat, v_hat = rotate_factors(state.U_latent, state.V_latent)
         norms = np.linalg.norm(u_hat, axis=0)
         stds = u_hat.std(axis=0, ddof=1)
         np.testing.assert_array_equal(np.argsort(-norms, kind="stable"),
