@@ -97,106 +97,135 @@ class Family:
         """True when the link equals the family's canonical link."""
         return _TRUE_CANONICAL.get(self.kind) == self.link
 
-    def clamp_mean(self, mu):
-        """Clip a mean into the strict interior of the family's domain."""
-        if self.kind == "gaussian":
-            return mu
-        if self.kind == "bernoulli":
-            return np.clip(mu, PROB_FLOOR, PROB_CEIL)
-        return np.clip(mu, MEAN_FLOOR, MEAN_CEIL)
-
     def inverse_link(self, r):
         """Mean mu = g⁻¹(r), clamped into the domain interior."""
         arr = _asfloat(r)
-        if not np.all(np.isfinite(arr)):
-            raise DomainError("linear predictor contains non-finite values")
-        with np.errstate(over="ignore"):
-            if self.link == "identity":
-                mu = arr + 0.0
-            elif self.link == "log":
-                mu = np.exp(arr)
-            else:  # logit
-                mu = 1.0 / (1.0 + np.exp(-arr))
-        return _ret(self.clamp_mean(mu), r)
+        _check_predictor(arr)
+        return _ret(self._mean(arr), r)
 
     def dinverse_link(self, r):
         """Derivative h(r) = d g⁻¹(r) / dr; strictly positive."""
         arr = _asfloat(r)
-        if not np.all(np.isfinite(arr)):
-            raise DomainError("linear predictor contains non-finite values")
+        _check_predictor(arr)
         if self.link == "identity":
             h = np.ones_like(arr)
         elif self.link == "log":
             # equals the clamped mean, which keeps h finite and preserves
             # h == rho(mu) exactly for the Poisson
-            with np.errstate(over="ignore"):
-                h = np.clip(np.exp(arr), MEAN_FLOOR, MEAN_CEIL)
+            h = self._mean(arr)
         else:  # logit
-            mu = self.inverse_link(arr)
+            mu = self._mean(arr)
             h = mu * (1.0 - mu)
         return _ret(h, r)
 
+    def working_weights(self, r):
+        """Means and Fisher-scoring weights at the linear predictor r.
+
+        Returns (M, S, I): the clamped mean g⁻¹(r), the score weight
+        S = h/rho(M) and the information weight I = h²/rho(M), with
+        h = g⁻¹'(r).  One exp, one in-place clamp.  For canonical links
+        h == rho(M), so S is the scalar 1 and I is rho(M), which for the
+        Poisson is M itself.  Raises DomainError when r holds a
+        non-finite value.
+        """
+        arr = _asfloat(r)
+        _check_predictor(arr)
+        M = self._mean(arr)
+        if self.kind == "poisson":
+            return M, 1.0, M
+        if self.is_canonical:
+            return M, 1.0, self._rho(M)
+        # negative binomial, log link: h == M, rho == M (1 + M/alpha)
+        S = M / self.dispersion
+        S += 1.0
+        np.reciprocal(S, out=S)
+        return M, S, M * S
+
+    def _mean(self, r):
+        """g⁻¹(r) for a finite predictor, clamped in place into the
+        strict interior of the domain; always a new array."""
+        with np.errstate(over="ignore"):
+            if self.link == "identity":
+                return r + 0.0
+            if self.link == "log":
+                mu = np.asarray(np.exp(r))
+                lo, hi = MEAN_FLOOR, MEAN_CEIL
+            else:  # logit: 1 / (1 + exp(-r))
+                mu = np.asarray(np.exp(-r))
+                mu += 1.0
+                np.reciprocal(mu, out=mu)
+                lo, hi = PROB_FLOOR, PROB_CEIL
+        return np.clip(mu, lo, hi, out=mu)
+
     # ------------------------------------------------------------------
     # moment functions
+    #
+    # Each public method validates its argument, then runs the private
+    # arithmetic that the objective also calls on means already clamped
+    # into the domain and data already checked by build_model.
 
     def variance(self, mu):
         """Variance function rho(mu); strictly positive on the domain."""
         arr = _asfloat(mu)
         self._check_mean_domain(arr)
-        if self.kind == "gaussian":
-            rho = np.ones_like(arr)
-        elif self.kind == "poisson":
-            rho = arr + 0.0
-        elif self.kind == "bernoulli":
-            rho = arr * (1.0 - arr)
-        else:
-            rho = arr + arr * arr / self.dispersion
-        return _ret(rho, mu)
+        return _ret(self._rho(arr), mu)
 
     def natural_param(self, mu):
         """Natural parameter theta(mu)."""
         arr = _asfloat(mu)
         self._check_mean_domain(arr)
-        if self.kind == "gaussian":
-            theta = arr + 0.0
-        elif self.kind == "poisson":
-            theta = np.log(arr)
-        elif self.kind == "bernoulli":
-            theta = np.log(arr) - np.log1p(-arr)
-        else:
-            theta = np.log(arr) - np.log(arr + self.dispersion)
-        return _ret(theta, mu)
+        return _ret(self._theta(arr), mu)
 
     def cumulant(self, theta):
         """Cumulant kappa(theta); kappa'(theta) = mu, kappa''(theta) = rho."""
         arr = _asfloat(theta)
-        if not np.all(np.isfinite(arr)):
-            raise DomainError("natural parameter contains non-finite values")
-        if self.kind == "gaussian":
-            kappa = 0.5 * arr * arr
-        elif self.kind == "poisson":
-            with np.errstate(over="ignore"):
-                kappa = np.exp(arr)
-        elif self.kind == "bernoulli":
-            # log(1 + e^theta) without overflow for large |theta|
-            kappa = np.logaddexp(0.0, arr)
-        else:
-            if np.any(arr >= 0):
-                raise DomainError(
-                    "negative binomial natural parameter must be negative"
-                )
-            kappa = -self.dispersion * np.log1p(-np.exp(arr))
-        return _ret(kappa, theta)
+        self._check_natural_domain(arr)
+        return _ret(self._kappa(arr), theta)
 
     def loglik_term(self, y, theta):
         """Per-cell partial log likelihood y*theta - kappa(theta)."""
         y_arr = _asfloat(y)
         self.check_support(y_arr)
         t_arr = _asfloat(theta)
-        out = y_arr * t_arr - self.cumulant(t_arr)
+        self._check_natural_domain(t_arr)
+        out = self._loglik(y_arr, t_arr)
         if np.ndim(y) == 0 and np.ndim(theta) == 0:
             return float(out)
         return out
+
+    def _rho(self, mu):
+        if self.kind == "gaussian":
+            return np.ones_like(mu)
+        if self.kind == "poisson":
+            return mu + 0.0
+        if self.kind == "bernoulli":
+            rho = 1.0 - mu
+            rho *= mu
+            return rho
+        return mu + mu * mu / self.dispersion
+
+    def _theta(self, mu):
+        if self.kind == "gaussian":
+            return mu + 0.0
+        if self.kind == "poisson":
+            return np.log(mu)
+        if self.kind == "bernoulli":
+            return np.log(mu) - np.log1p(-mu)
+        return np.log(mu) - np.log(mu + self.dispersion)
+
+    def _kappa(self, theta):
+        if self.kind == "gaussian":
+            return 0.5 * theta * theta
+        if self.kind == "poisson":
+            with np.errstate(over="ignore"):
+                return np.exp(theta)
+        if self.kind == "bernoulli":
+            # log(1 + e^theta) without overflow for large |theta|
+            return np.logaddexp(0.0, theta)
+        return -self.dispersion * np.log1p(-np.exp(theta))
+
+    def _loglik(self, y, theta):
+        return y * theta - self._kappa(theta)
 
     # ------------------------------------------------------------------
     # support and domain checks
@@ -213,6 +242,14 @@ class Family:
             if np.any((arr != 0) & (arr != 1)):
                 raise DataError("bernoulli data must lie in {0, 1}")
 
+    def _check_natural_domain(self, arr) -> None:
+        if not np.all(np.isfinite(arr)):
+            raise DomainError("natural parameter contains non-finite values")
+        if self.kind == "negative_binomial" and np.any(arr >= 0):
+            raise DomainError(
+                "negative binomial natural parameter must be negative"
+            )
+
     def _check_mean_domain(self, arr) -> None:
         if not np.all(np.isfinite(arr)):
             raise DomainError("mean contains non-finite values")
@@ -222,6 +259,11 @@ class Family:
             raise DomainError(f"{self.kind} mean must be positive")
         if self.kind == "bernoulli" and np.any(arr >= 1):
             raise DomainError("bernoulli mean must be below 1")
+
+
+def _check_predictor(arr) -> None:
+    if not np.all(np.isfinite(arr)):
+        raise DomainError("linear predictor contains non-finite values")
 
 
 def gaussian() -> Family:

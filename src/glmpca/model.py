@@ -88,12 +88,17 @@ class IndexSets:
 
 
 class PredictorStats(NamedTuple):
-    """Linear predictor and the per-cell quantities derived from it."""
+    """Linear predictor and the per-cell quantities derived from it.
 
-    R: np.ndarray  # J x N linear predictor
-    M: np.ndarray  # J x N means g^{-1}(R)
-    W: np.ndarray  # J x N weights 1 / rho(M)
-    H: np.ndarray  # J x N derivatives h(R)
+    The optimizer keeps R current across a sweep by adding each column
+    step's rank-1 term to it in place; M, S and I are recomputed from
+    that R by Family.working_weights before every column update.
+    """
+
+    R: np.ndarray          # J x N linear predictor, stepped in place
+    M: np.ndarray          # J x N means g^{-1}(R), clamped
+    S: np.ndarray | float  # J x N score weights h/rho(M); 1 if canonical
+    I: np.ndarray          # J x N information weights h^2/rho(M)
 
 
 @dataclass
@@ -335,17 +340,26 @@ def build_model(Y, *, n_latent: int, family: Family, obs_covariates=None,
 
 def linear_predictor(state: ModelState) -> np.ndarray:
     """R = V U' + 1 delta', the J x N linear predictor."""
-    return state.V @ state.U.T + state.delta[None, :]
+    R = state.V @ state.U.T
+    R += state.delta[None, :]
+    return R
 
 
-def predictor_stats(state: ModelState) -> PredictorStats:
-    """Linear predictor with means, weights 1/rho, and link derivatives."""
-    R = linear_predictor(state)
-    fam = state.family
-    M = fam.inverse_link(R)
-    W = 1.0 / fam.variance(M)
-    H = fam.dinverse_link(R)
-    return PredictorStats(R, M, W, H)
+def predictor_stats(state: ModelState,
+                    R: np.ndarray | None = None) -> PredictorStats:
+    """Means and working weights at R, by default the current linear
+    predictor.  A given R is held, not copied."""
+    if R is None:
+        R = linear_predictor(state)
+    return PredictorStats(R, *state.family.working_weights(R))
+
+
+def score_residual(state: ModelState, stats: PredictorStats) -> np.ndarray:
+    """(Y - M) * S, the J x N residual whose matvecs give the gradient."""
+    resid = state.Y - stats.M
+    if np.ndim(stats.S):  # S is the scalar 1 for canonical links
+        resid *= stats.S
+    return resid
 
 
 def objective(state: ModelState, stats: PredictorStats | None = None) -> float:
@@ -356,13 +370,15 @@ def objective(state: ModelState, stats: PredictorStats | None = None) -> float:
         - 1/2 sum over updateable V columns of lambda_v[k] * ||V[:, k]||^2
 
     A non-finite value is returned as-is so the optimizer's damping logic
-    can react to it.
+    can react to it.  Y is validated by build_model and the means are
+    clamped into the domain, so neither is checked again here.
     """
-    if stats is None:
-        stats = predictor_stats(state)
     fam = state.family
-    theta = fam.natural_param(stats.M)
-    q = float(np.sum(fam.loglik_term(state.Y, theta)))
+    if stats is None:
+        M = fam.inverse_link(linear_predictor(state))
+    else:
+        M = stats.M
+    q = float(np.sum(fam._loglik(state.Y, fam._theta(M))))
     idx = state.index
     u_cols = idx.u_cols
     v_cols = idx.v_cols
@@ -412,8 +428,7 @@ def gradient(state: ModelState, block: str, k: int,
     side = block_of(state, block, k)
     if stats is None:
         stats = predictor_stats(state)
-    resid = (state.Y - stats.M) * stats.W * stats.H
-    return (side.rows(resid) @ side.partner[:, k]
+    return (side.rows(score_residual(state, stats)) @ side.partner[:, k]
             - side.penalty[k] * side.own[:, k])
 
 
@@ -426,7 +441,7 @@ def fisher_info(state: ModelState, block: str, k: int,
     side = block_of(state, block, k)
     if stats is None:
         stats = predictor_stats(state)
-    info = (side.rows(stats.W * stats.H ** 2) @ side.partner[:, k] ** 2
+    info = (side.rows(stats.I) @ side.partner[:, k] ** 2
             + side.penalty[k])
     if not info.any():
         raise DegenerateColumnError(k)

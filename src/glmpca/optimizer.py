@@ -1,10 +1,8 @@
 """Diagonal-approximation Fisher scoring.
 
-One sweep refreshes the predictor statistics before every column update
-(the update for a column always sees the effect of the previous one),
-walks the updateable columns of block "U" in ascending order, then those
-of block "V", and finally re-evaluates the objective.  The per-column
-step, written once for both blocks, is
+One sweep walks the updateable columns of block "U" in ascending order,
+then those of block "V", and finally re-evaluates the objective.  The
+per-column step, written once for both blocks, is
 
     column += gradient / fisher_information
 
@@ -12,6 +10,14 @@ which ignores mixed second derivatives; that makes each step cheap but
 not guaranteed to increase Q, so sweeps that lower Q (or produce
 non-finite values) are retried from the sweep's starting point with all
 steps halved, up to ``max_halvings`` times.
+
+Every update sees the effect of the previous one without rebuilding the
+linear predictor: the sweep builds R once, a step on column k changes R
+by the rank-1 term partner[:, k] (x) step, added to the held R in place,
+and the means and working weights are recomputed from that R in one
+pass before the next column.  R is rebuilt in full only after a
+full-scoring step or a reinitialized partner column.  The objective
+builds its own R, so rounding cannot accumulate from sweep to sweep.
 """
 
 from __future__ import annotations
@@ -24,7 +30,8 @@ import numpy as np
 from .exceptions import (ConfigError, DegenerateColumnError, DomainError,
                          FitError, GlmPcaError)
 from .model import (INIT_SCALE, ModelState, PredictorStats, block_of,
-                    fisher_info, gradient, objective, predictor_stats)
+                    fisher_info, gradient, linear_predictor, objective,
+                    predictor_stats, score_residual)
 from .postprocess import postprocess
 
 ASCENT_SLACK = 1e-12  # accepted drop per sweep: ASCENT_SLACK * (1 + |Q|)
@@ -78,12 +85,21 @@ def update_column(state: ModelState, block: str, k: int,
                   stats: PredictorStats, scale: float = 1.0) -> ModelState:
     """One Fisher-scoring step on column k of block "U" or "V", in place.
 
-    ``stats`` must reflect the current state (refresh it between column
-    updates).  ``scale`` multiplies the step for damping.
+    ``stats`` must reflect the current state.  The step's rank-1 term is
+    added to ``stats.R`` in place, so R stays current; M, S and I do not
+    (``predictor_stats(state, stats.R)`` refreshes them).  ``scale``
+    multiplies the step for damping.
     """
-    step = (gradient(state, block, k, stats)
-            / fisher_info(state, block, k, stats))
-    block_of(state, block).own[:, k] += scale * step
+    step = scale * (gradient(state, block, k, stats)
+                    / fisher_info(state, block, k, stats))
+    side = block_of(state, block)
+    side.own[:, k] += step
+    # written in R's own J x N layout for both blocks
+    R = stats.R
+    if block == "U":
+        R += np.outer(side.partner[:, k], step)
+    else:
+        R += np.outer(step, side.partner[:, k])
     return state
 
 
@@ -104,8 +120,8 @@ def full_scoring(state: ModelState, block: str,
         return 0
     if stats is None:
         stats = predictor_stats(state)
-    wh2 = side.rows(stats.W * stats.H ** 2)
-    whres = side.rows(stats.W * stats.H * (state.Y - stats.M))
+    wh2 = side.rows(stats.I)
+    whres = side.rows(score_residual(state, stats))
     fallbacks = 0
     for r in range(side.own.shape[0]):
         gram = design.T @ (wh2[r][:, None] * design)
@@ -134,25 +150,30 @@ def _sweep(state: ModelState, cfg: FitConfig, scale: float,
     by ``scale``.  Degenerate latent columns get their all-zero partner
     column reinitialized once, then are skipped."""
     latent = list(state.index.latent_cols)
+    R = linear_predictor(state)
     for block in ("U", "V"):
         side = block_of(state, block)
         cols = side.cols
         if cfg.full_scoring_coef:
             # an empty coefficient block leaves only latent columns anyway
-            fb = full_scoring(state, block, scale=scale)
-            if fb:
-                coef = "Gamma" if block == "U" else "A"
-                notes["full scoring fell back to diagonal for "
-                      f"{coef} rows"] += fb
             cols = latent
+            if side.coef.stop > side.coef.start:
+                fb = full_scoring(state, block, predictor_stats(state, R),
+                                  scale)
+                R = linear_predictor(state)
+                if fb:
+                    coef = "Gamma" if block == "U" else "A"
+                    notes["full scoring fell back to diagonal for "
+                          f"{coef} rows"] += fb
         for k in cols:
-            stats = predictor_stats(state)
+            stats = predictor_stats(state, R)
             try:
                 update_column(state, block, k, stats, scale)
             except DegenerateColumnError:
                 if k in latent and (block, k) not in reinit_done:
                     reinit_done.add((block, k))
                     _reinit_column(state, side.partner, k)
+                    R = linear_predictor(state)
                     notes[f"degenerate column {k}: partner reinitialized"] += 1
                 else:
                     notes[f"degenerate column {k}: update skipped"] += 1

@@ -131,7 +131,7 @@ def test_c6_canonical_link_simplification():
             for seed in range(10):
                 state = random_state(family, seed=900 + seed)
                 stats = predictor_stats(state)
-                rho = 1.0 / stats.W  # variance at the current means
+                rho = family.variance(stats.M)  # variance at the current means
                 for k in state.index.u_cols:
                     simple_grad = ((state.Y - stats.M).T @ state.V[:, k]
                                    - state.lambda_u[k] * state.U[:, k])

@@ -257,3 +257,43 @@ class TestRoundTripProperties:
         for fam in ALL:
             lo, hi = sorted((r1, r2))
             assert fam.inverse_link(lo) <= fam.inverse_link(hi)
+
+
+class TestWorkingWeights:
+    # crosses the clamp boundaries: exp(+-23.03) and 1/(1 + exp(-+23.03))
+    # reach MEAN_CEIL/MEAN_FLOOR and PROB_CEIL/PROB_FLOOR
+    GRID = np.concatenate([np.linspace(-40.0, 40.0, 161),
+                           [-30.0, -25.0, 25.0, 30.0, -23.0259, 23.0259]])
+
+    @pytest.mark.parametrize("fam", ALL, ids=lambda f: f.kind)
+    def test_matches_separate_formulas(self, fam):
+        r = self.GRID.reshape(1, -1)
+        M, S, I = fam.working_weights(r)
+        mu = fam.inverse_link(r)
+        h = fam.dinverse_link(r)
+        w = 1.0 / fam.variance(mu)
+        np.testing.assert_array_equal(M, mu)
+        np.testing.assert_allclose(np.broadcast_to(S, r.shape), w * h,
+                                   rtol=1e-14, atol=0)
+        np.testing.assert_allclose(I, w * h ** 2, rtol=1e-14, atol=0)
+        assert M.shape == I.shape == r.shape
+
+    @pytest.mark.parametrize("fam", ALL, ids=lambda f: f.kind)
+    def test_canonical_score_weight_is_one(self, fam):
+        _, S, _ = fam.working_weights(self.GRID)
+        if fam.is_canonical:
+            assert S == 1.0
+        else:
+            assert np.shape(S) == self.GRID.shape
+
+    @pytest.mark.parametrize("fam", ALL, ids=lambda f: f.kind)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_rejected(self, fam, bad):
+        with pytest.raises(DomainError):
+            fam.working_weights(np.array([0.0, bad]))
+
+    def test_does_not_modify_predictor(self):
+        r = self.GRID.copy()
+        for fam in ALL:
+            fam.working_weights(r)
+        np.testing.assert_array_equal(r, self.GRID)

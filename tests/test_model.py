@@ -224,6 +224,26 @@ class TestObjective:
         assert g.objective(state) == pytest.approx(
             oracle.scalar_objective(state), abs=1e-10)
 
+    @pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: f.kind)
+    def test_no_data_or_mean_rescan(self, family, monkeypatch):
+        # Y is checked by build_model and the means are clamped, so the
+        # objective must not run either check again
+        state = random_state(family, seed=33, n_feat=5, n_obs=6)
+        expected = g.objective(state)
+
+        def boom(*args):
+            raise AssertionError("validation ran inside the objective")
+
+        monkeypatch.setattr(g.Family, "check_support", boom)
+        monkeypatch.setattr(g.Family, "_check_mean_domain", boom)
+        assert g.objective(state) == expected
+
+    def test_nonfinite_predictor_still_raises(self):
+        state = random_state(g.poisson(), seed=35, n_feat=5, n_obs=6)
+        state.U[0, state.index.latent_cols[0]] = -np.inf
+        with pytest.raises(g.DomainError):
+            g.objective(state)
+
 
 class TestGradients:
     def test_canonical_single_cell(self):

@@ -1,12 +1,15 @@
 """Tests for the Fisher-scoring sweeps, full scoring, and the fit loop."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
 import glmpca as g
 from glmpca import ConfigError, FitError
-from glmpca.model import IndexSets, ModelState, predictor_stats
-from glmpca import oracle
+from glmpca import optimizer, oracle
+from glmpca.model import (IndexSets, ModelState, linear_predictor,
+                          predictor_stats)
 
 from conftest import ALL_FAMILIES, random_state, sample_response
 
@@ -120,6 +123,62 @@ class TestColumnUpdates:
         g.update_column(state, "U", k, stats, scale=0.5)
         np.testing.assert_allclose(state.U[:, k], half_expected, rtol=0,
                                    atol=1e-15)
+
+
+class TestHeldPredictor:
+    """The sweep builds R once and keeps it current by rank-1 steps."""
+
+    @pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: f.kind)
+    @pytest.mark.parametrize("full", [False, True], ids=["diag", "full"])
+    def test_held_predictor_tracks_state(self, family, full, monkeypatch):
+        state = random_state(family, seed=41, n_feat=7, n_obs=10)
+        checked = []
+        real_update = optimizer.update_column
+
+        def checked_update(state, block, k, stats, scale=1.0):
+            real_update(state, block, k, stats, scale)
+            if k == block_cols[block][-1]:  # the block's last column
+                fresh = linear_predictor(state)
+                err = np.abs(stats.R - fresh).max()
+                assert err <= 1e-12 * np.abs(fresh).max()
+                checked.append(block)
+            return state
+
+        idx = state.index
+        latent = list(idx.latent_cols)
+        block_cols = {"U": latent if full else idx.u_cols,
+                      "V": latent if full else idx.v_cols}
+        monkeypatch.setattr(optimizer, "update_column", checked_update)
+        g.fit(state, g.FitConfig(max_iters=5, tol=1e-14,
+                                 full_scoring_coef=full))
+        assert checked[:2] == ["U", "V"] and len(checked) >= 10
+
+    def test_step_adds_rank1_term_to_held_predictor(self):
+        state = random_state(g.poisson(), seed=43)
+        for block, k in (("U", state.index.u_cols[-1]),
+                         ("V", state.index.v_cols[0])):
+            stats = predictor_stats(state)
+            R = stats.R
+            g.update_column(state, block, k, stats)
+            assert stats.R is R
+            np.testing.assert_allclose(R, linear_predictor(state),
+                                       rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("full, builds", [(False, 1), (True, 3)])
+    def test_predictor_built_once_per_sweep(self, full, builds, monkeypatch):
+        state = random_state(g.bernoulli(), seed=45)
+        calls = []
+        real = optimizer.linear_predictor
+
+        def counted(state):
+            calls.append(1)
+            return real(state)
+
+        monkeypatch.setattr(optimizer, "linear_predictor", counted)
+        optimizer._sweep(state, g.FitConfig(full_scoring_coef=full), 1.0,
+                         set(), Counter())
+        # with full scoring, R is rebuilt after each coefficient block
+        assert len(calls) == builds
 
 
 class TestFullScoring:
