@@ -18,7 +18,7 @@ from .model import (IndexSets, ModelState, build_model, check_data_matrix,
                     predictor_stats)
 from .optimizer import (FitConfig, FitResult, fit, full_scoring,
                         update_column)
-from .postprocess import Projector, postprocess, project_out_covariates
+from .postprocess import postprocess, project_out_covariates
 
 __version__ = "0.1.0"
 
@@ -31,6 +31,6 @@ __all__ = [
     "fisher_info", "gradient", "linear_predictor", "objective",
     "predictor_stats",
     "FitConfig", "FitResult", "fit", "full_scoring", "update_column",
-    "Projector", "postprocess", "project_out_covariates",
+    "postprocess", "project_out_covariates",
     "__version__",
 ]

@@ -189,9 +189,7 @@ class Family:
         t_arr = _asfloat(theta)
         self._check_natural_domain(t_arr)
         out = self._loglik(y_arr, t_arr)
-        if np.ndim(y) == 0 and np.ndim(theta) == 0:
-            return float(out)
-        return out
+        return _ret(out, out)  # a float when y and theta are both scalars
 
     def _rho(self, mu):
         if self.kind == "gaussian":
@@ -232,15 +230,19 @@ class Family:
 
     def check_support(self, y) -> None:
         """Raise DataError if any value lies outside the family's support."""
-        arr = _asfloat(y)
-        if not np.all(np.isfinite(arr)):
-            raise DataError("data contains non-finite values")
-        if self.kind in ("poisson", "negative_binomial"):
-            if np.any(arr < 0):
-                raise DataError(f"{self.kind} data must be nonnegative")
-        elif self.kind == "bernoulli":
-            if np.any((arr != 0) & (arr != 1)):
-                raise DataError("bernoulli data must lie in {0, 1}")
+        bad, reason = self._outside_support(_asfloat(y))
+        if bad.any():
+            raise DataError(f"data outside the support: {reason}")
+
+    def _outside_support(self, y: np.ndarray):
+        """(mask of the entries of y outside the support, the reason)."""
+        bad = ~np.isfinite(y)
+        if bad.any() or self.kind == "gaussian":
+            return bad, "non-finite value"
+        if self.kind == "bernoulli":
+            return (y != 0) & (y != 1), "bernoulli data must be 0 or 1"
+        return ((y < 0) | (y != np.floor(y)),
+                f"{self.kind} data must be a nonnegative integer")
 
     def _check_natural_domain(self, arr) -> None:
         if not np.all(np.isfinite(arr)):
@@ -253,9 +255,7 @@ class Family:
     def _check_mean_domain(self, arr) -> None:
         if not np.all(np.isfinite(arr)):
             raise DomainError("mean contains non-finite values")
-        if self.kind == "gaussian":
-            return
-        if np.any(arr <= 0):
+        if self.kind != "gaussian" and np.any(arr <= 0):
             raise DomainError(f"{self.kind} mean must be positive")
         if self.kind == "bernoulli" and np.any(arr >= 1):
             raise DomainError("bernoulli mean must be below 1")

@@ -80,7 +80,12 @@ def read_matrix_market(path) -> LoadedMatrix:
                         f"{path}:{lineno}: non-integer size line {line!r}")
                 if rows < 1 or cols < 1 or remaining < 0:
                     raise DataError(f"{path}:{lineno}: invalid sizes {line!r}")
-                values = np.zeros((rows, cols))
+                try:
+                    values = np.zeros((rows, cols))
+                except (ValueError, MemoryError):  # too big to address
+                    raise DataError(
+                        f"{path}:{lineno}: cannot hold a dense {rows} x "
+                        f"{cols} matrix") from None
                 continue
             if len(tokens) != 3:
                 raise DataError(

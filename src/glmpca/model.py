@@ -168,20 +168,11 @@ def check_data_matrix(Y, family: Family) -> np.ndarray:
             f"data must have at least 1 feature row and 2 observation "
             f"columns, got {n_feat} x {n_obs}"
         )
-    bad = ~np.isfinite(Y)
-    reason = "non-finite value"
-    if not bad.any():
-        if family.kind in ("poisson", "negative_binomial"):
-            bad = (Y < 0) | (Y != np.floor(Y))
-            reason = f"{family.kind} data must be a nonnegative integer"
-        elif family.kind == "bernoulli":
-            bad = (Y != 0) & (Y != 1)
-            reason = "bernoulli data must be 0 or 1"
+    bad, reason = family._outside_support(Y)
     if bad.any():
         j, i = np.argwhere(bad)[0]
-        raise DataError(
-            f"invalid entry {Y[j, i]!r} at row {j + 1}, column {i + 1}: {reason}"
-        )
+        raise DataError(f"invalid entry {float(Y[j, i])!r} at row {j + 1}, "
+                        f"column {i + 1}: {reason}")
     return Y
 
 
@@ -362,22 +353,20 @@ def score_residual(state: ModelState, stats: PredictorStats) -> np.ndarray:
     return resid
 
 
-def objective(state: ModelState, stats: PredictorStats | None = None) -> float:
+def objective(state: ModelState) -> float:
     """Penalized partial log likelihood Q.
 
     Q = sum_ij [ y_ij theta_ij - kappa(theta_ij) ]
         - 1/2 sum over updateable U columns of lambda_u[k] * ||U[:, k]||^2
         - 1/2 sum over updateable V columns of lambda_v[k] * ||V[:, k]||^2
 
-    A non-finite value is returned as-is so the optimizer's damping logic
-    can react to it.  Y is validated by build_model and the means are
-    clamped into the domain, so neither is checked again here.
+    R is built afresh from U, V and delta.  A non-finite value is
+    returned as-is so the optimizer's damping logic can react to it.
+    Y is validated by build_model and the means are clamped into the
+    domain, so neither is checked again here.
     """
     fam = state.family
-    if stats is None:
-        M = fam.inverse_link(linear_predictor(state))
-    else:
-        M = stats.M
+    M = fam.inverse_link(linear_predictor(state))
     q = float(np.sum(fam._loglik(state.Y, fam._theta(M))))
     idx = state.index
     u_cols = idx.u_cols

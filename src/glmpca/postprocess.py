@@ -5,11 +5,14 @@ predicted means) unchanged:
 
 1. projection  - move any component of the latent factors lying in the
    span of the covariates into the regression coefficients, so the
-   factors become orthogonal to X and Z;
+   factors become orthogonal to X and Z; runs in place on the model
+   state, one covariate side at a time;
 2. rotation    - an SVD change of basis so the loadings matrix has
    orthonormal columns;
 3. ordering    - permute dimensions by decreasing L2 norm of the factor
    columns (equivalently by variance once the means are zero).
+
+Rotation and ordering take and return raw factor arrays.
 
 No J x N matrix is ever formed here; the work is O(max(L, K_o, K_f)^3)
 for the small inversions plus matrix products linear in N and J.
@@ -23,71 +26,36 @@ from .exceptions import PostprocessError
 from .model import ModelState
 
 
-class Projector:
-    """Orthogonal projector onto the column span of a design matrix.
+def project_out_covariates(state: ModelState) -> ModelState:
+    """Apply the projection step in place; R is unchanged, and afterwards
+    X' U_latent = 0 and Z' V_latent = 0.
 
-    Applied implicitly through the (X'X)^{-1} factors, so the n x n
-    matrix is never formed.  A missing or empty design yields the zero
-    projector.
+    Each design D sits in one factor matrix ("own") and its coefficients
+    C in the other ("partner"): X in U with A in V, then Z in V with
+    Gamma in U.  With coef = (D'D)^{-1} D' own_latent,
+
+        C          <- C + partner_latent coef'
+        own_latent <- own_latent - D coef
+
+    so V U' keeps its value.  The X side runs first, so the Gamma update
+    uses the x-projected U_latent.  Both designs are checked for full
+    column rank before anything is written.
     """
-
-    def __init__(self, design: np.ndarray | None):
-        if design is None or design.size == 0:
-            self.design = None
-            self.gram = None
-            return
-        design = np.asarray(design, dtype=float)
-        gram = design.T @ design
-        if np.linalg.matrix_rank(design) < design.shape[1]:
+    idx = state.index
+    lat = idx.latent_slice
+    sides = [(own, partner, fixed) for own, partner, fixed in
+             ((state.U, state.V, idx.obs_slice),
+              (state.V, state.U, idx.feat_slice)) if own[:, fixed].size]
+    for own, _, fixed in sides:
+        if np.linalg.matrix_rank(own[:, fixed]) < own[:, fixed].shape[1]:
             raise PostprocessError(
-                "design matrix is rank deficient; cannot project it out"
-            )
-        self.design = design
-        self.gram = gram
-
-    def apply(self, mat: np.ndarray) -> np.ndarray:
-        """P @ mat."""
-        if self.design is None:
-            return np.zeros_like(mat)
-        return self.design @ np.linalg.solve(self.gram, self.design.T @ mat)
-
-    def complement(self, mat: np.ndarray) -> np.ndarray:
-        """(I - P) @ mat."""
-        if self.design is None:
-            return mat.copy()
-        return mat - self.apply(mat)
-
-
-def project_factors(u_latent, v_latent, coef_a, coef_gamma, X, Z):
-    """Projection step on raw arrays; returns the four updated blocks.
-
-    The coefficient updates absorb exactly what the projections remove,
-    so V U' is unchanged:
-
-        A     <- A + V~ U~' X (X'X)^{-1}
-        Gamma <- Gamma + (I - P_x) U~ V~' Z (Z'Z)^{-1}
-        U~    <- (I - P_x) U~
-        V~    <- (I - P_z) V~
-
-    The A update uses the pre-projection factors; the Gamma update uses
-    the x-projected factors.  All right-hand sides are evaluated before
-    anything is overwritten.
-    """
-    px = Projector(X)
-    pz = Projector(Z)
-    if px.design is not None:
-        coef_a = coef_a + v_latent @ np.linalg.solve(
-            px.gram, px.design.T @ u_latent).T
-    else:
-        coef_a = coef_a.copy()
-    u_proj = px.complement(u_latent)
-    if pz.design is not None:
-        coef_gamma = coef_gamma + u_proj @ np.linalg.solve(
-            pz.gram, pz.design.T @ v_latent).T
-    else:
-        coef_gamma = coef_gamma.copy()
-    v_proj = pz.complement(v_latent)
-    return u_proj, v_proj, coef_a, coef_gamma
+                "design matrix is rank deficient; cannot project it out")
+    for own, partner, fixed in sides:
+        design = own[:, fixed]
+        coef = np.linalg.solve(design.T @ design, design.T @ own[:, lat])
+        partner[:, fixed] += partner[:, lat] @ coef.T
+        own[:, lat] -= design @ coef
+    return state
 
 
 def rotate_factors(u_latent: np.ndarray, v_latent: np.ndarray):
@@ -118,26 +86,6 @@ def order_factors(u_hat: np.ndarray, v_hat: np.ndarray):
     norms = np.linalg.norm(u_hat, axis=0)
     order = np.argsort(-norms, kind="stable")
     return u_hat[:, order], v_hat[:, order]
-
-
-# ----------------------------------------------------------------------
-# on the model state
-
-
-def project_out_covariates(state: ModelState) -> ModelState:
-    """Apply the projection step in place; R is unchanged, and afterwards
-    X' U_latent = 0 and Z' V_latent = 0."""
-    idx = state.index
-    u_proj, v_proj, coef_a, coef_gamma = project_factors(
-        state.U_latent, state.V_latent, state.A, state.Gamma,
-        state.X if idx.n_obs_cov else None,
-        state.Z if idx.n_feat_cov else None,
-    )
-    state.V[:, idx.obs_slice] = coef_a
-    state.U[:, idx.feat_slice] = coef_gamma
-    state.U[:, idx.latent_slice] = u_proj
-    state.V[:, idx.latent_slice] = v_proj
-    return state
 
 
 def postprocess(state: ModelState):

@@ -195,6 +195,8 @@ class TestLoglikTerm:
             g.bernoulli().loglik_term(0.5, 0.0)
         with pytest.raises(DataError):
             g.negative_binomial(2.0).loglik_term(-3.0, -1.0)
+        with pytest.raises(DataError):
+            g.poisson().loglik_term(2.5, 0.0)
 
 
 class TestAnalyticIdentities:

@@ -67,6 +67,16 @@ class TestMatrixMarketReader:
         with pytest.raises(DataError, match="outside"):
             gio.read_matrix(path)
 
+    @pytest.mark.parametrize("size", ["10000000000", "100000000"])
+    def test_impossible_size_names_line_and_shape(self, tmp_path, size):
+        # neither dense shape can be allocated on a 64-bit machine: the
+        # first overflows the address arithmetic, the second is 71 PiB
+        path = tmp_path / "m.mtx"
+        path.write_text("%%MatrixMarket matrix coordinate real general\n"
+                        f"% huge\n{size} {size} 0\n")
+        with pytest.raises(DataError, match=rf"m\.mtx:3: .*{size} x {size}"):
+            gio.read_matrix(path)
+
     def test_negative_count_under_poisson_names_cell(self, tmp_path):
         path = tmp_path / "m.mtx"
         path.write_text("%%MatrixMarket matrix coordinate real general\n"
@@ -216,6 +226,15 @@ class TestCli:
                         "--dims", "1", "--output-dir", str(tmp_path / "o"))
         assert code == 1
         assert "row 1, column 1" in capsys.readouterr().err
+
+    def test_impossible_size_exits_1(self, tmp_path, capsys):
+        huge = tmp_path / "huge.mtx"
+        huge.write_text("%%MatrixMarket matrix coordinate real general\n"
+                        "100000000 100000000 0\n")
+        code = self.run("fit", "--input", str(huge), "--family", "poisson",
+                        "--dims", "1", "--output-dir", str(tmp_path / "o"))
+        assert code == 1
+        assert "huge.mtx:2: cannot hold" in capsys.readouterr().err
 
     def test_missing_file_exits_1(self, tmp_path, capsys):
         code = self.run("fit", "--input", str(tmp_path / "nope.mtx"),

@@ -28,7 +28,8 @@ class TestIndexSets:
 class TestDataValidation:
     def test_negative_count_names_cell(self):
         Y = np.array([[1.0, 2.0], [3.0, -2.0], [0.0, 1.0]])
-        with pytest.raises(DataError, match="row 2, column 2"):
+        with pytest.raises(DataError,
+                           match=r"invalid entry -2\.0 at row 2, column 2"):
             g.check_data_matrix(Y, g.poisson())
 
     def test_non_integer_count_rejected(self):

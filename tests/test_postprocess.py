@@ -6,31 +6,11 @@ import numpy as np
 import pytest
 
 import glmpca as g
-from glmpca import PostprocessError, Projector
+from glmpca import IndexSets, ModelState, PostprocessError
 from glmpca.model import predictor_stats
-from glmpca.postprocess import order_factors, project_factors, rotate_factors
+from glmpca.postprocess import order_factors, rotate_factors
 
 from conftest import ALL_FAMILIES, advance, random_state
-
-
-class TestProjector:
-    def test_idempotent_and_symmetric(self):
-        rng = np.random.default_rng(1)
-        X = np.column_stack([np.ones(9), rng.normal(size=9)])
-        P = Projector(X).apply(np.eye(9))
-        np.testing.assert_allclose(P @ P, P, rtol=0, atol=1e-10)
-        np.testing.assert_allclose(P, P.T, rtol=0, atol=1e-10)
-
-    def test_absent_design_gives_zero_projector(self):
-        P = Projector(None)
-        mat = np.arange(12.0).reshape(6, 2)
-        np.testing.assert_array_equal(P.apply(mat), 0.0)
-        np.testing.assert_array_equal(P.complement(mat), mat)
-
-    def test_rank_deficient_design_rejected(self):
-        X = np.ones((8, 2))
-        with pytest.raises(PostprocessError):
-            Projector(X)
 
 
 class TestProjection:
@@ -62,6 +42,33 @@ class TestProjection:
         g.project_out_covariates(state)
         assert np.abs(state.X.T @ state.U_latent).max() <= 1e-10
         assert np.abs(state.Z.T @ state.V_latent).max() <= 1e-10
+
+    def test_idempotent(self):
+        state = advance(random_state(g.poisson(), seed=11), 5)
+        g.project_out_covariates(state)
+        u1, v1 = state.U.copy(), state.V.copy()
+        g.project_out_covariates(state)
+        assert np.abs(state.U - u1).max() <= 1e-12
+        assert np.abs(state.V - v1).max() <= 1e-12
+
+    def test_rank_deficient_design_leaves_state_untouched(self):
+        # X alone could be projected out, but Z repeats a column: nothing,
+        # not even A, may be written before the error
+        rng = np.random.default_rng(13)
+        n_obs, n_feat = 9, 6
+        x = np.column_stack([np.ones(n_obs), rng.normal(size=n_obs)])
+        z = rng.normal(size=n_feat)
+        U = np.hstack([x, rng.normal(size=(n_obs, 3))])
+        V = np.hstack([rng.normal(size=(n_feat, 2)), np.column_stack([z, z]),
+                       rng.normal(size=(n_feat, 1))])
+        state = ModelState(Y=None, family=g.gaussian(), U=U.copy(),
+                           V=V.copy(), delta=np.zeros(n_obs),
+                           lambda_u=np.zeros(5), lambda_v=np.zeros(5),
+                           index=IndexSets(2, 2, 1))
+        with pytest.raises(PostprocessError):
+            g.project_out_covariates(state)
+        np.testing.assert_array_equal(state.U, U)
+        np.testing.assert_array_equal(state.V, V)
 
 
 class TestRotation:
@@ -220,15 +227,22 @@ class TestFullPipeline:
 
         before = predict(u_til, v_til, coef_a, coef_g,
                          sample[:, 0], sample[:, 1])
+        n_total = 4 + n_latent
+        state = ModelState(Y=None, family=g.gaussian(),
+                           U=np.hstack([X, coef_g, u_til]),
+                           V=np.hstack([coef_a, Z, v_til]),
+                           delta=np.zeros(n_obs), lambda_u=np.zeros(n_total),
+                           lambda_v=np.zeros(n_total),
+                           index=IndexSets(2, 2, n_latent))
         tracemalloc.start()
-        u_p, v_p, a_p, g_p = project_factors(u_til, v_til, coef_a, coef_g,
-                                             X, Z)
-        u_hat, v_hat = rotate_factors(u_p, v_p)
+        g.project_out_covariates(state)
+        u_hat, v_hat = rotate_factors(state.U_latent, state.V_latent)
         u_hat, v_hat = order_factors(u_hat, v_hat)
         _, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
         assert peak < 200 * 1024 * 1024  # far below one J x N matrix
-        after = predict(u_hat, v_hat, a_p, g_p, sample[:, 0], sample[:, 1])
+        after = predict(u_hat, v_hat, state.A, state.Gamma,
+                        sample[:, 0], sample[:, 1])
         assert np.abs(after - before).max() <= 1e-8
         np.testing.assert_allclose(v_hat.T @ v_hat, np.eye(n_latent),
                                    rtol=0, atol=1e-10)
