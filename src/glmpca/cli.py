@@ -1,8 +1,10 @@
 """Command-line interface.
 
-Exit codes: 0 for a converged fit, 2 when the iteration cap was reached
-without convergence (outputs are still written), 1 for configuration or
-data errors.  All error text goes to stderr.
+Exit codes: 0 for a converged fit; 2 for a fit that did not converge,
+either because the iteration cap was reached or because it stalled (a
+sweep still lowered the objective after every step halving), with the
+outputs still written and the cause named on stderr; 1 for
+configuration or data errors.  All error text goes to stderr.
 """
 
 from __future__ import annotations
@@ -158,6 +160,11 @@ def run_cli(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
+    if result.stop_reason == "stalled":
+        print(f"stalled at iteration {result.iterations_run}: the sweep "
+              f"lowered the objective even after {config.max_halvings} step "
+              "halvings (outputs written)", file=sys.stderr)
+        return 2
     if not result.converged:
         print(f"did not converge within {args.max_iters} iterations "
               "(outputs written)", file=sys.stderr)

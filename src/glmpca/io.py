@@ -229,6 +229,7 @@ def write_result(result: FitResult, out_dir, row_names=None, col_names=None,
 
     meta = {
         "converged": result.converged,
+        "stop_reason": result.stop_reason,
         "iterations_run": result.iterations_run,
         "final_q": result.final_q,
         "objective": "partial",  # data-only likelihood constant is dropped

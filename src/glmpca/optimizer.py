@@ -71,6 +71,7 @@ class FitResult:
     offset: np.ndarray        # length N
     trace: list[tuple[int, float]]
     converged: bool
+    stop_reason: str          # "tol", "stalled" or "max_iters"
     iterations_run: int
     final_q: float
     warnings: list[str] = field(default_factory=list)
@@ -109,29 +110,38 @@ def full_scoring(state: ModelState, block: str,
     """Full (non-diagonal) Fisher scoring step for the coefficient block
     of ``block``: Gamma in U, A in V.
 
-    Each row of the block solves its own weighted least-squares system
-    against the fixed design of the partner (Z for Gamma, X for A); a
-    singular system falls back to the diagonal update for that row.
-    Returns the number of fallback rows.
+    Each row r of the block solves its own weighted least-squares system
+    D' diag(I_r) D step_r = D' res_r against the fixed design D of the
+    partner (Z for Gamma, X for A).  All rows are solved at once: one
+    GEMM against the n x K² column products of D gives every K x K Gram
+    matrix, one GEMM gives every right-hand side, and one stacked solve
+    gives every step.  Only when that solve raises LinAlgError (some
+    Gram matrix is singular) are the rows solved one by one, and each
+    singular row falls back to the diagonal update.  Returns the number
+    of fallback rows.
     """
     side = block_of(state, block)
     design = np.array(side.partner[:, side.coef])
-    if design.shape[1] == 0:
+    n, K = design.shape
+    if K == 0:
         return 0
     if stats is None:
         stats = predictor_stats(state)
-    wh2 = side.rows(stats.I)
-    whres = side.rows(score_residual(state, stats))
+    products = (design[:, :, None] * design[:, None, :]).reshape(n, K * K)
+    gram = (side.rows(stats.I) @ products).reshape(-1, K, K)
+    rhs = side.rows(score_residual(state, stats)) @ design
     fallbacks = 0
-    for r in range(side.own.shape[0]):
-        gram = design.T @ (wh2[r][:, None] * design)
-        rhs = design.T @ whres[r]
-        try:
-            step = np.linalg.solve(gram, rhs)
-        except np.linalg.LinAlgError:
-            step = rhs / np.diag(gram)
-            fallbacks += 1
-        side.own[r, side.coef] += scale * step
+    try:
+        step = np.linalg.solve(gram, rhs[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        step = np.empty_like(rhs)
+        for r in range(rhs.shape[0]):
+            try:
+                step[r] = np.linalg.solve(gram[r], rhs[r])
+            except np.linalg.LinAlgError:
+                step[r] = rhs[r] / np.diag(gram[r])
+                fallbacks += 1
+    side.own[:, side.coef] += scale * step
     return fallbacks
 
 
@@ -184,9 +194,12 @@ def fit(state: ModelState, config: FitConfig | None = None) -> FitResult:
 
     ``state`` is modified in place.  Convergence is declared when the
     relative objective change |Q_t - Q_{t-1}| / (|Q_{t-1}| + 1) drops
-    below ``config.tol``; hitting ``max_iters`` first yields a result
-    with ``converged=False`` (not an error).  With damping enabled the
-    recorded trace is non-decreasing.
+    below ``config.tol`` (``stop_reason="tol"``).  Two other stops yield
+    ``converged=False``, not an error: hitting ``max_iters`` first
+    (``"max_iters"``), and a sweep that still lowers Q after
+    ``max_halvings`` step halvings, which is undone before the fit stops
+    (``"stalled"``).  With damping enabled the recorded trace is
+    non-decreasing.
 
     Raises FitError when the objective is non-finite even after all
     damping retries (or at the starting point).
@@ -206,7 +219,7 @@ def fit(state: ModelState, config: FitConfig | None = None) -> FitResult:
     if not np.isfinite(q_prev):
         raise FitError("objective non-finite at the starting point", trace)
 
-    converged = False
+    stop_reason = "max_iters"
     iterations = 0
     for t in range(1, cfg.max_iters + 1):
         u_snap = state.U.copy()
@@ -246,11 +259,12 @@ def fit(state: ModelState, config: FitConfig | None = None) -> FitResult:
                 raise FitError(
                     f"objective non-finite at iteration {t} {detail}", trace)
             # finite but still lower after all halvings: keep the current
-            # point, which is stationary for this damped scheme
+            # point and stop: no damped step raised Q, yet Q has not
+            # settled to tol, so the fit is stalled, not converged
             state.U[...] = u_snap
             state.V[...] = v_snap
             notes["sweep rejected after max halvings; stopped early"] += 1
-            converged = True
+            stop_reason = "stalled"
             break
 
         rel_change = abs(q_new - q_prev) / (abs(q_prev) + 1.0)
@@ -258,7 +272,7 @@ def fit(state: ModelState, config: FitConfig | None = None) -> FitResult:
         if t % cfg.trace_every == 0:
             trace.append((t, q_new))
         if rel_change < cfg.tol:
-            converged = True
+            stop_reason = "tol"
             break
     # the last sweep always ends the trace, whatever trace_every says
     if not trace or trace[-1][0] != iterations:
@@ -287,7 +301,8 @@ def fit(state: ModelState, config: FitConfig | None = None) -> FitResult:
         coef_Gamma=np.array(state.Gamma),
         offset=state.delta.copy(),
         trace=trace,
-        converged=converged,
+        converged=stop_reason == "tol",
+        stop_reason=stop_reason,
         iterations_run=iterations,
         final_q=q_prev,
         warnings=warnings,

@@ -1,5 +1,6 @@
 """Tests for matrix reading, result writing, and the CLI contract."""
 
+import functools
 import json
 import subprocess
 import sys
@@ -10,8 +11,9 @@ import pytest
 import glmpca as g
 from glmpca import DataError
 from glmpca import io as gio
+from glmpca import cli
 from glmpca.cli import run_cli
-from glmpca.optimizer import FitResult
+from glmpca.optimizer import FitConfig, FitResult
 
 from conftest import DATA_DIR
 
@@ -27,7 +29,7 @@ def make_result(n_obs=4, n_feat=3, n_latent=2, n_obs_cov=1, n_feat_cov=0):
         coef_Gamma=rng.normal(size=(n_obs, n_feat_cov)),
         offset=rng.normal(size=n_obs),
         trace=[(1, -10.0), (2, -8.5), (3, -8.4)],
-        converged=True, iterations_run=3, final_q=-8.4)
+        converged=True, stop_reason="tol", iterations_run=3, final_q=-8.4)
 
 
 class TestMatrixMarketReader:
@@ -75,6 +77,36 @@ class TestMatrixMarketReader:
         path.write_text("%%MatrixMarket matrix coordinate real general\n"
                         f"% huge\n{size} {size} 0\n")
         with pytest.raises(DataError, match=rf"m\.mtx:3: .*{size} x {size}"):
+            gio.read_matrix(path)
+
+    @pytest.mark.parametrize("body, message", [
+        ("2 2 3\n1 1 1\n", r"m\.mtx: 2 entries missing at end of file"),
+        ("2 2 1\n1 1 1\n2 2 1\n", r"m\.mtx: more entries than declared"),
+        ("% only comments\n\n", r"m\.mtx: missing size line"),
+    ], ids=["truncated", "oversized", "no_size_line"])
+    def test_entry_count_and_size_line_errors(self, tmp_path, body,
+                                              message):
+        path = tmp_path / "m.mtx"
+        path.write_text("%%MatrixMarket matrix coordinate real general\n"
+                        + body)
+        with pytest.raises(DataError, match=message):
+            gio.read_matrix(path)
+
+    def test_duplicate_coordinates_are_summed(self, tmp_path):
+        path = tmp_path / "m.mtx"
+        path.write_text("%%MatrixMarket matrix coordinate real general\n"
+                        "2 2 4\n1 1 1.5\n2 2 1\n1 1 2\n1 1 -0.25\n")
+        loaded = gio.read_matrix(path)
+        np.testing.assert_array_equal(loaded.values,
+                                      [[3.25, 0.0], [0.0, 1.0]])
+
+    def test_comments_between_entries_keep_line_numbers(self, tmp_path):
+        path = tmp_path / "m.mtx"
+        path.write_text("%%MatrixMarket matrix coordinate real general\n"
+                        "% header comment\n2 2 3\n1 1 1\n% between\n\n"
+                        "2 2 1\n1 q 1\n")
+        with pytest.raises(DataError,
+                           match=r"m\.mtx:8: malformed entry '1 q 1'"):
             gio.read_matrix(path)
 
     def test_negative_count_under_poisson_names_cell(self, tmp_path):
@@ -164,6 +196,7 @@ class TestWriteResult:
         gio.write_result(result, tmp_path, config={"family": "poisson"})
         meta = json.loads((tmp_path / "meta.json").read_text())
         assert meta["converged"] is True
+        assert meta["stop_reason"] == "tol"
         assert meta["iterations_run"] == 3
         assert meta["objective"] == "partial"
         assert meta["config"]["family"] == "poisson"
@@ -254,6 +287,27 @@ class TestCli:
             assert (out / name).exists()
         meta = json.loads((out / "meta.json").read_text())
         assert meta["converged"] is False
+        assert meta["stop_reason"] == "max_iters"
+
+    def test_stalled_fit_exits_2_naming_the_stall(self, tmp_path, capsys,
+                                                  monkeypatch):
+        # the CLI keeps the default max_halvings; without halvings the
+        # first sweep on these counts lowers Q, so the fit stalls at once
+        monkeypatch.setattr(cli, "FitConfig",
+                            functools.partial(FitConfig, max_halvings=0))
+        data = tmp_path / "counts.csv"
+        Y = np.random.default_rng(0).poisson(5.0, size=(40, 30))
+        np.savetxt(data, Y, fmt="%d", delimiter=",")
+        out = tmp_path / "o"
+        code = self.run("fit", "--input", str(data), "--family", "poisson",
+                        "--dims", "2", "--output-dir", str(out))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "stalled at iteration 1" in err
+        assert "did not converge within" not in err
+        meta = json.loads((out / "meta.json").read_text())
+        assert meta["converged"] is False
+        assert meta["stop_reason"] == "stalled"
 
     def test_negative_binomial_run(self, tmp_path):
         out = tmp_path / "o"

@@ -8,8 +8,8 @@ import pytest
 import glmpca as g
 from glmpca import ConfigError, FitError
 from glmpca import optimizer, oracle
-from glmpca.model import (IndexSets, ModelState, linear_predictor,
-                          predictor_stats)
+from glmpca.model import (IndexSets, ModelState, PredictorStats, block_of,
+                          linear_predictor, predictor_stats)
 
 from conftest import ALL_FAMILIES, random_state, sample_response
 
@@ -181,7 +181,81 @@ class TestHeldPredictor:
         assert len(calls) == builds
 
 
+def rowwise_full_scoring(state, block, info, resid, scale):
+    """Per-row reference for full_scoring: for each row r of the block,
+    solve D' diag(info_r) D step = D' resid_r, or take the diagonal step
+    when that system is singular.  ``info`` and ``resid`` are J x N.
+    Returns the expected coefficient block and the fallback count."""
+    side = block_of(state, block)
+    D = side.partner[:, side.coef]
+    info, resid = side.rows(info), side.rows(resid)
+    expected = side.own[:, side.coef].copy()
+    fallbacks = 0
+    for r in range(expected.shape[0]):
+        gram = D.T @ (info[r][:, None] * D)
+        rhs = D.T @ resid[r]
+        try:
+            step = np.linalg.solve(gram, rhs)
+        except np.linalg.LinAlgError:
+            step = rhs / np.diag(gram)
+            fallbacks += 1
+        expected[r] += scale * step
+    return expected, fallbacks
+
+
+def two_sided_state(family, seed, n_feat=7, n_obs=11):
+    """Intercept plus one observation covariate (K_o=2), two feature
+    covariates (K_f=2), random coefficient and latent blocks."""
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n_obs, 1))
+    Z = rng.normal(size=(n_feat, 2))
+    mean = family.inverse_link(rng.normal(0.5, 0.3, (n_feat, n_obs)))
+    Y = sample_response(rng, family, mean)
+    state = g.build_model(Y, n_latent=2, family=family, obs_covariates=X,
+                          feat_covariates=Z, seed=seed)
+    idx = state.index
+    for own, cols in ((state.U, idx.feat_slice), (state.U, idx.latent_slice),
+                      (state.V, idx.obs_slice), (state.V, idx.latent_slice)):
+        own[:, cols] = rng.normal(0.0, 0.3, own[:, cols].shape)
+    return state
+
+
 class TestFullScoring:
+    @pytest.mark.parametrize("block", ["U", "V"])
+    @pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: f.kind)
+    def test_batched_solve_matches_per_row_reference(self, family, block):
+        state = two_sided_state(family, seed=71)
+        # weights from the public link and variance functions, not from
+        # the fused kernel the optimizer uses
+        R = linear_predictor(state)
+        mu = family.inverse_link(R)
+        h = family.dinverse_link(R)
+        rho = family.variance(mu)
+        expected, ref_fallbacks = rowwise_full_scoring(
+            state, block, h ** 2 / rho, (state.Y - mu) * h / rho, 0.375)
+        assert ref_fallbacks == 0
+        assert g.full_scoring(state, block, scale=0.375) == 0
+        side = block_of(state, block)
+        assert side.own[:, side.coef].shape == (side.own.shape[0], 2)
+        np.testing.assert_allclose(side.own[:, side.coef], expected,
+                                   rtol=1e-12, atol=0)
+
+    def test_singular_rows_alone_fall_back(self):
+        # information only on observation 0 for feature 1: that row's
+        # Gram matrix has rank 1, so the stacked solve raises and the
+        # rows are solved one by one
+        state = two_sided_state(g.poisson(), seed=73)
+        stats = predictor_stats(state)
+        info = stats.I.copy()
+        info[1] = 0.0
+        info[1, 0] = 2.0
+        expected, ref_fallbacks = rowwise_full_scoring(
+            state, "V", info, state.Y - stats.M, 0.5)
+        assert ref_fallbacks == 1
+        stats = PredictorStats(stats.R, stats.M, stats.S, info)
+        assert g.full_scoring(state, "V", stats, scale=0.5) == 1
+        np.testing.assert_allclose(state.A, expected, rtol=1e-12, atol=0)
+
     def test_gaussian_one_step_is_ols(self):
         rng = np.random.default_rng(31)
         n_obs, n_feat = 30, 5
@@ -261,9 +335,13 @@ class TestFullScoring:
                            lambda_u=[0.0, 0.0, 1e-4],
                            lambda_v=[0.0, 0.0, 1e-4],
                            index=IndexSets(2, 0, 1))
+        stats = predictor_stats(state)
+        expected, _ = rowwise_full_scoring(state, "V", stats.I,
+                                           state.Y - stats.M, 1.0)
         fallbacks = g.full_scoring(state, "V")
         assert fallbacks == 3
         assert np.all(np.isfinite(state.A))
+        np.testing.assert_allclose(state.A, expected, rtol=1e-12, atol=0)
 
 
 class TestFit:
@@ -330,6 +408,29 @@ class TestFit:
         assert not result.converged
         assert result.iterations_run == 2
         assert [it for it, _ in result.trace] == [1, 2]
+
+    @pytest.mark.parametrize("cfg, reason, converged", [
+        (g.FitConfig(tol=1e-3), "tol", True),
+        (g.FitConfig(max_iters=2, tol=1e-16), "max_iters", False),
+        (g.FitConfig(max_halvings=0), "stalled", False),
+    ], ids=["tol", "max_iters", "stalled"])
+    def test_stop_reason(self, cfg, reason, converged):
+        # on these counts the first full-size sweep lowers Q, so without
+        # halvings the fit stalls at once; with them it converges
+        Y = np.random.default_rng(0).poisson(5.0, size=(40, 30)).astype(float)
+        state = g.build_model(Y, n_latent=2, family=g.poisson(), seed=0)
+        q0 = g.objective(state)
+        result = g.fit(state, cfg)
+        assert result.stop_reason == reason
+        assert result.converged is converged
+        if reason == "stalled":
+            # the rejected sweep is undone: Q stays at the starting point
+            assert result.iterations_run == 1
+            assert result.final_q == q0
+            assert result.warnings == [
+                "sweep rejected after max halvings; stopped early"]
+        else:
+            assert not any("rejected" in w for w in result.warnings)
 
     def test_trace_has_one_row_per_sweep(self):
         state = random_state(g.poisson(), seed=92)
