@@ -38,7 +38,6 @@ class RunConfig:
     max_iters: int
     tol: float
     damping: bool
-    full_scoring_coef: bool
     trace_every: int
     seed: int
     output_dir: str
@@ -80,8 +79,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-iters", type=int, default=1000)
     p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("--damping", choices=["on", "off"], default="on")
-    p.add_argument("--full-scoring-coef", action="store_true",
-                   help="update coefficient blocks by full Fisher scoring")
     p.add_argument("--trace-every", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output-dir", default=".")
@@ -133,7 +130,6 @@ def run_cli(argv=None) -> int:
             intercept=args.intercept, penalty=args.penalty,
             max_iters=args.max_iters, tol=args.tol,
             damping=args.damping == "on",
-            full_scoring_coef=args.full_scoring_coef,
             trace_every=args.trace_every, seed=args.seed,
             output_dir=args.output_dir)
 
@@ -146,7 +142,6 @@ def run_cli(argv=None) -> int:
         config = FitConfig(
             max_iters=args.max_iters, tol=args.tol,
             damping=run_config.damping,
-            full_scoring_coef=args.full_scoring_coef,
             trace_every=args.trace_every)
         result = fit(state, config)
         gio.write_result(result, args.output_dir,

@@ -38,7 +38,3 @@ class FitError(GlmPcaError):
     def __init__(self, message: str, trace=None):
         self.trace = list(trace) if trace is not None else []
         super().__init__(message)
-
-
-class OracleError(GlmPcaError):
-    """A reference computation could not produce a trustworthy value."""

@@ -12,7 +12,9 @@ is R = V U' + 1 delta'.  The X and Z blocks are fixed; A, Gamma, and the
 latent blocks are estimated.  The objective is the partial log likelihood
 minus ridge penalties on the updateable columns.  Its per-column gradient
 and diagonal Fisher information take a block, "U" or "V"; the U versions
-are the V ones on transposed J x N arrays.
+are the V ones on transposed J x N arrays.  The optimizer's block step
+forms the same quantities for all columns at once, so these two serve
+as per-column references.
 """
 
 from __future__ import annotations
@@ -88,14 +90,11 @@ class IndexSets:
 
 
 class PredictorStats(NamedTuple):
-    """Linear predictor and the per-cell quantities derived from it.
+    """Linear predictor and the per-cell quantities derived from it by
+    Family.working_weights; the optimizer builds them once per block
+    step."""
 
-    The optimizer keeps R current across a sweep by adding each column
-    step's rank-1 term to it in place; M, S and I are recomputed from
-    that R by Family.working_weights before every column update.
-    """
-
-    R: np.ndarray          # J x N linear predictor, stepped in place
+    R: np.ndarray          # J x N linear predictor
     M: np.ndarray          # J x N means g^{-1}(R), clamped
     S: np.ndarray | float  # J x N score weights h/rho(M); 1 if canonical
     I: np.ndarray          # J x N information weights h^2/rho(M)
@@ -336,12 +335,9 @@ def linear_predictor(state: ModelState) -> np.ndarray:
     return R
 
 
-def predictor_stats(state: ModelState,
-                    R: np.ndarray | None = None) -> PredictorStats:
-    """Means and working weights at R, by default the current linear
-    predictor.  A given R is held, not copied."""
-    if R is None:
-        R = linear_predictor(state)
+def predictor_stats(state: ModelState) -> PredictorStats:
+    """The current linear predictor with its means and working weights."""
+    R = linear_predictor(state)
     return PredictorStats(R, *state.family.working_weights(R))
 
 
@@ -388,8 +384,7 @@ class Block(NamedTuple):
     own: np.ndarray        # the block's factor matrix, U or V
     partner: np.ndarray    # the other factor matrix
     penalty: np.ndarray    # ridge penalties of the block's columns
-    cols: list[int]        # updateable columns
-    coef: slice            # coefficient columns: Gamma in U, A in V
+    cols: list[int]        # updateable: Gamma or A, then the latent ones
     rows: Callable         # views a J x N array with one row per own row
 
 
@@ -399,10 +394,10 @@ def block_of(state: ModelState, block: str, k: int | None = None) -> Block:
     idx = state.index
     if block == "U":
         side = Block(state.U, state.V, state.lambda_u, idx.u_cols,
-                     idx.feat_slice, np.transpose)
+                     np.transpose)
     elif block == "V":
         side = Block(state.V, state.U, state.lambda_v, idx.v_cols,
-                     idx.obs_slice, np.asarray)
+                     np.asarray)
     else:
         raise ConfigError(f"block must be 'U' or 'V', got {block!r}")
     if k is not None and k not in side.cols:

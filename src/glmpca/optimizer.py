@@ -1,22 +1,18 @@
-"""Diagonal-approximation Fisher scoring.
+"""Joint row-block Fisher scoring.
 
-One sweep walks the updateable columns of block "U" in ascending order,
-then those of block "V", and finally re-evaluates the objective.  The
-per-column step, written once for both blocks, is
+A sweep takes one step on block "U", then one on block "V".  Each step
+builds the linear predictor R, the means and the working weights once
+from the current state, then updates all of the block's updateable
+columns together: given the partner block, the penalized log likelihood
+separates over the block's rows, and each row takes the full Fisher
+scoring (Newton with expected curvature) step for its own coordinates,
+mixed second derivatives between its columns included.  The paper's
+diagonal step, one column at a time, has the same fixed points; the
+joint step reaches them in fewer sweeps.
 
-    column += gradient / fisher_information
-
-which ignores mixed second derivatives; that makes each step cheap but
-not guaranteed to increase Q, so sweeps that lower Q (or produce
-non-finite values) are retried from the sweep's starting point with all
-steps halved, up to ``max_halvings`` times.
-
-Every update sees the effect of the previous one without rebuilding the
-linear predictor: the sweep builds R once, a step on column k changes R
-by the rank-1 term partner[:, k] (x) step, added to the held R in place,
-and the means and working weights are recomputed from that R in one
-pass before the next column.  R is rebuilt in full only after a
-full-scoring step or a reinitialized partner column.  The objective
+A step is not guaranteed to increase Q, so a sweep that lowers Q (or
+produces non-finite values) is retried from the sweep's starting point
+with both steps halved, up to ``max_halvings`` times.  The objective
 builds its own R, so rounding cannot accumulate from sweep to sweep.
 """
 
@@ -27,11 +23,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import (ConfigError, DegenerateColumnError, DomainError,
-                         FitError, GlmPcaError)
+from .exceptions import ConfigError, DomainError, FitError, GlmPcaError
 from .model import (INIT_SCALE, ModelState, PredictorStats, block_of,
-                    fisher_info, gradient, linear_predictor, objective,
-                    predictor_stats, score_residual)
+                    objective, predictor_stats, score_residual)
 from .postprocess import postprocess
 
 ASCENT_SLACK = 1e-12  # accepted drop per sweep: ASCENT_SLACK * (1 + |Q|)
@@ -39,7 +33,11 @@ ASCENT_SLACK = 1e-12  # accepted drop per sweep: ASCENT_SLACK * (1 + |Q|)
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Optimization hyperparameters."""
+    """Optimization hyperparameters.
+
+    ``full_scoring_coef`` is accepted and has no effect: every block step
+    already applies full Fisher scoring to the coefficient columns.
+    """
 
     max_iters: int = 1000
     tol: float = 1e-6
@@ -79,69 +77,79 @@ class FitResult:
 
 
 # ----------------------------------------------------------------------
-# column updates
+# the block step
 
 
-def update_column(state: ModelState, block: str, k: int,
-                  stats: PredictorStats, scale: float = 1.0) -> ModelState:
-    """One Fisher-scoring step on column k of block "U" or "V", in place.
+def _grams(info: np.ndarray, design: np.ndarray, chunk: int) -> np.ndarray:
+    """D' diag(info[r]) D for every row r of ``info``, as a stacked array.
 
-    ``stats`` must reflect the current state.  The step's rank-1 term is
-    added to ``stats.R`` in place, so R stays current; M, S and I do not
-    (``predictor_stats(state, stats.R)`` refreshes them).  ``scale``
-    multiplies the step for damping.
+    Each row's Gram matrix is one row of ``info @ P``, with P the n x m²
+    column products of the design D.  P is built ``chunk`` design rows at
+    a time and the partial GEMMs summed, so P never has more than
+    ``chunk * m²`` cells.
     """
-    step = scale * (gradient(state, block, k, stats)
-                    / fisher_info(state, block, k, stats))
-    side = block_of(state, block)
-    side.own[:, k] += step
-    # written in R's own J x N layout for both blocks
-    R = stats.R
-    if block == "U":
-        R += np.outer(side.partner[:, k], step)
-    else:
-        R += np.outer(step, side.partner[:, k])
-    return state
+    n, m = design.shape
+    gram = np.zeros((info.shape[0], m * m))
+    for lo in range(0, n, chunk):
+        d = design[lo:lo + chunk]
+        gram += info[:, lo:lo + chunk] @ (
+            d[:, :, None] * d[:, None, :]).reshape(-1, m * m)
+    return gram.reshape(-1, m, m)
 
 
 def full_scoring(state: ModelState, block: str,
-                 stats: PredictorStats | None = None,
-                 scale: float = 1.0) -> int:
-    """Full (non-diagonal) Fisher scoring step for the coefficient block
-    of ``block``: Gamma in U, A in V.
+                 stats: PredictorStats | None = None, scale: float = 1.0,
+                 cols: list[int] | None = None) -> int:
+    """Joint Fisher-scoring step on the updateable columns of ``block``,
+    in place: Gamma and U_latent in U, A and V_latent in V.
 
-    Each row r of the block solves its own weighted least-squares system
-    D' diag(I_r) D step_r = D' res_r against the fixed design D of the
-    partner (Z for Gamma, X for A).  All rows are solved at once: one
-    GEMM against the n x K² column products of D gives every K x K Gram
-    matrix, one GEMM gives every right-hand side, and one stacked solve
-    gives every step.  Only when that solve raises LinAlgError (some
-    Gram matrix is singular) are the rows solved one by one, and each
-    singular row falls back to the diagonal update.  Returns the number
-    of fallback rows.
+    With D the partner's columns ``cols`` (by default all updateable
+    ones), each own row r solves
+
+        (D' diag(I_r) D + diag(lambda)) step_r = D' res_r - lambda own_r
+
+    where I_r and res_r are the row's information weights and score
+    residuals; the rows are independent given the partner.  One GEMM
+    against the column products of D gives every Gram matrix, one GEMM
+    gives every right-hand side, and one stacked solve gives every step.
+    The Gram stack is built and solved in row chunks, so it never holds
+    more cells than one J x N array.  Only when a chunk's solve raises
+    LinAlgError (some Gram matrix is singular) are its rows solved one by
+    one, and each singular row takes the diagonal step, leaving columns
+    with a zero pivot unchanged.  ``scale`` multiplies the step for
+    damping.  Returns the number of fallback rows.
     """
     side = block_of(state, block)
-    design = np.array(side.partner[:, side.coef])
-    n, K = design.shape
-    if K == 0:
+    cols = side.cols if cols is None else cols
+    if not cols:
         return 0
     if stats is None:
         stats = predictor_stats(state)
-    products = (design[:, :, None] * design[:, None, :]).reshape(n, K * K)
-    gram = (side.rows(stats.I) @ products).reshape(-1, K, K)
-    rhs = side.rows(score_residual(state, stats)) @ design
+    design = side.partner[:, cols]
+    lam = side.penalty[cols]
+    m = len(cols)
+    rhs = (side.rows(score_residual(state, stats)) @ design
+           - lam * side.own[:, cols])
+    info = side.rows(stats.I)
+    chunk = max(1, stats.I.size // (m * m))
+    step = np.empty_like(rhs)
     fallbacks = 0
-    try:
-        step = np.linalg.solve(gram, rhs[..., None])[..., 0]
-    except np.linalg.LinAlgError:
-        step = np.empty_like(rhs)
-        for r in range(rhs.shape[0]):
-            try:
-                step[r] = np.linalg.solve(gram[r], rhs[r])
-            except np.linalg.LinAlgError:
-                step[r] = rhs[r] / np.diag(gram[r])
-                fallbacks += 1
-    side.own[:, side.coef] += scale * step
+    for lo in range(0, rhs.shape[0], chunk):
+        rows = slice(lo, lo + chunk)
+        gram = _grams(info[rows], design, chunk)
+        gram[:, range(m), range(m)] += lam
+        try:
+            step[rows] = np.linalg.solve(gram, rhs[rows, :, None])[..., 0]
+        except np.linalg.LinAlgError:
+            for r, (g_r, b_r) in enumerate(zip(gram, rhs[rows]), lo):
+                try:
+                    step[r] = np.linalg.solve(g_r, b_r)
+                except np.linalg.LinAlgError:
+                    pivot = np.diagonal(g_r)
+                    step[r] = np.divide(b_r, pivot, out=np.zeros(m),
+                                        where=pivot != 0)
+                    fallbacks += 1
+    side.own[:, cols] += scale * step
     return fallbacks
 
 
@@ -154,39 +162,35 @@ def _reinit_column(state: ModelState, matrix: np.ndarray, k: int) -> None:
     matrix[:, k] = state.rng.normal(0.0, sd, matrix.shape[0])
 
 
-def _sweep(state: ModelState, cfg: FitConfig, scale: float,
-           reinit_done: set, notes: Counter) -> None:
-    """One full pass over the updateable columns, U then V, steps scaled
-    by ``scale``.  Degenerate latent columns get their all-zero partner
-    column reinitialized once, then are skipped."""
-    latent = list(state.index.latent_cols)
-    R = linear_predictor(state)
+def _sweep(state: ModelState, scale: float, reinit_done: set,
+           notes: Counter) -> None:
+    """One joint block step for U, then one for V, steps scaled by
+    ``scale``; each builds R afresh from the current state.
+
+    A column with zero penalty whose partner column is all zero would
+    make every Gram matrix singular.  For a latent column the partner
+    column is reinitialized the first time; after that, and for any
+    other such column, the column sits out the block step.
+    """
+    latent = state.index.latent_cols
     for block in ("U", "V"):
         side = block_of(state, block)
-        cols = side.cols
-        if cfg.full_scoring_coef:
-            # an empty coefficient block leaves only latent columns anyway
-            cols = latent
-            if side.coef.stop > side.coef.start:
-                fb = full_scoring(state, block, predictor_stats(state, R),
-                                  scale)
-                R = linear_predictor(state)
-                if fb:
-                    coef = "Gamma" if block == "U" else "A"
-                    notes["full scoring fell back to diagonal for "
-                          f"{coef} rows"] += fb
-        for k in cols:
-            stats = predictor_stats(state, R)
-            try:
-                update_column(state, block, k, stats, scale)
-            except DegenerateColumnError:
-                if k in latent and (block, k) not in reinit_done:
-                    reinit_done.add((block, k))
-                    _reinit_column(state, side.partner, k)
-                    R = linear_predictor(state)
-                    notes[f"degenerate column {k}: partner reinitialized"] += 1
-                else:
-                    notes[f"degenerate column {k}: update skipped"] += 1
+        cols = []
+        for k in side.cols:
+            if side.penalty[k] or side.partner[:, k].any():
+                cols.append(k)
+            elif k in latent and (block, k) not in reinit_done:
+                reinit_done.add((block, k))
+                _reinit_column(state, side.partner, k)
+                notes[f"degenerate column {k}: partner reinitialized"] += 1
+                cols.append(k)
+            else:
+                notes[f"degenerate column {k}: update skipped"] += 1
+        fallbacks = full_scoring(state, block, predictor_stats(state), scale,
+                                 cols)
+        if fallbacks:
+            notes[f"block step fell back to diagonal for {block} rows"] += \
+                fallbacks
 
 
 def fit(state: ModelState, config: FitConfig | None = None) -> FitResult:
@@ -237,7 +241,7 @@ def fit(state: ModelState, config: FitConfig | None = None) -> FitResult:
                 # triggers a damped retry or a FitError below
                 with np.errstate(over="ignore", invalid="ignore",
                                  divide="ignore"):
-                    _sweep(state, cfg, scale, reinit_done, notes)
+                    _sweep(state, scale, reinit_done, notes)
                     q_new = objective(state)
             except (DomainError, FloatingPointError):
                 q_new = np.nan

@@ -3,7 +3,7 @@
 Everything here is deliberately written against a different codepath
 than the functions it checks: finite differences instead of analytic
 gradients, scalar python loops with math.* instead of vectorized numpy
-kernels, IRLS instead of diagonal scoring, and a direct SVD instead of
+kernels, IRLS instead of block scoring, and a direct SVD instead of
 the alternating optimizer.  Desk scale only; performance is a non-goal.
 """
 
@@ -14,9 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import OracleError
-from .families import MEAN_CEIL, MEAN_FLOOR, PROB_CEIL, PROB_FLOOR, Family
-from .model import ModelState, objective
+from glmpca.families import (MEAN_CEIL, MEAN_FLOOR, PROB_CEIL, PROB_FLOOR,
+                             Family)
+from glmpca.model import ModelState, objective
+
+
+class OracleError(Exception):
+    """A reference computation could not produce a trustworthy value."""
 
 
 @dataclass(frozen=True)
@@ -206,7 +210,7 @@ def irls_glm(y, X, family: Family, offset=None, max_iters: int = 200,
     """Maximum-likelihood GLM coefficients by iteratively reweighted
     least squares, to ``tol`` relative change.
 
-    Independent of the diagonal-scoring optimizer.  Divergence (or not
+    Independent of the block-scoring optimizer.  Divergence (or not
     converging within max_iters) raises OracleError so callers can skip.
     """
     y = np.asarray(y, dtype=float)

@@ -11,7 +11,7 @@ from contextlib import contextmanager
 import numpy as np
 
 import glmpca as g
-from glmpca import oracle
+import oracle
 from glmpca.cli import run_cli
 from glmpca.model import ModelState, IndexSets, predictor_stats
 

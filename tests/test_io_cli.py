@@ -318,6 +318,7 @@ class TestCli:
         assert code == 0
         meta = json.loads((out / "meta.json").read_text())
         assert meta["config"]["dispersion"] == 2.0
+        assert "full_scoring_coef" not in meta["config"]
 
     def test_offset_auto_and_file_agree(self, tmp_path):
         loaded = gio.read_matrix(FIXTURE)
@@ -362,7 +363,7 @@ class TestCli:
 
         fitted = read_block("factors.csv")
         loadings_fit = read_block("loadings.csv")
-        from glmpca import oracle
+        import oracle
         scores, loadings = oracle.pca_reference(Y, 3)
         recon_fit = loadings_fit @ fitted.T
         recon_ref = loadings @ scores.T

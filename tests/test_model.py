@@ -6,7 +6,7 @@ import pytest
 import glmpca as g
 from glmpca import ConfigError, DataError, DegenerateColumnError
 from glmpca.model import IndexSets, ModelState, predictor_stats, resolve_offset
-from glmpca import oracle
+import oracle
 
 from conftest import ALL_FAMILIES, random_state
 

@@ -1,5 +1,6 @@
-"""Tests for the Fisher-scoring sweeps, full scoring, and the fit loop."""
+"""Tests for the joint block step, the sweep, and the fit loop."""
 
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -7,7 +8,9 @@ import pytest
 
 import glmpca as g
 from glmpca import ConfigError, FitError
-from glmpca import optimizer, oracle
+import oracle
+from glmpca import model, optimizer
+from glmpca.optimizer import full_scoring
 from glmpca.model import (IndexSets, ModelState, PredictorStats, block_of,
                           linear_predictor, predictor_stats)
 
@@ -58,9 +61,7 @@ class TestColumnUpdates:
         state = random_state(g.gaussian(), seed=3, penalty=0.0)
         state.Y = predictor_stats(state).M.copy()
         before = state.U.copy()
-        stats = predictor_stats(state)
-        for k in state.index.u_cols:
-            g.update_column(state, "U", k, stats)
+        full_scoring(state, "U")
         np.testing.assert_array_equal(state.U, before)
 
     def test_gaussian_update_solves_least_squares_in_one_step(self):
@@ -69,8 +70,7 @@ class TestColumnUpdates:
         v = rng.normal(size=4)
         u0 = rng.normal(size=7)
         state = tiny_state(Y, g.gaussian(), U=u0[:, None], V=v[:, None])
-        stats = predictor_stats(state)
-        g.update_column(state, "U", 0, stats)
+        full_scoring(state, "U")
         np.testing.assert_allclose(state.U[:, 0], Y.T @ v / (v @ v),
                                    rtol=0, atol=1e-12)
 
@@ -78,141 +78,126 @@ class TestColumnUpdates:
         # y = 2 at mu = 1 with unit loading and no penalty: the step is
         # (y - mu) * v / (rho(mu) * v^2) = 1, landing exactly at u = 1
         state = tiny_state([[2.0]], g.poisson(), U=[[0.0]], V=[[1.0]])
-        stats = predictor_stats(state)
-        g.update_column(state, "U", 0, stats)
+        full_scoring(state, "U")
         assert state.U[0, 0] == pytest.approx(1.0, rel=1e-14)
 
     @pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: f.kind)
     def test_blockwise_equals_simultaneous_scalar_updates(self, family):
+        # restricted to one column, the block step is the diagonal step
         state = random_state(family, seed=17, n_feat=5, n_obs=7)
         k = state.index.u_cols[-1]
         expected = state.U[:, k] + (oracle.scalar_gradient_u(state, k)
                                     / oracle.scalar_fisher_u(state, k))
-        stats = predictor_stats(state)
-        g.update_column(state, "U", k, stats)
+        full_scoring(state, "U", cols=[k])
         np.testing.assert_allclose(state.U[:, k], expected, rtol=0,
                                    atol=1e-12)
         k = state.index.v_cols[0]
         expected = state.V[:, k] + (oracle.scalar_gradient_v(state, k)
                                     / oracle.scalar_fisher_v(state, k))
-        stats = predictor_stats(state)
-        g.update_column(state, "V", k, stats)
+        full_scoring(state, "V", cols=[k])
         np.testing.assert_allclose(state.V[:, k], expected, rtol=0,
                                    atol=1e-12)
 
     def test_coefficient_column_update_touches_only_that_block(self):
         state = random_state(g.poisson(), seed=23)
-        k = state.index.v_cols[0]          # the A block
-        assert state.lambda_v[k] == 0.0
         u_before = state.U.copy()
         v_before = state.V.copy()
-        stats = predictor_stats(state)
-        g.update_column(state, "V", k, stats)
+        full_scoring(state, "V")
         np.testing.assert_array_equal(state.U, u_before)
-        others = [c for c in range(state.index.n_total) if c != k]
-        np.testing.assert_array_equal(state.V[:, others], v_before[:, others])
-        assert not np.array_equal(state.V[:, k], v_before[:, k])
+        np.testing.assert_array_equal(state.Z,
+                                      v_before[:, state.index.feat_slice])
+        cols = state.index.v_cols
+        assert np.all(state.V[:, cols] != v_before[:, cols])
 
     def test_step_scale_halves_the_increment(self):
         state = random_state(g.poisson(), seed=29)
-        k = state.index.u_cols[-1]
-        stats = predictor_stats(state)
-        full = state.U[:, k] + g.gradient(state, "U", k, stats) \
-            / g.fisher_info(state, "U", k, stats)
-        half_expected = state.U[:, k] + 0.5 * (full - state.U[:, k])
-        g.update_column(state, "U", k, stats, scale=0.5)
-        np.testing.assert_allclose(state.U[:, k], half_expected, rtol=0,
-                                   atol=1e-15)
+        full = random_state(g.poisson(), seed=29)
+        full_scoring(full, "U")
+        full_scoring(state, "U", scale=0.5)
+        start = random_state(g.poisson(), seed=29).U
+        np.testing.assert_allclose(state.U - start, 0.5 * (full.U - start),
+                                   rtol=0, atol=1e-15)
 
 
 class TestHeldPredictor:
-    """The sweep builds R once and keeps it current by rank-1 steps."""
+    """Each block step builds R once, from the state it steps."""
 
     @pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: f.kind)
     @pytest.mark.parametrize("full", [False, True], ids=["diag", "full"])
     def test_held_predictor_tracks_state(self, family, full, monkeypatch):
+        # full_scoring_coef has no effect: both settings step both blocks
         state = random_state(family, seed=41, n_feat=7, n_obs=10)
         checked = []
-        real_update = optimizer.update_column
+        real_step = optimizer.full_scoring
 
-        def checked_update(state, block, k, stats, scale=1.0):
-            real_update(state, block, k, stats, scale)
-            if k == block_cols[block][-1]:  # the block's last column
-                fresh = linear_predictor(state)
-                err = np.abs(stats.R - fresh).max()
-                assert err <= 1e-12 * np.abs(fresh).max()
-                checked.append(block)
-            return state
+        def checked_step(state, block, stats, scale, cols):
+            err = np.abs(stats.R - linear_predictor(state)).max()
+            assert err == 0.0
+            checked.append(block)
+            return real_step(state, block, stats, scale, cols)
 
-        idx = state.index
-        latent = list(idx.latent_cols)
-        block_cols = {"U": latent if full else idx.u_cols,
-                      "V": latent if full else idx.v_cols}
-        monkeypatch.setattr(optimizer, "update_column", checked_update)
+        monkeypatch.setattr(optimizer, "full_scoring", checked_step)
         g.fit(state, g.FitConfig(max_iters=5, tol=1e-14,
                                  full_scoring_coef=full))
-        assert checked[:2] == ["U", "V"] and len(checked) >= 10
+        assert checked[:4] == ["U", "V", "U", "V"] and len(checked) >= 10
 
-    def test_step_adds_rank1_term_to_held_predictor(self):
-        state = random_state(g.poisson(), seed=43)
-        for block, k in (("U", state.index.u_cols[-1]),
-                         ("V", state.index.v_cols[0])):
-            stats = predictor_stats(state)
-            R = stats.R
-            g.update_column(state, block, k, stats)
-            assert stats.R is R
-            np.testing.assert_allclose(R, linear_predictor(state),
-                                       rtol=0, atol=1e-13)
-
-    @pytest.mark.parametrize("full, builds", [(False, 1), (True, 3)])
-    def test_predictor_built_once_per_sweep(self, full, builds, monkeypatch):
+    def test_predictor_built_once_per_block(self, monkeypatch):
         state = random_state(g.bernoulli(), seed=45)
         calls = []
-        real = optimizer.linear_predictor
+        real = model.linear_predictor
 
         def counted(state):
             calls.append(1)
             return real(state)
 
-        monkeypatch.setattr(optimizer, "linear_predictor", counted)
-        optimizer._sweep(state, g.FitConfig(full_scoring_coef=full), 1.0,
-                         set(), Counter())
-        # with full scoring, R is rebuilt after each coefficient block
-        assert len(calls) == builds
+        monkeypatch.setattr(model, "linear_predictor", counted)
+        optimizer._sweep(state, 1.0, set(), Counter())
+        assert len(calls) == 2
 
 
 def rowwise_full_scoring(state, block, info, resid, scale):
-    """Per-row reference for full_scoring: for each row r of the block,
-    solve D' diag(info_r) D step = D' resid_r, or take the diagonal step
-    when that system is singular.  ``info`` and ``resid`` are J x N.
-    Returns the expected coefficient block and the fallback count."""
+    """Per-row reference for full_scoring over all updateable columns of
+    ``block``: for each row r, solve
+
+        (D' diag(info_r) D + diag(lambda)) step = D' resid_r - lambda own_r
+
+    or, when that system is singular, take the diagonal step and leave
+    zero-pivot columns alone.  ``info`` and ``resid`` are J x N.
+    Returns the scaled steps, one row per own row, and the fallback
+    count."""
     side = block_of(state, block)
-    D = side.partner[:, side.coef]
+    D = side.partner[:, side.cols]
+    lam = side.penalty[side.cols]
     info, resid = side.rows(info), side.rows(resid)
-    expected = side.own[:, side.coef].copy()
+    own = side.own[:, side.cols]
+    steps = np.empty_like(own)
     fallbacks = 0
-    for r in range(expected.shape[0]):
-        gram = D.T @ (info[r][:, None] * D)
-        rhs = D.T @ resid[r]
+    for r in range(own.shape[0]):
+        gram = D.T @ (info[r][:, None] * D) + np.diag(lam)
+        rhs = D.T @ resid[r] - lam * own[r]
         try:
             step = np.linalg.solve(gram, rhs)
         except np.linalg.LinAlgError:
-            step = rhs / np.diag(gram)
+            pivot = np.diag(gram)
+            step = np.zeros_like(rhs)
+            step[pivot != 0] = rhs[pivot != 0] / pivot[pivot != 0]
             fallbacks += 1
-        expected[r] += scale * step
-    return expected, fallbacks
+        steps[r] = scale * step
+    return steps, fallbacks
 
 
 def two_sided_state(family, seed, n_feat=7, n_obs=11):
     """Intercept plus one observation covariate (K_o=2), two feature
-    covariates (K_f=2), random coefficient and latent blocks."""
+    covariates (K_f=2), two latent columns with distinct penalties, and
+    random coefficient and latent blocks."""
     rng = np.random.default_rng(seed)
     X = rng.normal(size=(n_obs, 1))
     Z = rng.normal(size=(n_feat, 2))
     mean = family.inverse_link(rng.normal(0.5, 0.3, (n_feat, n_obs)))
     Y = sample_response(rng, family, mean)
     state = g.build_model(Y, n_latent=2, family=family, obs_covariates=X,
-                          feat_covariates=Z, seed=seed)
+                          feat_covariates=Z, penalty_u=[0.3, 0.05],
+                          penalty_v=[0.7, 0.2], seed=seed)
     idx = state.index
     for own, cols in ((state.U, idx.feat_slice), (state.U, idx.latent_slice),
                       (state.V, idx.obs_slice), (state.V, idx.latent_slice)):
@@ -234,27 +219,73 @@ class TestFullScoring:
         expected, ref_fallbacks = rowwise_full_scoring(
             state, block, h ** 2 / rho, (state.Y - mu) * h / rho, 0.375)
         assert ref_fallbacks == 0
-        assert g.full_scoring(state, block, scale=0.375) == 0
         side = block_of(state, block)
-        assert side.own[:, side.coef].shape == (side.own.shape[0], 2)
-        np.testing.assert_allclose(side.own[:, side.coef], expected,
+        assert len(side.cols) == 4
+        before = side.own[:, side.cols]
+        assert full_scoring(state, block, scale=0.375) == 0
+        np.testing.assert_allclose(side.own[:, side.cols] - before, expected,
                                    rtol=1e-12, atol=0)
 
+    def test_gaussian_step_zeroes_the_gradient(self):
+        # the Gaussian log likelihood is quadratic in V given U, so one
+        # full V step lands on its maximizer
+        state = two_sided_state(g.gaussian(), seed=75)
+        full_scoring(state, "V")
+        for k in state.index.v_cols:
+            grad = g.gradient(state, "V", k)
+            assert np.abs(grad).max() <= 1e-12 * np.abs(state.Y).sum()
+
     def test_singular_rows_alone_fall_back(self):
-        # information only on observation 0 for feature 1: that row's
-        # Gram matrix has rank 1, so the stacked solve raises and the
-        # rows are solved one by one
+        # no information on feature 1: its Gram matrix is zero in the
+        # unpenalized A columns, so the stacked solve raises and the rows
+        # are solved one by one; the fallback row leaves A alone
         state = two_sided_state(g.poisson(), seed=73)
         stats = predictor_stats(state)
         info = stats.I.copy()
         info[1] = 0.0
-        info[1, 0] = 2.0
         expected, ref_fallbacks = rowwise_full_scoring(
             state, "V", info, state.Y - stats.M, 0.5)
         assert ref_fallbacks == 1
+        cols = state.index.v_cols
+        before = state.V[:, cols]
         stats = PredictorStats(stats.R, stats.M, stats.S, info)
-        assert g.full_scoring(state, "V", stats, scale=0.5) == 1
-        np.testing.assert_allclose(state.A, expected, rtol=1e-12, atol=0)
+        assert full_scoring(state, "V", stats, scale=0.5) == 1
+        np.testing.assert_allclose(state.V[:, cols] - before, expected,
+                                   rtol=1e-12, atol=0)
+        np.testing.assert_array_equal(state.A[1], before[1, :2])
+
+    def test_chunked_step_matches_unchunked_in_bounded_memory(self):
+        # K^2 > J and K^2 > N: the whole Gram stack would hold 28 J x N
+        # arrays' worth of cells, so it is built two rows at a time
+        rng = np.random.default_rng(77)
+        n, n_latent = 60, 40
+        Y = rng.poisson(2.0, size=(n, n)).astype(float)
+        state = g.build_model(Y, n_latent=n_latent, family=g.poisson(),
+                              penalty_u=1.0, penalty_v=1.0, seed=77)
+        lat = state.index.latent_slice
+        state.U[:, lat] = rng.normal(0.0, 0.3, (n, n_latent))
+        state.V[:, lat] = rng.normal(0.0, 0.3, (n, n_latent))
+        stats = predictor_stats(state)
+        side = block_of(state, "V")
+        D = side.partner[:, side.cols]
+        lam = side.penalty[side.cols]
+        m = len(side.cols)
+        assert n * m * m > 28 * n * n
+        products = (D[:, :, None] * D[:, None, :]).reshape(n, m * m)
+        gram = (stats.I @ products).reshape(n, m, m) + np.diag(lam)
+        rhs = (state.Y - stats.M) @ D - lam * side.own[:, side.cols]
+        unchunked = np.linalg.solve(gram, rhs[..., None])[..., 0]
+        before = side.own[:, side.cols].copy()
+        tracemalloc.start()
+        try:
+            full_scoring(state, "V", stats)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * Y.nbytes
+        step = side.own[:, side.cols] - before
+        assert np.abs(step - unchunked).max() <= \
+            1e-14 * np.abs(unchunked).max()
 
     def test_gaussian_one_step_is_ols(self):
         rng = np.random.default_rng(31)
@@ -265,7 +296,7 @@ class TestFullScoring:
                               obs_covariates=X[:, 1:], seed=0)
         state.U[:, state.index.latent_slice] = 0.0
         state.V[:, state.index.latent_slice] = 0.0
-        fallbacks = g.full_scoring(state, "V")
+        fallbacks = full_scoring(state, "V")
         assert fallbacks == 0
         ols = np.linalg.solve(X.T @ X, X.T @ Y.T).T
         np.testing.assert_allclose(state.A, ols, rtol=0, atol=1e-10)
@@ -288,6 +319,7 @@ class TestFullScoring:
         "family", [g.gaussian(), g.poisson(), g.bernoulli()],
         ids=lambda f: f.kind)
     def test_glm_special_case_diagonal_updates(self, family):
+        # full_scoring_coef left off: the block step scores A fully anyway
         state, X, y = glm_state(family, seed=7)
         beta_ref = oracle.irls_glm(y, X, family)
         result = g.fit(state, g.FitConfig(max_iters=500, tol=1e-14))
@@ -304,8 +336,7 @@ class TestFullScoring:
                               offset=delta, seed=0)
         state.U[:, state.index.latent_slice] = 0.0
         state.V[:, state.index.latent_slice] = 0.0
-        g.fit(state, g.FitConfig(max_iters=200, tol=1e-14,
-                                 full_scoring_coef=True))
+        g.fit(state, g.FitConfig(max_iters=200, tol=1e-14))
         expected = np.log(Y.sum(axis=1) / np.exp(delta).sum())
         np.testing.assert_allclose(state.A[:, 0], expected, rtol=0,
                                    atol=1e-8)
@@ -319,7 +350,7 @@ class TestFullScoring:
                               intercept=False, feat_covariates=Z, seed=0)
         state.U[:, state.index.latent_slice] = 0.0
         state.V[:, state.index.latent_slice] = 0.0
-        assert g.full_scoring(state, "U") == 0
+        assert full_scoring(state, "U") == 0
         ols = np.linalg.solve(Z.T @ Z, Z.T @ Y).T
         np.testing.assert_allclose(state.Gamma, ols, rtol=0, atol=1e-10)
 
@@ -338,10 +369,49 @@ class TestFullScoring:
         stats = predictor_stats(state)
         expected, _ = rowwise_full_scoring(state, "V", stats.I,
                                            state.Y - stats.M, 1.0)
-        fallbacks = g.full_scoring(state, "V")
+        fallbacks = full_scoring(state, "V")
         assert fallbacks == 3
         assert np.all(np.isfinite(state.A))
-        np.testing.assert_allclose(state.A, expected, rtol=1e-12, atol=0)
+        # V started at zero, so V holds the steps
+        np.testing.assert_allclose(state.V, expected, rtol=1e-12, atol=0)
+
+
+class TestDegenerateColumns:
+    def degenerate_state(self):
+        state = random_state(g.poisson(), seed=95, penalty=0.0)
+        k = state.index.latent_cols[-1]
+        state.V[:, k] = 0.0
+        return state, k
+
+    def test_partner_reinitialized_once_then_column_skipped(self):
+        state, k = self.degenerate_state()
+        reinit_done, notes = set(), Counter()
+        optimizer._sweep(state, 1.0, reinit_done, notes)
+        assert reinit_done == {("U", k)}
+        assert notes == Counter(
+            {f"degenerate column {k}: partner reinitialized": 1})
+        assert np.all(np.isfinite(state.U)) and state.V[:, k].any()
+        # the reinitialization may be undone by a rejected sweep; the
+        # column then sits out every later block step
+        state.V[:, k] = 0.0
+        u_k = state.U[:, k].copy()
+        optimizer._sweep(state, 1.0, reinit_done, notes)
+        assert notes[f"degenerate column {k}: update skipped"] == 1
+        np.testing.assert_array_equal(state.U[:, k], u_k)
+        assert not any("fell back" in note for note in notes)
+
+    def test_fallback_rows_counted_in_warnings(self):
+        rng = np.random.default_rng(103)
+        n_obs, n_feat = 10, 4
+        x = rng.normal(size=n_obs)
+        state = tiny_state(rng.normal(size=(n_feat, n_obs)), g.gaussian(),
+                           U=np.column_stack([x, x, np.zeros(n_obs)]),
+                           V=np.zeros((n_feat, 3)), lambda_u=[0, 0, 1e-4],
+                           lambda_v=[0, 0, 1e-4], index=IndexSets(2, 0, 1))
+        notes = Counter()
+        optimizer._sweep(state, 1.0, set(), notes)
+        assert notes == Counter(
+            {"block step fell back to diagonal for V rows": n_feat})
 
 
 class TestFit:

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import glmpca as g
-from glmpca import OracleError
-from glmpca import oracle
+from oracle import OracleError
+import oracle
 from glmpca.model import predictor_stats
 
 from conftest import random_state
