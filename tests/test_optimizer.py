@@ -141,7 +141,10 @@ class TestHeldPredictor:
                                  full_scoring_coef=full))
         assert checked[:4] == ["U", "V", "U", "V"] and len(checked) >= 10
 
-    def test_predictor_built_once_per_block(self, monkeypatch):
+    @pytest.mark.parametrize("full, sweeps", [(False, 1), (True, 3)])
+    def test_predictor_built_once_per_sweep(self, full, sweeps, monkeypatch):
+        # R is built once per block step in each sweep, U then V, whatever
+        # the no-effect full_scoring_coef says
         state = random_state(g.bernoulli(), seed=45)
         calls = []
         real = model.linear_predictor
@@ -151,8 +154,25 @@ class TestHeldPredictor:
             return real(state)
 
         monkeypatch.setattr(model, "linear_predictor", counted)
-        optimizer._sweep(state, 1.0, set(), Counter())
-        assert len(calls) == 2
+        visited, notes = set(), Counter()
+        for _ in range(sweeps):
+            optimizer._sweep(state, 1.0, visited, notes)
+        assert len(calls) == 2 * sweeps
+
+        state = random_state(g.bernoulli(), seed=45)
+        built = []
+        real_stats = optimizer.predictor_stats
+
+        def counted_stats(state):
+            built.append(1)
+            return real_stats(state)
+
+        monkeypatch.setattr(optimizer, "predictor_stats", counted_stats)
+        result = g.fit(state, g.FitConfig(max_iters=sweeps, tol=1e-300,
+                                          damping=False,
+                                          full_scoring_coef=full))
+        assert result.iterations_run == sweeps
+        assert len(built) == 2 * sweeps
 
 
 def rowwise_full_scoring(state, block, info, resid, scale):
