@@ -14,6 +14,8 @@ from .exceptions import (ConfigError, DataError, DegenerateColumnError,
                          DomainError, FitError, GlmPcaError, PostprocessError)
 from .families import Family, bernoulli, gaussian, negative_binomial, poisson
 from .io import LoadedMatrix, read_matrix, write_result
+# check_data_matrix, gradient, fisher_info and predictor_stats stay
+# importable from here for the tests and the benchmark, outside __all__
 from .model import (IndexSets, ModelState, build_model, check_data_matrix,
                     fisher_info, gradient, linear_predictor, objective,
                     predictor_stats)
@@ -27,9 +29,8 @@ __all__ = [
     "FitError", "GlmPcaError", "PostprocessError",
     "Family", "bernoulli", "gaussian", "negative_binomial", "poisson",
     "LoadedMatrix", "read_matrix", "write_result",
-    "IndexSets", "ModelState", "build_model", "check_data_matrix",
-    "fisher_info", "gradient", "linear_predictor", "objective",
-    "predictor_stats",
+    "IndexSets", "ModelState", "build_model", "linear_predictor",
+    "objective",
     "FitConfig", "FitResult", "fit",
     "postprocess", "project_out_covariates",
     "__version__",

@@ -11,36 +11,12 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import asdict, dataclass
 
 from . import io as gio
 from .exceptions import ConfigError, GlmPcaError
 from .families import KINDS, Family
 from .model import build_model
 from .optimizer import FitConfig, fit
-
-
-@dataclass
-class RunConfig:
-    """Resolved run parameters; echoed verbatim into meta.json."""
-
-    input_path: str
-    input_format: str
-    family: str
-    dispersion: float | None
-    link: str
-    dims: int
-    obs_covariates: str | None
-    feat_covariates: str | None
-    offset: str
-    intercept: bool
-    penalty: float
-    max_iters: int
-    tol: float
-    damping: bool
-    trace_every: int
-    seed: int
-    output_dir: str
 
 
 class _Parser(argparse.ArgumentParser):
@@ -55,8 +31,10 @@ def build_parser() -> argparse.ArgumentParser:
                      description="Exponential-family PCA for matrix data")
     sub = parser.add_subparsers(dest="command", required=True)
     p = sub.add_parser("fit", help="fit a factorization and write results")
-    p.add_argument("--input", required=True, help="data matrix path")
-    p.add_argument("--format", choices=["matrixmarket", "csv"], default=None,
+    p.add_argument("--input", dest="input_path", required=True,
+                   help="data matrix path")
+    p.add_argument("--format", dest="input_format",
+                   choices=["matrixmarket", "csv"], default=None,
                    help="input format (default: inferred from extension)")
     p.add_argument("--family", required=True, choices=list(KINDS))
     p.add_argument("--dispersion", type=float, default=None,
@@ -110,7 +88,7 @@ def run_cli(argv=None) -> int:
             raise ConfigError(
                 "--dispersion is only valid for --family negative_binomial")
 
-        loaded = gio.read_matrix(args.input, args.format)
+        loaded = gio.read_matrix(args.input_path, args.input_format)
         family = Family(args.family, dispersion=args.dispersion,
                         link=args.link)
 
@@ -121,17 +99,10 @@ def run_cli(argv=None) -> int:
             feat_cov = gio.read_matrix(args.feat_covariates, "csv").values
         offset = _load_offset(args.offset, loaded.values.shape[1])
 
-        run_config = RunConfig(
-            input_path=args.input, input_format=loaded.format,
-            family=args.family, dispersion=args.dispersion,
-            link=family.link, dims=args.dims,
-            obs_covariates=args.obs_covariates,
-            feat_covariates=args.feat_covariates, offset=args.offset,
-            intercept=args.intercept, penalty=args.penalty,
-            max_iters=args.max_iters, tol=args.tol,
-            damping=args.damping == "on",
-            trace_every=args.trace_every, seed=args.seed,
-            output_dir=args.output_dir)
+        # meta.json echoes every flag, with format, link and damping resolved
+        run_config = dict(vars(args), input_format=loaded.format,
+                          link=family.link, damping=args.damping == "on")
+        del run_config["command"]
 
         # build_model validates the data and the offset before any sweep
         state = build_model(
@@ -141,17 +112,13 @@ def run_cli(argv=None) -> int:
             penalty_u=args.penalty, penalty_v=args.penalty, seed=args.seed)
         config = FitConfig(
             max_iters=args.max_iters, tol=args.tol,
-            damping=run_config.damping,
+            damping=run_config["damping"],
             trace_every=args.trace_every)
         result = fit(state, config)
         gio.write_result(result, args.output_dir,
                          row_names=loaded.row_names,
-                         col_names=loaded.col_names,
-                         config=asdict(run_config))
-    except GlmPcaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+                         col_names=loaded.col_names, config=run_config)
+    except (GlmPcaError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

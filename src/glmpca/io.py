@@ -111,9 +111,13 @@ def read_matrix_market(path) -> LoadedMatrix:
 
 
 def read_csv_matrix(path) -> LoadedMatrix:
-    """Parse a CSV matrix, auto-detecting a header row and row names."""
+    """Parse a CSV matrix, auto-detecting a header row and row names.
+
+    A non-numeric first cell in any data row, or an empty top-left
+    header cell (as pandas and R's write.csv write), marks a row-name
+    column.  A UTF-8 byte-order mark is skipped."""
     path = Path(path)
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         raw_rows = [(lineno, row) for lineno, row in
                     enumerate(csv.reader(fh), start=1) if row]
     if not raw_rows:
@@ -124,7 +128,8 @@ def read_csv_matrix(path) -> LoadedMatrix:
     body = raw_rows[1:] if has_header else raw_rows
     if not body:
         raise DataError(f"{path}: no data rows")
-    has_row_names = any(not _is_number(row[0]) for _, row in body)
+    has_row_names = (has_header and first[0] == "") or any(
+        not _is_number(row[0]) for _, row in body)
 
     col_names = None
     if has_header:

@@ -10,11 +10,12 @@ matrices,
 where K = n_obs_cov + n_feat_cov + n_latent, so that the linear predictor
 is R = V U' + 1 delta'.  The X and Z blocks are fixed; A, Gamma, and the
 latent blocks are estimated.  The objective is the partial log likelihood
-minus ridge penalties on the updateable columns.  Its per-column gradient
-and diagonal Fisher information take a block, "U" or "V"; the U versions
-are the V ones on transposed J x N arrays.  The optimizer's block step
-forms the same quantities for all columns at once, so these two serve
-as per-column references.
+minus ridge penalties on the updateable columns.  The Fisher-scoring
+system of one block, "U" or "V", is formed here and only here: its
+gradient (the score vector, the right-hand side of the optimizer's block
+step) and its per-row information matrices (the Gram matrices the step
+solves).  The U versions are the V ones on transposed J x N arrays.
+fisher_info is the diagonal of a one-column Gram matrix.
 """
 
 from __future__ import annotations
@@ -90,11 +91,9 @@ class IndexSets:
 
 
 class PredictorStats(NamedTuple):
-    """Linear predictor and the per-cell quantities derived from it by
-    Family.working_weights; the optimizer builds them once per block
-    step."""
+    """The per-cell quantities Family.working_weights derives from the
+    linear predictor; the optimizer builds them once per block step."""
 
-    R: np.ndarray          # J x N linear predictor
     M: np.ndarray          # J x N means g^{-1}(R), clamped
     S: np.ndarray | float  # J x N score weights h/rho(M); 1 if canonical
     I: np.ndarray          # J x N information weights h^2/rho(M)
@@ -336,17 +335,9 @@ def linear_predictor(state: ModelState) -> np.ndarray:
 
 
 def predictor_stats(state: ModelState) -> PredictorStats:
-    """The current linear predictor with its means and working weights."""
-    R = linear_predictor(state)
-    return PredictorStats(R, *state.family.working_weights(R))
-
-
-def score_residual(state: ModelState, stats: PredictorStats) -> np.ndarray:
-    """(Y - M) * S, the J x N residual whose matvecs give the gradient."""
-    resid = state.Y - stats.M
-    if np.ndim(stats.S):  # S is the scalar 1 for canonical links
-        resid *= stats.S
-    return resid
+    """Means and working weights at the current linear predictor."""
+    return PredictorStats(*state.family.working_weights(
+        linear_predictor(state)))
 
 
 def objective(state: ModelState) -> float:
@@ -387,10 +378,17 @@ class Block(NamedTuple):
     cols: list[int]        # updateable: Gamma or A, then the latent ones
     rows: Callable         # views a J x N array with one row per own row
 
+    def degenerate(self, k: int) -> bool:
+        """Column k has no information: it is unpenalized and its
+        partner column is all zero, so every Gram matrix over it is
+        singular."""
+        return not self.penalty[k] and not self.partner[:, k].any()
 
-def block_of(state: ModelState, block: str, k: int | None = None) -> Block:
-    """The "U" or "V" side of ``state``; ``k``, when given, must be one of
-    its updateable columns."""
+
+def block_of(state: ModelState, block: str,
+             cols: int | list[int] | None = None) -> Block:
+    """The "U" or "V" side of ``state``; ``cols``, when given, must be one
+    of its updateable columns or a list of them."""
     idx = state.index
     if block == "U":
         side = Block(state.U, state.V, state.lambda_u, idx.u_cols,
@@ -400,33 +398,72 @@ def block_of(state: ModelState, block: str, k: int | None = None) -> Block:
                      np.asarray)
     else:
         raise ConfigError(f"block must be 'U' or 'V', got {block!r}")
-    if k is not None and k not in side.cols:
-        raise ConfigError(f"column {k} is not an updateable {block} column")
+    for k in ([] if cols is None else np.atleast_1d(cols)):
+        if k not in side.cols:
+            raise ConfigError(
+                f"column {k} is not an updateable {block} column")
     return side
 
 
-def gradient(state: ModelState, block: str, k: int,
+def gradient(state: ModelState, block: str, cols: int | list[int],
              stats: PredictorStats | None = None) -> np.ndarray:
-    """dQ/dU[:, k] (length N) or dQ/dV[:, k] (length J) for one
-    updateable column of ``block``."""
-    side = block_of(state, block, k)
+    """dQ/dU[:, cols] or dQ/dV[:, cols] for updateable columns of
+    ``block``: the right-hand side of the block step.
+
+    With D the partner's columns ``cols`` and res = (Y - M) * S the score
+    residual, row r is D' res_r - lambda own_r.  ``cols`` is one column
+    (a length-N or length-J vector is returned) or a list of them (one
+    column of the result per entry).  Where a mean is clamped, M is the
+    clamp value, so the gradient there keeps the pull y - M although
+    the objective is flat in R.
+    """
+    side = block_of(state, block, cols)
     if stats is None:
         stats = predictor_stats(state)
-    return (side.rows(score_residual(state, stats)) @ side.partner[:, k]
-            - side.penalty[k] * side.own[:, k])
+    resid = state.Y - stats.M
+    if np.ndim(stats.S):  # S is the scalar 1 for canonical links
+        resid *= stats.S
+    return (side.rows(resid) @ side.partner[:, cols]
+            - side.penalty[cols] * side.own[:, cols])
+
+
+def fisher_gram(state: ModelState, block: str, cols: list[int],
+                stats: PredictorStats, rows: slice = slice(None),
+                chunk: int | None = None) -> np.ndarray:
+    """The Fisher information of the own rows ``rows`` over the
+    updateable columns ``cols`` of ``block``: one m x m matrix per row,
+
+        D' diag(I_r) D + diag(lambda),
+
+    stacked, with D the partner's columns ``cols`` and I_r the row's
+    information weights.  Each row's D' diag(I_r) D is one row of
+    ``I_r @ P``, with P the n x m² column products of D.  P is built
+    ``chunk`` design rows at a time (all at once by default) and the
+    partial GEMMs summed, so P never has more than ``chunk * m²`` cells.
+    """
+    side = block_of(state, block, cols)
+    design = side.partner[:, cols]
+    info = side.rows(stats.I)[rows]
+    n, m = design.shape
+    chunk = chunk or n
+    gram = np.zeros((info.shape[0], m * m))
+    for lo in range(0, n, chunk):
+        d = design[lo:lo + chunk]
+        gram += info[:, lo:lo + chunk] @ (
+            d[:, :, None] * d[:, None, :]).reshape(-1, m * m)
+    gram = gram.reshape(-1, m, m)
+    gram[:, range(m), range(m)] += side.penalty[cols]
+    return gram
 
 
 def fisher_info(state: ModelState, block: str, k: int,
                 stats: PredictorStats | None = None) -> np.ndarray:
     """Diagonal Fisher information for one updateable column of
-    ``block``; entries strictly positive unless the column is unpenalized
-    and paired with an all-zero partner column, which raises
-    DegenerateColumnError."""
-    side = block_of(state, block, k)
+    ``block``, the diagonal of its one-column Gram matrices.  Entries are
+    strictly positive unless the column is degenerate (see
+    Block.degenerate), which raises DegenerateColumnError."""
+    if block_of(state, block, k).degenerate(k):
+        raise DegenerateColumnError(k)
     if stats is None:
         stats = predictor_stats(state)
-    info = (side.rows(stats.I) @ side.partner[:, k] ** 2
-            + side.penalty[k])
-    if not info.any():
-        raise DegenerateColumnError(k)
-    return info
+    return fisher_gram(state, block, [k], stats)[:, 0, 0]

@@ -8,7 +8,9 @@ separates over the block's rows, and each row takes the full Fisher
 scoring (Newton with expected curvature) step for its own coordinates,
 mixed second derivatives between its columns included.  The paper's
 diagonal step, one column at a time, has the same fixed points; the
-joint step reaches them in fewer sweeps.
+joint step reaches them in fewer sweeps.  The scoring system itself,
+gradient and information matrices, is formed in model.py; this module
+solves it, runs the sweeps and decides when to stop.
 
 A step is not guaranteed to increase Q, so a sweep that lowers Q (or
 produces non-finite values) is retried from the sweep's starting point
@@ -25,7 +27,7 @@ import numpy as np
 
 from .exceptions import ConfigError, DomainError, FitError, GlmPcaError
 from .model import (INIT_SCALE, ModelState, PredictorStats, block_of,
-                    objective, predictor_stats, score_residual)
+                    fisher_gram, gradient, objective, predictor_stats)
 from .postprocess import postprocess
 
 ASCENT_SLACK = 1e-12  # accepted drop per sweep: ASCENT_SLACK * (1 + |Q|)
@@ -80,38 +82,16 @@ class FitResult:
 # the block step
 
 
-def _grams(info: np.ndarray, design: np.ndarray, chunk: int) -> np.ndarray:
-    """D' diag(info[r]) D for every row r of ``info``, as a stacked array.
-
-    Each row's Gram matrix is one row of ``info @ P``, with P the n x m²
-    column products of the design D.  P is built ``chunk`` design rows at
-    a time and the partial GEMMs summed, so P never has more than
-    ``chunk * m²`` cells.
-    """
-    n, m = design.shape
-    gram = np.zeros((info.shape[0], m * m))
-    for lo in range(0, n, chunk):
-        d = design[lo:lo + chunk]
-        gram += info[:, lo:lo + chunk] @ (
-            d[:, :, None] * d[:, None, :]).reshape(-1, m * m)
-    return gram.reshape(-1, m, m)
-
-
 def full_scoring(state: ModelState, block: str,
                  stats: PredictorStats | None = None, scale: float = 1.0,
                  cols: list[int] | None = None) -> int:
     """Joint Fisher-scoring step on the updateable columns of ``block``,
     in place: Gamma and U_latent in U, A and V_latent in V.
 
-    With D the partner's columns ``cols`` (by default all updateable
-    ones), each own row r solves
-
-        (D' diag(I_r) D + diag(lambda)) step_r = D' res_r - lambda own_r
-
-    where I_r and res_r are the row's information weights and score
-    residuals; the rows are independent given the partner.  One GEMM
-    against the column products of D gives every Gram matrix, one GEMM
-    gives every right-hand side, and one stacked solve gives every step.
+    Each own row r solves G_r step_r = g_r, with g the block's gradient
+    over ``cols`` (by default all updateable columns) and G_r the row's
+    Fisher information matrix over them (model.gradient and
+    model.fisher_gram); the rows are independent given the partner.
     The Gram stack is built and solved in row chunks, so it never holds
     more cells than one J x N array.  Only when a chunk's solve raises
     LinAlgError (some Gram matrix is singular) are its rows solved one by
@@ -125,19 +105,14 @@ def full_scoring(state: ModelState, block: str,
         return 0
     if stats is None:
         stats = predictor_stats(state)
-    design = side.partner[:, cols]
-    lam = side.penalty[cols]
     m = len(cols)
-    rhs = (side.rows(score_residual(state, stats)) @ design
-           - lam * side.own[:, cols])
-    info = side.rows(stats.I)
+    rhs = gradient(state, block, cols, stats)
     chunk = max(1, stats.I.size // (m * m))
     step = np.empty_like(rhs)
     fallbacks = 0
     for lo in range(0, rhs.shape[0], chunk):
         rows = slice(lo, lo + chunk)
-        gram = _grams(info[rows], design, chunk)
-        gram[:, range(m), range(m)] += lam
+        gram = fisher_gram(state, block, cols, stats, rows, chunk)
         try:
             step[rows] = np.linalg.solve(gram, rhs[rows, :, None])[..., 0]
         except np.linalg.LinAlgError:
@@ -167,17 +142,17 @@ def _sweep(state: ModelState, scale: float, reinit_done: set,
     """One joint block step for U, then one for V, steps scaled by
     ``scale``; each builds R afresh from the current state.
 
-    A column with zero penalty whose partner column is all zero would
-    make every Gram matrix singular.  For a latent column the partner
-    column is reinitialized the first time; after that, and for any
-    other such column, the column sits out the block step.
+    A degenerate column (Block.degenerate) would make every Gram matrix
+    singular.  For a latent column the partner column is reinitialized
+    the first time; after that, and for any other such column, the
+    column sits out the block step.
     """
     latent = state.index.latent_cols
     for block in ("U", "V"):
         side = block_of(state, block)
         cols = []
         for k in side.cols:
-            if side.penalty[k] or side.partner[:, k].any():
+            if not side.degenerate(k):
                 cols.append(k)
             elif k in latent and (block, k) not in reinit_done:
                 reinit_done.add((block, k))

@@ -93,6 +93,12 @@ def test_every_exported_name_resolves():
     assert missing == []
 
 
+def test_scoring_helpers_importable_outside_all():
+    for name in ("check_data_matrix", "gradient", "fisher_info",
+                 "predictor_stats"):
+        assert name not in g.__all__ and callable(getattr(g, name))
+
+
 def record() -> None:
     table = {}
     for name in CASES:

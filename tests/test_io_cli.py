@@ -134,6 +134,22 @@ class TestCsvReader:
         assert loaded.row_names == ["geneA", "geneB"]
         assert loaded.col_names == ["s1", "s2"]
 
+    def test_empty_corner_cell_marks_numeric_row_names(self, tmp_path):
+        # pandas.DataFrame.to_csv and R's write.csv leave the corner empty
+        path = tmp_path / "m.csv"
+        path.write_text(",o1,o2,o3\n0,5,3,1\n1,2,0,4\n")
+        loaded = gio.read_matrix(path)
+        np.testing.assert_array_equal(loaded.values, [[5, 3, 1], [2, 0, 4]])
+        assert loaded.row_names == ["0", "1"]
+        assert loaded.col_names == ["o1", "o2", "o3"]
+
+    def test_byte_order_mark_skipped(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_bytes("\ufeff1,2,3\n4,5,6\n".encode("utf-8"))
+        loaded = gio.read_matrix(path)
+        np.testing.assert_array_equal(loaded.values, [[1, 2, 3], [4, 5, 6]])
+        assert loaded.row_names is None and loaded.col_names is None
+
     def test_ragged_row_names_line(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("1,2\n3\n")
@@ -319,6 +335,36 @@ class TestCli:
         meta = json.loads((out / "meta.json").read_text())
         assert meta["config"]["dispersion"] == 2.0
         assert "full_scoring_coef" not in meta["config"]
+
+    def test_meta_config_echoes_every_flag_resolved(self, tmp_path):
+        out = tmp_path / "o"
+        self.run("fit", "--input", str(FIXTURE), "--family", "poisson",
+                 "--dims", "2", "--damping", "off", "--max-iters", "2",
+                 "--output-dir", str(out))
+        meta = json.loads((out / "meta.json").read_text())
+        assert meta["config"] == {
+            "input_path": str(FIXTURE), "input_format": "matrixmarket",
+            "family": "poisson", "dispersion": None, "link": "log",
+            "dims": 2, "obs_covariates": None, "feat_covariates": None,
+            "offset": "none", "intercept": True, "penalty": 1e-4,
+            "max_iters": 2, "tol": 1e-6, "damping": False,
+            "trace_every": 1, "seed": 0, "output_dir": str(out)}
+
+    def test_pandas_style_csv_fits_three_observations(self, tmp_path):
+        rng = np.random.default_rng(4)
+        counts = rng.poisson(3.0, size=(8, 3))
+        path = tmp_path / "counts.csv"
+        path.write_text(",o1,o2,o3\n" + "".join(
+            f"{j},{a},{b},{c}\n" for j, (a, b, c) in enumerate(counts)))
+        out = tmp_path / "o"
+        code = self.run("fit", "--input", str(path), "--family", "poisson",
+                        "--dims", "1", "--output-dir", str(out))
+        assert code in (0, 2)
+        factors = gio.read_matrix(out / "factors.csv")
+        assert factors.row_names == ["o1", "o2", "o3"]
+        loadings = (out / "loadings.csv").read_text().splitlines()
+        assert [line.split(",")[0] for line in loadings[1:]] == \
+            [str(j) for j in range(8)]
 
     def test_offset_auto_and_file_agree(self, tmp_path):
         loaded = gio.read_matrix(FIXTURE)

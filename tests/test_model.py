@@ -5,6 +5,7 @@ import pytest
 
 import glmpca as g
 from glmpca import ConfigError, DataError, DegenerateColumnError
+from glmpca.families import MEAN_CEIL, PROB_CEIL, PROB_FLOOR
 from glmpca.model import IndexSets, ModelState, predictor_stats, resolve_offset
 import oracle
 
@@ -302,6 +303,53 @@ class TestGradients:
         for fn in (g.gradient, g.fisher_info):
             with pytest.raises(ConfigError, match="block must be"):
                 fn(state, "u", k)
+
+
+    def test_column_list_stacks_single_columns(self):
+        state = random_state(g.negative_binomial(2.0), seed=14)
+        for block, cols in (("U", state.index.u_cols),
+                            ("V", state.index.v_cols)):
+            stacked = np.column_stack(
+                [g.gradient(state, block, k) for k in cols])
+            np.testing.assert_allclose(g.gradient(state, block, cols),
+                                       stacked, rtol=1e-12, atol=1e-12)
+        with pytest.raises(ConfigError, match="column 0"):
+            g.gradient(state, "U", [state.index.u_cols[0], 0])
+
+
+class TestClampedMeans:
+    """Where a mean sits at its clamp, the objective is flat in R, but the
+    gradient keeps the pull y - M with M the clamp value."""
+
+    def clamped_state(self, family, Y, intercepts):
+        state = g.build_model(Y, n_latent=1, family=family, seed=0)
+        state.V[:, 0] = intercepts  # the intercept column of A
+        return state
+
+    def assert_flat(self, state, rows):
+        q = g.objective(state)
+        state.V[rows, 0] += 1.0
+        assert g.objective(state) == q
+
+    def test_poisson_gradient_at_mean_ceiling(self):
+        Y = np.random.default_rng(2).poisson(3.0, (4, 5)).astype(float)
+        state = self.clamped_state(g.poisson(), Y, [30.0, 0.5, 1.0, 1.5])
+        assert np.all(predictor_stats(state).M[0] == MEAN_CEIL)
+        grad = g.gradient(state, "V", 0)
+        assert grad[0] == pytest.approx(np.sum(Y[0] - MEAN_CEIL), rel=1e-12)
+        assert grad[0] == pytest.approx(-5e10, rel=1e-9)
+        self.assert_flat(state, 0)
+
+    def test_bernoulli_gradient_at_probability_clamps(self):
+        Y = np.array([[0, 1, 0, 1, 1], [1, 0, 1, 0, 0],
+                      [0, 1, 1, 0, 1], [1, 1, 0, 0, 1]], dtype=float)
+        state = self.clamped_state(g.bernoulli(), Y, [30.0, -30.0, 0.2, -0.2])
+        M = predictor_stats(state).M
+        assert np.all(M[0] == PROB_CEIL) and np.all(M[1] == PROB_FLOOR)
+        grad = g.gradient(state, "V", 0)
+        assert grad[0] == pytest.approx(np.sum(Y[0] - PROB_CEIL), rel=1e-12)
+        assert grad[1] == pytest.approx(np.sum(Y[1] - PROB_FLOOR), rel=1e-12)
+        self.assert_flat(state, [0, 1])
 
 
 class TestFisherInformation:

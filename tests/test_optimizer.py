@@ -131,8 +131,9 @@ class TestHeldPredictor:
         real_step = optimizer.full_scoring
 
         def checked_step(state, block, stats, scale, cols):
-            err = np.abs(stats.R - linear_predictor(state)).max()
-            assert err == 0.0
+            # means and weights are those of the current R
+            for held, current in zip(stats, predictor_stats(state)):
+                np.testing.assert_array_equal(held, current)
             checked.append(block)
             return real_step(state, block, stats, scale, cols)
 
@@ -268,7 +269,7 @@ class TestFullScoring:
         assert ref_fallbacks == 1
         cols = state.index.v_cols
         before = state.V[:, cols]
-        stats = PredictorStats(stats.R, stats.M, stats.S, info)
+        stats = PredictorStats(stats.M, stats.S, info)
         assert full_scoring(state, "V", stats, scale=0.5) == 1
         np.testing.assert_allclose(state.V[:, cols] - before, expected,
                                    rtol=1e-12, atol=0)
