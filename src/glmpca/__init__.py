@@ -10,8 +10,8 @@ orders dimensions by magnitude so the output behaves like PCA
 scores/loadings.
 """
 
-from .exceptions import (ConfigError, DataError, DegenerateColumnError,
-                         DomainError, FitError, GlmPcaError, PostprocessError)
+from .exceptions import (ConfigError, DataError, DomainError, FitError,
+                         GlmPcaError, PostprocessError)
 from .families import Family, bernoulli, gaussian, negative_binomial, poisson
 from .io import LoadedMatrix, read_matrix, write_result
 # check_data_matrix, gradient, fisher_info and predictor_stats stay
@@ -25,8 +25,8 @@ from .postprocess import postprocess, project_out_covariates
 __version__ = "0.1.0"
 
 __all__ = [
-    "ConfigError", "DataError", "DegenerateColumnError", "DomainError",
-    "FitError", "GlmPcaError", "PostprocessError",
+    "ConfigError", "DataError", "DomainError", "FitError", "GlmPcaError",
+    "PostprocessError",
     "Family", "bernoulli", "gaussian", "negative_binomial", "poisson",
     "LoadedMatrix", "read_matrix", "write_result",
     "IndexSets", "ModelState", "build_model", "linear_predictor",

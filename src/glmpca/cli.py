@@ -39,8 +39,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", required=True, choices=list(KINDS))
     p.add_argument("--dispersion", type=float, default=None,
                    help="negative binomial shape (required for that family)")
-    p.add_argument("--link", default="canonical",
-                   choices=["canonical", "identity", "log", "logit"])
     p.add_argument("--dims", required=True, type=int,
                    help="number of latent dimensions")
     p.add_argument("--obs-covariates", default=None,
@@ -56,7 +54,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="ridge penalty on the latent columns")
     p.add_argument("--max-iters", type=int, default=1000)
     p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--damping", choices=["on", "off"], default="on")
     p.add_argument("--trace-every", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output-dir", default=".")
@@ -89,8 +86,7 @@ def run_cli(argv=None) -> int:
                 "--dispersion is only valid for --family negative_binomial")
 
         loaded = gio.read_matrix(args.input_path, args.input_format)
-        family = Family(args.family, dispersion=args.dispersion,
-                        link=args.link)
+        family = Family(args.family, dispersion=args.dispersion)
 
         obs_cov = feat_cov = None
         if args.obs_covariates:
@@ -99,9 +95,8 @@ def run_cli(argv=None) -> int:
             feat_cov = gio.read_matrix(args.feat_covariates, "csv").values
         offset = _load_offset(args.offset, loaded.values.shape[1])
 
-        # meta.json echoes every flag, with format, link and damping resolved
-        run_config = dict(vars(args), input_format=loaded.format,
-                          link=family.link, damping=args.damping == "on")
+        # meta.json echoes every flag, with the input format resolved
+        run_config = dict(vars(args), input_format=loaded.format)
         del run_config["command"]
 
         # build_model validates the data and the offset before any sweep
@@ -110,10 +105,8 @@ def run_cli(argv=None) -> int:
             obs_covariates=obs_cov, feat_covariates=feat_cov,
             intercept=args.intercept, offset=offset,
             penalty_u=args.penalty, penalty_v=args.penalty, seed=args.seed)
-        config = FitConfig(
-            max_iters=args.max_iters, tol=args.tol,
-            damping=run_config["damping"],
-            trace_every=args.trace_every)
+        config = FitConfig(max_iters=args.max_iters, tol=args.tol,
+                           trace_every=args.trace_every)
         result = fit(state, config)
         gio.write_result(result, args.output_dir,
                          row_names=loaded.row_names,

@@ -17,17 +17,6 @@ class DomainError(GlmPcaError):
     """Argument outside the domain of a family function."""
 
 
-class DegenerateColumnError(GlmPcaError):
-    """Fisher information identically zero for a column update."""
-
-    def __init__(self, column: int):
-        self.column = column
-        super().__init__(
-            f"Fisher information for column {column} is identically zero "
-            "(unpenalized column paired with an all-zero partner column)"
-        )
-
-
 class PostprocessError(GlmPcaError):
     """Covariate projection impossible (rank-deficient design matrix)."""
 

@@ -27,10 +27,10 @@ MEAN_CEIL = 1e10
 PROB_FLOOR = 1e-10
 PROB_CEIL = 1.0 - 1e-10
 
-# Link used when the caller asks for "canonical".  For the negative
-# binomial the log link is the standard modelling choice even though the
-# family's true canonical link is log(mu/(mu+alpha)).
-_DEFAULT_LINK = {
+# The one link of each kind.  For the negative binomial the log link is
+# the standard modelling choice even though the family's true canonical
+# link is log(mu/(mu+alpha)).
+_LINK = {
     "gaussian": "identity",
     "poisson": "log",
     "bernoulli": "logit",
@@ -38,7 +38,7 @@ _DEFAULT_LINK = {
 }
 _TRUE_CANONICAL = {"gaussian": "identity", "poisson": "log", "bernoulli": "logit"}
 
-KINDS = tuple(_DEFAULT_LINK)
+KINDS = tuple(_LINK)
 
 
 def _asfloat(x):
@@ -54,33 +54,24 @@ def _ret(out, like):
 
 @dataclass(frozen=True)
 class Family:
-    """An exponential-family noise model with a fixed link.
+    """An exponential-family noise model with its standard link.
 
     Parameters
     ----------
     kind : str
-        One of "gaussian", "poisson", "bernoulli", "negative_binomial".
+        One of "gaussian", "poisson", "bernoulli", "negative_binomial",
+        with the identity, log, logit and log link respectively.
     dispersion : float, optional
         Negative binomial shape alpha (variance mu + mu**2/alpha).
         Required for the negative binomial, ignored by the other kinds.
-    link : str
-        "canonical" resolves per kind.  Only the standard link of each
-        kind is accepted: identity, log, logit, and log respectively.
     """
 
     kind: str
     dispersion: float | None = None
-    link: str = "canonical"
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ConfigError(f"unknown family kind {self.kind!r}")
-        link = _DEFAULT_LINK[self.kind] if self.link == "canonical" else self.link
-        if link != _DEFAULT_LINK[self.kind]:
-            raise ConfigError(
-                f"family {self.kind!r} does not support link {self.link!r}"
-            )
-        object.__setattr__(self, "link", link)
         if self.kind == "negative_binomial":
             d = self.dispersion
             if d is None or not np.isfinite(d) or d <= 0:
@@ -91,6 +82,11 @@ class Family:
 
     # ------------------------------------------------------------------
     # link functions
+
+    @property
+    def link(self) -> str:
+        """The link function: "identity", "log" or "logit"."""
+        return _LINK[self.kind]
 
     @property
     def is_canonical(self) -> bool:

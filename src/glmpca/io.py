@@ -181,9 +181,11 @@ def read_matrix(path, fmt: str | None = None) -> LoadedMatrix:
 def _write_csv(path: Path, values: np.ndarray, row_names: list[str],
                col_names: list[str]) -> None:
     with open(path, "w", newline="") as fh:
-        # csv quotes names holding commas or quotes; others are written bare
+        # csv quotes names holding commas or quotes; others are written
+        # bare.  The empty corner cell, as pandas writes it, marks the
+        # row-name column even when every row name is a number.
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["id", *col_names])
+        writer.writerow(["", *col_names])
         for name, row in zip(row_names, np.atleast_2d(values)):
             writer.writerow([name, *(_fmt(v) for v in row)])
 

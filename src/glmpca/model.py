@@ -20,12 +20,12 @@ fisher_info is the diagonal of a one-column Gram matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .exceptions import ConfigError, DataError, DegenerateColumnError
+from .exceptions import ConfigError, DataError
 from .families import Family
 
 INIT_SCALE = 0.1  # latent init sd is INIT_SCALE / sqrt(n_latent)
@@ -111,7 +111,6 @@ class ModelState:
     lambda_u: np.ndarray
     lambda_v: np.ndarray
     index: IndexSets
-    rng: np.random.Generator = field(repr=False, default=None)
 
     @property
     def n_obs(self) -> int:
@@ -270,7 +269,7 @@ def build_model(Y, *, n_latent: int, family: Family, obs_covariates=None,
         Ridge penalties on the latent columns of U and V.  Coefficient
         blocks are never penalized.
     seed : int
-        Seeds the latent initialization (and any later reinitialization).
+        Seeds the latent initialization.
 
     The latent blocks start at small seeded Gaussian noise with standard
     deviation 0.1/sqrt(n_latent) so that initial means stay near
@@ -319,8 +318,7 @@ def build_model(Y, *, n_latent: int, family: Family, obs_covariates=None,
 
     delta = resolve_offset(offset, Y, family)
     return ModelState(Y=Y, family=family, U=U, V=V, delta=delta,
-                      lambda_u=lambda_u, lambda_v=lambda_v, index=index,
-                      rng=rng)
+                      lambda_u=lambda_u, lambda_v=lambda_v, index=index)
 
 
 # ----------------------------------------------------------------------
@@ -377,12 +375,6 @@ class Block(NamedTuple):
     penalty: np.ndarray    # ridge penalties of the block's columns
     cols: list[int]        # updateable: Gamma or A, then the latent ones
     rows: Callable         # views a J x N array with one row per own row
-
-    def degenerate(self, k: int) -> bool:
-        """Column k has no information: it is unpenalized and its
-        partner column is all zero, so every Gram matrix over it is
-        singular."""
-        return not self.penalty[k] and not self.partner[:, k].any()
 
 
 def block_of(state: ModelState, block: str,
@@ -460,10 +452,8 @@ def fisher_info(state: ModelState, block: str, k: int,
                 stats: PredictorStats | None = None) -> np.ndarray:
     """Diagonal Fisher information for one updateable column of
     ``block``, the diagonal of its one-column Gram matrices.  Entries are
-    strictly positive unless the column is degenerate (see
-    Block.degenerate), which raises DegenerateColumnError."""
-    if block_of(state, block, k).degenerate(k):
-        raise DegenerateColumnError(k)
+    strictly positive unless the column is unpenalized and its partner
+    column is all zero; then they are all 0."""
     if stats is None:
         stats = predictor_stats(state)
     return fisher_gram(state, block, [k], stats)[:, 0, 0]

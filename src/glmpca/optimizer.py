@@ -12,10 +12,13 @@ joint step reaches them in fewer sweeps.  The scoring system itself,
 gradient and information matrices, is formed in model.py; this module
 solves it, runs the sweeps and decides when to stop.
 
-A step is not guaranteed to increase Q, so a sweep that lowers Q (or
-produces non-finite values) is retried from the sweep's starting point
-with both steps halved, up to ``max_halvings`` times.  The objective
-builds its own R, so rounding cannot accumulate from sweep to sweep.
+Each failure has one remedy.  A singular row system (an unpenalized
+column whose partner column is all zero) takes the diagonal step, which
+leaves that column unchanged.  A step is not guaranteed to increase Q,
+so a sweep that lowers Q (or produces non-finite values) is retried
+from the sweep's starting point with both steps halved, up to
+``max_halvings`` times.  The objective builds its own R, so rounding
+cannot accumulate from sweep to sweep.
 """
 
 from __future__ import annotations
@@ -26,8 +29,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import ConfigError, DomainError, FitError, GlmPcaError
-from .model import (INIT_SCALE, ModelState, PredictorStats, block_of,
-                    fisher_gram, gradient, objective, predictor_stats)
+from .model import (ModelState, PredictorStats, block_of, fisher_gram,
+                    gradient, objective, predictor_stats)
 from .postprocess import postprocess
 
 ASCENT_SLACK = 1e-12  # accepted drop per sweep: ASCENT_SLACK * (1 + |Q|)
@@ -43,7 +46,6 @@ class FitConfig:
 
     max_iters: int = 1000
     tol: float = 1e-6
-    damping: bool = True
     max_halvings: int = 10
     full_scoring_coef: bool = False
     trace_every: int = 1
@@ -97,7 +99,7 @@ def full_scoring(state: ModelState, block: str,
     LinAlgError (some Gram matrix is singular) are its rows solved one by
     one, and each singular row takes the diagonal step, leaving columns
     with a zero pivot unchanged.  ``scale`` multiplies the step for
-    damping.  Returns the number of fallback rows.
+    step halving.  Returns the number of fallback rows.
     """
     side = block_of(state, block)
     cols = side.cols if cols is None else cols
@@ -132,37 +134,12 @@ def full_scoring(state: ModelState, block: str,
 # the fit loop
 
 
-def _reinit_column(state: ModelState, matrix: np.ndarray, k: int) -> None:
-    sd = INIT_SCALE / np.sqrt(state.index.n_latent)
-    matrix[:, k] = state.rng.normal(0.0, sd, matrix.shape[0])
-
-
-def _sweep(state: ModelState, scale: float, reinit_done: set,
-           notes: Counter) -> None:
-    """One joint block step for U, then one for V, steps scaled by
-    ``scale``; each builds R afresh from the current state.
-
-    A degenerate column (Block.degenerate) would make every Gram matrix
-    singular.  For a latent column the partner column is reinitialized
-    the first time; after that, and for any other such column, the
-    column sits out the block step.
-    """
-    latent = state.index.latent_cols
+def _sweep(state: ModelState, scale: float, notes: Counter) -> None:
+    """One joint block step for U, then one for V, over all updateable
+    columns, steps scaled by ``scale``; each builds R afresh from the
+    current state."""
     for block in ("U", "V"):
-        side = block_of(state, block)
-        cols = []
-        for k in side.cols:
-            if not side.degenerate(k):
-                cols.append(k)
-            elif k in latent and (block, k) not in reinit_done:
-                reinit_done.add((block, k))
-                _reinit_column(state, side.partner, k)
-                notes[f"degenerate column {k}: partner reinitialized"] += 1
-                cols.append(k)
-            else:
-                notes[f"degenerate column {k}: update skipped"] += 1
-        fallbacks = full_scoring(state, block, predictor_stats(state), scale,
-                                 cols)
+        fallbacks = full_scoring(state, block, predictor_stats(state), scale)
         if fallbacks:
             notes[f"block step fell back to diagonal for {block} rows"] += \
                 fallbacks
@@ -177,17 +154,13 @@ def fit(state: ModelState, config: FitConfig | None = None) -> FitResult:
     ``converged=False``, not an error: hitting ``max_iters`` first
     (``"max_iters"``), and a sweep that still lowers Q after
     ``max_halvings`` step halvings, which is undone before the fit stops
-    (``"stalled"``).  With damping enabled the recorded trace is
-    non-decreasing.
+    (``"stalled"``).  So the recorded trace is non-decreasing.
 
     Raises FitError when the objective is non-finite even after all
-    damping retries (or at the starting point).
+    step halvings (or at the starting point).
     """
     cfg = config or FitConfig()
-    if state.rng is None:
-        state.rng = np.random.default_rng(0)
     notes: Counter = Counter()
-    reinit_done: set = set()
     trace: list[tuple[int, float]] = []
 
     try:
@@ -203,26 +176,22 @@ def fit(state: ModelState, config: FitConfig | None = None) -> FitResult:
     for t in range(1, cfg.max_iters + 1):
         u_snap = state.U.copy()
         v_snap = state.V.copy()
-        attempts = cfg.max_halvings + 1 if cfg.damping else 1
         q_new = np.nan
         accepted = False
-        for attempt in range(attempts):
+        for attempt in range(cfg.max_halvings + 1):
             if attempt:
                 state.U[...] = u_snap
                 state.V[...] = v_snap
             scale = 0.5 ** attempt
             try:
                 # overflow here is expected and handled: a non-finite Q
-                # triggers a damped retry or a FitError below
+                # triggers a halved retry or a FitError below
                 with np.errstate(over="ignore", invalid="ignore",
                                  divide="ignore"):
-                    _sweep(state, scale, reinit_done, notes)
+                    _sweep(state, scale, notes)
                     q_new = objective(state)
             except (DomainError, FloatingPointError):
                 q_new = np.nan
-            if not cfg.damping:
-                accepted = np.isfinite(q_new)
-                break
             if np.isfinite(q_new) and (
                     q_new >= q_prev - ASCENT_SLACK * (1.0 + abs(q_prev))):
                 accepted = True
@@ -233,12 +202,11 @@ def fit(state: ModelState, config: FitConfig | None = None) -> FitResult:
         iterations = t
         if not accepted:
             if not np.isfinite(q_new):
-                detail = (f"after {cfg.max_halvings} step halvings"
-                          if cfg.damping else "with damping off")
                 raise FitError(
-                    f"objective non-finite at iteration {t} {detail}", trace)
+                    f"objective non-finite at iteration {t} after "
+                    f"{cfg.max_halvings} step halvings", trace)
             # finite but still lower after all halvings: keep the current
-            # point and stop: no damped step raised Q, yet Q has not
+            # point and stop: no halved step raised Q, yet Q has not
             # settled to tol, so the fit is stalled, not converged
             state.U[...] = u_snap
             state.V[...] = v_snap

@@ -65,7 +65,7 @@ def advance(state, n_sweeps=10):
         for attempt in range(11):
             state.U[...], state.V[...] = u0, v0
             with np.errstate(all="ignore"):
-                _sweep(state, 0.5 ** attempt, set(), Counter())
+                _sweep(state, 0.5 ** attempt, Counter())
                 if g.objective(state) >= q0:
                     break
         else:

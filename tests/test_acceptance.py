@@ -54,8 +54,7 @@ def test_c2_monotone_ascent():
     with criterion("C2 monotone ascent", seconds=60):
         for family in ALL_FAMILIES:
             for state in acceptance_grid(family):
-                result = g.fit(state, g.FitConfig(max_iters=60, tol=1e-9,
-                                                  damping=True))
+                result = g.fit(state, g.FitConfig(max_iters=60, tol=1e-9))
                 qs = [q for _, q in result.trace]
                 for prev, cur in zip(qs, qs[1:]):
                     assert cur >= prev - 1e-12 * (1.0 + abs(prev))
@@ -99,8 +98,7 @@ def test_c4_glm_reduction():
             state = ModelState(Y=y[None, :], family=family, U=U,
                                V=np.zeros((1, k)), delta=np.zeros(n_obs),
                                lambda_u=lam.copy(), lambda_v=lam.copy(),
-                               index=IndexSets(n_coef, 0, 1),
-                               rng=np.random.default_rng(0))
+                               index=IndexSets(n_coef, 0, 1))
             result = g.fit(state, g.FitConfig(max_iters=500, tol=1e-14))
             reference = oracle.irls_glm(y, X, family)
             assert np.abs(result.coef_A[0] - reference).max() <= 1e-6

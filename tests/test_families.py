@@ -26,16 +26,6 @@ class TestConstruction:
         # log is the standard (non-canonical) choice for the NB
         assert g.negative_binomial(1.5).link == "log"
 
-    def test_explicit_standard_links_accepted(self):
-        assert g.Family("poisson", link="log").link == "log"
-        assert g.Family("gaussian", link="identity").link == "identity"
-
-    def test_invalid_link_combo_rejected(self):
-        with pytest.raises(ConfigError):
-            g.Family("poisson", link="identity")
-        with pytest.raises(ConfigError):
-            g.Family("gaussian", link="logit")
-
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigError):
             g.Family("gamma")

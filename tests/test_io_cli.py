@@ -183,7 +183,7 @@ class TestWriteResult:
         result = make_result(n_obs=2, n_feat=3, n_latent=1)
         gio.write_result(result, tmp_path)
         factors = (tmp_path / "factors.csv").read_text().splitlines()
-        assert factors[0] == "id,dim1"
+        assert factors[0] == ",dim1"
         assert len(factors) == 3  # header + 2 data rows
         assert len(factors[1].split(",")) == 2  # name + 1 value column
         assert not (tmp_path / "coef_Gamma.csv").exists()
@@ -195,7 +195,7 @@ class TestWriteResult:
         result = make_result(n_feat_cov=2)
         gio.write_result(result, tmp_path)
         lines = (tmp_path / "coef_Gamma.csv").read_text().splitlines()
-        assert lines[0] == "id,z1,z2"
+        assert lines[0] == ",z1,z2"
         assert len(lines) == 5
 
     def test_trace_rows_and_monotone_column(self, tmp_path):
@@ -339,16 +339,15 @@ class TestCli:
     def test_meta_config_echoes_every_flag_resolved(self, tmp_path):
         out = tmp_path / "o"
         self.run("fit", "--input", str(FIXTURE), "--family", "poisson",
-                 "--dims", "2", "--damping", "off", "--max-iters", "2",
+                 "--dims", "2", "--max-iters", "2",
                  "--output-dir", str(out))
         meta = json.loads((out / "meta.json").read_text())
         assert meta["config"] == {
             "input_path": str(FIXTURE), "input_format": "matrixmarket",
-            "family": "poisson", "dispersion": None, "link": "log",
+            "family": "poisson", "dispersion": None,
             "dims": 2, "obs_covariates": None, "feat_covariates": None,
             "offset": "none", "intercept": True, "penalty": 1e-4,
-            "max_iters": 2, "tol": 1e-6, "damping": False,
-            "trace_every": 1, "seed": 0, "output_dir": str(out)}
+            "max_iters": 2, "tol": 1e-6, "trace_every": 1, "seed": 0, "output_dir": str(out)}
 
     def test_pandas_style_csv_fits_three_observations(self, tmp_path):
         rng = np.random.default_rng(4)
@@ -365,6 +364,42 @@ class TestCli:
         loadings = (out / "loadings.csv").read_text().splitlines()
         assert [line.split(",")[0] for line in loadings[1:]] == \
             [str(j) for j in range(8)]
+
+    @staticmethod
+    def numeric_names_csv(tmp_path):
+        """8 x 12 counts with pandas' default names: rows and columns
+        are named 0, 1, ..."""
+        counts = np.random.default_rng(12).poisson(3.0, size=(8, 12))
+        path = tmp_path / "counts.csv"
+        path.write_text("," + ",".join(str(i) for i in range(12)) + "\n"
+                        + "".join(f"{j}," + ",".join(map(str, row)) + "\n"
+                                  for j, row in enumerate(counts)))
+        return path
+
+    def test_numeric_row_names_read_back(self, tmp_path):
+        out = tmp_path / "o"
+        code = self.run("fit", "--input", str(self.numeric_names_csv(tmp_path)),
+                        "--family", "poisson", "--dims", "2",
+                        "--output-dir", str(out))
+        assert code in (0, 2)
+        loadings = gio.read_matrix(out / "loadings.csv")
+        assert loadings.values.shape == (8, 2)
+        assert loadings.row_names == [str(j) for j in range(8)]
+        assert loadings.col_names == ["dim1", "dim2"]
+
+    def test_written_offset_passes_back_through_file(self, tmp_path):
+        path = self.numeric_names_csv(tmp_path)
+        first, second = tmp_path / "a", tmp_path / "b"
+        args = ("fit", "--input", str(path), "--family", "poisson",
+                "--dims", "2")
+        assert self.run(*args, "--offset", "auto",
+                        "--output-dir", str(first)) in (0, 2)
+        code = self.run(*args, "--offset", f"file:{first / 'offset.csv'}",
+                        "--output-dir", str(second))
+        assert code in (0, 2)
+        # the offset reads back exactly, so the second fit is the first
+        for name in ("offset.csv", "factors.csv", "loadings.csv"):
+            assert (second / name).read_text() == (first / name).read_text()
 
     def test_offset_auto_and_file_agree(self, tmp_path):
         loaded = gio.read_matrix(FIXTURE)
@@ -436,18 +471,11 @@ class TestCli:
                         "--output-dir", str(out))
         assert code == 0
         coef_a = (out / "coef_A.csv").read_text().splitlines()
-        assert coef_a[0] == "id,x1,x2"  # intercept + supplied covariate
+        assert coef_a[0] == ",x1,x2"  # intercept + supplied covariate
         assert len(coef_a) == 11
         coef_g = (out / "coef_Gamma.csv").read_text().splitlines()
-        assert coef_g[0] == "id,z1"
+        assert coef_g[0] == ",z1"
         assert len(coef_g) == 21
-
-    def test_invalid_link_combo_exits_1(self, tmp_path, capsys):
-        code = self.run("fit", "--input", str(FIXTURE), "--family",
-                        "poisson", "--link", "identity", "--dims", "1",
-                        "--output-dir", str(tmp_path))
-        assert code == 1
-        assert "link" in capsys.readouterr().err
 
     def test_module_entry_point(self, tmp_path):
         out = tmp_path / "o"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import glmpca as g
-from glmpca import ConfigError, DataError, DegenerateColumnError
+from glmpca import ConfigError, DataError
 from glmpca.families import MEAN_CEIL, PROB_CEIL, PROB_FLOOR
 from glmpca.model import IndexSets, ModelState, predictor_stats, resolve_offset
 import oracle
@@ -256,7 +256,7 @@ class TestGradients:
             Y=np.array([[2.0]]), family=g.poisson(),
             U=np.array([[0.0]]), V=np.array([[1.0]]),
             delta=np.zeros(1), lambda_u=np.zeros(1), lambda_v=np.zeros(1),
-            index=idx, rng=np.random.default_rng(0))
+            index=idx)
         np.testing.assert_allclose(g.gradient(state, "U", 0), [1.0])
 
     def test_zero_at_saturated_fit(self):
@@ -389,12 +389,14 @@ class TestFisherInformation:
         for k in state.index.v_cols:
             assert np.all(g.fisher_info(state, "V", k) > 0)
 
-    def test_degenerate_column_raises(self):
+    def test_degenerate_column_has_zero_information(self):
+        # unpenalized, with an all-zero partner column: the Gram
+        # diagonal is 0 in every row
         state = random_state(g.poisson(), seed=61, penalty=0.0)
         k = state.index.u_cols[-1]
         state.V[:, k] = 0.0
-        with pytest.raises(DegenerateColumnError):
-            g.fisher_info(state, "U", k)
+        np.testing.assert_array_equal(g.fisher_info(state, "U", k),
+                                      np.zeros(state.n_obs))
 
     def test_scalar_gradient_matches_vectorized(self):
         state = random_state(g.negative_binomial(2.0), seed=71, n_feat=5,

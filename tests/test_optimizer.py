@@ -17,8 +17,7 @@ from glmpca.model import (IndexSets, ModelState, PredictorStats, block_of,
 from conftest import ALL_FAMILIES, random_state, sample_response
 
 
-def tiny_state(Y, family, U, V, lambda_u=None, lambda_v=None, index=None,
-               seed=0):
+def tiny_state(Y, family, U, V, lambda_u=None, lambda_v=None, index=None):
     """Hand-built state for cases build_model would refuse (e.g. J=1)."""
     Y = np.asarray(Y, dtype=float)
     U = np.asarray(U, dtype=float)
@@ -28,8 +27,7 @@ def tiny_state(Y, family, U, V, lambda_u=None, lambda_v=None, index=None,
         Y=Y, family=family, U=U, V=V, delta=np.zeros(U.shape[0]),
         lambda_u=np.zeros(k) if lambda_u is None else np.asarray(lambda_u, float),
         lambda_v=np.zeros(k) if lambda_v is None else np.asarray(lambda_v, float),
-        index=index or IndexSets(0, 0, k),
-        rng=np.random.default_rng(seed))
+        index=index or IndexSets(0, 0, k))
 
 
 def glm_state(family, seed, n_obs=60, n_coef=3, penalty=1e-4):
@@ -51,8 +49,7 @@ def glm_state(family, seed, n_obs=60, n_coef=3, penalty=1e-4):
     lam_v[-1] = penalty
     state = ModelState(Y=y[None, :], family=family, U=U, V=V,
                        delta=np.zeros(n_obs), lambda_u=lam_u,
-                       lambda_v=lam_v, index=IndexSets(n_coef, 0, 1),
-                       rng=np.random.default_rng(seed))
+                       lambda_v=lam_v, index=IndexSets(n_coef, 0, 1))
     return state, X, y
 
 
@@ -130,12 +127,12 @@ class TestHeldPredictor:
         checked = []
         real_step = optimizer.full_scoring
 
-        def checked_step(state, block, stats, scale, cols):
+        def checked_step(state, block, stats, scale):
             # means and weights are those of the current R
             for held, current in zip(stats, predictor_stats(state)):
                 np.testing.assert_array_equal(held, current)
             checked.append(block)
-            return real_step(state, block, stats, scale, cols)
+            return real_step(state, block, stats, scale)
 
         monkeypatch.setattr(optimizer, "full_scoring", checked_step)
         g.fit(state, g.FitConfig(max_iters=5, tol=1e-14,
@@ -155,9 +152,9 @@ class TestHeldPredictor:
             return real(state)
 
         monkeypatch.setattr(model, "linear_predictor", counted)
-        visited, notes = set(), Counter()
+        notes = Counter()
         for _ in range(sweeps):
-            optimizer._sweep(state, 1.0, visited, notes)
+            optimizer._sweep(state, 1.0, notes)
         assert len(calls) == 2 * sweeps
 
         state = random_state(g.bernoulli(), seed=45)
@@ -170,7 +167,6 @@ class TestHeldPredictor:
 
         monkeypatch.setattr(optimizer, "predictor_stats", counted_stats)
         result = g.fit(state, g.FitConfig(max_iters=sweeps, tol=1e-300,
-                                          damping=False,
                                           full_scoring_coef=full))
         assert result.iterations_run == sweeps
         assert len(built) == 2 * sweeps
@@ -398,28 +394,50 @@ class TestFullScoring:
 
 
 class TestDegenerateColumns:
-    def degenerate_state(self):
-        state = random_state(g.poisson(), seed=95, penalty=0.0)
+    """An unpenalized column whose partner column is all zero makes every
+    Gram matrix of its block singular; the per-row fallback handles it."""
+
+    def degenerate_state(self, penalty=0.0, zero_pair=False):
+        state = random_state(g.poisson(), seed=95, penalty=penalty)
         k = state.index.latent_cols[-1]
         state.V[:, k] = 0.0
+        if zero_pair:
+            state.U[:, k] = 0.0
         return state, k
 
-    def test_partner_reinitialized_once_then_column_skipped(self):
+    def test_column_unchanged_by_fallback_step(self):
         state, k = self.degenerate_state()
-        reinit_done, notes = set(), Counter()
-        optimizer._sweep(state, 1.0, reinit_done, notes)
-        assert reinit_done == {("U", k)}
+        u_before = state.U.copy()
+        notes = Counter()
+        optimizer._sweep(state, 1.0, notes)
+        # every U row fell back to the diagonal step, which leaves the
+        # zero-pivot column as it was and moves the others
         assert notes == Counter(
-            {f"degenerate column {k}: partner reinitialized": 1})
-        assert np.all(np.isfinite(state.U)) and state.V[:, k].any()
-        # the reinitialization may be undone by a rejected sweep; the
-        # column then sits out every later block step
-        state.V[:, k] = 0.0
-        u_k = state.U[:, k].copy()
-        optimizer._sweep(state, 1.0, reinit_done, notes)
-        assert notes[f"degenerate column {k}: update skipped"] == 1
-        np.testing.assert_array_equal(state.U[:, k], u_k)
-        assert not any("fell back" in note for note in notes)
+            {"block step fell back to diagonal for U rows": state.n_obs})
+        np.testing.assert_array_equal(state.U[:, k], u_before[:, k])
+        others = [c for c in state.index.u_cols if c != k]
+        assert np.all(state.U[:, others] != u_before[:, others])
+        # the V step then sees a nonzero partner column and moves V[:, k]
+        assert np.all(np.isfinite(state.V)) and state.V[:, k].any()
+
+    def test_fit_outputs_finite(self):
+        state, _ = self.degenerate_state()
+        result = g.fit(state, g.FitConfig(max_iters=30, tol=1e-8))
+        for out in (result.factors, result.loadings, result.coef_A,
+                    result.coef_Gamma):
+            assert np.all(np.isfinite(out))
+        assert result.warnings == [
+            f"block step fell back to diagonal for U rows (x{state.n_obs})"]
+
+    @pytest.mark.parametrize("penalty", [0.0, 1e-4])
+    def test_zero_latent_pair_stays_zero(self, penalty):
+        state, k = self.degenerate_state(penalty, zero_pair=True)
+        result = g.fit(state, g.FitConfig(max_iters=30, tol=1e-8))
+        assert not state.U[:, k].any() and not state.V[:, k].any()
+        norms = np.linalg.norm(result.factors, axis=0)
+        assert norms[-1] == 0 and np.all(norms[:-1] > 0)
+        assert ("1 latent dimension(s) have zero norm "
+                "(rank-deficient loadings)") in result.warnings
 
     def test_fallback_rows_counted_in_warnings(self):
         rng = np.random.default_rng(103)
@@ -430,7 +448,7 @@ class TestDegenerateColumns:
                            V=np.zeros((n_feat, 3)), lambda_u=[0, 0, 1e-4],
                            lambda_v=[0, 0, 1e-4], index=IndexSets(2, 0, 1))
         notes = Counter()
-        optimizer._sweep(state, 1.0, set(), notes)
+        optimizer._sweep(state, 1.0, notes)
         assert notes == Counter(
             {"block step fell back to diagonal for V rows": n_feat})
 
@@ -544,19 +562,8 @@ class TestFit:
     def test_nonfinite_objective_raises_fit_error(self):
         Y = np.full((4, 8), 1e200)
         state = g.build_model(Y, n_latent=1, family=g.gaussian(), seed=0)
-        with pytest.raises(FitError):
-            g.fit(state, g.FitConfig(damping=False))
-        state2 = g.build_model(Y, n_latent=1, family=g.gaussian(), seed=0)
         with pytest.raises(FitError, match="halvings"):
-            g.fit(state2, g.FitConfig(damping=True))
-
-    def test_degenerate_latent_column_reinitialized_once(self):
-        state = random_state(g.poisson(), seed=95, penalty=0.0)
-        k = state.index.latent_cols[-1]
-        state.V[:, k] = 0.0
-        result = g.fit(state, g.FitConfig(max_iters=30, tol=1e-8))
-        assert any("reinitialized" in w for w in result.warnings)
-        assert np.all(np.isfinite(result.factors))
+            g.fit(state, g.FitConfig())
 
     def test_result_contract(self):
         state = random_state(g.poisson(), seed=97, n_latent=2)
