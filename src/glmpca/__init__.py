@@ -14,11 +14,10 @@ from .exceptions import (ConfigError, DataError, DomainError, FitError,
                          GlmPcaError, PostprocessError)
 from .families import Family, bernoulli, gaussian, negative_binomial, poisson
 from .io import LoadedMatrix, read_matrix, write_result
-# check_data_matrix, gradient, fisher_info and predictor_stats stay
-# importable from here for the tests and the benchmark, outside __all__
+# check_data_matrix, gradient and predictor_stats stay importable from
+# here for the tests and the benchmark, outside __all__
 from .model import (IndexSets, ModelState, build_model, check_data_matrix,
-                    fisher_info, gradient, linear_predictor, objective,
-                    predictor_stats)
+                    gradient, linear_predictor, objective, predictor_stats)
 from .optimizer import FitConfig, FitResult, fit
 from .postprocess import postprocess, project_out_covariates
 

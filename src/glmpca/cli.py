@@ -46,15 +46,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--feat-covariates", default=None,
                    help="CSV of feature covariates (J rows)")
     p.add_argument("--offset", default="none",
-                   help="'none', 'auto', or 'file:PATH' (one value per "
-                        "observation)")
+                   help="'none', 'auto', or 'file:PATH' (a CSV of one "
+                        "row or one column, one value per observation)")
     p.add_argument("--no-intercept", dest="intercept", action="store_false",
                    help="drop the default all-ones observation covariate")
     p.add_argument("--penalty", type=float, default=1e-4,
                    help="ridge penalty on the latent columns")
     p.add_argument("--max-iters", type=int, default=1000)
     p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--trace-every", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output-dir", default=".")
     return parser
@@ -64,12 +63,15 @@ def _load_offset(policy: str, n_obs: int):
     if policy in ("none", "auto"):
         return policy
     if policy.startswith("file:"):
-        loaded = gio.read_matrix(policy[len("file:"):], "csv")
-        vec = loaded.values.reshape(-1)
-        if vec.size != n_obs:
+        values = gio.read_matrix(policy[len("file:"):], "csv").values
+        if 1 not in values.shape:
             raise ConfigError(
-                f"offset file has {vec.size} values, expected {n_obs}")
-        return vec
+                f"offset file must hold one row or one column of {n_obs} "
+                f"values, got {values.shape[0]} x {values.shape[1]}")
+        if values.size != n_obs:
+            raise ConfigError(
+                f"offset file has {values.size} values, expected {n_obs}")
+        return values.reshape(-1)
     raise ConfigError(
         f"--offset must be 'none', 'auto', or 'file:PATH', got {policy!r}")
 
@@ -105,8 +107,7 @@ def run_cli(argv=None) -> int:
             obs_covariates=obs_cov, feat_covariates=feat_cov,
             intercept=args.intercept, offset=offset,
             penalty_u=args.penalty, penalty_v=args.penalty, seed=args.seed)
-        config = FitConfig(max_iters=args.max_iters, tol=args.tol,
-                           trace_every=args.trace_every)
+        config = FitConfig(max_iters=args.max_iters, tol=args.tol)
         result = fit(state, config)
         gio.write_result(result, args.output_dir,
                          row_names=loaded.row_names,

@@ -14,8 +14,8 @@ minus ridge penalties on the updateable columns.  The Fisher-scoring
 system of one block, "U" or "V", is formed here and only here: its
 gradient (the score vector, the right-hand side of the optimizer's block
 step) and its per-row information matrices (the Gram matrices the step
-solves).  The U versions are the V ones on transposed J x N arrays.
-fisher_info is the diagonal of a one-column Gram matrix.
+solves), each over all of the block's updateable columns.  The U versions
+are the V ones on transposed J x N arrays.
 """
 
 from __future__ import annotations
@@ -346,7 +346,7 @@ def objective(state: ModelState) -> float:
         - 1/2 sum over updateable V columns of lambda_v[k] * ||V[:, k]||^2
 
     R is built afresh from U, V and delta.  A non-finite value is
-    returned as-is so the optimizer's damping logic can react to it.
+    returned as-is so the optimizer's step halving can react to it.
     Y is validated by build_model and the means are clamped into the
     domain, so neither is checked again here.
     """
@@ -377,64 +377,58 @@ class Block(NamedTuple):
     rows: Callable         # views a J x N array with one row per own row
 
 
-def block_of(state: ModelState, block: str,
-             cols: int | list[int] | None = None) -> Block:
-    """The "U" or "V" side of ``state``; ``cols``, when given, must be one
-    of its updateable columns or a list of them."""
+def block_of(state: ModelState, block: str) -> Block:
+    """The "U" or "V" side of ``state``."""
     idx = state.index
     if block == "U":
-        side = Block(state.U, state.V, state.lambda_u, idx.u_cols,
+        return Block(state.U, state.V, state.lambda_u, idx.u_cols,
                      np.transpose)
-    elif block == "V":
-        side = Block(state.V, state.U, state.lambda_v, idx.v_cols,
+    if block == "V":
+        return Block(state.V, state.U, state.lambda_v, idx.v_cols,
                      np.asarray)
-    else:
-        raise ConfigError(f"block must be 'U' or 'V', got {block!r}")
-    for k in ([] if cols is None else np.atleast_1d(cols)):
-        if k not in side.cols:
-            raise ConfigError(
-                f"column {k} is not an updateable {block} column")
-    return side
+    raise ConfigError(f"block must be 'U' or 'V', got {block!r}")
 
 
-def gradient(state: ModelState, block: str, cols: int | list[int],
+def gradient(state: ModelState, block: str,
              stats: PredictorStats | None = None) -> np.ndarray:
-    """dQ/dU[:, cols] or dQ/dV[:, cols] for updateable columns of
-    ``block``: the right-hand side of the block step.
+    """dQ/dU or dQ/dV over the updateable columns of ``block``: the
+    right-hand side of the block step, one row per own row and one column
+    per entry of the block's ``cols``.
 
-    With D the partner's columns ``cols`` and res = (Y - M) * S the score
-    residual, row r is D' res_r - lambda own_r.  ``cols`` is one column
-    (a length-N or length-J vector is returned) or a list of them (one
-    column of the result per entry).  Where a mean is clamped, M is the
-    clamp value, so the gradient there keeps the pull y - M although
-    the objective is flat in R.
+    With D the partner's updateable columns and res = (Y - M) * S the
+    score residual, row r is D' res_r - lambda own_r.  Where a mean is
+    clamped, M is the clamp value, so the gradient there keeps the pull
+    y - M although the objective is flat in R.
     """
-    side = block_of(state, block, cols)
+    side = block_of(state, block)
     if stats is None:
         stats = predictor_stats(state)
     resid = state.Y - stats.M
     if np.ndim(stats.S):  # S is the scalar 1 for canonical links
         resid *= stats.S
+    cols = side.cols
     return (side.rows(resid) @ side.partner[:, cols]
             - side.penalty[cols] * side.own[:, cols])
 
 
-def fisher_gram(state: ModelState, block: str, cols: list[int],
-                stats: PredictorStats, rows: slice = slice(None),
+def fisher_gram(state: ModelState, block: str, stats: PredictorStats,
+                rows: slice = slice(None),
                 chunk: int | None = None) -> np.ndarray:
     """The Fisher information of the own rows ``rows`` over the
-    updateable columns ``cols`` of ``block``: one m x m matrix per row,
+    updateable columns of ``block``: one m x m matrix per row,
 
         D' diag(I_r) D + diag(lambda),
 
-    stacked, with D the partner's columns ``cols`` and I_r the row's
+    stacked, with D the partner's updateable columns and I_r the row's
     information weights.  Each row's D' diag(I_r) D is one row of
     ``I_r @ P``, with P the n x m² column products of D.  P is built
     ``chunk`` design rows at a time (all at once by default) and the
     partial GEMMs summed, so P never has more than ``chunk * m²`` cells.
+    A diagonal entry is 0 only for an unpenalized column whose partner
+    column is all zero.
     """
-    side = block_of(state, block, cols)
-    design = side.partner[:, cols]
+    side = block_of(state, block)
+    design = side.partner[:, side.cols]
     info = side.rows(stats.I)[rows]
     n, m = design.shape
     chunk = chunk or n
@@ -444,16 +438,5 @@ def fisher_gram(state: ModelState, block: str, cols: list[int],
         gram += info[:, lo:lo + chunk] @ (
             d[:, :, None] * d[:, None, :]).reshape(-1, m * m)
     gram = gram.reshape(-1, m, m)
-    gram[:, range(m), range(m)] += side.penalty[cols]
+    gram[:, range(m), range(m)] += side.penalty[side.cols]
     return gram
-
-
-def fisher_info(state: ModelState, block: str, k: int,
-                stats: PredictorStats | None = None) -> np.ndarray:
-    """Diagonal Fisher information for one updateable column of
-    ``block``, the diagonal of its one-column Gram matrices.  Entries are
-    strictly positive unless the column is unpenalized and its partner
-    column is all zero; then they are all 0."""
-    if stats is None:
-        stats = predictor_stats(state)
-    return fisher_gram(state, block, [k], stats)[:, 0, 0]

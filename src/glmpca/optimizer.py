@@ -48,15 +48,12 @@ class FitConfig:
     tol: float = 1e-6
     max_halvings: int = 10
     full_scoring_coef: bool = False
-    trace_every: int = 1
 
     def __post_init__(self):
         if self.max_iters < 1:
             raise ConfigError("max_iters must be at least 1")
         if not self.tol > 0:
             raise ConfigError("tol must be positive")
-        if self.trace_every < 1:
-            raise ConfigError("trace_every must be at least 1")
         if self.max_halvings < 0:
             raise ConfigError("max_halvings must be nonnegative")
 
@@ -85,15 +82,15 @@ class FitResult:
 
 
 def full_scoring(state: ModelState, block: str,
-                 stats: PredictorStats | None = None, scale: float = 1.0,
-                 cols: list[int] | None = None) -> int:
+                 stats: PredictorStats | None = None,
+                 scale: float = 1.0) -> int:
     """Joint Fisher-scoring step on the updateable columns of ``block``,
     in place: Gamma and U_latent in U, A and V_latent in V.
 
     Each own row r solves G_r step_r = g_r, with g the block's gradient
-    over ``cols`` (by default all updateable columns) and G_r the row's
-    Fisher information matrix over them (model.gradient and
-    model.fisher_gram); the rows are independent given the partner.
+    and G_r the row's Fisher information matrix over those columns
+    (model.gradient and model.fisher_gram); the rows are independent
+    given the partner.
     The Gram stack is built and solved in row chunks, so it never holds
     more cells than one J x N array.  Only when a chunk's solve raises
     LinAlgError (some Gram matrix is singular) are its rows solved one by
@@ -102,19 +99,16 @@ def full_scoring(state: ModelState, block: str,
     step halving.  Returns the number of fallback rows.
     """
     side = block_of(state, block)
-    cols = side.cols if cols is None else cols
-    if not cols:
-        return 0
     if stats is None:
         stats = predictor_stats(state)
-    m = len(cols)
-    rhs = gradient(state, block, cols, stats)
+    m = len(side.cols)
+    rhs = gradient(state, block, stats)
     chunk = max(1, stats.I.size // (m * m))
     step = np.empty_like(rhs)
     fallbacks = 0
     for lo in range(0, rhs.shape[0], chunk):
         rows = slice(lo, lo + chunk)
-        gram = fisher_gram(state, block, cols, stats, rows, chunk)
+        gram = fisher_gram(state, block, stats, rows, chunk)
         try:
             step[rows] = np.linalg.solve(gram, rhs[rows, :, None])[..., 0]
         except np.linalg.LinAlgError:
@@ -126,7 +120,7 @@ def full_scoring(state: ModelState, block: str,
                     step[r] = np.divide(b_r, pivot, out=np.zeros(m),
                                         where=pivot != 0)
                     fallbacks += 1
-    side.own[:, cols] += scale * step
+    side.own[:, side.cols] += scale * step
     return fallbacks
 
 
@@ -211,19 +205,16 @@ def fit(state: ModelState, config: FitConfig | None = None) -> FitResult:
             state.U[...] = u_snap
             state.V[...] = v_snap
             notes["sweep rejected after max halvings; stopped early"] += 1
+            trace.append((t, q_prev))
             stop_reason = "stalled"
             break
 
         rel_change = abs(q_new - q_prev) / (abs(q_prev) + 1.0)
         q_prev = q_new
-        if t % cfg.trace_every == 0:
-            trace.append((t, q_new))
+        trace.append((t, q_new))
         if rel_change < cfg.tol:
             stop_reason = "tol"
             break
-    # the last sweep always ends the trace, whatever trace_every says
-    if not trace or trace[-1][0] != iterations:
-        trace.append((iterations, q_prev))
 
     warnings = [f"{msg} (x{n})" if n > 1 else msg
                 for msg, n in sorted(notes.items())]

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import glmpca as g
+from glmpca.model import fisher_gram, predictor_stats
 from glmpca.optimizer import _sweep
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -56,10 +57,20 @@ def random_state(family, seed, n_feat=6, n_obs=9, n_latent=2,
     return state
 
 
+def gram_diagonal(state, block, stats=None):
+    """The per-column Fisher information of ``block``, the diagonals of
+    its Gram stack: one row per own row, one column per updateable
+    column."""
+    if stats is None:
+        stats = predictor_stats(state)
+    return np.diagonal(fisher_gram(state, block, stats), axis1=1, axis2=2)
+
+
 def advance(state, n_sweeps=10):
     """Run scoring sweeps so postprocessing sees a fitted state.  As in
     fit(), a sweep that lowers Q is retried with halved steps: on these
-    small instances some undamped block steps overshoot to |U| ~ 1e9."""
+    small instances some full-length block steps, taken before any step
+    halving, overshoot to |U| ~ 1e9."""
     for _ in range(n_sweeps):
         q0, u0, v0 = g.objective(state), state.U.copy(), state.V.copy()
         for attempt in range(11):

@@ -16,7 +16,7 @@ from glmpca.cli import run_cli
 from glmpca.model import ModelState, IndexSets, predictor_stats
 
 from conftest import (ALL_FAMILIES, DATA_DIR, acceptance_grid, advance,
-                      random_state, sample_response)
+                      gram_diagonal, random_state, sample_response)
 
 FIXTURE = DATA_DIR / "counts_10x20.mtx"
 
@@ -40,13 +40,12 @@ def test_c1_gradient_correctness():
     with criterion("C1 gradient correctness", seconds=30):
         for family in ALL_FAMILIES:
             for state in acceptance_grid(family):
-                for k in state.index.u_cols:
-                    analytic = g.gradient(state, "U", k)
-                    fd = oracle.finite_diff_gradient(state, "U", k)
-                    assert oracle.report(fd, analytic).max_rel_err <= 1e-4
-                for k in state.index.v_cols:
-                    analytic = g.gradient(state, "V", k)
-                    fd = oracle.finite_diff_gradient(state, "V", k)
+                for block, cols in (("U", state.index.u_cols),
+                                    ("V", state.index.v_cols)):
+                    analytic = g.gradient(state, block)
+                    fd = np.column_stack(
+                        [oracle.finite_diff_gradient(state, block, k)
+                         for k in cols])
                     assert oracle.report(fd, analytic).max_rel_err <= 1e-4
 
 
@@ -130,28 +129,26 @@ def test_c6_canonical_link_simplification():
                 state = random_state(family, seed=900 + seed)
                 stats = predictor_stats(state)
                 rho = family.variance(stats.M)  # variance at the current means
-                for k in state.index.u_cols:
-                    simple_grad = ((state.Y - stats.M).T @ state.V[:, k]
-                                   - state.lambda_u[k] * state.U[:, k])
-                    simple_info = rho.T @ state.V[:, k] ** 2 \
-                        + state.lambda_u[k]
-                    np.testing.assert_allclose(
-                        g.gradient(state, "U", k, stats), simple_grad,
-                        rtol=1e-12, atol=1e-12)
-                    np.testing.assert_allclose(
-                        g.fisher_info(state, "U", k, stats), simple_info,
-                        rtol=1e-12, atol=1e-12)
-                for k in state.index.v_cols:
-                    simple_grad = ((state.Y - stats.M) @ state.U[:, k]
-                                   - state.lambda_v[k] * state.V[:, k])
-                    simple_info = rho @ state.U[:, k] ** 2 \
-                        + state.lambda_v[k]
-                    np.testing.assert_allclose(
-                        g.gradient(state, "V", k, stats), simple_grad,
-                        rtol=1e-12, atol=1e-12)
-                    np.testing.assert_allclose(
-                        g.fisher_info(state, "V", k, stats), simple_info,
-                        rtol=1e-12, atol=1e-12)
+                u = state.index.u_cols
+                simple_grad = ((state.Y - stats.M).T @ state.V[:, u]
+                               - state.lambda_u[u] * state.U[:, u])
+                simple_info = rho.T @ state.V[:, u] ** 2 + state.lambda_u[u]
+                np.testing.assert_allclose(
+                    g.gradient(state, "U", stats), simple_grad,
+                    rtol=1e-12, atol=1e-12)
+                np.testing.assert_allclose(
+                    gram_diagonal(state, "U", stats), simple_info,
+                    rtol=1e-12, atol=1e-12)
+                v = state.index.v_cols
+                simple_grad = ((state.Y - stats.M) @ state.U[:, v]
+                               - state.lambda_v[v] * state.V[:, v])
+                simple_info = rho @ state.U[:, v] ** 2 + state.lambda_v[v]
+                np.testing.assert_allclose(
+                    g.gradient(state, "V", stats), simple_grad,
+                    rtol=1e-12, atol=1e-12)
+                np.testing.assert_allclose(
+                    gram_diagonal(state, "V", stats), simple_info,
+                    rtol=1e-12, atol=1e-12)
 
 
 def test_c7_synthetic_recovery():

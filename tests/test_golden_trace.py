@@ -94,8 +94,7 @@ def test_every_exported_name_resolves():
 
 
 def test_scoring_helpers_importable_outside_all():
-    for name in ("check_data_matrix", "gradient", "fisher_info",
-                 "predictor_stats"):
+    for name in ("check_data_matrix", "gradient", "predictor_stats"):
         assert name not in g.__all__ and callable(getattr(g, name))
 
 

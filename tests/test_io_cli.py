@@ -1,9 +1,12 @@
 """Tests for matrix reading, result writing, and the CLI contract."""
 
+import argparse
 import functools
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -347,7 +350,24 @@ class TestCli:
             "family": "poisson", "dispersion": None,
             "dims": 2, "obs_covariates": None, "feat_covariates": None,
             "offset": "none", "intercept": True, "penalty": 1e-4,
-            "max_iters": 2, "tol": 1e-6, "trace_every": 1, "seed": 0, "output_dir": str(out)}
+            "max_iters": 2, "tol": 1e-6, "seed": 0, "output_dir": str(out)}
+
+    def test_readme_flag_table_matches_parser(self):
+        # the first column of README's flag table names every fit flag
+        lines = (Path(__file__).parents[1] / "README.md").read_text() \
+            .splitlines()
+        start = lines.index("| flag | meaning | default |") + 2
+        documented = set()
+        for line in lines[start:]:
+            if not line.startswith("|"):
+                break
+            documented |= set(re.findall(r"--[a-z][a-z-]*",
+                                         line.split("|")[1]))
+        sub = next(a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        options = {opt for action in sub.choices["fit"]._actions
+                   for opt in action.option_strings} - {"-h", "--help"}
+        assert documented == options
 
     def test_pandas_style_csv_fits_three_observations(self, tmp_path):
         rng = np.random.default_rng(4)
@@ -400,6 +420,39 @@ class TestCli:
         # the offset reads back exactly, so the second fit is the first
         for name in ("offset.csv", "factors.csv", "loadings.csv"):
             assert (second / name).read_text() == (first / name).read_text()
+
+    def test_offset_file_of_wrong_shape_exits_1(self, tmp_path, capsys):
+        # 12 values, but as a 6 x 2 matrix: reading it row by row would
+        # interleave the offset, so it is refused
+        offpath = tmp_path / "offset.csv"
+        np.savetxt(offpath, np.arange(12.0).reshape(6, 2) / 10,
+                   delimiter=",")
+        out = tmp_path / "o"
+        code = self.run("fit", "--input",
+                        str(self.numeric_names_csv(tmp_path)),
+                        "--family", "poisson", "--dims", "2",
+                        "--offset", f"file:{offpath}",
+                        "--output-dir", str(out))
+        assert code == 1
+        assert ("offset file must hold one row or one column of 12 values, "
+                "got 6 x 2") in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_offset_file_of_one_row(self, tmp_path):
+        loaded = gio.read_matrix(FIXTURE)
+        colsums = loaded.values.sum(axis=0)
+        delta = np.log(colsums / colsums.mean())
+        offpath = tmp_path / "offset.csv"
+        offpath.write_text(",".join(format(d, ".17g") for d in delta) + "\n")
+        out_a, out_b = tmp_path / "a", tmp_path / "b"
+        args = ("fit", "--input", str(FIXTURE), "--family", "poisson",
+                "--dims", "1", "--seed", "3")
+        assert self.run(*args, "--offset", "auto",
+                        "--output-dir", str(out_a)) == 0
+        assert self.run(*args, "--offset", f"file:{offpath}",
+                        "--output-dir", str(out_b)) == 0
+        for name in ("offset.csv", "factors.csv"):
+            assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
     def test_offset_auto_and_file_agree(self, tmp_path):
         loaded = gio.read_matrix(FIXTURE)

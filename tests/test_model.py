@@ -6,10 +6,11 @@ import pytest
 import glmpca as g
 from glmpca import ConfigError, DataError
 from glmpca.families import MEAN_CEIL, PROB_CEIL, PROB_FLOOR
-from glmpca.model import IndexSets, ModelState, predictor_stats, resolve_offset
+from glmpca.model import (IndexSets, ModelState, fisher_gram, predictor_stats,
+                          resolve_offset)
 import oracle
 
-from conftest import ALL_FAMILIES, random_state
+from conftest import ALL_FAMILIES, gram_diagonal, random_state
 
 
 class TestIndexSets:
@@ -257,64 +258,41 @@ class TestGradients:
             U=np.array([[0.0]]), V=np.array([[1.0]]),
             delta=np.zeros(1), lambda_u=np.zeros(1), lambda_v=np.zeros(1),
             index=idx)
-        np.testing.assert_allclose(g.gradient(state, "U", 0), [1.0])
+        np.testing.assert_allclose(g.gradient(state, "U"), [[1.0]])
 
     def test_zero_at_saturated_fit(self):
         state = random_state(g.gaussian(), seed=8, penalty=0.0)
         state.Y = predictor_stats(state).M.copy()
-        for k in state.index.u_cols:
-            np.testing.assert_allclose(g.gradient(state, "U", k), 0.0,
-                                       atol=1e-12)
-        for k in state.index.v_cols:
-            np.testing.assert_allclose(g.gradient(state, "V", k), 0.0,
+        for block in ("U", "V"):
+            np.testing.assert_allclose(g.gradient(state, block), 0.0,
                                        atol=1e-12)
 
     def test_poisson_matches_finite_difference(self):
         state = random_state(g.poisson(), seed=13, n_feat=4, n_obs=3,
                              n_latent=1, with_feat_cov=False)
-        for k in state.index.u_cols:
+        grad = g.gradient(state, "U")
+        for j, k in enumerate(state.index.u_cols):
             fd = oracle.finite_diff_gradient(state, "U", k)
-            np.testing.assert_allclose(g.gradient(state, "U", k), fd,
-                                       rtol=1e-5, atol=1e-7)
+            np.testing.assert_allclose(grad[:, j], fd, rtol=1e-5, atol=1e-7)
 
     @pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: f.kind)
     def test_gradient_check_all_families(self, family):
         for seed in range(20):
             state = random_state(family, seed=500 + seed, n_feat=5, n_obs=7)
-            for k in state.index.u_cols:
-                fd = oracle.finite_diff_gradient(state, "U", k)
-                np.testing.assert_allclose(g.gradient(state, "U", k), fd,
-                                           rtol=1e-4, atol=1e-6)
-            for k in state.index.v_cols:
-                fd = oracle.finite_diff_gradient(state, "V", k)
-                np.testing.assert_allclose(g.gradient(state, "V", k), fd,
-                                           rtol=1e-4, atol=1e-6)
-
-    def test_fixed_columns_rejected(self):
-        state = random_state(g.poisson(), seed=2)
-        with pytest.raises(ConfigError):
-            g.gradient(state, "U", 0)  # X block is not updateable
-        with pytest.raises(ConfigError):
-            g.gradient(state, "V", 1)  # Z block is not updateable
+            for block, cols in (("U", state.index.u_cols),
+                                ("V", state.index.v_cols)):
+                grad = g.gradient(state, block)
+                for j, k in enumerate(cols):
+                    fd = oracle.finite_diff_gradient(state, block, k)
+                    np.testing.assert_allclose(grad[:, j], fd,
+                                               rtol=1e-4, atol=1e-6)
 
     def test_unknown_block_rejected(self):
         state = random_state(g.poisson(), seed=2)
-        k = state.index.latent_cols[0]
-        for fn in (g.gradient, g.fisher_info):
+        stats = predictor_stats(state)
+        for fn in (g.gradient, fisher_gram):
             with pytest.raises(ConfigError, match="block must be"):
-                fn(state, "u", k)
-
-
-    def test_column_list_stacks_single_columns(self):
-        state = random_state(g.negative_binomial(2.0), seed=14)
-        for block, cols in (("U", state.index.u_cols),
-                            ("V", state.index.v_cols)):
-            stacked = np.column_stack(
-                [g.gradient(state, block, k) for k in cols])
-            np.testing.assert_allclose(g.gradient(state, block, cols),
-                                       stacked, rtol=1e-12, atol=1e-12)
-        with pytest.raises(ConfigError, match="column 0"):
-            g.gradient(state, "U", [state.index.u_cols[0], 0])
+                fn(state, "u", stats)
 
 
 class TestClampedMeans:
@@ -335,7 +313,7 @@ class TestClampedMeans:
         Y = np.random.default_rng(2).poisson(3.0, (4, 5)).astype(float)
         state = self.clamped_state(g.poisson(), Y, [30.0, 0.5, 1.0, 1.5])
         assert np.all(predictor_stats(state).M[0] == MEAN_CEIL)
-        grad = g.gradient(state, "V", 0)
+        grad = g.gradient(state, "V")[:, 0]  # the intercept column of A
         assert grad[0] == pytest.approx(np.sum(Y[0] - MEAN_CEIL), rel=1e-12)
         assert grad[0] == pytest.approx(-5e10, rel=1e-9)
         self.assert_flat(state, 0)
@@ -346,7 +324,7 @@ class TestClampedMeans:
         state = self.clamped_state(g.bernoulli(), Y, [30.0, -30.0, 0.2, -0.2])
         M = predictor_stats(state).M
         assert np.all(M[0] == PROB_CEIL) and np.all(M[1] == PROB_FLOOR)
-        grad = g.gradient(state, "V", 0)
+        grad = g.gradient(state, "V")[:, 0]  # the intercept column of A
         assert grad[0] == pytest.approx(np.sum(Y[0] - PROB_CEIL), rel=1e-12)
         assert grad[1] == pytest.approx(np.sum(Y[1] - PROB_FLOOR), rel=1e-12)
         self.assert_flat(state, [0, 1])
@@ -357,7 +335,7 @@ class TestFisherInformation:
         state = random_state(g.gaussian(), seed=5)
         k = state.index.u_cols[-1]
         expect = np.sum(state.V[:, k] ** 2) + state.lambda_u[k]
-        np.testing.assert_allclose(g.fisher_info(state, "U", k),
+        np.testing.assert_allclose(gram_diagonal(state, "U")[:, -1],
                                    np.full(state.n_obs, expect), rtol=1e-12)
 
     def test_canonical_variance_form(self):
@@ -366,28 +344,28 @@ class TestFisherInformation:
         k = state.index.u_cols[0]
         expect = stats.M * (1 - stats.M)  # rho(mu) for the bernoulli
         simplified = expect.T @ state.V[:, k] ** 2 + state.lambda_u[k]
-        np.testing.assert_allclose(g.fisher_info(state, "U", k, stats),
+        np.testing.assert_allclose(gram_diagonal(state, "U", stats)[:, 0],
                                    simplified, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: f.kind)
     def test_matches_scalar_loop(self, family):
         state = random_state(family, seed=41, n_feat=5, n_obs=6)
-        for k in state.index.u_cols:
-            np.testing.assert_allclose(g.fisher_info(state, "U", k),
+        info = gram_diagonal(state, "U")
+        for j, k in enumerate(state.index.u_cols):
+            np.testing.assert_allclose(info[:, j],
                                        oracle.scalar_fisher_u(state, k),
                                        rtol=0, atol=1e-12)
-        for k in state.index.v_cols:
-            np.testing.assert_allclose(g.fisher_info(state, "V", k),
+        info = gram_diagonal(state, "V")
+        for j, k in enumerate(state.index.v_cols):
+            np.testing.assert_allclose(info[:, j],
                                        oracle.scalar_fisher_v(state, k),
                                        rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: f.kind)
     def test_positive_under_default_penalty(self, family):
         state = random_state(family, seed=51)
-        for k in state.index.u_cols:
-            assert np.all(g.fisher_info(state, "U", k) > 0)
-        for k in state.index.v_cols:
-            assert np.all(g.fisher_info(state, "V", k) > 0)
+        for block in ("U", "V"):
+            assert np.all(gram_diagonal(state, block) > 0)
 
     def test_degenerate_column_has_zero_information(self):
         # unpenalized, with an all-zero partner column: the Gram
@@ -395,17 +373,19 @@ class TestFisherInformation:
         state = random_state(g.poisson(), seed=61, penalty=0.0)
         k = state.index.u_cols[-1]
         state.V[:, k] = 0.0
-        np.testing.assert_array_equal(g.fisher_info(state, "U", k),
+        np.testing.assert_array_equal(gram_diagonal(state, "U")[:, -1],
                                       np.zeros(state.n_obs))
 
     def test_scalar_gradient_matches_vectorized(self):
         state = random_state(g.negative_binomial(2.0), seed=71, n_feat=5,
                              n_obs=6)
-        for k in state.index.u_cols:
-            np.testing.assert_allclose(g.gradient(state, "U", k),
+        grad = g.gradient(state, "U")
+        for j, k in enumerate(state.index.u_cols):
+            np.testing.assert_allclose(grad[:, j],
                                        oracle.scalar_gradient_u(state, k),
                                        rtol=0, atol=1e-12)
-        for k in state.index.v_cols:
-            np.testing.assert_allclose(g.gradient(state, "V", k),
+        grad = g.gradient(state, "V")
+        for j, k in enumerate(state.index.v_cols):
+            np.testing.assert_allclose(grad[:, j],
                                        oracle.scalar_gradient_v(state, k),
                                        rtol=0, atol=1e-12)
