@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -48,11 +49,15 @@ def _is_number(token: str) -> bool:
 
 
 def read_matrix_market(path) -> LoadedMatrix:
-    """Parse a MatrixMarket coordinate file into a dense matrix."""
+    """Parse a MatrixMarket coordinate file into a dense matrix.
+
+    The banner, comments and size line are read line by line.  The
+    entries are parsed by one ``np.loadtxt`` call, checked as arrays and
+    added into the dense matrix in file order, so duplicate coordinates
+    are summed.  ``%`` starts a comment, on a line of its own or after
+    an entry.  Only when a check fails is the body scanned again line by
+    line, by ``_body_error``, to name the first bad line."""
     path = Path(path)
-    rows = cols = None
-    remaining = 0
-    values = None
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -69,45 +74,112 @@ def read_matrix_market(path) -> LoadedMatrix:
             if not line or line.startswith("%"):
                 continue
             tokens = line.split()
-            if values is None:
-                if len(tokens) != 3:
-                    raise DataError(
-                        f"{path}:{lineno}: expected 'rows cols nnz' size line")
-                try:
-                    rows, cols, remaining = (int(t) for t in tokens)
-                except ValueError:
-                    raise DataError(
-                        f"{path}:{lineno}: non-integer size line {line!r}")
-                if rows < 1 or cols < 1 or remaining < 0:
-                    raise DataError(f"{path}:{lineno}: invalid sizes {line!r}")
-                try:
-                    values = np.zeros((rows, cols))
-                except (ValueError, MemoryError):  # too big to address
-                    raise DataError(
-                        f"{path}:{lineno}: cannot hold a dense {rows} x "
-                        f"{cols} matrix") from None
-                continue
             if len(tokens) != 3:
                 raise DataError(
-                    f"{path}:{lineno}: expected 'row col value' entry")
+                    f"{path}:{lineno}: expected 'rows cols nnz' size line")
             try:
-                r, c = int(tokens[0]), int(tokens[1])
-                v = float(tokens[2])
+                rows, cols, nnz = (int(t) for t in tokens)
             except ValueError:
-                raise DataError(f"{path}:{lineno}: malformed entry {line!r}")
-            if not (1 <= r <= rows and 1 <= c <= cols):
                 raise DataError(
-                    f"{path}:{lineno}: entry ({r}, {c}) outside "
-                    f"{rows} x {cols} matrix")
-            values[r - 1, c - 1] += v
-            remaining -= 1
-    if values is None:
-        raise DataError(f"{path}: missing size line")
-    if remaining > 0:
-        raise DataError(f"{path}: {remaining} entries missing at end of file")
-    if remaining < 0:
-        raise DataError(f"{path}: more entries than declared")
+                    f"{path}:{lineno}: non-integer size line {line!r}")
+            if rows < 1 or cols < 1 or nnz < 0:
+                raise DataError(f"{path}:{lineno}: invalid sizes {line!r}")
+            try:
+                values = np.zeros((rows, cols))
+            except (ValueError, MemoryError):  # too big to address
+                raise DataError(
+                    f"{path}:{lineno}: cannot hold a dense {rows} x "
+                    f"{cols} matrix") from None
+            break
+        else:
+            raise DataError(f"{path}: missing size line")
+
+        try:
+            with warnings.catch_warnings():
+                # an empty body is judged by the entry count below
+                warnings.filterwarnings(
+                    "ignore", "loadtxt: input contained no data", UserWarning)
+                entries = np.loadtxt(fh, comments="%", ndmin=2)
+        except ValueError:
+            entries = None
+        if entries is None or not _entries_fit(entries, rows, cols, nnz):
+            fh.seek(0)
+            raise DataError(_body_error(path, fh, lineno, rows, cols, nnz))
+    if nnz:
+        # the flat index (r - 1) * cols + (c - 1), built in place in the
+        # row column: whole floats below rows * cols are exact, and no
+        # more nnz-long arrays are made than the intp copy
+        flat = entries[:, 0]
+        flat -= 1
+        flat *= cols
+        flat += entries[:, 1]
+        flat -= 1
+        np.add.at(values.reshape(-1), flat.astype(np.intp), entries[:, 2])
     return LoadedMatrix(values, format="matrixmarket")
+
+
+def _entries_fit(entries: np.ndarray, rows: int, cols: int,
+                 nnz: int) -> bool:
+    """Whether parsed entries are ``nnz`` (row, col, value) triples with
+    whole indices inside a ``rows`` x ``cols`` matrix."""
+    if len(entries) != nnz:
+        return False
+    if nnz == 0:
+        return True
+    if entries.shape[1] != 3:
+        return False
+    index = entries[:, :2]
+    # NaN fails every comparison, and an infinite index the upper bound
+    return bool(np.all((index >= 1) & (index <= (rows, cols))
+                       & (index == np.floor(index))))
+
+
+def _whole_number(token: str) -> int:
+    """An entry index as the array checks accept it: a decimal integer,
+    or a number in float form whose value is whole (``1.0``, ``1e0``)."""
+    try:
+        return int(token)
+    except ValueError:
+        number = float(token)
+        if not number.is_integer():
+            raise ValueError(token) from None
+        return int(number)
+
+
+def _body_error(path: Path, fh, size_lineno: int, rows: int, cols: int,
+                nnz: int) -> str:
+    """The message for a MatrixMarket body that failed the array checks.
+
+    A slow line scan, run only on that error path: the first bad line
+    in file order wins, then an entry count that differs from the size
+    line.  It reads lines as the array checks do: ``%`` starts a
+    comment, and a token is a number only as ``np.loadtxt`` parses it,
+    in ASCII without underscores, though ``int`` and ``float`` take
+    both."""
+    count = 0
+    for lineno, raw in enumerate(fh, start=1):
+        line = raw.split("%", 1)[0].strip()
+        if lineno <= size_lineno or not line:
+            continue
+        tokens = line.split()
+        if len(tokens) != 3:
+            return f"{path}:{lineno}: expected 'row col value' entry"
+        try:
+            if not all(t.isascii() and "_" not in t for t in tokens):
+                raise ValueError(line)
+            r, c = _whole_number(tokens[0]), _whole_number(tokens[1])
+            float(tokens[2])
+        except ValueError:
+            return f"{path}:{lineno}: malformed entry {line!r}"
+        if not (1 <= r <= rows and 1 <= c <= cols):
+            return (f"{path}:{lineno}: entry ({r}, {c}) outside "
+                    f"{rows} x {cols} matrix")
+        count += 1
+    if count < nnz:
+        return f"{path}: {nnz - count} entries missing at end of file"
+    if count > nnz:
+        return f"{path}: more entries than declared"
+    return f"{path}: entries np.loadtxt cannot parse"
 
 
 def read_csv_matrix(path) -> LoadedMatrix:

@@ -3,17 +3,20 @@
 Everything here is deliberately written against a different codepath
 than the functions it checks: finite differences instead of analytic
 gradients, scalar python loops with math.* instead of vectorized numpy
-kernels, IRLS instead of block scoring, and a direct SVD instead of
-the alternating optimizer.  Desk scale only; performance is a non-goal.
+kernels, IRLS instead of block scoring, a direct SVD instead of the
+alternating optimizer, and a line-by-line MatrixMarket reader instead
+of one ``np.loadtxt`` call.  Desk scale only; performance is a non-goal.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
+from glmpca.exceptions import DataError
 from glmpca.families import (MEAN_CEIL, MEAN_FLOOR, PROB_CEIL, PROB_FLOOR,
                              Family)
 from glmpca.model import ModelState, objective
@@ -258,3 +261,77 @@ def pca_reference(Y, n_components: int):
     loadings = left[:, :n_components]
     scores = right_t[:n_components].T * sing[:n_components]
     return scores, loadings
+
+
+# ----------------------------------------------------------------------
+# reference MatrixMarket reader
+
+
+def read_matrix_market_lines(path) -> np.ndarray:
+    """The dense matrix of a MatrixMarket coordinate file, read one line
+    at a time: the reader's loop before the entries were parsed by one
+    ``np.loadtxt`` call, with the same error messages.
+
+    Entries are added in file order, so duplicates sum as in the fast
+    reader.  Unlike it, this loop accepts what ``int`` and ``float``
+    accept (underscores, non-ASCII digits) and rejects an index in float
+    form and a comment after an entry."""
+    path = Path(path)
+    rows = cols = None
+    remaining = 0
+    values = None
+    with open(path) as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if lineno == 1:
+                fields = line.lower().split()
+                if (len(fields) < 4 or fields[0] != "%%matrixmarket"
+                        or fields[1] != "matrix" or fields[2] != "coordinate"
+                        or fields[3] not in ("real", "integer")
+                        or (len(fields) > 4 and fields[4] != "general")):
+                    raise DataError(
+                        f"{path}:{lineno}: unsupported MatrixMarket banner "
+                        f"{line!r} (need 'matrix coordinate real general')")
+                continue
+            if not line or line.startswith("%"):
+                continue
+            tokens = line.split()
+            if values is None:
+                if len(tokens) != 3:
+                    raise DataError(
+                        f"{path}:{lineno}: expected 'rows cols nnz' size line")
+                try:
+                    rows, cols, remaining = (int(t) for t in tokens)
+                except ValueError:
+                    raise DataError(
+                        f"{path}:{lineno}: non-integer size line {line!r}")
+                if rows < 1 or cols < 1 or remaining < 0:
+                    raise DataError(f"{path}:{lineno}: invalid sizes {line!r}")
+                try:
+                    values = np.zeros((rows, cols))
+                except (ValueError, MemoryError):  # too big to address
+                    raise DataError(
+                        f"{path}:{lineno}: cannot hold a dense {rows} x "
+                        f"{cols} matrix") from None
+                continue
+            if len(tokens) != 3:
+                raise DataError(
+                    f"{path}:{lineno}: expected 'row col value' entry")
+            try:
+                r, c = int(tokens[0]), int(tokens[1])
+                v = float(tokens[2])
+            except ValueError:
+                raise DataError(f"{path}:{lineno}: malformed entry {line!r}")
+            if not (1 <= r <= rows and 1 <= c <= cols):
+                raise DataError(
+                    f"{path}:{lineno}: entry ({r}, {c}) outside "
+                    f"{rows} x {cols} matrix")
+            values[r - 1, c - 1] += v
+            remaining -= 1
+    if values is None:
+        raise DataError(f"{path}: missing size line")
+    if remaining > 0:
+        raise DataError(f"{path}: {remaining} entries missing at end of file")
+    if remaining < 0:
+        raise DataError(f"{path}: more entries than declared")
+    return values

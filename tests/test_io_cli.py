@@ -6,10 +6,14 @@ import json
 import re
 import subprocess
 import sys
+import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import glmpca as g
 from glmpca import DataError
@@ -18,6 +22,7 @@ from glmpca import cli
 from glmpca.cli import run_cli
 from glmpca.optimizer import FitConfig, FitResult
 
+import oracle
 from conftest import DATA_DIR
 
 FIXTURE = DATA_DIR / "counts_10x20.mtx"
@@ -119,6 +124,175 @@ class TestMatrixMarketReader:
         loaded = gio.read_matrix(path)
         with pytest.raises(DataError, match="row 1, column 1"):
             g.check_data_matrix(loaded.values, g.poisson())
+
+    @pytest.mark.parametrize("body", ["", "% only a comment\n", "\n  \n"],
+                             ids=["empty", "comment", "blank"])
+    def test_no_entries_read_as_zeros_without_warning(self, tmp_path, body):
+        path = tmp_path / "m.mtx"
+        path.write_text("%%MatrixMarket matrix coordinate real general\n"
+                        "2 3 0\n" + body)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            loaded = gio.read_matrix(path)
+        np.testing.assert_array_equal(loaded.values, np.zeros((2, 3)))
+
+    @pytest.mark.parametrize("size", ["1 1", "1 3", "3 1"])
+    def test_one_entry_keeps_two_dimensions(self, tmp_path, size):
+        path = tmp_path / "m.mtx"
+        path.write_text("%%MatrixMarket matrix coordinate real general\n"
+                        f"{size} 1\n1 1 7\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = gio.read_matrix(path).values
+        expected = np.zeros(tuple(int(n) for n in size.split()))
+        expected[0, 0] = 7.0
+        np.testing.assert_array_equal(values, expected)
+
+    def test_first_bad_line_beats_entry_count(self, tmp_path):
+        path = tmp_path / "m.mtx"
+        path.write_text("%%MatrixMarket matrix coordinate real general\n"
+                        "2 2 1\n1 1 1\n2 2 1\n2 9 1\n")
+        with pytest.raises(DataError,
+                           match=r"m\.mtx:5: entry \(2, 9\) outside"):
+            gio.read_matrix(path)
+
+    @pytest.mark.parametrize("token", ["1_0", "\u0661", "1.5"])
+    def test_unparsed_numbers_and_fractional_index_are_malformed(
+            self, tmp_path, token):
+        # int() and float() take underscores and non-ASCII digits, but
+        # the reader takes numbers as np.loadtxt parses them; an index
+        # must be whole
+        path = tmp_path / "m.mtx"
+        path.write_text("%%MatrixMarket matrix coordinate real general\n"
+                        f"2 2 2\n1 1 1\n{token} 2 {token}\n",
+                        encoding="utf-8")
+        with pytest.raises(DataError, match=r"m\.mtx:4: malformed entry"):
+            gio.read_matrix(path)
+
+    def test_trailing_comment_and_whole_float_index_accepted(self, tmp_path):
+        path = tmp_path / "m.mtx"
+        path.write_text("%%MatrixMarket matrix coordinate real general\n"
+                        "2 2 2\n1 1 4 % a note\n2.0 2e0 1\n")
+        np.testing.assert_array_equal(gio.read_matrix(path).values,
+                                      [[4.0, 0.0], [0.0, 1.0]])
+
+    def test_sparse_read_allocates_one_dense_array(self, tmp_path):
+        # summing with np.bincount(..., minlength=rows * cols) would make
+        # a second dense array, and a MemoryError on a huge sparse input
+        path = tmp_path / "m.mtx"
+        path.write_text("%%MatrixMarket matrix coordinate real general\n"
+                        "1000 1000 3\n1 1 1\n500 500 2\n1000 1000 3\n")
+        tracemalloc.start()
+        try:
+            values = gio.read_matrix(path).values
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert values.sum() == 6.0
+        assert peak < 1.5 * values.nbytes
+
+
+@st.composite
+def mtx_lines(draw):
+    """(rows, cols, entry lines, header lines) of a valid MatrixMarket
+    file: random shape, duplicate coordinates, tab and space separators
+    and values in integer, repr and exponent form."""
+    rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    n = draw(st.integers(0, 12))
+    coords = draw(st.lists(st.tuples(st.integers(1, rows),
+                                     st.integers(1, cols)),
+                           min_size=n, max_size=n))
+    entries = []
+    for r, c in coords:
+        v = draw(st.floats(-1e6, 1e6, allow_nan=False))
+        text = draw(st.sampled_from([repr(v), f"{v:.6e}", f"{v:E}",
+                                     str(int(v))]))
+        sep = draw(st.sampled_from([" ", "\t", "  ", " \t"]))
+        lead = draw(st.sampled_from(["", " ", "\t"]))
+        entries.append(f"{lead}{r}{sep}{c}{sep}{text}")
+    field = draw(st.sampled_from(["real", "integer"]))
+    header = [f"%%MatrixMarket matrix coordinate {field} general",
+              *draw(st.lists(st.sampled_from(["% a comment", ""]),
+                             max_size=2))]
+    return rows, cols, entries, header
+
+
+def join_mtx(draw, header, size, entries):
+    """Header, size line and entries with comment and blank lines drawn
+    between the entries, joined by LF or CRLF line ends."""
+    lines = [*header, size]
+    for entry in entries:
+        lines += draw(st.lists(st.sampled_from(
+            ["% between", "%", "  % indented", "", "   ", "\t"]),
+            max_size=2))
+        lines.append(entry)
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join(lines) + newline
+
+
+@st.composite
+def valid_mtx(draw):
+    rows, cols, entries, header = draw(mtx_lines())
+    return join_mtx(draw, header, f"{rows} {cols} {len(entries)}", entries)
+
+
+@st.composite
+def corrupted_mtx(draw):
+    """A file with one entry line corrupted, or none and a wrong entry
+    count; the declared count may also be off by one."""
+    rows, cols, entries, header = draw(mtx_lines())
+    kind = draw(st.sampled_from(
+        ["none", "token", "two", "four", "range", "half"]
+        if entries else ["none"]))
+    deltas = [-1, 1] if kind == "none" else [-1, 0, 1]
+    delta = draw(st.sampled_from([d for d in deltas if len(entries) + d >= 0]))
+    if kind != "none":
+        k = draw(st.integers(0, len(entries) - 1))
+        tokens = entries[k].split()
+        slot = draw(st.integers(0, 2 if kind == "token" else 1))
+        if kind == "token":
+            tokens[slot] = draw(st.sampled_from(
+                ["x", "1q", "--1", "1..5", "0x10", "1e", "+-2", "1,5"]))
+        elif kind == "two":
+            tokens = tokens[:2]
+        elif kind == "four":
+            tokens.append("1")
+        elif kind == "range":
+            limit = (rows, cols)[slot]
+            tokens[slot] = str(draw(st.sampled_from(
+                [0, -1, limit + 1, limit + 7])))
+        else:
+            tokens[slot] = "1.5"
+        entries[k] = " ".join(tokens)
+    return join_mtx(draw, header, f"{rows} {cols} {len(entries) + delta}",
+                    entries)
+
+
+class TestReaderMatchesLineReader:
+    """The np.loadtxt reader against the line-by-line reference loop."""
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=valid_mtx())
+    def test_valid_files_read_equal(self, tmp_path, text):
+        path = tmp_path / "m.mtx"
+        path.write_bytes(text.encode())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = gio.read_matrix(path).values
+        assert np.array_equal(values, oracle.read_matrix_market_lines(path))
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=corrupted_mtx())
+    def test_bad_files_raise_the_same_error(self, tmp_path, text):
+        path = tmp_path / "m.mtx"
+        path.write_bytes(text.encode())
+        with pytest.raises(DataError) as expected:
+            oracle.read_matrix_market_lines(path)
+        with pytest.raises(DataError) as actual:
+            gio.read_matrix(path)
+        assert str(actual.value) == str(expected.value)
 
 
 class TestCsvReader:
