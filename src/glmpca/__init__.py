@@ -5,9 +5,8 @@ Bernoulli, or negative binomial likelihood, with optional covariates and
 per-observation offsets.  Fitting runs penalized Fisher scoring, one
 joint step per factor block, U then V, in which every row solves for all
 of its updateable columns at once; postprocessing projects covariates
-out of the latent factors, rotates the loadings to orthonormality, and
-orders dimensions by magnitude so the output behaves like PCA
-scores/loadings.
+out of the latent factors and takes the SVD of their product, so the
+output behaves like PCA scores/loadings.
 """
 
 from .exceptions import (ConfigError, DataError, DomainError, FitError,

@@ -58,7 +58,7 @@ def read_matrix_market(path) -> LoadedMatrix:
     an entry.  Only when a check fails is the body scanned again line by
     line, by ``_body_error``, to name the first bad line."""
     path = Path(path)
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if lineno == 1:
@@ -234,15 +234,20 @@ def read_csv_matrix(path) -> LoadedMatrix:
 
 def read_matrix(path, fmt: str | None = None) -> LoadedMatrix:
     """Read a matrix, inferring the format from the extension when
-    ``fmt`` is None (.mtx/.mm are MatrixMarket, everything else CSV)."""
+    ``fmt`` is None (.mtx/.mm are MatrixMarket, everything else CSV).
+    Both are read as UTF-8; an undecodable byte raises DataError."""
     path = Path(path)
     if fmt is None:
         fmt = "matrixmarket" if path.suffix.lower() in (".mtx", ".mm") \
             else "csv"
-    if fmt == "matrixmarket":
-        return read_matrix_market(path)
-    if fmt == "csv":
-        return read_csv_matrix(path)
+    try:
+        if fmt == "matrixmarket":
+            return read_matrix_market(path)
+        if fmt == "csv":
+            return read_csv_matrix(path)
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason} "
+                        f"0x{exc.object[exc.start]:02x})") from None
     raise DataError(f"unknown input format {fmt!r}")
 
 

@@ -269,7 +269,7 @@ def build_model(Y, *, n_latent: int, family: Family, obs_covariates=None,
         Ridge penalties on the latent columns of U and V.  Coefficient
         blocks are never penalized.
     seed : int
-        Seeds the latent initialization.
+        Seeds the latent initialization; a nonnegative integer.
 
     The latent blocks start at small seeded Gaussian noise with standard
     deviation 0.1/sqrt(n_latent) so that initial means stay near
@@ -293,6 +293,8 @@ def build_model(Y, *, n_latent: int, family: Family, obs_covariates=None,
 
     if not isinstance(n_latent, (int, np.integer)) or n_latent < 1:
         raise ConfigError("n_latent must be a positive integer")
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ConfigError(f"seed must be a nonnegative integer, got {seed!r}")
     index = IndexSets(X.shape[1], Z.shape[1], int(n_latent))
     if index.n_total >= min(n_obs, n_feat):
         raise ConfigError(

@@ -60,8 +60,8 @@ class FitConfig:
 
 @dataclass
 class FitResult:
-    """Post-processed fit: orthonormal loadings, norm-ordered factors,
-    coefficients, and the (non-decreasing) objective trace."""
+    """Post-processed fit: orthonormal loadings, orthogonal factors in
+    decreasing norm, coefficients, and the non-decreasing Q trace."""
 
     factors: np.ndarray       # N x L
     loadings: np.ndarray      # J x L
@@ -158,7 +158,9 @@ def fit(state: ModelState, config: FitConfig | None = None) -> FitResult:
     trace: list[tuple[int, float]] = []
 
     try:
-        q_prev = objective(state)
+        # as in the sweeps, an overflow gives a non-finite Q, a FitError
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            q_prev = objective(state)
     except (DomainError, FloatingPointError) as exc:
         raise FitError(f"objective undefined at the starting point: {exc}",
                        trace) from exc

@@ -1,21 +1,21 @@
 """Post-fit transformations that make the latent factors PCA-like.
 
-Three steps, all of which leave the linear predictor R (and hence the
+Two steps, both of which leave the linear predictor R (and hence the
 predicted means) unchanged:
 
 1. projection  - move any component of the latent factors lying in the
    span of the covariates into the regression coefficients, so the
    factors become orthogonal to X and Z; runs in place on the model
    state, one covariate side at a time;
-2. rotation    - an SVD change of basis so the loadings matrix has
-   orthonormal columns;
-3. ordering    - permute dimensions by decreasing L2 norm of the factor
-   columns (equivalently by variance once the means are zero).
+2. rotation    - the truncated SVD of the latent product: orthonormal
+   loadings, and orthogonal factors in decreasing norm (equivalently
+   by variance once the means are zero).  It depends only on the
+   product, not on how the fit split it between U and V, so an
+   unpenalized Gaussian fit with an intercept returns PCA's own
+   loadings and scores.  It takes and returns raw factor arrays.
 
-Rotation and ordering take and return raw factor arrays.
-
-No J x N matrix is ever formed here; the work is O(max(L, K_o, K_f)^3)
-for the small inversions plus matrix products linear in N and J.
+No J x N matrix is ever formed here; the work is O((J + N) K^2), with
+K = max(L, K_o, K_f).
 """
 
 from __future__ import annotations
@@ -59,40 +59,31 @@ def project_out_covariates(state: ModelState) -> ModelState:
 
 
 def rotate_factors(u_latent: np.ndarray, v_latent: np.ndarray):
-    """Rotation step on raw arrays: orthonormalize the loadings.
+    """Rotation on raw arrays: the truncated SVD of V~ U~', without
+    forming that J x N product.
 
-    With the SVD V~' = F diag(d) Vhat', the new loadings Vhat have
-    orthonormal columns and Uhat = U~ F diag(d) keeps the product
-    Vhat Uhat' = V~ U~'.  Zero singular values (rank-deficient loadings)
-    produce all-zero factor columns, which is legal and left to the
+    With thin QR factorizations U~ = Q_u R_u, V~ = Q_v R_v and the L x L
+    SVD R_v R_u' = P diag(s) W', the loadings Vhat = Q_v P are
+    orthonormal and the factors Uhat = Q_u W diag(s) orthogonal, in
+    decreasing norm s, with Vhat Uhat' = V~ U~'.  A zero singular value
+    gives an all-zero factor column, which is legal and left to the
     caller to flag.  Signs are fixed so each loading column's largest
     absolute entry is positive.
     """
-    f_rot, sing, vh = np.linalg.svd(v_latent.T, full_matrices=False)
-    v_hat = vh.T
-    u_hat = (u_latent @ f_rot) * sing[None, :]
+    q_u, r_u = np.linalg.qr(u_latent)
+    q_v, r_v = np.linalg.qr(v_latent)
+    p_rot, sing, w_rot_t = np.linalg.svd(r_v @ r_u.T)
+    v_hat = q_v @ p_rot
     signs = np.sign(v_hat[np.argmax(np.abs(v_hat), axis=0),
                           np.arange(v_hat.shape[1])])
-    signs[signs == 0] = 1.0
-    return u_hat * signs[None, :], v_hat * signs[None, :]
-
-
-def order_factors(u_hat: np.ndarray, v_hat: np.ndarray):
-    """Ordering step: joint column permutation by decreasing factor norm.
-
-    Stable on ties, so equal-norm columns keep their relative order, and
-    applying the step twice is a no-op.
-    """
-    norms = np.linalg.norm(u_hat, axis=0)
-    order = np.argsort(-norms, kind="stable")
-    return u_hat[:, order], v_hat[:, order]
+    return (q_u @ w_rot_t.T) * (sing * signs), v_hat * signs
 
 
 def postprocess(state: ModelState):
-    """Run projection, rotation, and ordering; returns (factors, loadings).
+    """Run projection, then rotation; returns (factors, loadings).
 
     Mutates the coefficient and latent blocks of ``state`` (projection),
-    then derives the rotated, ordered factors from the projected blocks.
+    then derives the factors and loadings from the projected blocks.
     """
     project_out_covariates(state)
-    return order_factors(*rotate_factors(state.U_latent, state.V_latent))
+    return rotate_factors(state.U_latent, state.V_latent)

@@ -137,6 +137,8 @@ class TestNaturalParam:
             g.bernoulli().natural_param(0.0)
         with pytest.raises(DomainError):
             g.bernoulli().natural_param(1.0)
+        with pytest.raises(DomainError, match="non-finite"):
+            g.poisson().natural_param(np.nan)
 
     def test_nb_negative(self):
         fam = g.negative_binomial(2.0)
@@ -187,6 +189,10 @@ class TestLoglikTerm:
             g.negative_binomial(2.0).loglik_term(-3.0, -1.0)
         with pytest.raises(DataError):
             g.poisson().loglik_term(2.5, 0.0)
+
+    def test_nonfinite_natural_param_rejected(self):
+        with pytest.raises(DomainError, match="non-finite"):
+            g.poisson().loglik_term(1.0, np.nan)
 
 
 class TestAnalyticIdentities:

@@ -91,13 +91,24 @@ class TestMatrixMarketReader:
         ("2 2 3\n1 1 1\n", r"m\.mtx: 2 entries missing at end of file"),
         ("2 2 1\n1 1 1\n2 2 1\n", r"m\.mtx: more entries than declared"),
         ("% only comments\n\n", r"m\.mtx: missing size line"),
-    ], ids=["truncated", "oversized", "no_size_line"])
+        ("2 2\n", r"m\.mtx:2: expected 'rows cols nnz' size line"),
+        ("2 2 x\n", r"m\.mtx:2: non-integer size line"),
+        ("2 -2 0\n", r"m\.mtx:2: invalid sizes"),
+    ], ids=["truncated", "oversized", "no_size_line", "two_token_size",
+            "non_integer_size", "negative_size"])
     def test_entry_count_and_size_line_errors(self, tmp_path, body,
                                               message):
         path = tmp_path / "m.mtx"
         path.write_text("%%MatrixMarket matrix coordinate real general\n"
                         + body)
         with pytest.raises(DataError, match=message):
+            gio.read_matrix(path)
+
+    def test_non_utf8_byte_names_path(self, tmp_path):
+        path = tmp_path / "m.mtx"
+        path.write_bytes(b"%%MatrixMarket matrix coordinate real general\n"
+                         b"% caf\xe9\n2 2 1\n1 1 1\n")
+        with pytest.raises(DataError, match=r"m\.mtx: not UTF-8 text"):
             gio.read_matrix(path)
 
     def test_duplicate_coordinates_are_summed(self, tmp_path):
@@ -345,6 +356,31 @@ class TestCsvReader:
         with pytest.raises(DataError, match="empty"):
             gio.read_matrix(path)
 
+    @pytest.mark.parametrize("text, message", [
+        ("id,s1,s2\n", r"m\.csv: no data rows"),
+        ("id\ngeneA\ngeneB\n", r"m\.csv: no data columns"),
+        ("a,b,c\n1,2\n", r"m\.csv: header has 3 names for 2 columns"),
+    ], ids=["header_only", "row_names_only", "header_too_wide"])
+    def test_layout_errors(self, tmp_path, text, message):
+        path = tmp_path / "m.csv"
+        path.write_text(text)
+        with pytest.raises(DataError, match=message):
+            gio.read_matrix(path)
+
+    def test_non_utf8_byte_names_path(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_bytes(b"1,2\n3,\xff\n")
+        with pytest.raises(DataError,
+                           match=r"m\.csv: not UTF-8 text \(invalid start "
+                                 r"byte 0xff\)"):
+            gio.read_matrix(path)
+
+    def test_unknown_format_rejected(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("1,2\n3,4\n")
+        with pytest.raises(DataError, match="unknown input format 'xyz'"):
+            gio.read_matrix(path, "xyz")
+
     def test_write_read_round_trip_is_exact(self, tmp_path):
         rng = np.random.default_rng(3)
         values = rng.normal(size=(5, 4)) * 10.0 ** rng.integers(-8, 8, (5, 4))
@@ -444,6 +480,36 @@ class TestCli:
         assert code == 1
         assert "--dispersion" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("args, message", [
+        (["--seed", "-1"], "seed must be a nonnegative integer, got -1"),
+        (["--dispersion", "2"], "--dispersion is only valid for --family "
+         "negative_binomial"),
+        (["--offset", "bogus"], "--offset must be 'none', 'auto', or "
+         "'file:PATH', got 'bogus'"),
+        (["--offset", "file:{short_offset}"],
+         "offset file has 19 values, expected 20"),
+        (["--input", "{latin1_mtx}"], "latin1.mtx: not UTF-8 text"),
+        (["--input", "{latin1_csv}"], "latin1.csv: not UTF-8 text"),
+    ], ids=["negative_seed", "dispersion_without_nb", "unknown_offset",
+            "short_offset_file", "non_utf8_mtx", "non_utf8_csv"])
+    def test_bad_input_exits_1_with_one_error_line(self, tmp_path, capsys,
+                                                   args, message):
+        files = {"short_offset": tmp_path / "offset.csv",
+                 "latin1_mtx": tmp_path / "latin1.mtx",
+                 "latin1_csv": tmp_path / "latin1.csv"}
+        files["short_offset"].write_text(",".join(["0"] * 19) + "\n")
+        files["latin1_mtx"].write_bytes(FIXTURE.read_bytes() + b"% \xff\n")
+        files["latin1_csv"].write_bytes(b"1,2,3\n4,5,\xff\n")
+        out = tmp_path / "o"
+        code = self.run("fit", "--input", str(FIXTURE), "--family",
+                        "poisson", "--dims", "1", "--output-dir", str(out),
+                        *(arg.format(**files) for arg in args))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+        assert not out.exists()
+
     def test_negative_count_exits_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.mtx"
         bad.write_text("%%MatrixMarket matrix coordinate real general\n"
@@ -542,6 +608,32 @@ class TestCli:
         options = {opt for action in sub.choices["fit"]._actions
                    for opt in action.option_strings} - {"-h", "--help"}
         assert documented == options
+
+    def test_readme_quickstart_runs_as_documented(self):
+        # the python block under "Library quickstart" runs, and its
+        # comments hold: the shapes, orthogonal factors in decreasing
+        # norm, orthonormal loadings and a non-decreasing trace
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        section = readme.split("## Library quickstart", 1)[1]
+        code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+        namespace = {}
+        exec(code, namespace)
+        result = namespace["result"]
+        shapes = re.findall(r"^result\.(\w+) +# \((\d+), (\d+)\)", code,
+                            re.M)
+        assert [name for name, _, _ in shapes] == \
+            ["factors", "loadings", "coef_A"]
+        for name, rows, cols in shapes:
+            assert getattr(result, name).shape == (int(rows), int(cols))
+        n_latent = result.loadings.shape[1]
+        np.testing.assert_allclose(result.loadings.T @ result.loadings,
+                                   np.eye(n_latent), rtol=0, atol=1e-10)
+        gram = result.factors.T @ result.factors
+        off_diagonal = gram - np.diag(np.diag(gram))
+        assert np.abs(off_diagonal).max() <= 1e-10 * np.diag(gram).min()
+        assert np.all(np.diff(np.diag(gram)) <= 0)
+        qs = [q for _, q in result.trace]
+        assert all(b >= a for a, b in zip(qs, qs[1:]))
 
     def test_pandas_style_csv_fits_three_observations(self, tmp_path):
         rng = np.random.default_rng(4)

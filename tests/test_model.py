@@ -26,6 +26,10 @@ class TestIndexSets:
         with pytest.raises(ConfigError):
             IndexSets(1, 1, 0)
 
+    def test_negative_covariate_count_rejected(self):
+        with pytest.raises(ConfigError, match="nonnegative"):
+            IndexSets(-1, 0, 1)
+
 
 class TestDataValidation:
     def test_negative_count_names_cell(self):
@@ -93,6 +97,28 @@ class TestBuildModel:
             g.build_model(Y, n_latent=1, family=g.poisson(),
                           feat_covariates=zcol, seed=0)
 
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(obs_covariates=np.ones((9, 1))), "obs_covariates must be a "
+         "matrix with 10 rows"),
+        (dict(feat_covariates=[[0.0], [np.nan], [1.0], [2.0], [3.0]]),
+         "feat_covariates contains non-finite values"),
+        (dict(n_latent=1.5), "n_latent must be a positive integer"),
+        (dict(seed=-1), "seed must be a nonnegative integer, got -1"),
+        (dict(seed=0.5), "seed must be a nonnegative integer, got 0.5"),
+    ], ids=["short_covariates", "nan_covariate", "fractional_n_latent",
+            "negative_seed", "fractional_seed"])
+    def test_bad_argument_rejected(self, kwargs, message):
+        args = dict(n_latent=1, family=g.poisson(), seed=0) | kwargs
+        with pytest.raises(ConfigError, match=message):
+            g.build_model(np.zeros((5, 10)), **args)
+
+    def test_covariate_vector_is_one_column(self):
+        z = np.arange(5.0)
+        state = g.build_model(np.zeros((5, 10)), n_latent=1,
+                              family=g.poisson(), feat_covariates=z, seed=0)
+        assert state.index.n_feat_cov == 1
+        np.testing.assert_array_equal(state.Z, z[:, None])
+
     def test_too_many_dimensions_rejected(self):
         Y = np.zeros((4, 10))
         with pytest.raises(ConfigError, match="min"):
@@ -155,6 +181,12 @@ class TestBuildModel:
         with pytest.raises(ConfigError, match="length"):
             g.build_model(Y, n_latent=1, family=g.poisson(),
                           offset=np.zeros(5), seed=0)
+        with pytest.raises(ConfigError, match="non-finite"):
+            g.build_model(Y, n_latent=1, family=g.poisson(),
+                          offset=np.full(8, np.inf), seed=0)
+        with pytest.raises(ConfigError, match="unknown offset policy"):
+            g.build_model(Y, n_latent=1, family=g.poisson(),
+                          offset="bogus", seed=0)
 
 
 class TestLinearPredictor:

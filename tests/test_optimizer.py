@@ -470,6 +470,19 @@ class TestFit:
         recon = state.V_latent @ state.U_latent.T
         assert np.linalg.norm(recon - loadings @ scores.T) <= 1e-6
 
+    def test_gaussian_returns_pca_loadings_and_scores(self):
+        # C3's data: the output is PCA's own, not just the same product
+        Y = np.random.default_rng(42).standard_normal((20, 40))
+        state = g.build_model(Y, n_latent=3, family=g.gaussian(),
+                              penalty_u=0.0, penalty_v=0.0, seed=5)
+        result = g.fit(state, g.FitConfig(max_iters=20000, tol=1e-12))
+        scores, loadings = oracle.pca_reference(Y, 3)
+        signs = np.sign(np.sum(result.loadings * loadings, axis=0))
+        for got, want in ((result.loadings, loadings),
+                          (result.factors, scores)):
+            err = np.linalg.norm(got * signs - want, axis=0)
+            assert np.all(err <= 1e-4 * np.linalg.norm(want, axis=0))
+
     def test_saturated_start_converges_immediately(self):
         # gaussian, unpenalized: y == mu is a stationary point
         state = random_state(g.gaussian(), seed=8, penalty=0.0)
@@ -565,6 +578,22 @@ class TestFit:
         with pytest.raises(FitError, match="halvings"):
             g.fit(state, g.FitConfig())
 
+    @pytest.mark.parametrize("case, message", [
+        ("huge offset", "non-finite at the starting point"),
+        ("inf in U", "undefined at the starting point"),
+    ])
+    def test_nonfinite_start_raises_fit_error(self, case, message):
+        # the suite turns RuntimeWarnings into errors, so an overflow
+        # leaking from the starting objective would fail this test
+        Y = np.random.default_rng(0).normal(size=(5, 8))
+        offset = np.full(8, 1e200) if case == "huge offset" else "none"
+        state = g.build_model(Y, n_latent=1, family=g.gaussian(),
+                              offset=offset, seed=0)
+        if case == "inf in U":
+            state.U[0, -1] = np.inf
+        with pytest.raises(FitError, match=message):
+            g.fit(state, g.FitConfig())
+
     def test_result_contract(self):
         state = random_state(g.poisson(), seed=97, n_latent=2)
         result = g.fit(state, g.FitConfig(max_iters=200, tol=1e-8))
@@ -603,3 +632,5 @@ class TestFit:
             g.FitConfig(max_iters=0)
         with pytest.raises(ConfigError):
             g.FitConfig(tol=0.0)
+        with pytest.raises(ConfigError):
+            g.FitConfig(max_halvings=-1)

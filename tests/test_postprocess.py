@@ -1,5 +1,6 @@
-"""Tests for the projection, rotation, and ordering pipeline."""
+"""Tests for the projection and rotation pipeline."""
 
+import copy
 import tracemalloc
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 import glmpca as g
 from glmpca import IndexSets, ModelState, PostprocessError
 from glmpca.model import predictor_stats
-from glmpca.postprocess import order_factors, rotate_factors
+from glmpca.postprocess import rotate_factors
 
 from conftest import ALL_FAMILIES, advance, random_state
 
@@ -106,16 +107,6 @@ class TestRotation:
         np.testing.assert_allclose(v_til @ (v_til.T @ v_hat), v_hat,
                                    rtol=0, atol=1e-10)
 
-    def test_orthogonal_distinct_norm_loadings_match_up_to_sign(self):
-        rng = np.random.default_rng(19)
-        base = np.linalg.qr(rng.normal(size=(7, 3)))[0]
-        v_til = base * np.array([3.0, 2.0, 1.0])
-        u_til = rng.normal(size=(10, 3))
-        u_hat, v_hat = rotate_factors(u_til, v_til)
-        # distinct singular values make the SVD unique up to column sign
-        signs = np.sign(base[np.argmax(np.abs(base), axis=0), np.arange(3)])
-        np.testing.assert_allclose(v_hat, base * signs, rtol=0, atol=1e-10)
-
     def test_sign_convention(self):
         rng = np.random.default_rng(23)
         u_hat, v_hat = rotate_factors(rng.normal(size=(9, 3)),
@@ -143,38 +134,6 @@ class TestRotation:
         np.testing.assert_allclose(u_hat.mean(axis=0), 0.0, atol=1e-12)
 
 
-class TestOrdering:
-    def test_permutation_by_norm(self):
-        u = np.zeros((4, 3))
-        u[0] = [3.0, 1.0, 2.0]
-        v = np.eye(3)
-        u_ord, v_ord = order_factors(u, v)
-        np.testing.assert_array_equal(u_ord[0], [3.0, 2.0, 1.0])
-        np.testing.assert_array_equal(v_ord, v[:, [0, 2, 1]])
-
-    def test_ties_are_stable(self):
-        u = np.ones((4, 3))
-        v = np.eye(3)
-        u_ord, v_ord = order_factors(u, v)
-        np.testing.assert_array_equal(v_ord, v)
-
-    def test_idempotent(self):
-        rng = np.random.default_rng(37)
-        u = rng.normal(size=(8, 4))
-        v = np.linalg.qr(rng.normal(size=(6, 4)))[0]
-        u1, v1 = order_factors(u, v)
-        u2, v2 = order_factors(u1, v1)
-        np.testing.assert_array_equal(u1, u2)
-        np.testing.assert_array_equal(v1, v2)
-
-    def test_reconstruction_unchanged(self):
-        rng = np.random.default_rng(41)
-        u = rng.normal(size=(8, 3))
-        v = rng.normal(size=(5, 3))
-        u_ord, v_ord = order_factors(u, v)
-        np.testing.assert_allclose(v_ord @ u_ord.T, v @ u.T, atol=1e-12)
-
-
 class TestFullPipeline:
     @pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: f.kind)
     def test_means_invariant(self, family):
@@ -186,6 +145,33 @@ class TestFullPipeline:
                        + v_hat @ u_hat.T + state.delta[None, :])
             m_after = state.family.inverse_link(r_after)
             assert np.abs(m_after - m_before).max() <= 1e-8
+
+    @pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: f.kind)
+    def test_output_ignores_how_the_product_is_split(self, family):
+        # U_l G, V_l G^-T leaves V_l U_l' and so every prediction as it
+        # was; the output must not see the difference
+        gauge = np.array([[2.0, 0.7, 0.0], [-0.3, 0.5, 0.2], [0.1, 0.0, 1.5]])
+        for seed in range(5):
+            state = advance(random_state(family, seed=700 + seed,
+                                         n_latent=3), 6)
+            moved = copy.deepcopy(state)
+            lat = moved.index.latent_slice
+            moved.U[:, lat] = state.U_latent @ gauge
+            moved.V[:, lat] = state.V_latent @ np.linalg.inv(gauge).T
+            u_hat, v_hat = g.postprocess(state)
+            u_mov, v_mov = g.postprocess(moved)
+            np.testing.assert_allclose(v_mov, v_hat, rtol=0, atol=1e-10)
+            np.testing.assert_allclose(u_mov, u_hat, rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: f.kind)
+    def test_factors_are_orthogonal(self, family):
+        for seed in range(5):
+            state = advance(random_state(family, seed=700 + seed,
+                                         n_latent=3), 6)
+            u_hat, _ = g.postprocess(state)
+            gram = u_hat.T @ u_hat
+            off_diagonal = gram - np.diag(np.diag(gram))
+            assert np.abs(off_diagonal).max() <= 1e-10 * np.diag(gram).min()
 
     def test_factors_orthogonal_to_covariates_after_pipeline(self):
         state = advance(random_state(g.poisson(), seed=43), 8)
@@ -237,7 +223,6 @@ class TestFullPipeline:
         tracemalloc.start()
         g.project_out_covariates(state)
         u_hat, v_hat = rotate_factors(state.U_latent, state.V_latent)
-        u_hat, v_hat = order_factors(u_hat, v_hat)
         _, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
         assert peak < 200 * 1024 * 1024  # far below one J x N matrix
