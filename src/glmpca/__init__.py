@@ -10,7 +10,7 @@ output behaves like PCA scores/loadings.
 """
 
 from .exceptions import (ConfigError, DataError, DomainError, FitError,
-                         GlmPcaError, PostprocessError)
+                         GlmPcaError)
 from .families import Family, bernoulli, gaussian, negative_binomial, poisson
 from .io import LoadedMatrix, read_matrix, write_result
 # check_data_matrix, gradient and predictor_stats stay importable from
@@ -24,7 +24,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ConfigError", "DataError", "DomainError", "FitError", "GlmPcaError",
-    "PostprocessError",
     "Family", "bernoulli", "gaussian", "negative_binomial", "poisson",
     "LoadedMatrix", "read_matrix", "write_result",
     "IndexSets", "ModelState", "build_model", "linear_predictor",

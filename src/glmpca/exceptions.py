@@ -17,10 +17,6 @@ class DomainError(GlmPcaError):
     """Argument outside the domain of a family function."""
 
 
-class PostprocessError(GlmPcaError):
-    """Covariate projection impossible (rank-deficient design matrix)."""
-
-
 class FitError(GlmPcaError):
     """Optimization failed irrecoverably; carries the objective trace."""
 

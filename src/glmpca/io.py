@@ -317,7 +317,6 @@ def write_result(result: FitResult, out_dir, row_names=None, col_names=None,
         "iterations_run": result.iterations_run,
         "final_q": result.final_q,
         "objective": "partial",  # data-only likelihood constant is dropped
-        "postprocessed": result.postprocessed,
         "warnings": list(result.warnings),
         "config": config or {},
     }

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import ConfigError, DomainError, FitError, GlmPcaError
+from .exceptions import ConfigError, DomainError, FitError
 from .model import (ModelState, PredictorStats, block_of, fisher_gram,
                     gradient, objective, predictor_stats)
 from .postprocess import postprocess
@@ -50,18 +50,22 @@ class FitConfig:
     full_scoring_coef: bool = False
 
     def __post_init__(self):
-        if self.max_iters < 1:
-            raise ConfigError("max_iters must be at least 1")
+        for name, low in (("max_iters", 1), ("max_halvings", 0)):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or value < low:
+                raise ConfigError(f"{name} must be an integer >= {low}")
         if not self.tol > 0:
             raise ConfigError("tol must be positive")
-        if self.max_halvings < 0:
-            raise ConfigError("max_halvings must be nonnegative")
 
 
 @dataclass
 class FitResult:
     """Post-processed fit: orthonormal loadings, orthogonal factors in
-    decreasing norm, coefficients, and the non-decreasing Q trace."""
+    decreasing norm, coefficients, and the non-decreasing Q trace.
+
+    Every fit that returns is post-processed, whatever the rank of its
+    designs.  A dimension the latent product does not use has an
+    all-zero factor column, counted in ``warnings``."""
 
     factors: np.ndarray       # N x L
     loadings: np.ndarray      # J x L
@@ -74,7 +78,6 @@ class FitResult:
     iterations_run: int
     final_q: float
     warnings: list[str] = field(default_factory=list)
-    postprocessed: bool = True
 
 
 # ----------------------------------------------------------------------
@@ -220,19 +223,12 @@ def fit(state: ModelState, config: FitConfig | None = None) -> FitResult:
 
     warnings = [f"{msg} (x{n})" if n > 1 else msg
                 for msg, n in sorted(notes.items())]
-    postprocessed = True
-    try:
-        u_hat, v_hat = postprocess(state)
-    except GlmPcaError as exc:
-        warnings.append(f"postprocessing skipped: {exc}")
-        postprocessed = False
-        u_hat = state.U_latent.copy()
-        v_hat = state.V_latent.copy()
+    u_hat, v_hat = postprocess(state)
     zero_dims = int(np.sum(np.linalg.norm(u_hat, axis=0) == 0))
-    if postprocessed and zero_dims:
+    if zero_dims:
         warnings.append(
             f"{zero_dims} latent dimension(s) have zero norm "
-            "(rank-deficient loadings)")
+            "(rank-deficient latent product)")
 
     return FitResult(
         factors=u_hat,
@@ -246,5 +242,4 @@ def fit(state: ModelState, config: FitConfig | None = None) -> FitResult:
         iterations_run=iterations,
         final_q=q_prev,
         warnings=warnings,
-        postprocessed=postprocessed,
     )

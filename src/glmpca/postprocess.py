@@ -6,7 +6,8 @@ predicted means) unchanged:
 1. projection  - move any component of the latent factors lying in the
    span of the covariates into the regression coefficients, so the
    factors become orthogonal to X and Z; runs in place on the model
-   state, one covariate side at a time;
+   state, one covariate side at a time, by least squares, so it has an
+   answer for every design, rank-deficient ones included;
 2. rotation    - the truncated SVD of the latent product: orthonormal
    loadings, and orthogonal factors in decreasing norm (equivalently
    by variance once the means are zero).  It depends only on the
@@ -22,7 +23,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .exceptions import PostprocessError
 from .model import ModelState
 
 
@@ -32,27 +32,26 @@ def project_out_covariates(state: ModelState) -> ModelState:
 
     Each design D sits in one factor matrix ("own") and its coefficients
     C in the other ("partner"): X in U with A in V, then Z in V with
-    Gamma in U.  With coef = (D'D)^{-1} D' own_latent,
+    Gamma in U.  With coef a least-squares solution of D coef = own_latent,
 
         C          <- C + partner_latent coef'
         own_latent <- own_latent - D coef
 
-    so V U' keeps its value.  The X side runs first, so the Gamma update
-    uses the x-projected U_latent.  Both designs are checked for full
-    column rank before anything is written.
+    so V U' keeps its value for any such coef, and D' own_latent = 0
+    afterwards by the normal equations.  ``lstsq`` returns the
+    minimum-norm solution, dropping singular values at or below
+    s_max * max(M, N) * eps, the rank rule build_model applies to
+    designs; on a full-rank design that is the unique solution.  The X
+    side runs first, so the Gamma update uses the x-projected U_latent.
     """
     idx = state.index
     lat = idx.latent_slice
-    sides = [(own, partner, fixed) for own, partner, fixed in
-             ((state.U, state.V, idx.obs_slice),
-              (state.V, state.U, idx.feat_slice)) if own[:, fixed].size]
-    for own, _, fixed in sides:
-        if np.linalg.matrix_rank(own[:, fixed]) < own[:, fixed].shape[1]:
-            raise PostprocessError(
-                "design matrix is rank deficient; cannot project it out")
-    for own, partner, fixed in sides:
+    for own, partner, fixed in ((state.U, state.V, idx.obs_slice),
+                                (state.V, state.U, idx.feat_slice)):
         design = own[:, fixed]
-        coef = np.linalg.solve(design.T @ design, design.T @ own[:, lat])
+        if not design.size:
+            continue
+        coef = np.linalg.lstsq(design, own[:, lat], rcond=None)[0]
         partner[:, fixed] += partner[:, lat] @ coef.T
         own[:, lat] -= design @ coef
     return state
@@ -65,14 +64,18 @@ def rotate_factors(u_latent: np.ndarray, v_latent: np.ndarray):
     With thin QR factorizations U~ = Q_u R_u, V~ = Q_v R_v and the L x L
     SVD R_v R_u' = P diag(s) W', the loadings Vhat = Q_v P are
     orthonormal and the factors Uhat = Q_u W diag(s) orthogonal, in
-    decreasing norm s, with Vhat Uhat' = V~ U~'.  A zero singular value
-    gives an all-zero factor column, which is legal and left to the
-    caller to flag.  Signs are fixed so each loading column's largest
-    absolute entry is positive.
+    decreasing norm s, with Vhat Uhat' = V~ U~'.  Singular values at or
+    below s_max * max(J, N) * eps, np.linalg.matrix_rank's rule for the
+    J x N product, are rounding and are set to zero.  A zero singular
+    value gives an all-zero factor column, which is legal and left to
+    the caller to flag.  Signs are fixed so each loading column's
+    largest absolute entry is positive.
     """
     q_u, r_u = np.linalg.qr(u_latent)
     q_v, r_v = np.linalg.qr(v_latent)
     p_rot, sing, w_rot_t = np.linalg.svd(r_v @ r_u.T)
+    tiny = sing.max(initial=0.0) * max(len(u_latent), len(v_latent))
+    sing[sing <= tiny * np.finfo(sing.dtype).eps] = 0.0
     v_hat = q_v @ p_rot
     signs = np.sign(v_hat[np.argmax(np.abs(v_hat), axis=0),
                           np.arange(v_hat.shape[1])])

@@ -1,0 +1,50 @@
+"""The benchmark's tracer patches glmpca from outside, by name.
+
+perfbench/tracing.py wraps glmpca functions and Family methods and puts
+the originals back afterwards.  A rename or deletion in the package that
+the tracer still names breaks ``perfbench/run.py --trace``; this test
+catches it in the tier-1 suite.  It reads perfbench/ and changes nothing
+there.
+"""
+
+import importlib
+import sys
+from pathlib import Path
+
+from glmpca.families import Family
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def glmpca_bindings():
+    """Every attribute of every loaded glmpca module, and of Family."""
+    owners = [mod for name, mod in sorted(sys.modules.items())
+              if name == "glmpca" or name.startswith("glmpca.")]
+    owners.append(Family)
+    return {(id(owner), attr): value for owner in owners
+            for attr, value in list(vars(owner).items())}
+
+
+def test_install_then_uninstall_restores_glmpca(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+
+    # install() imports these itself; load them first so the snapshot
+    # below covers every module it patches
+    for layer in tracing.MODULE_FUNCTIONS:
+        importlib.import_module(f"glmpca.{layer}")
+    before = glmpca_bindings()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        patched = {(owner, attr) for owner, attr, _ in tracer._patched}
+        assert patched
+        assert all(getattr(owner, attr) is not original
+                   for owner, attr, original in tracer._patched)
+        for meth in tracing.FAMILY_METHODS:
+            assert (Family, meth) in patched
+    finally:
+        tracer.uninstall()
+    after = glmpca_bindings()
+    assert after.keys() == before.keys()
+    assert [key for key in before if after[key] is not before[key]] == []

@@ -442,7 +442,7 @@ class TestDegenerateColumns:
         norms = np.linalg.norm(result.factors, axis=0)
         assert norms[-1] == 0 and np.all(norms[:-1] > 0)
         assert ("1 latent dimension(s) have zero norm "
-                "(rank-deficient loadings)") in result.warnings
+                "(rank-deficient latent product)") in result.warnings
 
     def test_fallback_rows_counted_in_warnings(self):
         rng = np.random.default_rng(103)
@@ -603,16 +603,15 @@ class TestFit:
         assert result.coef_A.shape == (n_feat, 1)
         assert result.coef_Gamma.shape == (n_obs, 1)
         assert result.offset.shape == (n_obs,)
-        assert result.postprocessed
         np.testing.assert_allclose(result.loadings.T @ result.loadings,
                                    np.eye(2), rtol=0, atol=1e-10)
         norms = np.linalg.norm(result.factors, axis=0)
         assert np.all(np.diff(norms) <= 1e-12)
         assert result.final_q == pytest.approx(result.trace[-1][1])
 
-    def test_rank_deficient_design_skips_postprocessing(self):
+    def test_rank_deficient_design_is_postprocessed(self, monkeypatch):
         # a duplicated covariate column cannot come out of build_model,
-        # but a hand-built state must still return a usable result
+        # but a hand-built state is still fitted and postprocessed
         rng = np.random.default_rng(103)
         n_obs, n_feat = 10, 4
         x = rng.normal(size=n_obs)
@@ -622,10 +621,26 @@ class TestFit:
         state = tiny_state(rng.normal(size=(n_feat, n_obs)), g.gaussian(),
                            U=U, V=V, lambda_u=[0, 0, 1e-4],
                            lambda_v=[0, 0, 1e-4], index=IndexSets(2, 0, 1))
+        predictors, postprocess = [], optimizer.postprocess
+
+        def watched(state):
+            predictors.append(linear_predictor(state))
+            out = postprocess(state)
+            predictors.append(linear_predictor(state))
+            return out
+
+        monkeypatch.setattr(optimizer, "postprocess", watched)
         result = g.fit(state, g.FitConfig(max_iters=10, tol=1e-8))
-        assert not result.postprocessed
-        assert any("postprocessing skipped" in w for w in result.warnings)
         assert result.factors.shape == (n_obs, 1)
+        np.testing.assert_allclose(result.loadings.T @ result.loadings,
+                                   np.eye(1), rtol=0, atol=1e-12)
+        assert np.abs(state.X.T @ state.U_latent).max() <= 1e-10
+        before, after = predictors
+        np.testing.assert_allclose(after, before, rtol=0, atol=1e-10)
+        rebuilt = (result.coef_A @ state.X.T
+                   + result.loadings @ result.factors.T)
+        np.testing.assert_allclose(rebuilt, before, rtol=0, atol=1e-10)
+        assert not any("skipped" in w for w in result.warnings)
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
@@ -634,3 +649,10 @@ class TestFit:
             g.FitConfig(tol=0.0)
         with pytest.raises(ConfigError):
             g.FitConfig(max_halvings=-1)
+
+    @pytest.mark.parametrize("field", ["max_iters", "max_halvings"])
+    def test_config_rejects_fractional_counts(self, field):
+        # range() would raise a TypeError from inside fit instead
+        with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+            g.FitConfig(**{field: 2.5})
+        assert getattr(g.FitConfig(**{field: np.int64(3)}), field) == 3

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import glmpca as g
-from glmpca import IndexSets, ModelState, PostprocessError
+from glmpca import IndexSets, ModelState
 from glmpca.model import predictor_stats
 from glmpca.postprocess import rotate_factors
 
@@ -52,9 +52,9 @@ class TestProjection:
         assert np.abs(state.U - u1).max() <= 1e-12
         assert np.abs(state.V - v1).max() <= 1e-12
 
-    def test_rank_deficient_design_leaves_state_untouched(self):
-        # X alone could be projected out, but Z repeats a column: nothing,
-        # not even A, may be written before the error
+    def test_rank_deficient_design_projects_by_min_norm_least_squares(self):
+        # Z repeats a column: the projection still runs, and the
+        # minimum-norm solution splits the Z coefficient evenly
         rng = np.random.default_rng(13)
         n_obs, n_feat = 9, 6
         x = np.column_stack([np.ones(n_obs), rng.normal(size=n_obs)])
@@ -66,10 +66,35 @@ class TestProjection:
                            V=V.copy(), delta=np.zeros(n_obs),
                            lambda_u=np.zeros(5), lambda_v=np.zeros(5),
                            index=IndexSets(2, 2, 1))
-        with pytest.raises(PostprocessError):
-            g.project_out_covariates(state)
-        np.testing.assert_array_equal(state.U, U)
-        np.testing.assert_array_equal(state.V, V)
+        r_before = g.linear_predictor(state)
+        v_lat = state.V_latent.copy()
+        g.project_out_covariates(state)
+        assert np.abs(g.linear_predictor(state) - r_before).max() <= 1e-12
+        assert np.abs(state.X.T @ state.U_latent).max() <= 1e-12
+        assert np.abs(state.Z.T @ state.V_latent).max() <= 1e-12
+        # the X side leaves V_latent alone, so the Z side projects v_lat
+        half = state.U_latent @ (v_lat.T @ z) / (2 * z @ z)
+        gamma_step = state.Gamma - U[:, 2:4]
+        np.testing.assert_allclose(gamma_step, np.column_stack([half, half]),
+                                   rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: f.kind)
+    def test_full_rank_design_matches_normal_equations(self, family):
+        state = advance(random_state(family, seed=19, n_obs=12), 5)
+        # reference: the unique coef = (D'D)^{-1} D' own_latent of a
+        # full-rank design, from the normal equations
+        expected = copy.deepcopy(state)
+        idx = state.index
+        lat = idx.latent_slice
+        for own, partner, fixed in ((expected.U, expected.V, idx.obs_slice),
+                                    (expected.V, expected.U, idx.feat_slice)):
+            design = own[:, fixed]
+            coef = np.linalg.solve(design.T @ design, design.T @ own[:, lat])
+            partner[:, fixed] += partner[:, lat] @ coef.T
+            own[:, lat] -= design @ coef
+        g.project_out_covariates(state)
+        for got, want in ((state.U, expected.U), (state.V, expected.V)):
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 class TestRotation:
@@ -122,7 +147,7 @@ class TestRotation:
         u_til = rng.normal(size=(9, 2))
         u_hat, v_hat = rotate_factors(u_til, v_til)
         norms = np.linalg.norm(u_hat, axis=0)
-        assert norms.min() <= 1e-10
+        assert norms.min() == 0
         np.testing.assert_allclose(v_hat @ u_hat.T, v_til @ u_til.T,
                                    rtol=0, atol=1e-10)
 
