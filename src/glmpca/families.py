@@ -26,6 +26,9 @@ MEAN_FLOOR = 1e-10
 MEAN_CEIL = 1e10
 PROB_FLOOR = 1e-10
 PROB_CEIL = 1.0 - 1e-10
+# the predictors at which the log-link mean reaches its clamps
+LOG_MEAN_FLOOR = float(np.log(MEAN_FLOOR))
+LOG_MEAN_CEIL = float(np.log(MEAN_CEIL))
 
 # The one link of each kind.  For the negative binomial the log link is
 # the standard modelling choice even though the family's true canonical
@@ -157,8 +160,9 @@ class Family:
     # moment functions
     #
     # Each public method validates its argument, then runs the private
-    # arithmetic that the objective also calls on means already clamped
-    # into the domain and data already checked by build_model.
+    # arithmetic.  The fit calls none of them: working_weights and
+    # _loglik_sum work on means already clamped into the domain and data
+    # already checked by build_model.
 
     def variance(self, mu):
         """Variance function rho(mu); strictly positive on the domain."""
@@ -184,7 +188,7 @@ class Family:
         self.check_support(y_arr)
         t_arr = _asfloat(theta)
         self._check_natural_domain(t_arr)
-        out = self._loglik(y_arr, t_arr)
+        out = y_arr * t_arr - self._kappa(t_arr)
         return _ret(out, out)  # a float when y and theta are both scalars
 
     def _rho(self, mu):
@@ -218,8 +222,36 @@ class Family:
             return np.logaddexp(0.0, theta)
         return -self.dispersion * np.log1p(-np.exp(theta))
 
-    def _loglik(self, y, theta):
-        return y * theta - self._kappa(theta)
+    def _loglik_sum(self, y, r, mu):
+        """Sum of y*theta(mu) - kappa(theta(mu)) over all cells, with mu
+        the clamped mean of the predictor r; overwrites r.
+
+        No log of an exp: theta is r, clipped to the mean clamps, minus
+        log(alpha) + l for the negative binomial, whose kappa is alpha*l
+        with l = log1p(mu/alpha).  A Bernoulli cell is log(mu) or
+        log(1 - mu), by y, so it follows the clamped mean, not r.
+        """
+        if self.kind == "gaussian":
+            r *= 0.5
+            r *= mu  # kappa = theta^2/2, with theta == mu == r
+            return float(np.sum(np.subtract(y * mu, r, out=r)))
+        if self.kind == "bernoulli":
+            np.subtract(1.0, mu, out=r)
+            np.copyto(r, mu, where=y == 1)
+            return float(np.sum(np.log(r, out=r)))
+        np.clip(r, LOG_MEAN_FLOOR, LOG_MEAN_CEIL, out=r)
+        if self.kind == "poisson":
+            r *= y
+            r -= mu
+            return float(np.sum(r))
+        ell = mu / self.dispersion
+        np.log1p(ell, out=ell)
+        r -= np.log(self.dispersion)
+        r -= ell
+        r *= y
+        ell *= self.dispersion
+        r -= ell
+        return float(np.sum(r))
 
     # ------------------------------------------------------------------
     # support and domain checks

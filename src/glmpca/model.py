@@ -10,12 +10,13 @@ matrices,
 where K = n_obs_cov + n_feat_cov + n_latent, so that the linear predictor
 is R = V U' + 1 delta'.  The X and Z blocks are fixed; A, Gamma, and the
 latent blocks are estimated.  The objective is the partial log likelihood
-minus ridge penalties on the updateable columns.  The Fisher-scoring
-system of one block, "U" or "V", is formed here and only here: its
-gradient (the score vector, the right-hand side of the optimizer's block
-step) and its per-row information matrices (the Gram matrices the step
-solves), each over all of the block's updateable columns.  The U versions
-are the V ones on transposed J x N arrays.
+minus ridge penalties on the updateable columns; refresh() returns it
+with the means and working weights of the same linear predictor.  The
+Fisher-scoring system of one block, "U" or "V", is formed here and only
+here: its gradient (the score vector, the right-hand side of the
+optimizer's block step) and its per-row information matrices (the Gram
+matrices the step solves), each over all of the block's updateable
+columns.  The U versions are the V ones on transposed J x N arrays.
 """
 
 from __future__ import annotations
@@ -92,7 +93,8 @@ class IndexSets:
 
 class PredictorStats(NamedTuple):
     """The per-cell quantities Family.working_weights derives from the
-    linear predictor; the optimizer builds them once per block step."""
+    linear predictor; each block step scores with them, the U step with
+    those of the refresh that scored its starting point."""
 
     M: np.ndarray          # J x N means g^{-1}(R), clamped
     S: np.ndarray | float  # J x N score weights h/rho(M); 1 if canonical
@@ -340,21 +342,25 @@ def predictor_stats(state: ModelState) -> PredictorStats:
         linear_predictor(state)))
 
 
-def objective(state: ModelState) -> float:
-    """Penalized partial log likelihood Q.
+def refresh(state: ModelState) -> tuple[float, PredictorStats]:
+    """Penalized partial log likelihood Q and the means and working
+    weights, all from one linear predictor R built afresh from U, V and
+    delta:
 
     Q = sum_ij [ y_ij theta_ij - kappa(theta_ij) ]
         - 1/2 sum over updateable U columns of lambda_u[k] * ||U[:, k]||^2
         - 1/2 sum over updateable V columns of lambda_v[k] * ||V[:, k]||^2
 
-    R is built afresh from U, V and delta.  A non-finite value is
-    returned as-is so the optimizer's step halving can react to it.
-    Y is validated by build_model and the means are clamped into the
-    domain, so neither is checked again here.
+    The optimizer scores a point once: the stats of an accepted point
+    feed the next U step.  A non-finite Q is returned as-is so the
+    optimizer's step halving can react to it; a non-finite R raises
+    DomainError.  Y is validated by build_model and the means are
+    clamped into the domain, so neither is checked again here.
     """
     fam = state.family
-    M = fam.inverse_link(linear_predictor(state))
-    q = float(np.sum(fam._loglik(state.Y, fam._theta(M))))
+    R = linear_predictor(state)
+    stats = PredictorStats(*fam.working_weights(R))
+    q = fam._loglik_sum(state.Y, R, stats.M)  # R is overwritten
     idx = state.index
     u_cols = idx.u_cols
     v_cols = idx.v_cols
@@ -362,7 +368,13 @@ def objective(state: ModelState) -> float:
         state.lambda_u[u_cols] @ np.sum(state.U[:, u_cols] ** 2, axis=0))
     q -= 0.5 * float(
         state.lambda_v[v_cols] @ np.sum(state.V[:, v_cols] ** 2, axis=0))
-    return q
+    return q, stats
+
+
+def objective(state: ModelState) -> float:
+    """Penalized partial log likelihood Q; see ``refresh``, which also
+    returns the means and working weights of the same predictor."""
+    return refresh(state)[0]
 
 
 class Block(NamedTuple):

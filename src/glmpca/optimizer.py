@@ -1,12 +1,12 @@
 """Joint row-block Fisher scoring.
 
 A sweep takes one step on block "U", then one on block "V".  Each step
-builds the linear predictor R, the means and the working weights once
-from the current state, then updates all of the block's updateable
-columns together: given the partner block, the penalized log likelihood
-separates over the block's rows, and each row takes the full Fisher
-scoring (Newton with expected curvature) step for its own coordinates,
-mixed second derivatives between its columns included.  The paper's
+scores with the means and working weights of the current state, then
+updates all of the block's updateable columns together: given the
+partner block, the penalized log likelihood separates over the block's
+rows, and each row takes the full Fisher scoring (Newton with expected
+curvature) step for its own coordinates, mixed second derivatives
+between its columns included.  The paper's
 diagonal step, one column at a time, has the same fixed points; the
 joint step reaches them in fewer sweeps.  The scoring system itself,
 gradient and information matrices, is formed in model.py; this module
@@ -17,7 +17,14 @@ column whose partner column is all zero) takes the diagonal step, which
 leaves that column unchanged.  A step is not guaranteed to increase Q,
 so a sweep that lowers Q (or produces non-finite values) is retried
 from the sweep's starting point with both steps halved, up to
-``max_halvings`` times.  The objective builds its own R, so rounding
+``max_halvings`` times.
+
+Each point is scored once.  One refresh (model.refresh) builds R from
+U, V and delta and returns Q together with the means and working
+weights, and the next U step takes those of the starting point or of
+the last accepted sweep as they are.  So an accepted sweep builds R
+twice, for the V step and for the refresh; a halved retry builds its
+U step's afresh.  Every R is built from U, V and delta, so rounding
 cannot accumulate from sweep to sweep.
 """
 
@@ -30,7 +37,7 @@ import numpy as np
 
 from .exceptions import ConfigError, DomainError, FitError
 from .model import (ModelState, PredictorStats, block_of, fisher_gram,
-                    gradient, objective, predictor_stats)
+                    gradient, predictor_stats, refresh)
 from .postprocess import postprocess
 
 ASCENT_SLACK = 1e-12  # accepted drop per sweep: ASCENT_SLACK * (1 + |Q|)
@@ -65,7 +72,8 @@ class FitResult:
 
     Every fit that returns is post-processed, whatever the rank of its
     designs.  A dimension the latent product does not use has an
-    all-zero factor column, counted in ``warnings``."""
+    all-zero factor column, counted in ``warnings``, and a loading
+    orthogonal to Z and to the other loadings."""
 
     factors: np.ndarray       # N x L
     loadings: np.ndarray      # J x L
@@ -131,12 +139,19 @@ def full_scoring(state: ModelState, block: str,
 # the fit loop
 
 
-def _sweep(state: ModelState, scale: float, notes: Counter) -> None:
+def _sweep(state: ModelState, scale: float, notes: Counter,
+           held: list[PredictorStats] | None = None) -> None:
     """One joint block step for U, then one for V, over all updateable
-    columns, steps scaled by ``scale``; each builds R afresh from the
-    current state."""
+    columns, steps scaled by ``scale``.  The U step pops its stats from
+    ``held``, a list holding those of the current state, if given, so
+    that nothing keeps them through the V step; otherwise, as for the V
+    step, they are built afresh."""
+    stats = held.pop() if held else None
     for block in ("U", "V"):
-        fallbacks = full_scoring(state, block, predictor_stats(state), scale)
+        if stats is None:
+            stats = predictor_stats(state)
+        fallbacks = full_scoring(state, block, stats, scale)
+        stats = None  # freed before the next R is built
         if fallbacks:
             notes[f"block step fell back to diagonal for {block} rows"] += \
                 fallbacks
@@ -163,7 +178,9 @@ def fit(state: ModelState, config: FitConfig | None = None) -> FitResult:
     try:
         # as in the sweeps, an overflow gives a non-finite Q, a FitError
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            q_prev = objective(state)
+            # the refresh's stats, in a one-element list that the first
+            # U step empties
+            q_prev, *held = refresh(state)
     except (DomainError, FloatingPointError) as exc:
         raise FitError(f"objective undefined at the starting point: {exc}",
                        trace) from exc
@@ -181,14 +198,15 @@ def fit(state: ModelState, config: FitConfig | None = None) -> FitResult:
             if attempt:
                 state.U[...] = u_snap
                 state.V[...] = v_snap
+                held = []  # the stats of the rejected point
             scale = 0.5 ** attempt
             try:
                 # overflow here is expected and handled: a non-finite Q
                 # triggers a halved retry or a FitError below
                 with np.errstate(over="ignore", invalid="ignore",
                                  divide="ignore"):
-                    _sweep(state, scale, notes)
-                    q_new = objective(state)
+                    _sweep(state, scale, notes, held)
+                    q_new, *held = refresh(state)
             except (DomainError, FloatingPointError):
                 q_new = np.nan
             if np.isfinite(q_new) and (

@@ -57,7 +57,8 @@ def project_out_covariates(state: ModelState) -> ModelState:
     return state
 
 
-def rotate_factors(u_latent: np.ndarray, v_latent: np.ndarray):
+def rotate_factors(u_latent: np.ndarray, v_latent: np.ndarray,
+                   z: np.ndarray | None = None):
     """Rotation on raw arrays: the truncated SVD of V~ U~', without
     forming that J x N product.
 
@@ -68,15 +69,24 @@ def rotate_factors(u_latent: np.ndarray, v_latent: np.ndarray):
     below s_max * max(J, N) * eps, np.linalg.matrix_rank's rule for the
     J x N product, are rounding and are set to zero.  A zero singular
     value gives an all-zero factor column, which is legal and left to
-    the caller to flag.  Signs are fixed so each loading column's
-    largest absolute entry is positive.
+    the caller to flag.  Its loading column, which Q_v P fills with any
+    direction, is refilled from the QR of [z | other loadings | those
+    columns], so it is orthogonal to the columns of ``z`` (Z, to which
+    the projection made V~ orthogonal) and the loadings stay
+    orthonormal.  Signs are fixed so each loading column's largest
+    absolute entry is positive.
     """
     q_u, r_u = np.linalg.qr(u_latent)
     q_v, r_v = np.linalg.qr(v_latent)
     p_rot, sing, w_rot_t = np.linalg.svd(r_v @ r_u.T)
     tiny = sing.max(initial=0.0) * max(len(u_latent), len(v_latent))
-    sing[sing <= tiny * np.finfo(sing.dtype).eps] = 0.0
+    zero = sing <= tiny * np.finfo(sing.dtype).eps
+    sing[zero] = 0.0
     v_hat = q_v @ p_rot
+    if zero.any():
+        design = np.empty((len(v_hat), 0)) if z is None else z
+        v_hat[:, zero] = np.linalg.qr(np.hstack(
+            [design, v_hat[:, ~zero], v_hat[:, zero]]))[0][:, -zero.sum():]
     signs = np.sign(v_hat[np.argmax(np.abs(v_hat), axis=0),
                           np.arange(v_hat.shape[1])])
     return (q_u @ w_rot_t.T) * (sing * signs), v_hat * signs
@@ -89,4 +99,4 @@ def postprocess(state: ModelState):
     then derives the factors and loadings from the projected blocks.
     """
     project_out_covariates(state)
-    return rotate_factors(state.U_latent, state.V_latent)
+    return rotate_factors(state.U_latent, state.V_latent, state.Z)

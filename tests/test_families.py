@@ -11,6 +11,8 @@ import glmpca as g
 from glmpca import ConfigError, DataError, DomainError
 from glmpca.families import MEAN_CEIL, MEAN_FLOOR, PROB_CEIL, PROB_FLOOR
 
+from conftest import sample_response
+
 ALL = [g.gaussian(), g.poisson(), g.bernoulli(), g.negative_binomial(2.0)]
 
 
@@ -295,3 +297,62 @@ class TestWorkingWeights:
         for fam in ALL:
             fam.working_weights(r)
         np.testing.assert_array_equal(r, self.GRID)
+
+
+class TestLoglikSum:
+    """Family._loglik_sum, the one log-likelihood kernel of the fit, reads
+    theta from the predictor and the clamped mean; it must give the sum of
+    the public per-cell terms at the same means.  Rows 0 and 1 carry the
+    extreme predictors, with y = 1 in row 0 and y = 0 in row 1 for the
+    Bernoulli, so that each clamp meets both outcomes."""
+
+    NB = g.negative_binomial(2.0)
+    # +-30 puts means at both clamps of either link; +-20 leaves the
+    # Bernoulli probability 2e-9 inside its clamps, where theta read from
+    # r and theta read from the rounded mean differ
+    EXTREMES = {"none": (), "clamps": (-30.0, 30.0), "twenty": (-20.0, 20.0),
+                "floor": (-30.0, -40.0)}
+
+    def case(self, fam, extremes, seed=3):
+        rng = np.random.default_rng(seed)
+        r = rng.normal(0.0, 1.5, (6, 10))
+        r[:2, :len(extremes)] = extremes
+        mu = fam.working_weights(r)[0]
+        y = sample_response(rng, fam, fam.inverse_link(np.clip(r, -3, 3)))
+        if fam.kind == "bernoulli":
+            y[0], y[1] = 1.0, 0.0
+        return y, r, mu
+
+    def fused(self, fam, y, r, mu):
+        mu_before = mu.copy()
+        out = fam._loglik_sum(y, r.copy(), mu)
+        np.testing.assert_array_equal(mu, mu_before)
+        return out
+
+    @pytest.mark.parametrize("fam, extremes", [
+        (fam, name) for fam in ALL[:3] for name in ("none", "clamps", "twenty")
+    ] + [(NB, "none"), (NB, "floor")], ids=lambda x: getattr(x, "kind", x))
+    def test_matches_public_terms(self, fam, extremes):
+        y, r, mu = self.case(fam, self.EXTREMES[extremes])
+        expected = np.sum(fam.loglik_term(y, fam.natural_param(mu)))
+        assert self.fused(fam, y, r, mu) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("extremes", ["clamps", "twenty"])
+    def test_negative_binomial_large_means(self, extremes):
+        # at a large mean theta = -log1p(alpha/mu) is near 0, and the
+        # public route loses digits in kappa = -alpha log1p(-exp(theta)):
+        # 1e-9 relative on these sums.  y*theta + alpha*log(alpha/(mu+alpha))
+        # is the same sum, well conditioned at every mean
+        a = self.NB.dispersion
+        y, r, mu = self.case(self.NB, self.EXTREMES[extremes])
+        expected = np.sum(y * np.log(mu / (mu + a)) + a * np.log(a / (mu + a)))
+        assert self.fused(self.NB, y, r, mu) == pytest.approx(expected,
+                                                              rel=1e-12)
+
+    @pytest.mark.parametrize("fam", ALL[1:], ids=lambda f: f.kind)
+    def test_flat_beyond_the_clamps(self, fam):
+        y, r, mu = self.case(fam, self.EXTREMES["clamps"])
+        far = r.copy()
+        far[:2, :2] *= 2.0
+        assert self.fused(fam, y, far, fam.working_weights(far)[0]) == \
+            self.fused(fam, y, r, mu)

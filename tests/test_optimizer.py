@@ -1,6 +1,7 @@
 """Tests for the joint block step, the sweep, and the fit loop."""
 
 import tracemalloc
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -145,11 +146,9 @@ class TestHeldPredictor:
                                  full_scoring_coef=full))
         assert checked[:4] == ["U", "V", "U", "V"] and len(checked) >= 10
 
-    @pytest.mark.parametrize("full, sweeps", [(False, 1), (True, 3)])
-    def test_predictor_built_once_per_sweep(self, full, sweeps, monkeypatch):
-        # R is built once per block step in each sweep, U then V, whatever
-        # the no-effect full_scoring_coef says
-        state = random_state(g.bernoulli(), seed=45)
+    @staticmethod
+    def count_builds(monkeypatch):
+        """Record each build of R, through model.linear_predictor."""
         calls = []
         real = model.linear_predictor
 
@@ -158,24 +157,76 @@ class TestHeldPredictor:
             return real(state)
 
         monkeypatch.setattr(model, "linear_predictor", counted)
-        notes = Counter()
-        for _ in range(sweeps):
-            optimizer._sweep(state, 1.0, notes)
-        assert len(calls) == 2 * sweeps
+        return calls
 
+    @pytest.mark.parametrize("full, sweeps", [(False, 1), (True, 3)])
+    def test_predictor_built_once_per_sweep(self, full, sweeps, monkeypatch):
+        # a fit builds R once for its starting point, then twice per
+        # sweep: for the V step and for the refresh that scores the new
+        # point, whose stats the next U step takes as they are; the
+        # no-effect full_scoring_coef changes nothing
+        calls = self.count_builds(monkeypatch)
         state = random_state(g.bernoulli(), seed=45)
-        built = []
-        real_stats = optimizer.predictor_stats
-
-        def counted_stats(state):
-            built.append(1)
-            return real_stats(state)
-
-        monkeypatch.setattr(optimizer, "predictor_stats", counted_stats)
         result = g.fit(state, g.FitConfig(max_iters=sweeps, tol=1e-300,
                                           full_scoring_coef=full))
-        assert result.iterations_run == sweeps
-        assert len(built) == 2 * sweeps
+        assert result.iterations_run == sweeps and not result.warnings
+        assert len(calls) == 1 + 2 * sweeps
+
+        # _sweep alone builds R for each block step, unless it is handed
+        # the stats of the current state, which the U step then empties
+        state = random_state(g.bernoulli(), seed=45)
+        held = [predictor_stats(state)]
+        calls.clear()
+        notes = Counter()
+        optimizer._sweep(state, 1.0, notes, held)
+        assert held == [] and len(calls) == 1
+        for _ in range(sweeps):
+            optimizer._sweep(state, 1.0, notes)
+        assert len(calls) == 1 + 2 * sweeps
+
+    def test_halved_retry_rebuilds_its_u_stats(self, monkeypatch):
+        # from build_model's small latent start the first full sweep
+        # overshoots: it is halved twice, the second sweep not at all
+        rng = np.random.default_rng(0)
+        R = (rng.normal(1.0, 0.5, (10, 1))
+             + rng.normal(0, 0.7, (10, 2)) @ rng.normal(0, 0.7, (2, 14)))
+        Y = rng.poisson(np.exp(R)).astype(float)
+        state = g.build_model(Y, n_latent=2, family=g.poisson(), seed=0)
+        scales = []
+        real_sweep = optimizer._sweep
+
+        def counted_sweep(state, scale, notes, held=None):
+            scales.append(scale)
+            return real_sweep(state, scale, notes, held)
+
+        monkeypatch.setattr(optimizer, "_sweep", counted_sweep)
+        calls = self.count_builds(monkeypatch)
+        result = g.fit(state, g.FitConfig(max_iters=2, tol=1e-300))
+        assert scales == [1.0, 0.5, 0.25, 1.0]
+        assert result.warnings == ["sweep step-halvings applied (x2)"]
+        # 1 + 2 per attempt + 1 per halved retry
+        assert len(calls) == 1 + 2 * 4 + 2
+
+    def test_u_stats_freed_before_v_step(self, monkeypatch):
+        # the stats a block step scored with are garbage by the time the
+        # next R is built, so at most one set is alive at a time
+        state = random_state(g.bernoulli(), seed=45)
+        alive = []
+        real_step = optimizer.full_scoring
+        real_build = model.linear_predictor
+
+        def tracked_step(state, block, stats, scale):
+            alive.append(weakref.ref(stats.M))
+            return real_step(state, block, stats, scale)
+
+        def checked_build(state):
+            assert all(ref() is None for ref in alive)
+            return real_build(state)
+
+        monkeypatch.setattr(optimizer, "full_scoring", tracked_step)
+        monkeypatch.setattr(model, "linear_predictor", checked_build)
+        result = g.fit(state, g.FitConfig(max_iters=3, tol=1e-300))
+        assert result.iterations_run == 3 and len(alive) == 6
 
 
 def rowwise_full_scoring(state, block, info, resid, scale):

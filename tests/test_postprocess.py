@@ -217,6 +217,28 @@ class TestFullPipeline:
         np.testing.assert_array_equal(np.argsort(-norms, kind="stable"),
                                       np.argsort(-stds, kind="stable"))
 
+    def test_zero_dimension_loading_orthogonal_to_feature_covariates(self):
+        # a latent pair held at zero gives a zero singular value; its
+        # loading column, which the QR of V_latent alone would complete
+        # with any direction, must still be orthogonal to Z
+        rng = np.random.default_rng(0)
+        Y = rng.poisson(2.0, (12, 30)).astype(float)
+        Z = rng.normal(size=(12, 1))
+        state = g.build_model(Y, n_latent=2, family=g.poisson(),
+                              feat_covariates=Z, penalty_u=0.0,
+                              penalty_v=0.0, seed=0)
+        k = state.index.latent_cols[-1]
+        state.U[:, k] = 0.0
+        state.V[:, k] = 0.0
+        result = g.fit(state, g.FitConfig(max_iters=20))
+        assert not result.factors[:, 1].any() and result.factors[:, 0].any()
+        np.testing.assert_allclose(Z.T @ result.loadings, 0.0, atol=1e-12)
+        np.testing.assert_allclose(result.loadings.T @ result.loadings,
+                                   np.eye(2), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(
+            result.loadings @ result.factors.T,
+            state.V_latent @ state.U_latent.T, rtol=0, atol=1e-12)
+
     def test_large_scale_pipeline_allocates_no_data_sized_matrix(self):
         # N = 1e5, J = 1e4, L = 10, two covariates each side: the factor
         # arrays total ~10 MB, while any J x N matrix would need 8 GB
