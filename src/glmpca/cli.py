@@ -13,10 +13,10 @@ import argparse
 import sys
 
 from . import io as gio
+from . import optimizer
 from .exceptions import ConfigError, GlmPcaError
 from .families import KINDS, Family
 from .model import build_model
-from .optimizer import FitConfig, fit
 
 
 class _Parser(argparse.ArgumentParser):
@@ -51,7 +51,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-intercept", dest="intercept", action="store_false",
                    help="drop the default all-ones observation covariate")
     p.add_argument("--penalty", type=float, default=1e-4,
-                   help="ridge penalty on the latent columns")
+                   help="one ridge lambda on the latent columns of U and V")
     p.add_argument("--max-iters", type=int, default=1000)
     p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("--seed", type=int, default=0)
@@ -106,9 +106,9 @@ def run_cli(argv=None) -> int:
             loaded.values, n_latent=args.dims, family=family,
             obs_covariates=obs_cov, feat_covariates=feat_cov,
             intercept=args.intercept, offset=offset,
-            penalty_u=args.penalty, penalty_v=args.penalty, seed=args.seed)
-        config = FitConfig(max_iters=args.max_iters, tol=args.tol)
-        result = fit(state, config)
+            penalty=args.penalty, seed=args.seed)
+        result = optimizer.fit(state, optimizer.FitConfig(
+            max_iters=args.max_iters, tol=args.tol))
         gio.write_result(result, args.output_dir,
                          row_names=loaded.row_names,
                          col_names=loaded.col_names, config=run_config)
@@ -118,8 +118,9 @@ def run_cli(argv=None) -> int:
 
     if result.stop_reason == "stalled":
         print(f"stalled at iteration {result.iterations_run}: the sweep "
-              f"lowered the objective even after {config.max_halvings} step "
-              "halvings (outputs written)", file=sys.stderr)
+              "lowered the objective even after "
+              f"{optimizer.MAX_HALVINGS} step halvings (outputs written)",
+              file=sys.stderr)
         return 2
     if not result.converged:
         print(f"did not converge within {args.max_iters} iterations "

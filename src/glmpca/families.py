@@ -209,7 +209,8 @@ class Family:
             return np.log(mu)
         if self.kind == "bernoulli":
             return np.log(mu) - np.log1p(-mu)
-        return np.log(mu) - np.log(mu + self.dispersion)
+        # log(mu/(mu+alpha)), without cancellation at large means
+        return -np.log1p(self.dispersion / mu)
 
     def _kappa(self, theta):
         if self.kind == "gaussian":
@@ -220,16 +221,25 @@ class Family:
         if self.kind == "bernoulli":
             # log(1 + e^theta) without overflow for large |theta|
             return np.logaddexp(0.0, theta)
-        return -self.dispersion * np.log1p(-np.exp(theta))
+        # -alpha log(1 - e^theta), with 1 - e^theta = -expm1(theta) above
+        # -log 2 and log1p below it; each branch sees only its own thetas
+        cut = -np.log(2.0)
+        return -self.dispersion * np.where(
+            theta > cut, np.log(-np.expm1(np.maximum(theta, cut))),
+            np.log1p(-np.exp(np.minimum(theta, cut))))
 
     def _loglik_sum(self, y, r, mu):
         """Sum of y*theta(mu) - kappa(theta(mu)) over all cells, with mu
         the clamped mean of the predictor r; overwrites r.
 
-        No log of an exp: theta is r, clipped to the mean clamps, minus
-        log(alpha) + l for the negative binomial, whose kappa is alpha*l
-        with l = log1p(mu/alpha).  A Bernoulli cell is log(mu) or
-        log(1 - mu), by y, so it follows the clamped mean, not r.
+        No log of an exp: theta is r, clipped to the mean clamps.  For
+        the negative binomial theta is -t with t = log1p(alpha/mu), and
+        kappa is alpha (r - log(alpha) + t) with r clipped, so a cell
+        -(y t + kappa) adds two positive terms and keeps its relative
+        digits at large means; near the mean floor, where kappa is about
+        mu, it is exact to about 1e-15 absolute.  A Bernoulli cell is
+        log(mu) or log(1 - mu), by y, so it follows the clamped mean,
+        not r.
         """
         if self.kind == "gaussian":
             r *= 0.5
@@ -244,14 +254,14 @@ class Family:
             r *= y
             r -= mu
             return float(np.sum(r))
-        ell = mu / self.dispersion
-        np.log1p(ell, out=ell)
+        t = self.dispersion / mu
+        np.log1p(t, out=t)
         r -= np.log(self.dispersion)
-        r -= ell
-        r *= y
-        ell *= self.dispersion
-        r -= ell
-        return float(np.sum(r))
+        r += t
+        r *= self.dispersion  # kappa
+        t *= y
+        r += t
+        return -float(np.sum(r))  # sum of y theta - kappa = -(y t + kappa)
 
     # ------------------------------------------------------------------
     # support and domain checks

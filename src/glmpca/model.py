@@ -10,13 +10,14 @@ matrices,
 where K = n_obs_cov + n_feat_cov + n_latent, so that the linear predictor
 is R = V U' + 1 delta'.  The X and Z blocks are fixed; A, Gamma, and the
 latent blocks are estimated.  The objective is the partial log likelihood
-minus ridge penalties on the updateable columns; refresh() returns it
-with the means and working weights of the same linear predictor.  The
-Fisher-scoring system of one block, "U" or "V", is formed here and only
-here: its gradient (the score vector, the right-hand side of the
-optimizer's block step) and its per-row information matrices (the Gram
-matrices the step solves), each over all of the block's updateable
-columns.  The U versions are the V ones on transposed J x N arrays.
+minus one ridge penalty on the latent columns of U and V; refresh()
+returns it with the means and working weights of the same linear
+predictor.  The Fisher-scoring system of one block, "U" or "V", is
+formed here and only here: its gradient (the score vector, the
+right-hand side of the optimizer's block step) and its per-row
+information matrices (the Gram matrices the step solves), each over all
+of the block's updateable columns.  The U versions are the V ones on
+transposed J x N arrays.
 """
 
 from __future__ import annotations
@@ -103,15 +104,15 @@ class PredictorStats(NamedTuple):
 
 @dataclass
 class ModelState:
-    """Data plus all fitted quantities.  Single writer; reads may be shared."""
+    """Data plus all fitted quantities.  Single writer; reads may be shared.
+    ``penalty`` is the ridge lambda on U_latent and V_latent only."""
 
     Y: np.ndarray
     family: Family
     U: np.ndarray
     V: np.ndarray
     delta: np.ndarray
-    lambda_u: np.ndarray
-    lambda_v: np.ndarray
+    penalty: float
     index: IndexSets
 
     @property
@@ -193,19 +194,6 @@ def _check_full_rank(mat: np.ndarray, what: str) -> None:
         raise ConfigError(f"{what} is rank deficient")
 
 
-def _penalty_vector(value, n_latent: int, what: str) -> np.ndarray:
-    vec = np.asarray(value, dtype=float)
-    if vec.ndim == 0:
-        vec = np.full(n_latent, float(vec))
-    if vec.shape != (n_latent,):
-        raise ConfigError(
-            f"{what} must be a scalar or a length-{n_latent} vector"
-        )
-    if not np.all(np.isfinite(vec)) or np.any(vec < 0):
-        raise ConfigError(f"{what} must be nonnegative and finite")
-    return vec
-
-
 def resolve_offset(offset, Y: np.ndarray, family: Family) -> np.ndarray:
     """Resolve an offset policy or explicit vector to a length-N array.
 
@@ -247,7 +235,7 @@ def resolve_offset(offset, Y: np.ndarray, family: Family) -> np.ndarray:
 
 def build_model(Y, *, n_latent: int, family: Family, obs_covariates=None,
                 feat_covariates=None, intercept: bool = True,
-                offset="none", penalty_u=1e-4, penalty_v=1e-4,
+                offset="none", penalty: float = 1e-4,
                 seed: int = 0) -> ModelState:
     """Assemble a ModelState ready for fitting.
 
@@ -265,11 +253,13 @@ def build_model(Y, *, n_latent: int, family: Family, obs_covariates=None,
         the analogue of row-centering in PCA).
     feat_covariates : array (J, K), optional
         Feature-level design matrix.
+    intercept : bool
+        Prepend the all-ones observation covariate.
     offset : "none", "auto", or array (N,)
         Per-observation shift of the linear predictor.
-    penalty_u, penalty_v : float or array (n_latent,)
-        Ridge penalties on the latent columns of U and V.  Coefficient
-        blocks are never penalized.
+    penalty : float
+        One nonnegative ridge lambda, applied to the latent columns of U
+        and of V only; coefficient blocks are never penalized.
     seed : int
         Seeds the latent initialization; a nonnegative integer.
 
@@ -297,6 +287,10 @@ def build_model(Y, *, n_latent: int, family: Family, obs_covariates=None,
         raise ConfigError("n_latent must be a positive integer")
     if not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ConfigError(f"seed must be a nonnegative integer, got {seed!r}")
+    if (not isinstance(penalty, (int, float, np.integer, np.floating))
+            or not 0 <= penalty < np.inf):
+        raise ConfigError(
+            f"penalty must be a nonnegative finite scalar, got {penalty!r}")
     index = IndexSets(X.shape[1], Z.shape[1], int(n_latent))
     if index.n_total >= min(n_obs, n_feat):
         raise ConfigError(
@@ -313,16 +307,9 @@ def build_model(Y, *, n_latent: int, family: Family, obs_covariates=None,
     U[:, index.latent_slice] = rng.normal(0.0, sd, (n_obs, index.n_latent))
     V[:, index.latent_slice] = rng.normal(0.0, sd, (n_feat, index.n_latent))
 
-    lambda_u = np.zeros(index.n_total)
-    lambda_v = np.zeros(index.n_total)
-    lambda_u[index.latent_slice] = _penalty_vector(
-        penalty_u, index.n_latent, "penalty_u")
-    lambda_v[index.latent_slice] = _penalty_vector(
-        penalty_v, index.n_latent, "penalty_v")
-
     delta = resolve_offset(offset, Y, family)
     return ModelState(Y=Y, family=family, U=U, V=V, delta=delta,
-                      lambda_u=lambda_u, lambda_v=lambda_v, index=index)
+                      penalty=float(penalty), index=index)
 
 
 # ----------------------------------------------------------------------
@@ -348,8 +335,7 @@ def refresh(state: ModelState) -> tuple[float, PredictorStats]:
     delta:
 
     Q = sum_ij [ y_ij theta_ij - kappa(theta_ij) ]
-        - 1/2 sum over updateable U columns of lambda_u[k] * ||U[:, k]||^2
-        - 1/2 sum over updateable V columns of lambda_v[k] * ||V[:, k]||^2
+        - 1/2 lambda (||U_latent||^2 + ||V_latent||^2)
 
     The optimizer scores a point once: the stats of an accepted point
     feed the next U step.  A non-finite Q is returned as-is so the
@@ -361,13 +347,8 @@ def refresh(state: ModelState) -> tuple[float, PredictorStats]:
     R = linear_predictor(state)
     stats = PredictorStats(*fam.working_weights(R))
     q = fam._loglik_sum(state.Y, R, stats.M)  # R is overwritten
-    idx = state.index
-    u_cols = idx.u_cols
-    v_cols = idx.v_cols
-    q -= 0.5 * float(
-        state.lambda_u[u_cols] @ np.sum(state.U[:, u_cols] ** 2, axis=0))
-    q -= 0.5 * float(
-        state.lambda_v[v_cols] @ np.sum(state.V[:, v_cols] ** 2, axis=0))
+    for latent in (state.U_latent, state.V_latent):
+        q -= 0.5 * state.penalty * float(np.sum(latent ** 2))
     return q, stats
 
 
@@ -381,12 +362,13 @@ class Block(NamedTuple):
     """One factor matrix seen from its own side.
 
     The U step is the V step with U and V swapped and every J x N array
-    read through its transpose, so each derivative is written once.
+    read through its transpose, so each derivative is written once.  The
+    latent columns, the only penalized ones, are the last n_latent of
+    ``cols``.
     """
 
     own: np.ndarray        # the block's factor matrix, U or V
     partner: np.ndarray    # the other factor matrix
-    penalty: np.ndarray    # ridge penalties of the block's columns
     cols: list[int]        # updateable: Gamma or A, then the latent ones
     rows: Callable         # views a J x N array with one row per own row
 
@@ -395,11 +377,9 @@ def block_of(state: ModelState, block: str) -> Block:
     """The "U" or "V" side of ``state``."""
     idx = state.index
     if block == "U":
-        return Block(state.U, state.V, state.lambda_u, idx.u_cols,
-                     np.transpose)
+        return Block(state.U, state.V, idx.u_cols, np.transpose)
     if block == "V":
-        return Block(state.V, state.U, state.lambda_v, idx.v_cols,
-                     np.asarray)
+        return Block(state.V, state.U, idx.v_cols, np.asarray)
     raise ConfigError(f"block must be 'U' or 'V', got {block!r}")
 
 
@@ -410,7 +390,8 @@ def gradient(state: ModelState, block: str,
     per entry of the block's ``cols``.
 
     With D the partner's updateable columns and res = (Y - M) * S the
-    score residual, row r is D' res_r - lambda own_r.  Where a mean is
+    score residual, row r is D' res_r, minus lambda own_r on the latent
+    columns, the last n_latent of ``cols``.  Where a mean is
     clamped, M is the clamp value, so the gradient there keeps the pull
     y - M although the objective is flat in R.
     """
@@ -420,9 +401,10 @@ def gradient(state: ModelState, block: str,
     resid = state.Y - stats.M
     if np.ndim(stats.S):  # S is the scalar 1 for canonical links
         resid *= stats.S
-    cols = side.cols
-    return (side.rows(resid) @ side.partner[:, cols]
-            - side.penalty[cols] * side.own[:, cols])
+    grad = side.rows(resid) @ side.partner[:, side.cols]
+    latent = state.index.latent_slice
+    grad[:, -state.index.n_latent:] -= state.penalty * side.own[:, latent]
+    return grad
 
 
 def fisher_gram(state: ModelState, block: str, stats: PredictorStats,
@@ -431,15 +413,16 @@ def fisher_gram(state: ModelState, block: str, stats: PredictorStats,
     """The Fisher information of the own rows ``rows`` over the
     updateable columns of ``block``: one m x m matrix per row,
 
-        D' diag(I_r) D + diag(lambda),
+        D' diag(I_r) D + lambda on the latent diagonal,
 
     stacked, with D the partner's updateable columns and I_r the row's
     information weights.  Each row's D' diag(I_r) D is one row of
     ``I_r @ P``, with P the n x m² column products of D.  P is built
     ``chunk`` design rows at a time (all at once by default) and the
     partial GEMMs summed, so P never has more than ``chunk * m²`` cells.
-    A diagonal entry is 0 only for an unpenalized column whose partner
-    column is all zero.
+    A diagonal entry is 0 only for an unpenalized column (a coefficient
+    column, or any column when lambda is 0) whose partner column is all
+    zero.
     """
     side = block_of(state, block)
     design = side.partner[:, side.cols]
@@ -452,5 +435,6 @@ def fisher_gram(state: ModelState, block: str, stats: PredictorStats,
         gram += info[:, lo:lo + chunk] @ (
             d[:, :, None] * d[:, None, :]).reshape(-1, m * m)
     gram = gram.reshape(-1, m, m)
-    gram[:, range(m), range(m)] += side.penalty[side.cols]
+    latent = range(m - state.index.n_latent, m)
+    gram[:, latent, latent] += state.penalty
     return gram

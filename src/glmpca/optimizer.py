@@ -17,7 +17,7 @@ column whose partner column is all zero) takes the diagonal step, which
 leaves that column unchanged.  A step is not guaranteed to increase Q,
 so a sweep that lowers Q (or produces non-finite values) is retried
 from the sweep's starting point with both steps halved, up to
-``max_halvings`` times.
+MAX_HALVINGS times; that budget is fixed, not a FitConfig setting.
 
 Each point is scored once.  One refresh (model.refresh) builds R from
 U, V and delta and returns Q together with the means and working
@@ -41,11 +41,12 @@ from .model import (ModelState, PredictorStats, block_of, fisher_gram,
 from .postprocess import postprocess
 
 ASCENT_SLACK = 1e-12  # accepted drop per sweep: ASCENT_SLACK * (1 + |Q|)
+MAX_HALVINGS = 10     # step halvings per sweep before the fit stalls
 
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Optimization hyperparameters.
+    """Optimization hyperparameters: the sweep cap and the tolerance.
 
     ``full_scoring_coef`` is accepted and has no effect: every block step
     already applies full Fisher scoring to the coefficient columns.
@@ -53,14 +54,12 @@ class FitConfig:
 
     max_iters: int = 1000
     tol: float = 1e-6
-    max_halvings: int = 10
     full_scoring_coef: bool = False
 
     def __post_init__(self):
-        for name, low in (("max_iters", 1), ("max_halvings", 0)):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or value < low:
-                raise ConfigError(f"{name} must be an integer >= {low}")
+        if not isinstance(self.max_iters, (int, np.integer)) \
+                or self.max_iters < 1:
+            raise ConfigError("max_iters must be an integer >= 1")
         if not self.tol > 0:
             raise ConfigError("tol must be positive")
 
@@ -165,8 +164,8 @@ def fit(state: ModelState, config: FitConfig | None = None) -> FitResult:
     below ``config.tol`` (``stop_reason="tol"``).  Two other stops yield
     ``converged=False``, not an error: hitting ``max_iters`` first
     (``"max_iters"``), and a sweep that still lowers Q after
-    ``max_halvings`` step halvings, which is undone before the fit stops
-    (``"stalled"``).  So the recorded trace is non-decreasing.
+    MAX_HALVINGS step halvings (the module constant, read when fit
+    runs), which is undone before the fit stops (``"stalled"``).  So the recorded trace is non-decreasing.
 
     Raises FitError when the objective is non-finite even after all
     step halvings (or at the starting point).
@@ -194,7 +193,7 @@ def fit(state: ModelState, config: FitConfig | None = None) -> FitResult:
         v_snap = state.V.copy()
         q_new = np.nan
         accepted = False
-        for attempt in range(cfg.max_halvings + 1):
+        for attempt in range(MAX_HALVINGS + 1):
             if attempt:
                 state.U[...] = u_snap
                 state.V[...] = v_snap
@@ -221,7 +220,7 @@ def fit(state: ModelState, config: FitConfig | None = None) -> FitResult:
             if not np.isfinite(q_new):
                 raise FitError(
                     f"objective non-finite at iteration {t} after "
-                    f"{cfg.max_halvings} step halvings", trace)
+                    f"{MAX_HALVINGS} step halvings", trace)
             # finite but still lower after all halvings: keep the current
             # point and stop: no halved step raised Q, yet Q has not
             # settled to tol, so the fit is stalled, not converged

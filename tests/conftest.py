@@ -47,7 +47,7 @@ def random_state(family, seed, n_feat=6, n_obs=9, n_latent=2,
     Y = sample_response(rng, family, family.inverse_link(R))
     state = g.build_model(Y, n_latent=n_latent, family=family,
                           feat_covariates=Z, intercept=True, offset=delta,
-                          penalty_u=penalty, penalty_v=penalty, seed=seed)
+                          penalty=penalty, seed=seed)
     idx = state.index
     state.V[:, idx.obs_slice] = coef_a
     if k_f:
@@ -55,6 +55,13 @@ def random_state(family, seed, n_feat=6, n_obs=9, n_latent=2,
     state.U[:, idx.latent_slice] = u_lat
     state.V[:, idx.latent_slice] = v_lat
     return state
+
+
+def column_penalty(state, cols):
+    """The ridge lambda of each column in ``cols``: the state's penalty
+    on a latent column, 0 on a coefficient column."""
+    latent = state.index.latent_cols
+    return np.array([state.penalty if k in latent else 0.0 for k in cols])
 
 
 def gram_diagonal(state, block, stats=None):

@@ -135,13 +135,17 @@ def scalar_objective(state: ModelState) -> float:
         for i in range(state.n_obs):
             mu = _mean_of(state.family, _predictor_entry(state, j, i))
             q += _loglik_of(state.family, state.Y[j, i], mu)
-    for k in state.index.u_cols:
+    for k in state.index.latent_cols:
         for i in range(state.n_obs):
-            q -= 0.5 * state.lambda_u[k] * state.U[i, k] ** 2
-    for k in state.index.v_cols:
+            q -= 0.5 * state.penalty * state.U[i, k] ** 2
         for j in range(state.n_feat):
-            q -= 0.5 * state.lambda_v[k] * state.V[j, k] ** 2
+            q -= 0.5 * state.penalty * state.V[j, k] ** 2
     return q
+
+
+def _penalty_of(state: ModelState, k: int) -> float:
+    """The ridge lambda on column k: only latent columns are penalized."""
+    return state.penalty if k in state.index.latent_cols else 0.0
 
 
 def scalar_gradient_u(state: ModelState, k: int) -> np.ndarray:
@@ -155,7 +159,7 @@ def scalar_gradient_u(state: ModelState, k: int) -> np.ndarray:
             mu = _mean_of(fam, r)
             total += ((state.Y[j, i] - mu) / _variance_of(fam, mu)
                       * _dmean_of(fam, r) * state.V[j, k])
-        grad[i] = total - state.lambda_u[k] * state.U[i, k]
+        grad[i] = total - _penalty_of(state, k) * state.U[i, k]
     return grad
 
 
@@ -170,7 +174,7 @@ def scalar_fisher_u(state: ModelState, k: int) -> np.ndarray:
             h = _dmean_of(fam, r)
             total += h * h * state.V[j, k] ** 2 / _variance_of(
                 fam, _mean_of(fam, r))
-        info[i] = total + state.lambda_u[k]
+        info[i] = total + _penalty_of(state, k)
     return info
 
 
@@ -185,7 +189,7 @@ def scalar_gradient_v(state: ModelState, k: int) -> np.ndarray:
             mu = _mean_of(fam, r)
             total += ((state.Y[j, i] - mu) / _variance_of(fam, mu)
                       * _dmean_of(fam, r) * state.U[i, k])
-        grad[j] = total - state.lambda_v[k] * state.V[j, k]
+        grad[j] = total - _penalty_of(state, k) * state.V[j, k]
     return grad
 
 
@@ -200,7 +204,7 @@ def scalar_fisher_v(state: ModelState, k: int) -> np.ndarray:
             h = _dmean_of(fam, r)
             total += h * h * state.U[i, k] ** 2 / _variance_of(
                 fam, _mean_of(fam, r))
-        info[j] = total + state.lambda_v[k]
+        info[j] = total + _penalty_of(state, k)
     return info
 
 

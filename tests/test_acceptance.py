@@ -16,7 +16,8 @@ from glmpca.cli import run_cli
 from glmpca.model import ModelState, IndexSets, predictor_stats
 
 from conftest import (ALL_FAMILIES, DATA_DIR, acceptance_grid, advance,
-                      gram_diagonal, random_state, sample_response)
+                      column_penalty, gram_diagonal, random_state,
+                      sample_response)
 
 FIXTURE = DATA_DIR / "counts_10x20.mtx"
 
@@ -64,7 +65,7 @@ def test_c3_pca_equivalence():
         rng = np.random.default_rng(42)
         Y = rng.standard_normal((20, 40))
         state = g.build_model(Y, n_latent=3, family=g.gaussian(),
-                              penalty_u=0.0, penalty_v=0.0, seed=5)
+                              penalty=0.0, seed=5)
         result = g.fit(state, g.FitConfig(max_iters=20000, tol=1e-12))
         assert result.converged
         scores, loadings = oracle.pca_reference(Y, 3)
@@ -92,12 +93,9 @@ def test_c4_glm_reduction():
             k = n_coef + 1
             U = np.zeros((n_obs, k))
             U[:, :n_coef] = X
-            lam = np.zeros(k)
-            lam[-1] = 1e-4
             state = ModelState(Y=y[None, :], family=family, U=U,
                                V=np.zeros((1, k)), delta=np.zeros(n_obs),
-                               lambda_u=lam.copy(), lambda_v=lam.copy(),
-                               index=IndexSets(n_coef, 0, 1))
+                               penalty=1e-4, index=IndexSets(n_coef, 0, 1))
             result = g.fit(state, g.FitConfig(max_iters=500, tol=1e-14))
             reference = oracle.irls_glm(y, X, family)
             assert np.abs(result.coef_A[0] - reference).max() <= 1e-6
@@ -130,9 +128,10 @@ def test_c6_canonical_link_simplification():
                 stats = predictor_stats(state)
                 rho = family.variance(stats.M)  # variance at the current means
                 u = state.index.u_cols
+                lam = column_penalty(state, u)
                 simple_grad = ((state.Y - stats.M).T @ state.V[:, u]
-                               - state.lambda_u[u] * state.U[:, u])
-                simple_info = rho.T @ state.V[:, u] ** 2 + state.lambda_u[u]
+                               - lam * state.U[:, u])
+                simple_info = rho.T @ state.V[:, u] ** 2 + lam
                 np.testing.assert_allclose(
                     g.gradient(state, "U", stats), simple_grad,
                     rtol=1e-12, atol=1e-12)
@@ -140,9 +139,10 @@ def test_c6_canonical_link_simplification():
                     gram_diagonal(state, "U", stats), simple_info,
                     rtol=1e-12, atol=1e-12)
                 v = state.index.v_cols
+                lam = column_penalty(state, v)
                 simple_grad = ((state.Y - stats.M) @ state.U[:, v]
-                               - state.lambda_v[v] * state.V[:, v])
-                simple_info = rho @ state.U[:, v] ** 2 + state.lambda_v[v]
+                               - lam * state.V[:, v])
+                simple_info = rho @ state.U[:, v] ** 2 + lam
                 np.testing.assert_allclose(
                     g.gradient(state, "V", stats), simple_grad,
                     rtol=1e-12, atol=1e-12)

@@ -1,16 +1,18 @@
-"""The benchmark's tracer patches glmpca from outside, by name.
+"""The benchmark calls glmpca from outside, by name.
 
 perfbench/tracing.py wraps glmpca functions and Family methods and puts
-the originals back afterwards.  A rename or deletion in the package that
-the tracer still names breaks ``perfbench/run.py --trace``; this test
-catches it in the tier-1 suite.  It reads perfbench/ and changes nothing
-there.
+the originals back afterwards, and perfbench/workloads.py builds, fits
+and checks each workload through the public API.  A rename or deletion
+in the package that either still names breaks ``perfbench/run.py``;
+these tests catch it in the tier-1 suite.  They read perfbench/ and
+change nothing there.
 """
 
 import importlib
 import sys
 from pathlib import Path
 
+import glmpca
 from glmpca.families import Family
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -48,3 +50,23 @@ def test_install_then_uninstall_restores_glmpca(monkeypatch):
     after = glmpca_bindings()
     assert after.keys() == before.keys()
     assert [key for key in before if after[key] is not before[key]] == []
+
+
+def test_tiny_workloads_run_clean(tmp_path, monkeypatch):
+    # one tiny job of each workload, through the benchmark's own jobs
+    # and checks: build_model + fit on instance 0 of the two library
+    # workloads, and the CLI's read + build + capped fit of the NB file
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+
+    for name in workloads.WORKLOAD_IDS:
+        workdir = tmp_path / name
+        workdir.mkdir()
+        spec = workloads.generate(name, 1, "tiny", workdir)
+        if name == "cli-nb-mtx":
+            _, _, result = workloads.cli_in_process(glmpca, Path(spec["mtx"]))
+            assert workloads.check_capped_fit(result, None) == []
+        else:
+            inst = workloads.load_instance(workdir, 0)
+            outcome = workloads.fit_job(glmpca, name, inst, None)
+            assert outcome.failures == []

@@ -1,5 +1,6 @@
 """Family-level unit and property tests."""
 
+import decimal
 import math
 
 import numpy as np
@@ -339,15 +340,43 @@ class TestLoglikSum:
 
     @pytest.mark.parametrize("extremes", ["clamps", "twenty"])
     def test_negative_binomial_large_means(self, extremes):
-        # at a large mean theta = -log1p(alpha/mu) is near 0, and the
-        # public route loses digits in kappa = -alpha log1p(-exp(theta)):
-        # 1e-9 relative on these sums.  y*theta + alpha*log(alpha/(mu+alpha))
-        # is the same sum, well conditioned at every mean
+        # y*log(mu/(mu+alpha)) + alpha*log(alpha/(mu+alpha)) is the same
+        # sum.  Its ratio mu/(mu+alpha) is rounded next to 1, so its theta
+        # is off by about 1e-16 absolute; that is harmless here only
+        # because y is small in every cell.  Cells with y near a large
+        # mean are held to a decimal reference below
         a = self.NB.dispersion
         y, r, mu = self.case(self.NB, self.EXTREMES[extremes])
         expected = np.sum(y * np.log(mu / (mu + a)) + a * np.log(a / (mu + a)))
         assert self.fused(self.NB, y, r, mu) == pytest.approx(expected,
                                                               rel=1e-12)
+
+    @staticmethod
+    def nb_reference(y, mu, a):
+        """y log(mu/(mu+a)) + a log(a/(mu+a)) in 60-digit decimals."""
+        with decimal.localcontext() as ctx:
+            ctx.prec = 60
+            y, mu, a = (decimal.Decimal(float(v)) for v in (y, mu, a))
+            return float(y * (mu / (mu + a)).ln() + a * (a / (mu + a)).ln())
+
+    # means of 4.9e8 and at the 1e10 clamp (r = 30 is clipped to it), each
+    # with y near the mean, where y*theta and kappa are both large, and
+    # with small y
+    @pytest.mark.parametrize("r, y", [
+        (math.log(4.9e8), 4.9e8), (math.log(4.9e8), 490_001_234.0),
+        (math.log(4.9e8), 0.0), (math.log(4.9e8), 3.0),
+        (30.0, 1e10), (30.0, 9_999_876_543.0), (30.0, 0.0), (30.0, 7.0),
+    ], ids=[f"{mean}-{y}" for mean in ("4.9e8", "clamp")
+            for y in ("y=mu", "y~mu", "y=0", "small-y")])
+    def test_negative_binomial_cell_at_large_mean(self, r, y):
+        fam = self.NB
+        r = np.array([[r]])
+        mu = fam.working_weights(r)[0]
+        y = np.array([[y]])
+        expected = self.nb_reference(y[0, 0], mu[0, 0], fam.dispersion)
+        assert self.fused(fam, y, r, mu) == pytest.approx(expected, rel=1e-13)
+        public = fam.loglik_term(y[0, 0], fam.natural_param(mu[0, 0]))
+        assert public == pytest.approx(expected, rel=1e-13)
 
     @pytest.mark.parametrize("fam", ALL[1:], ids=lambda f: f.kind)
     def test_flat_beyond_the_clamps(self, fam):

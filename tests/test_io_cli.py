@@ -1,7 +1,6 @@
 """Tests for matrix reading, result writing, and the CLI contract."""
 
 import argparse
-import functools
 import json
 import re
 import subprocess
@@ -18,9 +17,9 @@ from hypothesis import strategies as st
 import glmpca as g
 from glmpca import DataError
 from glmpca import io as gio
-from glmpca import cli
+from glmpca import cli, optimizer
 from glmpca.cli import run_cli
-from glmpca.optimizer import FitConfig, FitResult
+from glmpca.optimizer import FitResult
 
 import oracle
 from conftest import DATA_DIR
@@ -550,10 +549,9 @@ class TestCli:
 
     def test_stalled_fit_exits_2_naming_the_stall(self, tmp_path, capsys,
                                                   monkeypatch):
-        # the CLI keeps the default max_halvings; without halvings the
-        # first sweep on these counts lowers Q, so the fit stalls at once
-        monkeypatch.setattr(cli, "FitConfig",
-                            functools.partial(FitConfig, max_halvings=0))
+        # without halvings the first sweep on these counts lowers Q, so
+        # the fit stalls at once
+        monkeypatch.setattr(optimizer, "MAX_HALVINGS", 0)
         data = tmp_path / "counts.csv"
         Y = np.random.default_rng(0).poisson(5.0, size=(40, 30))
         np.savetxt(data, Y, fmt="%d", delimiter=",")
@@ -563,6 +561,7 @@ class TestCli:
         assert code == 2
         err = capsys.readouterr().err
         assert "stalled at iteration 1" in err
+        assert "even after 0 step halvings" in err
         assert "did not converge within" not in err
         meta = json.loads((out / "meta.json").read_text())
         assert meta["converged"] is False

@@ -1,13 +1,16 @@
 """Tests for model construction, the objective, and its derivatives."""
 
+import inspect
+import re
+
 import numpy as np
 import pytest
 
 import glmpca as g
 from glmpca import ConfigError, DataError
 from glmpca.families import MEAN_CEIL, PROB_CEIL, PROB_FLOOR
-from glmpca.model import (IndexSets, ModelState, fisher_gram, predictor_stats,
-                          resolve_offset)
+from glmpca.model import (IndexSets, ModelState, block_of, fisher_gram,
+                          predictor_stats, resolve_offset)
 import oracle
 
 from conftest import ALL_FAMILIES, gram_diagonal, random_state
@@ -58,6 +61,15 @@ class TestDataValidation:
 
 
 class TestBuildModel:
+    def test_docstring_parameters_match_signature(self):
+        # each "name : type" line of the Parameters section, in order
+        doc = inspect.getdoc(g.build_model)
+        section = doc.split("Parameters\n----------\n", 1)[1]
+        documented = [name for names in re.findall(
+            r"^(\w+(?:, \w+)*) :", section, flags=re.MULTILINE)
+            for name in names.split(", ")]
+        assert documented == list(inspect.signature(g.build_model).parameters)
+
     def test_default_shapes_and_intercept(self):
         Y = np.zeros((5, 10))
         state = g.build_model(Y, n_latent=2, family=g.poisson(), seed=0)
@@ -125,28 +137,54 @@ class TestBuildModel:
             g.build_model(Y, n_latent=3, family=g.poisson(), seed=0)
 
     def test_penalty_defaults_and_layout(self):
-        Z = np.arange(5.0)[:, None]
         state = g.build_model(np.zeros((5, 10)), n_latent=2,
-                              family=g.poisson(), feat_covariates=Z, seed=0)
-        idx = state.index
-        assert np.all(state.lambda_u[list(idx.obs_cols)] == 0)
-        assert np.all(state.lambda_u[list(idx.feat_cols)] == 0)
-        assert np.all(state.lambda_v[list(idx.obs_cols)] == 0)
-        np.testing.assert_allclose(state.lambda_u[idx.latent_slice], 1e-4)
-        np.testing.assert_allclose(state.lambda_v[idx.latent_slice], 1e-4)
+                              family=g.poisson(), seed=0)
+        assert state.penalty == 1e-4
+        # X, Z, A and Gamma all nonzero: lambda reaches the latent
+        # columns of the gradient and the Gram diagonal, and only those
+        lam = 0.7
+        base = random_state(g.poisson(), seed=12, penalty=0.0)
+        pen = random_state(g.poisson(), seed=12, penalty=lam)
+        for block in (base.X, base.Z, base.A, base.Gamma):
+            assert np.all(block != 0)
+        stats = predictor_stats(base)
+        latent = base.index.latent_slice
+        for block in ("U", "V"):
+            side = block_of(base, block)
+            n_coef = len(side.cols) - base.index.n_latent
+            g0 = g.gradient(base, block, stats)
+            g1 = g.gradient(pen, block, stats)
+            np.testing.assert_array_equal(g1[:, :n_coef], g0[:, :n_coef])
+            np.testing.assert_allclose(
+                g1[:, n_coef:], g0[:, n_coef:] - lam * side.own[:, latent],
+                rtol=0, atol=1e-12)
+            gram0 = fisher_gram(base, block, stats)
+            gram1 = fisher_gram(pen, block, stats)
+            np.testing.assert_array_equal(gram1[:, :n_coef], gram0[:, :n_coef])
+            np.testing.assert_array_equal(gram1[:, :, :n_coef],
+                                          gram0[:, :, :n_coef])
+            ridge = np.zeros_like(gram0[0])
+            ridge[n_coef:, n_coef:] = lam * np.eye(base.index.n_latent)
+            np.testing.assert_allclose(gram1 - gram0,
+                                       np.broadcast_to(ridge, gram0.shape),
+                                       rtol=0, atol=1e-12)
 
-    def test_penalty_vector_and_validation(self):
-        Y = np.zeros((5, 10))
-        state = g.build_model(Y, n_latent=2, family=g.poisson(),
-                              penalty_u=[0.5, 0.25], seed=0)
-        np.testing.assert_array_equal(
-            state.lambda_u[state.index.latent_slice], [0.5, 0.25])
-        with pytest.raises(ConfigError):
-            g.build_model(Y, n_latent=2, family=g.poisson(),
-                          penalty_u=-1.0, seed=0)
-        with pytest.raises(ConfigError):
-            g.build_model(Y, n_latent=2, family=g.poisson(),
-                          penalty_u=[1.0, 2.0, 3.0], seed=0)
+    @pytest.mark.parametrize(
+        "penalty", [-1.0, np.nan, np.inf, [0.5], np.array([0.5, 0.25]),
+                    "1e-4"],
+        ids=["negative", "nan", "inf", "list", "array", "string"])
+    def test_penalty_rejected(self, penalty):
+        with pytest.raises(ConfigError, match="penalty"):
+            g.build_model(np.zeros((5, 10)), n_latent=2, family=g.poisson(),
+                          penalty=penalty, seed=0)
+
+    @pytest.mark.parametrize("penalty", [0, 2, np.float64(0.3)],
+                             ids=["int-zero", "int", "numpy-float"])
+    def test_penalty_accepted(self, penalty):
+        state = g.build_model(np.zeros((5, 10)), n_latent=2,
+                              family=g.poisson(), penalty=penalty, seed=0)
+        assert type(state.penalty) is float
+        assert state.penalty == penalty
 
     def test_auto_offset_log_link(self):
         rng = np.random.default_rng(0)
@@ -232,26 +270,21 @@ class TestObjective:
     def test_poisson_closed_form_at_zero(self):
         Y = np.array([[3.0, 0.0], [1.0, 2.0]])
         state = g.build_model(Y, n_latent=1, family=g.poisson(),
-                              intercept=False, penalty_u=0.0, penalty_v=0.0,
-                              seed=0)
+                              intercept=False, penalty=0.0, seed=0)
         state.U[...] = 0.0
         state.V[...] = 0.0
         assert g.objective(state) == pytest.approx(-4.0)
 
     def test_penalty_arithmetic(self):
-        Y = np.array([[3.0, 0.0], [1.0, 2.0]])
-        base = g.build_model(Y, n_latent=1, family=g.poisson(),
-                             intercept=False, penalty_u=0.0, penalty_v=0.0,
-                             seed=0)
-        base.U[...] = 0.0
-        base.V[...] = 0.0
-        withpen = g.build_model(Y, n_latent=1, family=g.poisson(),
-                                intercept=False, penalty_u=2.0,
-                                penalty_v=0.0, seed=0)
-        withpen.U[:, 0] = 1.0
-        withpen.V[...] = 0.0
-        # theta is unchanged (V = 0), only the ridge term differs
-        assert g.objective(withpen) - g.objective(base) == pytest.approx(-2.0)
+        # X, Z, A and Gamma all nonzero; the ridge term of Q is
+        # lambda/2 (|U_latent|^2 + |V_latent|^2) and nothing else
+        base = random_state(g.poisson(), seed=14, penalty=0.0)
+        withpen = random_state(g.poisson(), seed=14, penalty=2.0)
+        for block in (base.X, base.Z, base.A, base.Gamma):
+            assert np.all(block != 0)
+        ridge = np.sum(base.U_latent ** 2) + np.sum(base.V_latent ** 2)
+        assert g.objective(withpen) - g.objective(base) == pytest.approx(
+            -0.5 * 2.0 * ridge, rel=1e-12)
 
     @pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: f.kind)
     def test_matches_scalar_loop(self, family):
@@ -288,8 +321,7 @@ class TestGradients:
         state = ModelState(
             Y=np.array([[2.0]]), family=g.poisson(),
             U=np.array([[0.0]]), V=np.array([[1.0]]),
-            delta=np.zeros(1), lambda_u=np.zeros(1), lambda_v=np.zeros(1),
-            index=idx)
+            delta=np.zeros(1), penalty=0.0, index=idx)
         np.testing.assert_allclose(g.gradient(state, "U"), [[1.0]])
 
     def test_zero_at_saturated_fit(self):
@@ -366,16 +398,16 @@ class TestFisherInformation:
     def test_gaussian_identity_form(self):
         state = random_state(g.gaussian(), seed=5)
         k = state.index.u_cols[-1]
-        expect = np.sum(state.V[:, k] ** 2) + state.lambda_u[k]
+        expect = np.sum(state.V[:, k] ** 2) + state.penalty  # k is latent
         np.testing.assert_allclose(gram_diagonal(state, "U")[:, -1],
                                    np.full(state.n_obs, expect), rtol=1e-12)
 
     def test_canonical_variance_form(self):
         state = random_state(g.bernoulli(), seed=6)
         stats = predictor_stats(state)
-        k = state.index.u_cols[0]
+        k = state.index.u_cols[0]  # the Gamma column, not penalized
         expect = stats.M * (1 - stats.M)  # rho(mu) for the bernoulli
-        simplified = expect.T @ state.V[:, k] ** 2 + state.lambda_u[k]
+        simplified = expect.T @ state.V[:, k] ** 2
         np.testing.assert_allclose(gram_diagonal(state, "U", stats)[:, 0],
                                    simplified, rtol=0, atol=1e-12)
 

@@ -15,20 +15,18 @@ from glmpca.optimizer import full_scoring
 from glmpca.model import (IndexSets, ModelState, PredictorStats, block_of,
                           linear_predictor, predictor_stats)
 
-from conftest import ALL_FAMILIES, random_state, sample_response
+from conftest import (ALL_FAMILIES, column_penalty, random_state,
+                      sample_response)
 
 
-def tiny_state(Y, family, U, V, lambda_u=None, lambda_v=None, index=None):
+def tiny_state(Y, family, U, V, penalty=0.0, index=None):
     """Hand-built state for cases build_model would refuse (e.g. J=1)."""
     Y = np.asarray(Y, dtype=float)
     U = np.asarray(U, dtype=float)
     V = np.asarray(V, dtype=float)
-    k = U.shape[1]
     return ModelState(
         Y=Y, family=family, U=U, V=V, delta=np.zeros(U.shape[0]),
-        lambda_u=np.zeros(k) if lambda_u is None else np.asarray(lambda_u, float),
-        lambda_v=np.zeros(k) if lambda_v is None else np.asarray(lambda_v, float),
-        index=index or IndexSets(0, 0, k))
+        penalty=penalty, index=index or IndexSets(0, 0, U.shape[1]))
 
 
 def glm_state(family, seed, n_obs=60, n_coef=3, penalty=1e-4):
@@ -44,13 +42,10 @@ def glm_state(family, seed, n_obs=60, n_coef=3, penalty=1e-4):
     U = np.zeros((n_obs, k))
     U[:, :n_coef] = X
     V = np.zeros((1, k))
-    lam_u = np.zeros(k)
-    lam_v = np.zeros(k)
-    lam_u[-1] = penalty  # keeps the all-zero latent block pinned at zero
-    lam_v[-1] = penalty
+    # the penalty keeps the all-zero latent block pinned at zero
     state = ModelState(Y=y[None, :], family=family, U=U, V=V,
-                       delta=np.zeros(n_obs), lambda_u=lam_u,
-                       lambda_v=lam_v, index=IndexSets(n_coef, 0, 1))
+                       delta=np.zeros(n_obs), penalty=penalty,
+                       index=IndexSets(n_coef, 0, 1))
     return state, X, y
 
 
@@ -233,15 +228,16 @@ def rowwise_full_scoring(state, block, info, resid, scale):
     """Per-row reference for full_scoring over all updateable columns of
     ``block``: for each row r, solve
 
-        (D' diag(info_r) D + diag(lambda)) step = D' resid_r - lambda own_r
+        (D' diag(info_r) D + diag(lam)) step = D' resid_r - lam own_r
 
-    or, when that system is singular, take the diagonal step and leave
+    with lam the penalty on latent columns and 0 on the others, or, when
+    that system is singular, take the diagonal step and leave
     zero-pivot columns alone.  ``info`` and ``resid`` are J x N.
     Returns the scaled steps, one row per own row, and the fallback
     count."""
     side = block_of(state, block)
     D = side.partner[:, side.cols]
-    lam = side.penalty[side.cols]
+    lam = column_penalty(state, side.cols)
     info, resid = side.rows(info), side.rows(resid)
     own = side.own[:, side.cols]
     steps = np.empty_like(own)
@@ -262,7 +258,7 @@ def rowwise_full_scoring(state, block, info, resid, scale):
 
 def two_sided_state(family, seed, n_feat=7, n_obs=11):
     """Intercept plus one observation covariate (K_o=2), two feature
-    covariates (K_f=2), two latent columns with distinct penalties, and
+    covariates (K_f=2), two latent columns under the penalty 0.3, and
     random coefficient and latent blocks."""
     rng = np.random.default_rng(seed)
     X = rng.normal(size=(n_obs, 1))
@@ -270,8 +266,7 @@ def two_sided_state(family, seed, n_feat=7, n_obs=11):
     mean = family.inverse_link(rng.normal(0.5, 0.3, (n_feat, n_obs)))
     Y = sample_response(rng, family, mean)
     state = g.build_model(Y, n_latent=2, family=family, obs_covariates=X,
-                          feat_covariates=Z, penalty_u=[0.3, 0.05],
-                          penalty_v=[0.7, 0.2], seed=seed)
+                          feat_covariates=Z, penalty=0.3, seed=seed)
     idx = state.index
     for own, cols in ((state.U, idx.feat_slice), (state.U, idx.latent_slice),
                       (state.V, idx.obs_slice), (state.V, idx.latent_slice)):
@@ -334,14 +329,14 @@ class TestFullScoring:
         n, n_latent = 60, 40
         Y = rng.poisson(2.0, size=(n, n)).astype(float)
         state = g.build_model(Y, n_latent=n_latent, family=g.poisson(),
-                              penalty_u=1.0, penalty_v=1.0, seed=77)
+                              penalty=1.0, seed=77)
         lat = state.index.latent_slice
         state.U[:, lat] = rng.normal(0.0, 0.3, (n, n_latent))
         state.V[:, lat] = rng.normal(0.0, 0.3, (n, n_latent))
         stats = predictor_stats(state)
         side = block_of(state, "V")
         D = side.partner[:, side.cols]
-        lam = side.penalty[side.cols]
+        lam = column_penalty(state, side.cols)
         m = len(side.cols)
         assert n * m * m > 28 * n * n
         products = (D[:, :, None] * D[:, None, :]).reshape(n, m * m)
@@ -435,9 +430,7 @@ class TestFullScoring:
         Y = rng.normal(size=(3, n_obs))
         state = tiny_state(Y, g.gaussian(),
                            U=np.column_stack([X, np.zeros(n_obs)]),
-                           V=np.zeros((3, 3)),
-                           lambda_u=[0.0, 0.0, 1e-4],
-                           lambda_v=[0.0, 0.0, 1e-4],
+                           V=np.zeros((3, 3)), penalty=1e-4,
                            index=IndexSets(2, 0, 1))
         stats = predictor_stats(state)
         expected, _ = rowwise_full_scoring(state, "V", stats.I,
@@ -501,8 +494,8 @@ class TestDegenerateColumns:
         x = rng.normal(size=n_obs)
         state = tiny_state(rng.normal(size=(n_feat, n_obs)), g.gaussian(),
                            U=np.column_stack([x, x, np.zeros(n_obs)]),
-                           V=np.zeros((n_feat, 3)), lambda_u=[0, 0, 1e-4],
-                           lambda_v=[0, 0, 1e-4], index=IndexSets(2, 0, 1))
+                           V=np.zeros((n_feat, 3)), penalty=1e-4,
+                           index=IndexSets(2, 0, 1))
         notes = Counter()
         optimizer._sweep(state, 1.0, notes)
         assert notes == Counter(
@@ -514,7 +507,7 @@ class TestFit:
         rng = np.random.default_rng(99)
         Y = rng.standard_normal((6, 12))
         state = g.build_model(Y, n_latent=2, family=g.gaussian(),
-                              penalty_u=0.0, penalty_v=0.0, seed=3)
+                              penalty=0.0, seed=3)
         result = g.fit(state, g.FitConfig(max_iters=20000, tol=1e-14))
         assert result.converged
         scores, loadings = oracle.pca_reference(Y, 2)
@@ -525,7 +518,7 @@ class TestFit:
         # C3's data: the output is PCA's own, not just the same product
         Y = np.random.default_rng(42).standard_normal((20, 40))
         state = g.build_model(Y, n_latent=3, family=g.gaussian(),
-                              penalty_u=0.0, penalty_v=0.0, seed=5)
+                              penalty=0.0, seed=5)
         result = g.fit(state, g.FitConfig(max_iters=20000, tol=1e-12))
         scores, loadings = oracle.pca_reference(Y, 3)
         signs = np.sign(np.sum(result.loadings * loadings, axis=0))
@@ -545,8 +538,7 @@ class TestFit:
         np.testing.assert_allclose(
             result.final_q,
             g.objective(ModelState(state.Y, state.family, u0, v0, state.delta,
-                                   state.lambda_u, state.lambda_v,
-                                   state.index)),
+                                   state.penalty, state.index)),
             rtol=0, atol=1e-10)
 
     def test_saturated_integer_start_poisson(self):
@@ -587,14 +579,18 @@ class TestFit:
         assert result.iterations_run == 2
         assert [it for it, _ in result.trace] == [1, 2]
 
-    @pytest.mark.parametrize("cfg, reason, converged", [
-        (g.FitConfig(tol=1e-3), "tol", True),
-        (g.FitConfig(max_iters=2, tol=1e-16), "max_iters", False),
-        (g.FitConfig(max_halvings=0), "stalled", False),
+    @pytest.mark.parametrize("cfg, halvings, reason, converged", [
+        (g.FitConfig(tol=1e-3), optimizer.MAX_HALVINGS, "tol", True),
+        (g.FitConfig(max_iters=2, tol=1e-16), optimizer.MAX_HALVINGS,
+         "max_iters", False),
+        (g.FitConfig(), 0, "stalled", False),
     ], ids=["tol", "max_iters", "stalled"])
-    def test_stop_reason(self, cfg, reason, converged):
+    def test_stop_reason(self, cfg, halvings, reason, converged,
+                         monkeypatch):
         # on these counts the first full-size sweep lowers Q, so without
-        # halvings the fit stalls at once; with them it converges
+        # halvings the fit stalls at once; with them it converges.  fit
+        # reads the halving budget when it runs.
+        monkeypatch.setattr(optimizer, "MAX_HALVINGS", halvings)
         Y = np.random.default_rng(0).poisson(5.0, size=(40, 30)).astype(float)
         state = g.build_model(Y, n_latent=2, family=g.poisson(), seed=0)
         q0 = g.objective(state)
@@ -670,8 +666,7 @@ class TestFit:
         V = np.column_stack([np.zeros((n_feat, 2)),
                              rng.normal(0, 0.1, (n_feat, 1))])
         state = tiny_state(rng.normal(size=(n_feat, n_obs)), g.gaussian(),
-                           U=U, V=V, lambda_u=[0, 0, 1e-4],
-                           lambda_v=[0, 0, 1e-4], index=IndexSets(2, 0, 1))
+                           U=U, V=V, penalty=1e-4, index=IndexSets(2, 0, 1))
         predictors, postprocess = [], optimizer.postprocess
 
         def watched(state):
@@ -698,10 +693,8 @@ class TestFit:
             g.FitConfig(max_iters=0)
         with pytest.raises(ConfigError):
             g.FitConfig(tol=0.0)
-        with pytest.raises(ConfigError):
-            g.FitConfig(max_halvings=-1)
 
-    @pytest.mark.parametrize("field", ["max_iters", "max_halvings"])
+    @pytest.mark.parametrize("field", ["max_iters"])
     def test_config_rejects_fractional_counts(self, field):
         # range() would raise a TypeError from inside fit instead
         with pytest.raises(ConfigError, match=f"{field} must be an integer"):

@@ -63,8 +63,7 @@ class TestProjection:
         V = np.hstack([rng.normal(size=(n_feat, 2)), np.column_stack([z, z]),
                        rng.normal(size=(n_feat, 1))])
         state = ModelState(Y=None, family=g.gaussian(), U=U.copy(),
-                           V=V.copy(), delta=np.zeros(n_obs),
-                           lambda_u=np.zeros(5), lambda_v=np.zeros(5),
+                           V=V.copy(), delta=np.zeros(n_obs), penalty=0.0,
                            index=IndexSets(2, 2, 1))
         r_before = g.linear_predictor(state)
         v_lat = state.V_latent.copy()
@@ -225,8 +224,7 @@ class TestFullPipeline:
         Y = rng.poisson(2.0, (12, 30)).astype(float)
         Z = rng.normal(size=(12, 1))
         state = g.build_model(Y, n_latent=2, family=g.poisson(),
-                              feat_covariates=Z, penalty_u=0.0,
-                              penalty_v=0.0, seed=0)
+                              feat_covariates=Z, penalty=0.0, seed=0)
         k = state.index.latent_cols[-1]
         state.U[:, k] = 0.0
         state.V[:, k] = 0.0
@@ -260,12 +258,10 @@ class TestFullPipeline:
 
         before = predict(u_til, v_til, coef_a, coef_g,
                          sample[:, 0], sample[:, 1])
-        n_total = 4 + n_latent
         state = ModelState(Y=None, family=g.gaussian(),
                            U=np.hstack([X, coef_g, u_til]),
                            V=np.hstack([coef_a, Z, v_til]),
-                           delta=np.zeros(n_obs), lambda_u=np.zeros(n_total),
-                           lambda_v=np.zeros(n_total),
+                           delta=np.zeros(n_obs), penalty=0.0,
                            index=IndexSets(2, 2, n_latent))
         tracemalloc.start()
         g.project_out_covariates(state)
