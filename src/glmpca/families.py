@@ -39,7 +39,8 @@ _LINK = {
     "bernoulli": "logit",
     "negative_binomial": "log",
 }
-_TRUE_CANONICAL = {"gaussian": "identity", "poisson": "log", "bernoulli": "logit"}
+_TRUE_CANONICAL = {"gaussian": "identity", "poisson": "log",
+                   "bernoulli": "logit"}
 
 KINDS = tuple(_LINK)
 
@@ -117,19 +118,18 @@ class Family:
             h = mu * (1.0 - mu)
         return _ret(h, r)
 
-    def working_weights(self, r):
-        """Means and Fisher-scoring weights at the linear predictor r.
+    def _working_weights(self, r):
+        """Means and Fisher-scoring weights at the linear predictor r, a
+        float array, which is not checked: the fit builds r only from
+        finite factors (model.finite_factors).
 
         Returns (M, S, I): the clamped mean g⁻¹(r), the score weight
         S = h/rho(M) and the information weight I = h²/rho(M), with
         h = g⁻¹'(r).  One exp, one in-place clamp.  For canonical links
         h == rho(M), so S is the scalar 1 and I is rho(M), which for the
-        Poisson is M itself.  Raises DomainError when r holds a
-        non-finite value.
+        Poisson is M itself.
         """
-        arr = _asfloat(r)
-        _check_predictor(arr)
-        M = self._mean(arr)
+        M = self._mean(r)
         if self.kind == "poisson":
             return M, 1.0, M
         if self.is_canonical:
@@ -141,8 +141,8 @@ class Family:
         return M, S, M * S
 
     def _mean(self, r):
-        """g⁻¹(r) for a finite predictor, clamped in place into the
-        strict interior of the domain; always a new array."""
+        """g⁻¹(r), clamped in place into the strict interior of the
+        domain; always a new array."""
         with np.errstate(over="ignore"):
             if self.link == "identity":
                 return r + 0.0
@@ -160,7 +160,7 @@ class Family:
     # moment functions
     #
     # Each public method validates its argument, then runs the private
-    # arithmetic.  The fit calls none of them: working_weights and
+    # arithmetic.  The fit calls none of them: _working_weights and
     # _loglik_sum work on means already clamped into the domain and data
     # already checked by build_model.
 

@@ -27,7 +27,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .exceptions import ConfigError, DataError
+from .exceptions import ConfigError, DataError, DomainError
 from .families import Family
 
 INIT_SCALE = 0.1  # latent init sd is INIT_SCALE / sqrt(n_latent)
@@ -93,7 +93,7 @@ class IndexSets:
 
 
 class PredictorStats(NamedTuple):
-    """The per-cell quantities Family.working_weights derives from the
+    """The per-cell quantities Family._working_weights derives from the
     linear predictor; each block step scores with them, the U step with
     those of the refresh that scored its starting point."""
 
@@ -182,7 +182,8 @@ def _as_design(mat, n_rows: int, what: str) -> np.ndarray:
         mat = mat[:, None]
     if mat.ndim != 2 or mat.shape[0] != n_rows:
         raise ConfigError(
-            f"{what} must be a matrix with {n_rows} rows, got shape {mat.shape}"
+            f"{what} must be a matrix with {n_rows} rows, "
+            f"got shape {mat.shape}"
         )
     if not np.all(np.isfinite(mat)):
         raise ConfigError(f"{what} contains non-finite values")
@@ -283,11 +284,14 @@ def build_model(Y, *, n_latent: int, family: Family, obs_covariates=None,
     _check_full_rank(X, "observation design matrix")
     _check_full_rank(Z, "feature design matrix")
 
-    if not isinstance(n_latent, (int, np.integer)) or n_latent < 1:
+    if (isinstance(n_latent, bool)
+            or not isinstance(n_latent, (int, np.integer)) or n_latent < 1):
         raise ConfigError("n_latent must be a positive integer")
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
+    if (isinstance(seed, bool) or not isinstance(seed, (int, np.integer))
+            or seed < 0):
         raise ConfigError(f"seed must be a nonnegative integer, got {seed!r}")
-    if (not isinstance(penalty, (int, float, np.integer, np.floating))
+    if (isinstance(penalty, bool)
+            or not isinstance(penalty, (int, float, np.integer, np.floating))
             or not 0 <= penalty < np.inf):
         raise ConfigError(
             f"penalty must be a nonnegative finite scalar, got {penalty!r}")
@@ -323,9 +327,14 @@ def linear_predictor(state: ModelState) -> np.ndarray:
     return R
 
 
+def finite_factors(state: ModelState) -> bool:
+    """Whether U, V and delta are finite: O((J + N) K), no J x N scan."""
+    return all(np.isfinite(a).all() for a in (state.U, state.V, state.delta))
+
+
 def predictor_stats(state: ModelState) -> PredictorStats:
-    """Means and working weights at the current linear predictor."""
-    return PredictorStats(*state.family.working_weights(
+    """Means and working weights at R, for finite factors only."""
+    return PredictorStats(*state.family._working_weights(
         linear_predictor(state)))
 
 
@@ -338,14 +347,14 @@ def refresh(state: ModelState) -> tuple[float, PredictorStats]:
         - 1/2 lambda (||U_latent||^2 + ||V_latent||^2)
 
     The optimizer scores a point once: the stats of an accepted point
-    feed the next U step.  A non-finite Q is returned as-is so the
-    optimizer's step halving can react to it; a non-finite R raises
-    DomainError.  Y is validated by build_model and the means are
-    clamped into the domain, so neither is checked again here.
+    feed the next U step.  Nothing is checked here: the factors must be
+    finite (finite_factors), Y is validated by build_model and the means
+    are clamped into the domain.  A non-finite Q is returned as-is so
+    the optimizer's step halving can react to it.
     """
     fam = state.family
     R = linear_predictor(state)
-    stats = PredictorStats(*fam.working_weights(R))
+    stats = PredictorStats(*fam._working_weights(R))
     q = fam._loglik_sum(state.Y, R, stats.M)  # R is overwritten
     for latent in (state.U_latent, state.V_latent):
         q -= 0.5 * state.penalty * float(np.sum(latent ** 2))
@@ -354,7 +363,10 @@ def refresh(state: ModelState) -> tuple[float, PredictorStats]:
 
 def objective(state: ModelState) -> float:
     """Penalized partial log likelihood Q; see ``refresh``, which also
-    returns the means and working weights of the same predictor."""
+    returns the means and working weights of the same predictor.  Raises
+    DomainError when U, V or delta holds a non-finite value."""
+    if not finite_factors(state):
+        raise DomainError("factors or offset contain non-finite values")
     return refresh(state)[0]
 
 

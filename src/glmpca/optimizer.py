@@ -15,9 +15,9 @@ solves it, runs the sweeps and decides when to stop.
 Each failure has one remedy.  A singular row system (an unpenalized
 column whose partner column is all zero) takes the diagonal step, which
 leaves that column unchanged.  A step is not guaranteed to increase Q,
-so a sweep that lowers Q (or produces non-finite values) is retried
-from the sweep's starting point with both steps halved, up to
-MAX_HALVINGS times; that budget is fixed, not a FitConfig setting.
+so a sweep is retried from its starting point with both steps halved
+when it gives non-finite factors or a Q that is non-finite or lower, up
+to MAX_HALVINGS times; that budget is fixed, not a FitConfig setting.
 
 Each point is scored once.  One refresh (model.refresh) builds R from
 U, V and delta and returns Q together with the means and working
@@ -35,9 +35,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import ConfigError, DomainError, FitError
-from .model import (ModelState, PredictorStats, block_of, fisher_gram,
-                    gradient, predictor_stats, refresh)
+from .exceptions import ConfigError, FitError
+from .model import (ModelState, PredictorStats, block_of, finite_factors,
+                    fisher_gram, gradient, predictor_stats, refresh)
 from .postprocess import postprocess
 
 ASCENT_SLACK = 1e-12  # accepted drop per sweep: ASCENT_SLACK * (1 + |Q|)
@@ -57,10 +57,11 @@ class FitConfig:
     full_scoring_coef: bool = False
 
     def __post_init__(self):
-        if not isinstance(self.max_iters, (int, np.integer)) \
-                or self.max_iters < 1:
+        if (isinstance(self.max_iters, bool)
+                or not isinstance(self.max_iters, (int, np.integer))
+                or self.max_iters < 1):
             raise ConfigError("max_iters must be an integer >= 1")
-        if not self.tol > 0:
+        if isinstance(self.tol, bool) or not self.tol > 0:
             raise ConfigError("tol must be positive")
 
 
@@ -165,78 +166,63 @@ def fit(state: ModelState, config: FitConfig | None = None) -> FitResult:
     ``converged=False``, not an error: hitting ``max_iters`` first
     (``"max_iters"``), and a sweep that still lowers Q after
     MAX_HALVINGS step halvings (the module constant, read when fit
-    runs), which is undone before the fit stops (``"stalled"``).  So the recorded trace is non-decreasing.
+    runs), which is undone before the fit stops (``"stalled"``).  So the
+    recorded trace is non-decreasing.
 
-    Raises FitError when the objective is non-finite even after all
-    step halvings (or at the starting point).
+    Raises FitError when the starting point has non-finite factors or Q,
+    and when Q is non-finite even after all step halvings.
     """
     cfg = config or FitConfig()
     notes: Counter = Counter()
     trace: list[tuple[int, float]] = []
-
-    try:
-        # as in the sweeps, an overflow gives a non-finite Q, a FitError
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            # the refresh's stats, in a one-element list that the first
-            # U step empties
-            q_prev, *held = refresh(state)
-    except (DomainError, FloatingPointError) as exc:
-        raise FitError(f"objective undefined at the starting point: {exc}",
-                       trace) from exc
-    if not np.isfinite(q_prev):
-        raise FitError("objective non-finite at the starting point", trace)
+    if not finite_factors(state):
+        raise FitError("objective undefined at the starting point: U, V "
+                       "or delta holds a non-finite value", trace)
 
     stop_reason = "max_iters"
-    iterations = 0
-    for t in range(1, cfg.max_iters + 1):
-        u_snap = state.U.copy()
-        v_snap = state.V.copy()
-        q_new = np.nan
-        accepted = False
-        for attempt in range(MAX_HALVINGS + 1):
-            if attempt:
+    # no floating-point error escapes, whatever the caller's np.seterr: a
+    # non-finite point is retried with a halved step or ends in a FitError
+    with np.errstate(all="ignore"):
+        # the refresh's stats, in a one-element list that the first U
+        # step empties
+        q_prev, *held = refresh(state)
+        if not np.isfinite(q_prev):
+            raise FitError("objective non-finite at the starting point",
+                           trace)
+        for t in range(1, cfg.max_iters + 1):
+            u_snap = state.U.copy()
+            v_snap = state.V.copy()
+            for attempt in range(MAX_HALVINGS + 1):
+                _sweep(state, 0.5 ** attempt, notes, held)
+                q_new, *held = (refresh(state) if finite_factors(state)
+                                else (np.nan,))
+                if np.isfinite(q_new) and (
+                        q_new >= q_prev - ASCENT_SLACK * (1.0 + abs(q_prev))):
+                    if attempt:
+                        notes["sweep step-halvings applied"] += attempt
+                    break
+                # undo the rejected attempt; its stats go with it
                 state.U[...] = u_snap
                 state.V[...] = v_snap
-                held = []  # the stats of the rejected point
-            scale = 0.5 ** attempt
-            try:
-                # overflow here is expected and handled: a non-finite Q
-                # triggers a halved retry or a FitError below
-                with np.errstate(over="ignore", invalid="ignore",
-                                 divide="ignore"):
-                    _sweep(state, scale, notes, held)
-                    q_new, *held = refresh(state)
-            except (DomainError, FloatingPointError):
-                q_new = np.nan
-            if np.isfinite(q_new) and (
-                    q_new >= q_prev - ASCENT_SLACK * (1.0 + abs(q_prev))):
-                accepted = True
-                if attempt:
-                    notes["sweep step-halvings applied"] += attempt
+                held = []
+            else:
+                if not np.isfinite(q_new):
+                    raise FitError(
+                        f"objective non-finite at iteration {t} after "
+                        f"{MAX_HALVINGS} step halvings", trace)
+                # finite but still lower after all halvings, and undone:
+                # Q has not settled to tol, so the fit is stalled
+                notes["sweep rejected after max halvings; stopped early"] += 1
+                trace.append((t, q_prev))
+                stop_reason = "stalled"
                 break
 
-        iterations = t
-        if not accepted:
-            if not np.isfinite(q_new):
-                raise FitError(
-                    f"objective non-finite at iteration {t} after "
-                    f"{MAX_HALVINGS} step halvings", trace)
-            # finite but still lower after all halvings: keep the current
-            # point and stop: no halved step raised Q, yet Q has not
-            # settled to tol, so the fit is stalled, not converged
-            state.U[...] = u_snap
-            state.V[...] = v_snap
-            notes["sweep rejected after max halvings; stopped early"] += 1
-            trace.append((t, q_prev))
-            stop_reason = "stalled"
-            break
-
-        rel_change = abs(q_new - q_prev) / (abs(q_prev) + 1.0)
-        q_prev = q_new
-        trace.append((t, q_new))
-        if rel_change < cfg.tol:
-            stop_reason = "tol"
-            break
+            rel_change = abs(q_new - q_prev) / (abs(q_prev) + 1.0)
+            q_prev = q_new
+            trace.append((t, q_new))
+            if rel_change < cfg.tol:
+                stop_reason = "tol"
+                break
 
     warnings = [f"{msg} (x{n})" if n > 1 else msg
                 for msg, n in sorted(notes.items())]
@@ -256,7 +242,7 @@ def fit(state: ModelState, config: FitConfig | None = None) -> FitResult:
         trace=trace,
         converged=stop_reason == "tol",
         stop_reason=stop_reason,
-        iterations_run=iterations,
+        iterations_run=t,
         final_q=q_prev,
         warnings=warnings,
     )

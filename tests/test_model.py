@@ -117,8 +117,12 @@ class TestBuildModel:
         (dict(n_latent=1.5), "n_latent must be a positive integer"),
         (dict(seed=-1), "seed must be a nonnegative integer, got -1"),
         (dict(seed=0.5), "seed must be a nonnegative integer, got 0.5"),
+        (dict(n_latent=True), "n_latent must be a positive integer"),
+        (dict(seed=False), "seed must be a nonnegative integer, got False"),
+        (dict(penalty=True), "penalty must be a nonnegative finite scalar"),
     ], ids=["short_covariates", "nan_covariate", "fractional_n_latent",
-            "negative_seed", "fractional_seed"])
+            "negative_seed", "fractional_seed", "bool_n_latent", "bool_seed",
+            "bool_penalty"])
     def test_bad_argument_rejected(self, kwargs, message):
         args = dict(n_latent=1, family=g.poisson(), seed=0) | kwargs
         with pytest.raises(ConfigError, match=message):

@@ -1,5 +1,6 @@
 """Tests for the joint block step, the sweep, and the fit loop."""
 
+import dataclasses
 import tracemalloc
 import weakref
 from collections import Counter
@@ -628,6 +629,8 @@ class TestFit:
     @pytest.mark.parametrize("case, message", [
         ("huge offset", "non-finite at the starting point"),
         ("inf in U", "undefined at the starting point"),
+        ("inf in V", "undefined at the starting point"),
+        ("nan in delta", "undefined at the starting point"),
     ])
     def test_nonfinite_start_raises_fit_error(self, case, message):
         # the suite turns RuntimeWarnings into errors, so an overflow
@@ -638,8 +641,56 @@ class TestFit:
                               offset=offset, seed=0)
         if case == "inf in U":
             state.U[0, -1] = np.inf
+        elif case == "inf in V":
+            state.V[0, -1] = np.inf
+        elif case == "nan in delta":
+            state.delta[0] = np.nan
         with pytest.raises(FitError, match=message):
             g.fit(state, g.FitConfig())
+
+    def test_nonfinite_block_step_is_halved(self, monkeypatch):
+        # a first U step that leaves NaN in U makes the whole attempt
+        # non-finite: it is retried at half the step, and nothing raises
+        state = random_state(g.poisson(), seed=77)
+        scales = []
+        real_step = optimizer.full_scoring
+
+        def poisoned_step(state, block, stats, scale):
+            fallbacks = real_step(state, block, stats, scale)
+            if not scales:
+                block_of(state, block).own[0, -1] = np.nan
+            scales.append(scale)
+            return fallbacks
+
+        monkeypatch.setattr(optimizer, "full_scoring", poisoned_step)
+        result = g.fit(state, g.FitConfig(max_iters=5, tol=1e-14))
+        assert scales[:3] == [1.0, 1.0, 0.5]
+        assert any(w.startswith("sweep step-halvings applied")
+                   for w in result.warnings)
+        qs = [q for _, q in result.trace]
+        assert len(qs) == 5 and np.all(np.isfinite(qs))
+        for prev, cur in zip(qs, qs[1:]):
+            assert cur >= prev - 1e-12 * (1.0 + abs(prev))
+
+    def test_underflow_under_strict_errstate(self):
+        # exp(-800) underflows to 0 and is clamped to the mean floor, so
+        # a caller's np.errstate(all="raise") changes nothing in the fit
+        Y = np.random.default_rng(0).poisson(3.0, size=(30, 20)).astype(float)
+        Y[:, 0] = 0.0
+        offset = np.zeros(20)
+        offset[0] = -800.0
+
+        def run():
+            state = g.build_model(Y, n_latent=2, family=g.poisson(),
+                                  offset=offset, seed=0)
+            return g.fit(state, g.FitConfig(max_iters=30))
+
+        plain = run()
+        with np.errstate(all="raise"):
+            strict = run()
+        assert plain.stop_reason == "max_iters"
+        np.testing.assert_equal(dataclasses.asdict(strict),
+                                dataclasses.asdict(plain))
 
     def test_result_contract(self):
         state = random_state(g.poisson(), seed=97, n_latent=2)
@@ -693,6 +744,11 @@ class TestFit:
             g.FitConfig(max_iters=0)
         with pytest.raises(ConfigError):
             g.FitConfig(tol=0.0)
+        # bool is an int subclass, but True is no count and no tolerance
+        with pytest.raises(ConfigError, match="max_iters must be an integer"):
+            g.FitConfig(max_iters=True)
+        with pytest.raises(ConfigError, match="tol must be positive"):
+            g.FitConfig(tol=True)
 
     @pytest.mark.parametrize("field", ["max_iters"])
     def test_config_rejects_fractional_counts(self, field):
