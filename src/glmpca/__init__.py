@@ -13,10 +13,12 @@ from .exceptions import (ConfigError, DataError, DomainError, FitError,
                          GlmPcaError)
 from .families import Family, bernoulli, gaussian, negative_binomial, poisson
 from .io import LoadedMatrix, read_matrix, write_result
-# check_data_matrix, gradient and predictor_stats stay importable from
-# here for the tests and the benchmark, outside __all__
+# check_data_matrix and the scoring pass with the two functions it builds
+# and solves each system with stay importable from here for the tests
+# and the benchmark, outside __all__
 from .model import (IndexSets, ModelState, build_model, check_data_matrix,
-                    gradient, linear_predictor, objective, predictor_stats)
+                    linear_predictor, objective, row_system, score_pass,
+                    solve_rows)
 from .optimizer import FitConfig, FitResult, fit
 from .postprocess import postprocess, project_out_covariates
 

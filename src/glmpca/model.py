@@ -1,4 +1,4 @@
-"""Model state and its derivatives.
+"""Model state, its objective and the scoring pass.
 
 The data matrix Y is J x N with features as rows and observations as
 columns.  Covariates and latent dimensions live in two augmented factor
@@ -10,20 +10,20 @@ matrices,
 where K = n_obs_cov + n_feat_cov + n_latent, so that the linear predictor
 is R = V U' + 1 delta'.  The X and Z blocks are fixed; A, Gamma, and the
 latent blocks are estimated.  The objective is the partial log likelihood
-minus one ridge penalty on the latent columns of U and V; refresh()
-returns it with the means and working weights of the same linear
-predictor.  The Fisher-scoring system of one block, "U" or "V", is
-formed here and only here: its gradient (the score vector, the
-right-hand side of the optimizer's block step) and its per-row
-information matrices (the Gram matrices the step solves), each over all
-of the block's updateable columns.  The U versions are the V ones on
-transposed J x N arrays.
+minus one ridge penalty on the latent columns of U and V.
+
+Everything the fit computes from Y comes from one pass over its rows,
+CHUNK_ROWS at a time (score_pass): Q, the Fisher-scoring system of the
+U block (its gradient and one information matrix per row, summed over
+the chunks) and, when the pass steps, the V step of each chunk, which
+given U separates over the rows of Y.  One function builds a chunk's
+system for either block (row_system) and one adds the ridge and solves
+it (solve_rows).  So no J x N array is made but one chunk's.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -90,16 +90,6 @@ class IndexSets:
     @property
     def latent_slice(self) -> slice:
         return slice(self.n_obs_cov + self.n_feat_cov, self.n_total)
-
-
-class PredictorStats(NamedTuple):
-    """The per-cell quantities Family._working_weights derives from the
-    linear predictor; each block step scores with them, the U step with
-    those of the refresh that scored its starting point."""
-
-    M: np.ndarray          # J x N means g^{-1}(R), clamped
-    S: np.ndarray | float  # J x N score weights h/rho(M); 1 if canonical
-    I: np.ndarray          # J x N information weights h^2/rho(M)
 
 
 @dataclass
@@ -317,12 +307,16 @@ def build_model(Y, *, n_latent: int, family: Family, obs_covariates=None,
 
 
 # ----------------------------------------------------------------------
-# predictor, objective, derivatives
+# the scoring pass
+
+CHUNK_ROWS = 128  # rows of Y per chunk of the scoring pass
 
 
-def linear_predictor(state: ModelState) -> np.ndarray:
-    """R = V U' + 1 delta', the J x N linear predictor."""
-    R = state.V @ state.U.T
+def linear_predictor(state: ModelState,
+                     rows: slice = slice(None)) -> np.ndarray:
+    """R = V U' + 1 delta', the J x N linear predictor, or its rows
+    ``rows``."""
+    R = state.V[rows] @ state.U.T
     R += state.delta[None, :]
     return R
 
@@ -332,121 +326,122 @@ def finite_factors(state: ModelState) -> bool:
     return all(np.isfinite(a).all() for a in (state.U, state.V, state.delta))
 
 
-def predictor_stats(state: ModelState) -> PredictorStats:
-    """Means and working weights at R, for finite factors only."""
-    return PredictorStats(*state.family._working_weights(
-        linear_predictor(state)))
+def row_weights(state: ModelState, rows: slice):
+    """R, M, (Y - M) S and I for the rows ``rows`` of Y: the linear
+    predictor, its clamped means, the score residual and the information
+    weights (Family._working_weights).  Nothing is checked: the factors
+    must be finite (finite_factors), Y is validated by build_model and
+    the means are clamped into the domain."""
+    R = linear_predictor(state, rows)
+    M, S, I = state.family._working_weights(R)
+    resid = state.Y[rows] - M
+    if np.ndim(S):  # S is the scalar 1 for canonical links
+        resid *= S
+    return R, M, resid, I
 
 
-def refresh(state: ModelState) -> tuple[float, PredictorStats]:
-    """Penalized partial log likelihood Q and the means and working
-    weights, all from one linear predictor R built afresh from U, V and
-    delta:
+def row_system(resid: np.ndarray, info: np.ndarray,
+               design: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The unpenalized Fisher-scoring system of a set of own rows, given
+    the partner's updateable columns D = ``design`` (n x m): the score
+    ``resid @ D``, one row per own row, and the information matrices
+    D' diag(info_r) D, stacked, each one row of ``info @ P`` with P the
+    n x m² column products of D.
+
+    The V step of a chunk of rows of Y passes (resid, I, U[:, v_cols]).
+    The U side passes (resid.T, I.T, V_c[:, u_cols]) for each chunk, and
+    its system is the sum over the chunks.
+    """
+    n, m = design.shape
+    products = (design[:, :, None] * design[:, None, :]).reshape(n, m * m)
+    return resid @ design, (info @ products).reshape(-1, m, m)
+
+
+def solve_rows(grad: np.ndarray, gram: np.ndarray, own_latent: np.ndarray,
+               penalty: float) -> tuple[np.ndarray, int]:
+    """The joint Fisher-scoring step of each own row, for the system of
+    ``row_system``: row r solves
+
+        (G_r + lambda on the latent diagonal) step_r
+            = g_r - lambda own_r on the latent columns,
+
+    with lambda the ridge ``penalty`` and the latent columns the last
+    n_latent, those of ``own_latent``.  The arguments are not modified.
+    Only when the stacked solve raises LinAlgError (some matrix is
+    singular) are the rows solved one by one, and each singular row
+    takes the diagonal step, leaving columns with a zero pivot (an
+    unpenalized column whose partner column is all zero) unchanged.
+    Returns the steps and the number of those fallback rows.
+    """
+    m = grad.shape[1]
+    latent = range(m - own_latent.shape[1], m)
+    rhs = grad.copy()
+    rhs[:, latent] -= penalty * own_latent
+    gram = gram.copy()
+    gram[:, latent, latent] += penalty
+    try:
+        return np.linalg.solve(gram, rhs[..., None])[..., 0], 0
+    except np.linalg.LinAlgError:
+        pass
+    step = np.empty_like(rhs)
+    fallbacks = 0
+    for r, (g_r, b_r) in enumerate(zip(gram, rhs)):
+        try:
+            step[r] = np.linalg.solve(g_r, b_r)
+        except np.linalg.LinAlgError:
+            pivot = np.diagonal(g_r)
+            step[r] = np.divide(b_r, pivot, out=np.zeros(m),
+                                where=pivot != 0)
+            fallbacks += 1
+    return step, fallbacks
+
+
+def score_pass(state: ModelState, v_scale: float | None = None):
+    """One pass over the rows of Y, CHUNK_ROWS at a time: the penalized
+    partial log likelihood
 
     Q = sum_ij [ y_ij theta_ij - kappa(theta_ij) ]
         - 1/2 lambda (||U_latent||^2 + ||V_latent||^2)
 
-    The optimizer scores a point once: the stats of an accepted point
-    feed the next U step.  Nothing is checked here: the factors must be
-    finite (finite_factors), Y is validated by build_model and the means
-    are clamped into the domain.  A non-finite Q is returned as-is so
-    the optimizer's step halving can react to it.
+    and the unpenalized U system (row_system), both at the point the
+    pass ends on.  With ``v_scale``, each chunk first takes its V step,
+    scaled by ``v_scale``, in place: given U, the V step separates over
+    the rows of Y.  So a chunk's R is built once without a step and
+    twice with one, and no J x N array is made.
+
+    Returns (Q, (U gradient N x m, U Gram stack N x m x m), V fallback
+    rows).  Nothing is checked, as in row_weights; a non-finite Q is
+    returned as-is so the optimizer's step halving can react to it.
     """
-    fam = state.family
-    R = linear_predictor(state)
-    stats = PredictorStats(*fam._working_weights(R))
-    q = fam._loglik_sum(state.Y, R, stats.M)  # R is overwritten
-    for latent in (state.U_latent, state.V_latent):
-        q -= 0.5 * state.penalty * float(np.sum(latent ** 2))
-    return q, stats
+    idx = state.index
+    m = len(idx.u_cols)
+    u_grad = np.zeros((state.n_obs, m))
+    u_gram = np.zeros((state.n_obs, m, m))
+    q, fallbacks = 0.0, 0
+    for lo in range(0, state.n_feat, CHUNK_ROWS):
+        rows = slice(lo, lo + CHUNK_ROWS)
+        if v_scale is not None:
+            _, _, resid, info = row_weights(state, rows)
+            step, n = solve_rows(
+                *row_system(resid, info, state.U[:, idx.v_cols]),
+                state.V[rows, idx.latent_slice], state.penalty)
+            state.V[rows, idx.v_cols] += v_scale * step
+            fallbacks += n
+        R, M, resid, info = row_weights(state, rows)
+        grad, gram = row_system(resid.T, info.T, state.V[rows, idx.u_cols])
+        u_grad += grad
+        u_gram += gram
+        q += state.family._loglik_sum(state.Y[rows], R, M)  # overwrites R
+    if state.penalty:  # 0 * inf would make Q NaN for huge latent factors
+        for latent in (state.U_latent, state.V_latent):
+            q -= 0.5 * state.penalty * float(np.sum(latent ** 2))
+    return q, (u_grad, u_gram), fallbacks
 
 
 def objective(state: ModelState) -> float:
-    """Penalized partial log likelihood Q; see ``refresh``, which also
-    returns the means and working weights of the same predictor.  Raises
-    DomainError when U, V or delta holds a non-finite value."""
+    """Penalized partial log likelihood Q: the scoring pass without a
+    step (score_pass).  Raises DomainError when U, V or delta holds a
+    non-finite value."""
     if not finite_factors(state):
         raise DomainError("factors or offset contain non-finite values")
-    return refresh(state)[0]
-
-
-class Block(NamedTuple):
-    """One factor matrix seen from its own side.
-
-    The U step is the V step with U and V swapped and every J x N array
-    read through its transpose, so each derivative is written once.  The
-    latent columns, the only penalized ones, are the last n_latent of
-    ``cols``.
-    """
-
-    own: np.ndarray        # the block's factor matrix, U or V
-    partner: np.ndarray    # the other factor matrix
-    cols: list[int]        # updateable: Gamma or A, then the latent ones
-    rows: Callable         # views a J x N array with one row per own row
-
-
-def block_of(state: ModelState, block: str) -> Block:
-    """The "U" or "V" side of ``state``."""
-    idx = state.index
-    if block == "U":
-        return Block(state.U, state.V, idx.u_cols, np.transpose)
-    if block == "V":
-        return Block(state.V, state.U, idx.v_cols, np.asarray)
-    raise ConfigError(f"block must be 'U' or 'V', got {block!r}")
-
-
-def gradient(state: ModelState, block: str,
-             stats: PredictorStats | None = None) -> np.ndarray:
-    """dQ/dU or dQ/dV over the updateable columns of ``block``: the
-    right-hand side of the block step, one row per own row and one column
-    per entry of the block's ``cols``.
-
-    With D the partner's updateable columns and res = (Y - M) * S the
-    score residual, row r is D' res_r, minus lambda own_r on the latent
-    columns, the last n_latent of ``cols``.  Where a mean is
-    clamped, M is the clamp value, so the gradient there keeps the pull
-    y - M although the objective is flat in R.
-    """
-    side = block_of(state, block)
-    if stats is None:
-        stats = predictor_stats(state)
-    resid = state.Y - stats.M
-    if np.ndim(stats.S):  # S is the scalar 1 for canonical links
-        resid *= stats.S
-    grad = side.rows(resid) @ side.partner[:, side.cols]
-    latent = state.index.latent_slice
-    grad[:, -state.index.n_latent:] -= state.penalty * side.own[:, latent]
-    return grad
-
-
-def fisher_gram(state: ModelState, block: str, stats: PredictorStats,
-                rows: slice = slice(None),
-                chunk: int | None = None) -> np.ndarray:
-    """The Fisher information of the own rows ``rows`` over the
-    updateable columns of ``block``: one m x m matrix per row,
-
-        D' diag(I_r) D + lambda on the latent diagonal,
-
-    stacked, with D the partner's updateable columns and I_r the row's
-    information weights.  Each row's D' diag(I_r) D is one row of
-    ``I_r @ P``, with P the n x m² column products of D.  P is built
-    ``chunk`` design rows at a time (all at once by default) and the
-    partial GEMMs summed, so P never has more than ``chunk * m²`` cells.
-    A diagonal entry is 0 only for an unpenalized column (a coefficient
-    column, or any column when lambda is 0) whose partner column is all
-    zero.
-    """
-    side = block_of(state, block)
-    design = side.partner[:, side.cols]
-    info = side.rows(stats.I)[rows]
-    n, m = design.shape
-    chunk = chunk or n
-    gram = np.zeros((info.shape[0], m * m))
-    for lo in range(0, n, chunk):
-        d = design[lo:lo + chunk]
-        gram += info[:, lo:lo + chunk] @ (
-            d[:, :, None] * d[:, None, :]).reshape(-1, m * m)
-    gram = gram.reshape(-1, m, m)
-    latent = range(m - state.index.n_latent, m)
-    gram[:, latent, latent] += state.penalty
-    return gram
+    return score_pass(state)[0]

@@ -1,31 +1,31 @@
 """Joint row-block Fisher scoring.
 
 A sweep takes one step on block "U", then one on block "V".  Each step
-scores with the means and working weights of the current state, then
 updates all of the block's updateable columns together: given the
 partner block, the penalized log likelihood separates over the block's
 rows, and each row takes the full Fisher scoring (Newton with expected
 curvature) step for its own coordinates, mixed second derivatives
-between its columns included.  The paper's
-diagonal step, one column at a time, has the same fixed points; the
-joint step reaches them in fewer sweeps.  The scoring system itself,
-gradient and information matrices, is formed in model.py; this module
-solves it, runs the sweeps and decides when to stop.
+between its columns included.  The paper's diagonal step, one column at
+a time, has the same fixed points; the joint step reaches them in fewer
+sweeps.  The scoring systems are formed and solved in model.py; this
+module runs the sweeps and decides when to stop.
+
+Each point is scored once, by one pass over row chunks of Y
+(model.score_pass), which returns Q and the U system of the point.  A
+sweep solves the U step from the held system of its starting point,
+then runs the pass with the V step, which ends on the new point's Q and
+U system.  So an accepted sweep builds each chunk's R twice, and
+between sweeps the fit holds O(N m²) numbers besides U, V and Y.  Every
+R is built from U, V and delta, so rounding cannot accumulate from
+sweep to sweep.
 
 Each failure has one remedy.  A singular row system (an unpenalized
 column whose partner column is all zero) takes the diagonal step, which
-leaves that column unchanged.  A step is not guaranteed to increase Q,
-so a sweep is retried from its starting point with both steps halved
-when it gives non-finite factors or a Q that is non-finite or lower, up
-to MAX_HALVINGS times; that budget is fixed, not a FitConfig setting.
-
-Each point is scored once.  One refresh (model.refresh) builds R from
-U, V and delta and returns Q together with the means and working
-weights, and the next U step takes those of the starting point or of
-the last accepted sweep as they are.  So an accepted sweep builds R
-twice, for the V step and for the refresh; a halved retry builds its
-U step's afresh.  Every R is built from U, V and delta, so rounding
-cannot accumulate from sweep to sweep.
+leaves that column unchanged (model.solve_rows).  A step is not
+guaranteed to increase Q, so a sweep is retried from its starting point,
+with the starting point's U system and both steps halved, when it gives
+non-finite factors or a Q that is non-finite or lower, up to
+MAX_HALVINGS times; that budget is fixed, not a FitConfig setting.
 """
 
 from __future__ import annotations
@@ -36,8 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import ConfigError, FitError
-from .model import (ModelState, PredictorStats, block_of, finite_factors,
-                    fisher_gram, gradient, predictor_stats, refresh)
+from .model import ModelState, finite_factors, score_pass, solve_rows
 from .postprocess import postprocess
 
 ASCENT_SLACK = 1e-12  # accepted drop per sweep: ASCENT_SLACK * (1 + |Q|)
@@ -89,72 +88,25 @@ class FitResult:
 
 
 # ----------------------------------------------------------------------
-# the block step
-
-
-def full_scoring(state: ModelState, block: str,
-                 stats: PredictorStats | None = None,
-                 scale: float = 1.0) -> int:
-    """Joint Fisher-scoring step on the updateable columns of ``block``,
-    in place: Gamma and U_latent in U, A and V_latent in V.
-
-    Each own row r solves G_r step_r = g_r, with g the block's gradient
-    and G_r the row's Fisher information matrix over those columns
-    (model.gradient and model.fisher_gram); the rows are independent
-    given the partner.
-    The Gram stack is built and solved in row chunks, so it never holds
-    more cells than one J x N array.  Only when a chunk's solve raises
-    LinAlgError (some Gram matrix is singular) are its rows solved one by
-    one, and each singular row takes the diagonal step, leaving columns
-    with a zero pivot unchanged.  ``scale`` multiplies the step for
-    step halving.  Returns the number of fallback rows.
-    """
-    side = block_of(state, block)
-    if stats is None:
-        stats = predictor_stats(state)
-    m = len(side.cols)
-    rhs = gradient(state, block, stats)
-    chunk = max(1, stats.I.size // (m * m))
-    step = np.empty_like(rhs)
-    fallbacks = 0
-    for lo in range(0, rhs.shape[0], chunk):
-        rows = slice(lo, lo + chunk)
-        gram = fisher_gram(state, block, stats, rows, chunk)
-        try:
-            step[rows] = np.linalg.solve(gram, rhs[rows, :, None])[..., 0]
-        except np.linalg.LinAlgError:
-            for r, (g_r, b_r) in enumerate(zip(gram, rhs[rows]), lo):
-                try:
-                    step[r] = np.linalg.solve(g_r, b_r)
-                except np.linalg.LinAlgError:
-                    pivot = np.diagonal(g_r)
-                    step[r] = np.divide(b_r, pivot, out=np.zeros(m),
-                                        where=pivot != 0)
-                    fallbacks += 1
-    side.own[:, side.cols] += scale * step
-    return fallbacks
-
-
-# ----------------------------------------------------------------------
 # the fit loop
 
 
 def _sweep(state: ModelState, scale: float, notes: Counter,
-           held: list[PredictorStats] | None = None) -> None:
+           u_system: tuple[np.ndarray, np.ndarray]):
     """One joint block step for U, then one for V, over all updateable
-    columns, steps scaled by ``scale``.  The U step pops its stats from
-    ``held``, a list holding those of the current state, if given, so
-    that nothing keeps them through the V step; otherwise, as for the V
-    step, they are built afresh."""
-    stats = held.pop() if held else None
-    for block in ("U", "V"):
-        if stats is None:
-            stats = predictor_stats(state)
-        fallbacks = full_scoring(state, block, stats, scale)
-        stats = None  # freed before the next R is built
+    columns, steps scaled by ``scale``.  The U step solves ``u_system``,
+    the U system of the current state; the V step is taken chunk by
+    chunk in the scoring pass.  Returns the new point's Q and U
+    system."""
+    idx = state.index
+    step, u_fallbacks = solve_rows(*u_system, state.U_latent, state.penalty)
+    state.U[:, idx.u_cols] += scale * step
+    q, u_system, v_fallbacks = score_pass(state, scale)
+    for block, fallbacks in (("U", u_fallbacks), ("V", v_fallbacks)):
         if fallbacks:
             notes[f"block step fell back to diagonal for {block} rows"] += \
                 fallbacks
+    return q, u_system
 
 
 def fit(state: ModelState, config: FitConfig | None = None) -> FitResult:
@@ -183,9 +135,7 @@ def fit(state: ModelState, config: FitConfig | None = None) -> FitResult:
     # no floating-point error escapes, whatever the caller's np.seterr: a
     # non-finite point is retried with a halved step or ends in a FitError
     with np.errstate(all="ignore"):
-        # the refresh's stats, in a one-element list that the first U
-        # step empties
-        q_prev, *held = refresh(state)
+        q_prev, u_system, _ = score_pass(state)
         if not np.isfinite(q_prev):
             raise FitError("objective non-finite at the starting point",
                            trace)
@@ -193,18 +143,19 @@ def fit(state: ModelState, config: FitConfig | None = None) -> FitResult:
             u_snap = state.U.copy()
             v_snap = state.V.copy()
             for attempt in range(MAX_HALVINGS + 1):
-                _sweep(state, 0.5 ** attempt, notes, held)
-                q_new, *held = (refresh(state) if finite_factors(state)
-                                else (np.nan,))
+                q_new, new_system = _sweep(state, 0.5 ** attempt, notes,
+                                           u_system)
+                if not finite_factors(state):
+                    q_new = np.nan
                 if np.isfinite(q_new) and (
                         q_new >= q_prev - ASCENT_SLACK * (1.0 + abs(q_prev))):
                     if attempt:
                         notes["sweep step-halvings applied"] += attempt
+                    u_system = new_system
                     break
-                # undo the rejected attempt; its stats go with it
+                # undo the rejected attempt; the start's U system is kept
                 state.U[...] = u_snap
                 state.V[...] = v_snap
-                held = []
             else:
                 if not np.isfinite(q_new):
                     raise FitError(

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import glmpca as g
-from glmpca.model import fisher_gram, predictor_stats
+from glmpca import model
 from glmpca.optimizer import _sweep
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -64,13 +64,56 @@ def column_penalty(state, cols):
     return np.array([state.penalty if k in latent else 0.0 for k in cols])
 
 
-def gram_diagonal(state, block, stats=None):
+def means(state):
+    """The clamped J x N means at the current state."""
+    return model.row_weights(state, slice(None))[1]
+
+
+def own_block(state, block):
+    """The factor matrix of ``block`` and its updateable columns."""
+    if block == "U":
+        return state.U, state.index.u_cols
+    return state.V, state.index.v_cols
+
+
+def block_system(state, block):
+    """The unpenalized Fisher-scoring system the fit builds for
+    ``block`` at the current state: the scoring pass's sum over chunks
+    for U, row_system over all rows of Y for V (the V step's chunks are
+    independent row blocks of it)."""
+    if block == "U":
+        return model.score_pass(state)[1]
+    _, _, resid, info = model.row_weights(state, slice(None))
+    return model.row_system(resid, info, state.U[:, state.index.v_cols])
+
+
+def gradient(state, block):
+    """dQ/dU or dQ/dV over the updateable columns of ``block``: the fit's
+    gradient minus the ridge of each latent column."""
+    own, cols = own_block(state, block)
+    return (block_system(state, block)[0]
+            - column_penalty(state, cols) * own[:, cols])
+
+
+def gram_diagonal(state, block):
     """The per-column Fisher information of ``block``, the diagonals of
-    its Gram stack: one row per own row, one column per updateable
-    column."""
-    if stats is None:
-        stats = predictor_stats(state)
-    return np.diagonal(fisher_gram(state, block, stats), axis1=1, axis2=2)
+    its Gram stack plus the ridge: one row per own row, one column per
+    updateable column."""
+    gram = block_system(state, block)[1]
+    return (np.diagonal(gram, axis1=1, axis2=2)
+            + column_penalty(state, own_block(state, block)[1]))
+
+
+def block_step(state, block, scale=1.0):
+    """One joint Fisher-scoring step on ``block`` alone, by the fit's own
+    code: the V step is the scoring pass with a step, the U step a sweep
+    whose V step is undone.  Returns the number of fallback rows."""
+    if block == "V":
+        return model.score_pass(state, scale)[2]
+    v_before, notes = state.V.copy(), Counter()
+    _sweep(state, scale, notes, model.score_pass(state)[1])
+    state.V[...] = v_before
+    return notes["block step fell back to diagonal for U rows"]
 
 
 def advance(state, n_sweeps=10):
@@ -79,13 +122,14 @@ def advance(state, n_sweeps=10):
     small instances some full-length block steps, taken before any step
     halving, overshoot to |U| ~ 1e9."""
     for _ in range(n_sweeps):
-        q0, u0, v0 = g.objective(state), state.U.copy(), state.V.copy()
+        q0, system, _ = model.score_pass(state)
+        u0, v0 = state.U.copy(), state.V.copy()
         for attempt in range(11):
             state.U[...], state.V[...] = u0, v0
             with np.errstate(all="ignore"):
-                _sweep(state, 0.5 ** attempt, Counter())
-                if g.objective(state) >= q0:
-                    break
+                q, _ = _sweep(state, 0.5 ** attempt, Counter(), system)
+            if model.finite_factors(state) and q >= q0:
+                break
         else:
             state.U[...], state.V[...] = u0, v0
     return state

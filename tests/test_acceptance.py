@@ -13,11 +13,11 @@ import numpy as np
 import glmpca as g
 import oracle
 from glmpca.cli import run_cli
-from glmpca.model import ModelState, IndexSets, predictor_stats
+from glmpca.model import ModelState, IndexSets
 
 from conftest import (ALL_FAMILIES, DATA_DIR, acceptance_grid, advance,
-                      column_penalty, gram_diagonal, random_state,
-                      sample_response)
+                      column_penalty, gradient, gram_diagonal, means,
+                      random_state, sample_response)
 
 FIXTURE = DATA_DIR / "counts_10x20.mtx"
 
@@ -43,7 +43,7 @@ def test_c1_gradient_correctness():
             for state in acceptance_grid(family):
                 for block, cols in (("U", state.index.u_cols),
                                     ("V", state.index.v_cols)):
-                    analytic = g.gradient(state, block)
+                    analytic = gradient(state, block)
                     fd = np.column_stack(
                         [oracle.finite_diff_gradient(state, block, k)
                          for k in cols])
@@ -106,7 +106,7 @@ def test_c5_postprocessing_invariance():
         for family in ALL_FAMILIES:
             for seed in range(5):
                 state = advance(random_state(family, seed=700 + seed), 6)
-                m_before = predictor_stats(state).M
+                m_before = means(state)
                 u_hat, v_hat = g.postprocess(state)
                 r_after = (state.A @ state.X.T + state.Z @ state.Gamma.T
                            + v_hat @ u_hat.T + state.delta[None, :])
@@ -125,29 +125,29 @@ def test_c6_canonical_link_simplification():
         for family in (g.poisson(), g.bernoulli()):
             for seed in range(10):
                 state = random_state(family, seed=900 + seed)
-                stats = predictor_stats(state)
-                rho = family.variance(stats.M)  # variance at the current means
+                M = means(state)
+                rho = family.variance(M)  # variance at the current means
                 u = state.index.u_cols
                 lam = column_penalty(state, u)
-                simple_grad = ((state.Y - stats.M).T @ state.V[:, u]
+                simple_grad = ((state.Y - M).T @ state.V[:, u]
                                - lam * state.U[:, u])
                 simple_info = rho.T @ state.V[:, u] ** 2 + lam
                 np.testing.assert_allclose(
-                    g.gradient(state, "U", stats), simple_grad,
+                    gradient(state, "U"), simple_grad,
                     rtol=1e-12, atol=1e-12)
                 np.testing.assert_allclose(
-                    gram_diagonal(state, "U", stats), simple_info,
+                    gram_diagonal(state, "U"), simple_info,
                     rtol=1e-12, atol=1e-12)
                 v = state.index.v_cols
                 lam = column_penalty(state, v)
-                simple_grad = ((state.Y - stats.M) @ state.U[:, v]
+                simple_grad = ((state.Y - M) @ state.U[:, v]
                                - lam * state.V[:, v])
                 simple_info = rho @ state.U[:, v] ** 2 + lam
                 np.testing.assert_allclose(
-                    g.gradient(state, "V", stats), simple_grad,
+                    gradient(state, "V"), simple_grad,
                     rtol=1e-12, atol=1e-12)
                 np.testing.assert_allclose(
-                    gram_diagonal(state, "V", stats), simple_info,
+                    gram_diagonal(state, "V"), simple_info,
                     rtol=1e-12, atol=1e-12)
 
 

@@ -94,7 +94,8 @@ def test_every_exported_name_resolves():
 
 
 def test_scoring_helpers_importable_outside_all():
-    for name in ("check_data_matrix", "gradient", "predictor_stats"):
+    for name in ("check_data_matrix", "row_system", "score_pass",
+                 "solve_rows"):
         assert name not in g.__all__ and callable(getattr(g, name))
 
 

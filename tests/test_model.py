@@ -9,11 +9,11 @@ import pytest
 import glmpca as g
 from glmpca import ConfigError, DataError
 from glmpca.families import MEAN_CEIL, PROB_CEIL, PROB_FLOOR
-from glmpca.model import (IndexSets, ModelState, block_of, fisher_gram,
-                          predictor_stats, resolve_offset)
+from glmpca.model import IndexSets, ModelState, resolve_offset
 import oracle
 
-from conftest import ALL_FAMILIES, gram_diagonal, random_state
+from conftest import (ALL_FAMILIES, block_system, gradient, gram_diagonal,
+                      means, own_block, random_state)
 
 
 class TestIndexSets:
@@ -144,34 +144,32 @@ class TestBuildModel:
         state = g.build_model(np.zeros((5, 10)), n_latent=2,
                               family=g.poisson(), seed=0)
         assert state.penalty == 1e-4
-        # X, Z, A and Gamma all nonzero: lambda reaches the latent
-        # columns of the gradient and the Gram diagonal, and only those
+        # X, Z, A and Gamma all nonzero: the fit's systems carry no ridge,
+        # and solve_rows adds lambda to the latent columns of the
+        # gradient and the Gram diagonal, and only those
         lam = 0.7
         base = random_state(g.poisson(), seed=12, penalty=0.0)
         pen = random_state(g.poisson(), seed=12, penalty=lam)
         for block in (base.X, base.Z, base.A, base.Gamma):
             assert np.all(block != 0)
-        stats = predictor_stats(base)
         latent = base.index.latent_slice
         for block in ("U", "V"):
-            side = block_of(base, block)
-            n_coef = len(side.cols) - base.index.n_latent
-            g0 = g.gradient(base, block, stats)
-            g1 = g.gradient(pen, block, stats)
-            np.testing.assert_array_equal(g1[:, :n_coef], g0[:, :n_coef])
-            np.testing.assert_allclose(
-                g1[:, n_coef:], g0[:, n_coef:] - lam * side.own[:, latent],
-                rtol=0, atol=1e-12)
-            gram0 = fisher_gram(base, block, stats)
-            gram1 = fisher_gram(pen, block, stats)
-            np.testing.assert_array_equal(gram1[:, :n_coef], gram0[:, :n_coef])
-            np.testing.assert_array_equal(gram1[:, :, :n_coef],
-                                          gram0[:, :, :n_coef])
-            ridge = np.zeros_like(gram0[0])
+            own, cols = own_block(base, block)
+            n_coef = len(cols) - base.index.n_latent
+            grad, gram = block_system(base, block)
+            for part, again in zip((grad, gram), block_system(pen, block)):
+                np.testing.assert_array_equal(again, part)
+            rhs = grad.copy()
+            rhs[:, n_coef:] -= lam * own[:, latent]
+            ridge = np.zeros_like(gram[0])
             ridge[n_coef:, n_coef:] = lam * np.eye(base.index.n_latent)
-            np.testing.assert_allclose(gram1 - gram0,
-                                       np.broadcast_to(ridge, gram0.shape),
-                                       rtol=0, atol=1e-12)
+            expected = np.linalg.solve(gram + ridge, rhs[..., None])[..., 0]
+            kept = grad.copy(), gram.copy()
+            step, fallbacks = g.solve_rows(grad, gram, own[:, latent], lam)
+            assert fallbacks == 0
+            np.testing.assert_allclose(step, expected, rtol=1e-13, atol=0)
+            for part, before in zip((grad, gram), kept):
+                np.testing.assert_array_equal(part, before)
 
     @pytest.mark.parametrize(
         "penalty", [-1.0, np.nan, np.inf, [0.5], np.array([0.5, 0.25]),
@@ -316,6 +314,21 @@ class TestObjective:
         with pytest.raises(g.DomainError):
             g.objective(state)
 
+    def test_zero_penalty_ignores_huge_latent_factors(self):
+        # U_latent = 1e160 with V_latent = 1e-160 builds the R of
+        # U_latent = V_latent = 1; their squares overflow, but with no
+        # ridge they must not reach Q as 0 * inf
+        Y = np.random.default_rng(37).poisson(2.0, (5, 8)).astype(float)
+        qs = []
+        for u, v in ((1.0, 1.0), (1e160, 1e-160)):
+            state = g.build_model(Y, n_latent=1, family=g.poisson(),
+                                  penalty=0.0, seed=0)
+            state.U[:, state.index.latent_slice] = u
+            state.V[:, state.index.latent_slice] = v
+            qs.append(g.objective(state))
+        assert np.isfinite(qs[1])
+        assert qs[1] == pytest.approx(qs[0], rel=1e-14)
+
 
 class TestGradients:
     def test_canonical_single_cell(self):
@@ -326,19 +339,19 @@ class TestGradients:
             Y=np.array([[2.0]]), family=g.poisson(),
             U=np.array([[0.0]]), V=np.array([[1.0]]),
             delta=np.zeros(1), penalty=0.0, index=idx)
-        np.testing.assert_allclose(g.gradient(state, "U"), [[1.0]])
+        np.testing.assert_allclose(gradient(state, "U"), [[1.0]])
 
     def test_zero_at_saturated_fit(self):
         state = random_state(g.gaussian(), seed=8, penalty=0.0)
-        state.Y = predictor_stats(state).M.copy()
+        state.Y = means(state)
         for block in ("U", "V"):
-            np.testing.assert_allclose(g.gradient(state, block), 0.0,
+            np.testing.assert_allclose(gradient(state, block), 0.0,
                                        atol=1e-12)
 
     def test_poisson_matches_finite_difference(self):
         state = random_state(g.poisson(), seed=13, n_feat=4, n_obs=3,
                              n_latent=1, with_feat_cov=False)
-        grad = g.gradient(state, "U")
+        grad = gradient(state, "U")
         for j, k in enumerate(state.index.u_cols):
             fd = oracle.finite_diff_gradient(state, "U", k)
             np.testing.assert_allclose(grad[:, j], fd, rtol=1e-5, atol=1e-7)
@@ -349,18 +362,11 @@ class TestGradients:
             state = random_state(family, seed=500 + seed, n_feat=5, n_obs=7)
             for block, cols in (("U", state.index.u_cols),
                                 ("V", state.index.v_cols)):
-                grad = g.gradient(state, block)
+                grad = gradient(state, block)
                 for j, k in enumerate(cols):
                     fd = oracle.finite_diff_gradient(state, block, k)
                     np.testing.assert_allclose(grad[:, j], fd,
                                                rtol=1e-4, atol=1e-6)
-
-    def test_unknown_block_rejected(self):
-        state = random_state(g.poisson(), seed=2)
-        stats = predictor_stats(state)
-        for fn in (g.gradient, fisher_gram):
-            with pytest.raises(ConfigError, match="block must be"):
-                fn(state, "u", stats)
 
 
 class TestClampedMeans:
@@ -380,8 +386,8 @@ class TestClampedMeans:
     def test_poisson_gradient_at_mean_ceiling(self):
         Y = np.random.default_rng(2).poisson(3.0, (4, 5)).astype(float)
         state = self.clamped_state(g.poisson(), Y, [30.0, 0.5, 1.0, 1.5])
-        assert np.all(predictor_stats(state).M[0] == MEAN_CEIL)
-        grad = g.gradient(state, "V")[:, 0]  # the intercept column of A
+        assert np.all(means(state)[0] == MEAN_CEIL)
+        grad = gradient(state, "V")[:, 0]  # the intercept column of A
         assert grad[0] == pytest.approx(np.sum(Y[0] - MEAN_CEIL), rel=1e-12)
         assert grad[0] == pytest.approx(-5e10, rel=1e-9)
         self.assert_flat(state, 0)
@@ -390,9 +396,9 @@ class TestClampedMeans:
         Y = np.array([[0, 1, 0, 1, 1], [1, 0, 1, 0, 0],
                       [0, 1, 1, 0, 1], [1, 1, 0, 0, 1]], dtype=float)
         state = self.clamped_state(g.bernoulli(), Y, [30.0, -30.0, 0.2, -0.2])
-        M = predictor_stats(state).M
+        M = means(state)
         assert np.all(M[0] == PROB_CEIL) and np.all(M[1] == PROB_FLOOR)
-        grad = g.gradient(state, "V")[:, 0]  # the intercept column of A
+        grad = gradient(state, "V")[:, 0]  # the intercept column of A
         assert grad[0] == pytest.approx(np.sum(Y[0] - PROB_CEIL), rel=1e-12)
         assert grad[1] == pytest.approx(np.sum(Y[1] - PROB_FLOOR), rel=1e-12)
         self.assert_flat(state, [0, 1])
@@ -408,11 +414,11 @@ class TestFisherInformation:
 
     def test_canonical_variance_form(self):
         state = random_state(g.bernoulli(), seed=6)
-        stats = predictor_stats(state)
+        M = means(state)
         k = state.index.u_cols[0]  # the Gamma column, not penalized
-        expect = stats.M * (1 - stats.M)  # rho(mu) for the bernoulli
+        expect = M * (1 - M)  # rho(mu) for the bernoulli
         simplified = expect.T @ state.V[:, k] ** 2
-        np.testing.assert_allclose(gram_diagonal(state, "U", stats)[:, 0],
+        np.testing.assert_allclose(gram_diagonal(state, "U")[:, 0],
                                    simplified, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: f.kind)
@@ -447,12 +453,12 @@ class TestFisherInformation:
     def test_scalar_gradient_matches_vectorized(self):
         state = random_state(g.negative_binomial(2.0), seed=71, n_feat=5,
                              n_obs=6)
-        grad = g.gradient(state, "U")
+        grad = gradient(state, "U")
         for j, k in enumerate(state.index.u_cols):
             np.testing.assert_allclose(grad[:, j],
                                        oracle.scalar_gradient_u(state, k),
                                        rtol=0, atol=1e-12)
-        grad = g.gradient(state, "V")
+        grad = gradient(state, "V")
         for j, k in enumerate(state.index.v_cols):
             np.testing.assert_allclose(grad[:, j],
                                        oracle.scalar_gradient_v(state, k),

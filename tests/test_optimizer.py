@@ -2,7 +2,6 @@
 
 import dataclasses
 import tracemalloc
-import weakref
 from collections import Counter
 
 import numpy as np
@@ -12,12 +11,10 @@ import glmpca as g
 from glmpca import ConfigError, FitError
 import oracle
 from glmpca import model, optimizer
-from glmpca.optimizer import full_scoring
-from glmpca.model import (IndexSets, ModelState, PredictorStats, block_of,
-                          linear_predictor, predictor_stats)
+from glmpca.model import IndexSets, ModelState, linear_predictor
 
-from conftest import (ALL_FAMILIES, column_penalty, random_state,
-                      sample_response)
+from conftest import (ALL_FAMILIES, block_step, column_penalty, gradient,
+                      means, own_block, random_state, sample_response)
 
 
 def tiny_state(Y, family, U, V, penalty=0.0, index=None):
@@ -53,9 +50,9 @@ def glm_state(family, seed, n_obs=60, n_coef=3, penalty=1e-4):
 class TestColumnUpdates:
     def test_saturated_fit_is_fixed_point(self):
         state = random_state(g.gaussian(), seed=3, penalty=0.0)
-        state.Y = predictor_stats(state).M.copy()
+        state.Y = means(state)
         before = state.U.copy()
-        full_scoring(state, "U")
+        block_step(state, "U")
         np.testing.assert_array_equal(state.U, before)
 
     def test_gaussian_update_solves_least_squares_in_one_step(self):
@@ -64,7 +61,7 @@ class TestColumnUpdates:
         v = rng.normal(size=4)
         u0 = rng.normal(size=7)
         state = tiny_state(Y, g.gaussian(), U=u0[:, None], V=v[:, None])
-        full_scoring(state, "U")
+        block_step(state, "U")
         np.testing.assert_allclose(state.U[:, 0], Y.T @ v / (v @ v),
                                    rtol=0, atol=1e-12)
 
@@ -72,7 +69,7 @@ class TestColumnUpdates:
         # y = 2 at mu = 1 with unit loading and no penalty: the step is
         # (y - mu) * v / (rho(mu) * v^2) = 1, landing exactly at u = 1
         state = tiny_state([[2.0]], g.poisson(), U=[[0.0]], V=[[1.0]])
-        full_scoring(state, "U")
+        block_step(state, "U")
         assert state.U[0, 0] == pytest.approx(1.0, rel=1e-14)
 
     @pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: f.kind)
@@ -89,12 +86,12 @@ class TestColumnUpdates:
         assert state.index.u_cols == state.index.v_cols == [0]
         expected = state.U[:, 0] + (oracle.scalar_gradient_u(state, 0)
                                     / oracle.scalar_fisher_u(state, 0))
-        full_scoring(state, "U")
+        block_step(state, "U")
         np.testing.assert_allclose(state.U[:, 0], expected, rtol=0,
                                    atol=1e-12)
         expected = state.V[:, 0] + (oracle.scalar_gradient_v(state, 0)
                                     / oracle.scalar_fisher_v(state, 0))
-        full_scoring(state, "V")
+        block_step(state, "V")
         np.testing.assert_allclose(state.V[:, 0], expected, rtol=0,
                                    atol=1e-12)
 
@@ -102,7 +99,7 @@ class TestColumnUpdates:
         state = random_state(g.poisson(), seed=23)
         u_before = state.U.copy()
         v_before = state.V.copy()
-        full_scoring(state, "V")
+        block_step(state, "V")
         np.testing.assert_array_equal(state.U, u_before)
         np.testing.assert_array_equal(state.Z,
                                       v_before[:, state.index.feat_slice])
@@ -112,15 +109,16 @@ class TestColumnUpdates:
     def test_step_scale_halves_the_increment(self):
         state = random_state(g.poisson(), seed=29)
         full = random_state(g.poisson(), seed=29)
-        full_scoring(full, "U")
-        full_scoring(state, "U", scale=0.5)
+        block_step(full, "U")
+        block_step(state, "U", scale=0.5)
         start = random_state(g.poisson(), seed=29).U
         np.testing.assert_allclose(state.U - start, 0.5 * (full.U - start),
                                    rtol=0, atol=1e-15)
 
 
 class TestHeldPredictor:
-    """Each block step builds R once, from the state it steps."""
+    """The U step solves the U system held from the scoring pass of its
+    starting point; each accepted sweep builds each chunk's R twice."""
 
     @pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: f.kind)
     @pytest.mark.parametrize("full", [False, True], ids=["diag", "full"])
@@ -128,59 +126,60 @@ class TestHeldPredictor:
         # full_scoring_coef has no effect: both settings step both blocks
         state = random_state(family, seed=41, n_feat=7, n_obs=10)
         checked = []
-        real_step = optimizer.full_scoring
+        real_sweep = optimizer._sweep
 
-        def checked_step(state, block, stats, scale):
-            # means and weights are those of the current R
-            for held, current in zip(stats, predictor_stats(state)):
+        def checked_sweep(state, scale, notes, u_system):
+            # the held U system is the one a fresh pass over the state
+            # builds
+            fresh = model.score_pass(state)[1]
+            for held, current in zip(u_system, fresh):
                 np.testing.assert_array_equal(held, current)
-            checked.append(block)
-            return real_step(state, block, stats, scale)
+            checked.append(scale)
+            return real_sweep(state, scale, notes, u_system)
 
-        monkeypatch.setattr(optimizer, "full_scoring", checked_step)
+        monkeypatch.setattr(optimizer, "_sweep", checked_sweep)
         g.fit(state, g.FitConfig(max_iters=5, tol=1e-14,
                                  full_scoring_coef=full))
-        assert checked[:4] == ["U", "V", "U", "V"] and len(checked) >= 10
+        assert len(checked) >= 5
 
     @staticmethod
     def count_builds(monkeypatch):
-        """Record each build of R, through model.linear_predictor."""
+        """Record the rows of each build of R, through
+        model.linear_predictor."""
         calls = []
         real = model.linear_predictor
 
-        def counted(state):
-            calls.append(1)
-            return real(state)
+        def counted(state, rows):
+            calls.append((rows.start, rows.stop))
+            return real(state, rows)
 
         monkeypatch.setattr(model, "linear_predictor", counted)
         return calls
 
     @pytest.mark.parametrize("full, sweeps", [(False, 1), (True, 3)])
     def test_predictor_built_once_per_sweep(self, full, sweeps, monkeypatch):
-        # a fit builds R once for its starting point, then twice per
-        # sweep: for the V step and for the refresh that scores the new
-        # point, whose stats the next U step takes as they are; the
+        # a fit builds each chunk's R once for its starting point, then
+        # twice per sweep: for the chunk's V step and for scoring the new
+        # point, whose U system the next U step takes as it is; the
         # no-effect full_scoring_coef changes nothing
+        monkeypatch.setattr(model, "CHUNK_ROWS", 4)
         calls = self.count_builds(monkeypatch)
         state = random_state(g.bernoulli(), seed=45)
+        assert state.n_feat == 6
         result = g.fit(state, g.FitConfig(max_iters=sweeps, tol=1e-300,
                                           full_scoring_coef=full))
         assert result.iterations_run == sweeps and not result.warnings
-        assert len(calls) == 1 + 2 * sweeps
+        first, last = (0, 4), (4, 8)
+        assert calls == [first, last] + [first, first, last, last] * sweeps
 
-        # _sweep alone builds R for each block step, unless it is handed
-        # the stats of the current state, which the U step then empties
+        # _sweep alone: the U step builds nothing
         state = random_state(g.bernoulli(), seed=45)
-        held = [predictor_stats(state)]
+        u_system = model.score_pass(state)[1]
         calls.clear()
-        notes = Counter()
-        optimizer._sweep(state, 1.0, notes, held)
-        assert held == [] and len(calls) == 1
-        for _ in range(sweeps):
-            optimizer._sweep(state, 1.0, notes)
-        assert len(calls) == 1 + 2 * sweeps
+        optimizer._sweep(state, 1.0, Counter(), u_system)
+        assert calls == [first, first, last, last]
 
-    def test_halved_retry_rebuilds_its_u_stats(self, monkeypatch):
+    def test_halved_retry_keeps_the_start_u_system(self, monkeypatch):
         # from build_model's small latent start the first full sweep
         # overshoots: it is halved twice, the second sweep not at all
         rng = np.random.default_rng(0)
@@ -188,46 +187,93 @@ class TestHeldPredictor:
              + rng.normal(0, 0.7, (10, 2)) @ rng.normal(0, 0.7, (2, 14)))
         Y = rng.poisson(np.exp(R)).astype(float)
         state = g.build_model(Y, n_latent=2, family=g.poisson(), seed=0)
-        scales = []
+        start = model.score_pass(state)[1]
+        scales, systems = [], []
         real_sweep = optimizer._sweep
 
-        def counted_sweep(state, scale, notes, held=None):
+        def counted_sweep(state, scale, notes, u_system):
             scales.append(scale)
-            return real_sweep(state, scale, notes, held)
+            systems.append(u_system)
+            return real_sweep(state, scale, notes, u_system)
 
         monkeypatch.setattr(optimizer, "_sweep", counted_sweep)
         calls = self.count_builds(monkeypatch)
         result = g.fit(state, g.FitConfig(max_iters=2, tol=1e-300))
         assert scales == [1.0, 0.5, 0.25, 1.0]
         assert result.warnings == ["sweep step-halvings applied (x2)"]
-        # 1 + 2 per attempt + 1 per halved retry
-        assert len(calls) == 1 + 2 * 4 + 2
+        # the retries solve the start's U system, held and unchanged
+        assert systems[1] is systems[0] and systems[2] is systems[0]
+        assert systems[3] is not systems[0]
+        for held, fresh in zip(systems[0], start):
+            np.testing.assert_array_equal(held, fresh)
+        # one chunk: 1 build for the start, 2 per attempt
+        assert len(calls) == 1 + 2 * 4
 
-    def test_u_stats_freed_before_v_step(self, monkeypatch):
-        # the stats a block step scored with are garbage by the time the
-        # next R is built, so at most one set is alive at a time
-        state = random_state(g.bernoulli(), seed=45)
-        alive = []
-        real_step = optimizer.full_scoring
-        real_build = model.linear_predictor
 
-        def tracked_step(state, block, stats, scale):
-            alive.append(weakref.ref(stats.M))
-            return real_step(state, block, stats, scale)
+class TestChunks:
+    """The pass over row chunks of Y gives the numbers of one pass over
+    all rows, and holds no J x N array."""
 
-        def checked_build(state):
-            assert all(ref() is None for ref in alive)
-            return real_build(state)
+    @staticmethod
+    def chunk_case(case):
+        if case == "J=1":  # C4's GLM state
+            return glm_state(g.bernoulli(), seed=7)[0]
+        if case == "J=6":  # below one chunk of 7 rows and of the default
+            return random_state(g.negative_binomial(2.0), seed=47)
+        # 23 rows: not a multiple of 7
+        return random_state(g.poisson(), seed=48, n_feat=23, n_obs=9)
 
-        monkeypatch.setattr(optimizer, "full_scoring", tracked_step)
-        monkeypatch.setattr(model, "linear_predictor", checked_build)
-        result = g.fit(state, g.FitConfig(max_iters=3, tol=1e-300))
-        assert result.iterations_run == 3 and len(alive) == 6
+    @pytest.mark.parametrize("chunk", [1, 7])
+    @pytest.mark.parametrize("case", ["J=23", "J=6", "J=1"])
+    def test_chunk_size_changes_no_number(self, case, chunk, monkeypatch):
+        real_sweep = optimizer._sweep
+
+        def run():
+            systems = []
+
+            def recorded_sweep(state, scale, notes, u_system):
+                systems.append(u_system)
+                return real_sweep(state, scale, notes, u_system)
+
+            monkeypatch.setattr(optimizer, "_sweep", recorded_sweep)
+            result = g.fit(self.chunk_case(case),
+                           g.FitConfig(max_iters=8, tol=1e-300))
+            return result, systems
+
+        default, default_systems = run()
+        monkeypatch.setattr(model, "CHUNK_ROWS", chunk)
+        chunked, chunked_systems = run()
+        for field in ("iterations_run", "stop_reason", "warnings"):
+            assert getattr(chunked, field) == getattr(default, field)
+        np.testing.assert_allclose([q for _, q in chunked.trace],
+                                   [q for _, q in default.trace],
+                                   rtol=1e-12, atol=0)
+        assert len(chunked_systems) == len(default_systems) >= 4
+        for got, want in zip(chunked_systems, default_systems):
+            for part, expected in zip(got, want):
+                assert np.abs(part - expected).max() <= \
+                    1e-12 * np.abs(expected).max()
+
+    def test_fit_holds_no_jxn_array_but_y(self):
+        # 4000 rows are 32 chunks of the default size; one J x N
+        # temporary alone would be twice the bound
+        rng = np.random.default_rng(11)
+        Y = rng.poisson(2.0, size=(4000, 200)).astype(float)
+        state = g.build_model(Y, n_latent=3, family=g.poisson(), seed=0)
+        assert state.n_feat >= 16 * model.CHUNK_ROWS
+        tracemalloc.start()
+        try:
+            result = g.fit(state, g.FitConfig(max_iters=3, tol=1e-300))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.iterations_run == 3
+        assert peak < 0.5 * Y.nbytes
 
 
 def rowwise_full_scoring(state, block, info, resid, scale):
-    """Per-row reference for full_scoring over all updateable columns of
-    ``block``: for each row r, solve
+    """Per-row reference for the block step over all updateable columns
+    of ``block``: for each row r, solve
 
         (D' diag(info_r) D + diag(lam)) step = D' resid_r - lam own_r
 
@@ -236,11 +282,12 @@ def rowwise_full_scoring(state, block, info, resid, scale):
     zero-pivot columns alone.  ``info`` and ``resid`` are J x N.
     Returns the scaled steps, one row per own row, and the fallback
     count."""
-    side = block_of(state, block)
-    D = side.partner[:, side.cols]
-    lam = column_penalty(state, side.cols)
-    info, resid = side.rows(info), side.rows(resid)
-    own = side.own[:, side.cols]
+    own, cols = own_block(state, block)
+    D = (state.V if block == "U" else state.U)[:, cols]
+    lam = column_penalty(state, cols)
+    if block == "U":
+        info, resid = info.T, resid.T
+    own = own[:, cols]
     steps = np.empty_like(own)
     fallbacks = 0
     for r in range(own.shape[0]):
@@ -289,19 +336,19 @@ class TestFullScoring:
         expected, ref_fallbacks = rowwise_full_scoring(
             state, block, h ** 2 / rho, (state.Y - mu) * h / rho, 0.375)
         assert ref_fallbacks == 0
-        side = block_of(state, block)
-        assert len(side.cols) == 4
-        before = side.own[:, side.cols]
-        assert full_scoring(state, block, scale=0.375) == 0
-        np.testing.assert_allclose(side.own[:, side.cols] - before, expected,
+        own, cols = own_block(state, block)
+        assert len(cols) == 4
+        before = own[:, cols]
+        assert block_step(state, block, scale=0.375) == 0
+        np.testing.assert_allclose(own[:, cols] - before, expected,
                                    rtol=1e-12, atol=0)
 
     def test_gaussian_step_zeroes_the_gradient(self):
         # the Gaussian log likelihood is quadratic in V given U, so one
         # full V step lands on its maximizer
         state = two_sided_state(g.gaussian(), seed=75)
-        full_scoring(state, "V")
-        grad = g.gradient(state, "V")
+        block_step(state, "V")
+        grad = gradient(state, "V")
         assert np.abs(grad).max() <= 1e-12 * np.abs(state.Y).sum()
 
     def test_singular_rows_alone_fall_back(self):
@@ -309,23 +356,25 @@ class TestFullScoring:
         # unpenalized A columns, so the stacked solve raises and the rows
         # are solved one by one; the fallback row leaves A alone
         state = two_sided_state(g.poisson(), seed=73)
-        stats = predictor_stats(state)
-        info = stats.I.copy()
+        _, _, resid, info = model.row_weights(state, slice(None))
+        info = info.copy()
         info[1] = 0.0
         expected, ref_fallbacks = rowwise_full_scoring(
-            state, "V", info, state.Y - stats.M, 0.5)
+            state, "V", info, resid, 0.5)
         assert ref_fallbacks == 1
         cols = state.index.v_cols
-        before = state.V[:, cols]
-        stats = PredictorStats(stats.M, stats.S, info)
-        assert full_scoring(state, "V", stats, scale=0.5) == 1
-        np.testing.assert_allclose(state.V[:, cols] - before, expected,
-                                   rtol=1e-12, atol=0)
-        np.testing.assert_array_equal(state.A[1], before[1, :2])
+        step, fallbacks = g.solve_rows(
+            *g.row_system(resid, info, state.U[:, cols]), state.V_latent,
+            state.penalty)
+        assert fallbacks == 1
+        np.testing.assert_allclose(0.5 * step, expected, rtol=1e-12, atol=0)
+        np.testing.assert_array_equal(step[1, :2], 0.0)  # A stays
 
-    def test_chunked_step_matches_unchunked_in_bounded_memory(self):
-        # K^2 > J and K^2 > N: the whole Gram stack would hold 28 J x N
-        # arrays' worth of cells, so it is built two rows at a time
+    def test_chunked_step_matches_unchunked_in_bounded_memory(
+            self, monkeypatch):
+        # K^2 > J and K^2 > N: taken two rows of Y at a time, the V step
+        # matches one solve over all rows and holds little more than the
+        # N x m² products of the design and the U system
         rng = np.random.default_rng(77)
         n, n_latent = 60, 40
         Y = rng.poisson(2.0, size=(n, n)).astype(float)
@@ -334,25 +383,26 @@ class TestFullScoring:
         lat = state.index.latent_slice
         state.U[:, lat] = rng.normal(0.0, 0.3, (n, n_latent))
         state.V[:, lat] = rng.normal(0.0, 0.3, (n, n_latent))
-        stats = predictor_stats(state)
-        side = block_of(state, "V")
-        D = side.partner[:, side.cols]
-        lam = column_penalty(state, side.cols)
-        m = len(side.cols)
+        M = means(state)  # also the Poisson information weights
+        cols = state.index.v_cols
+        D = state.U[:, cols]
+        lam = column_penalty(state, cols)
+        m = len(cols)
         assert n * m * m > 28 * n * n
         products = (D[:, :, None] * D[:, None, :]).reshape(n, m * m)
-        gram = (stats.I @ products).reshape(n, m, m) + np.diag(lam)
-        rhs = (state.Y - stats.M) @ D - lam * side.own[:, side.cols]
+        gram = (M @ products).reshape(n, m, m) + np.diag(lam)
+        rhs = (state.Y - M) @ D - lam * state.V[:, cols]
         unchunked = np.linalg.solve(gram, rhs[..., None])[..., 0]
-        before = side.own[:, side.cols].copy()
+        before = state.V[:, cols].copy()
+        monkeypatch.setattr(model, "CHUNK_ROWS", 2)
         tracemalloc.start()
         try:
-            full_scoring(state, "V", stats)
+            block_step(state, "V")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 8 * Y.nbytes
-        step = side.own[:, side.cols] - before
+        assert peak <= 4 * products.nbytes
+        step = state.V[:, cols] - before
         assert np.abs(step - unchunked).max() <= \
             1e-14 * np.abs(unchunked).max()
 
@@ -365,7 +415,7 @@ class TestFullScoring:
                               obs_covariates=X[:, 1:], seed=0)
         state.U[:, state.index.latent_slice] = 0.0
         state.V[:, state.index.latent_slice] = 0.0
-        fallbacks = full_scoring(state, "V")
+        fallbacks = block_step(state, "V")
         assert fallbacks == 0
         ols = np.linalg.solve(X.T @ X, X.T @ Y.T).T
         np.testing.assert_allclose(state.A, ols, rtol=0, atol=1e-10)
@@ -419,7 +469,7 @@ class TestFullScoring:
                               intercept=False, feat_covariates=Z, seed=0)
         state.U[:, state.index.latent_slice] = 0.0
         state.V[:, state.index.latent_slice] = 0.0
-        assert full_scoring(state, "U") == 0
+        assert block_step(state, "U") == 0
         ols = np.linalg.solve(Z.T @ Z, Z.T @ Y).T
         np.testing.assert_allclose(state.Gamma, ols, rtol=0, atol=1e-10)
 
@@ -433,10 +483,9 @@ class TestFullScoring:
                            U=np.column_stack([X, np.zeros(n_obs)]),
                            V=np.zeros((3, 3)), penalty=1e-4,
                            index=IndexSets(2, 0, 1))
-        stats = predictor_stats(state)
-        expected, _ = rowwise_full_scoring(state, "V", stats.I,
-                                           state.Y - stats.M, 1.0)
-        fallbacks = full_scoring(state, "V")
+        _, _, resid, info = model.row_weights(state, slice(None))
+        expected, _ = rowwise_full_scoring(state, "V", info, resid, 1.0)
+        fallbacks = block_step(state, "V")
         assert fallbacks == 3
         assert np.all(np.isfinite(state.A))
         # V started at zero, so V holds the steps
@@ -459,7 +508,7 @@ class TestDegenerateColumns:
         state, k = self.degenerate_state()
         u_before = state.U.copy()
         notes = Counter()
-        optimizer._sweep(state, 1.0, notes)
+        optimizer._sweep(state, 1.0, notes, model.score_pass(state)[1])
         # every U row fell back to the diagonal step, which leaves the
         # zero-pivot column as it was and moves the others
         assert notes == Counter(
@@ -498,7 +547,7 @@ class TestDegenerateColumns:
                            V=np.zeros((n_feat, 3)), penalty=1e-4,
                            index=IndexSets(2, 0, 1))
         notes = Counter()
-        optimizer._sweep(state, 1.0, notes)
+        optimizer._sweep(state, 1.0, notes, model.score_pass(state)[1])
         assert notes == Counter(
             {"block step fell back to diagonal for V rows": n_feat})
 
@@ -531,7 +580,7 @@ class TestFit:
     def test_saturated_start_converges_immediately(self):
         # gaussian, unpenalized: y == mu is a stationary point
         state = random_state(g.gaussian(), seed=8, penalty=0.0)
-        state.Y = predictor_stats(state).M.copy()
+        state.Y = means(state)
         u0, v0 = state.U.copy(), state.V.copy()
         result = g.fit(state, g.FitConfig(max_iters=50, tol=1e-10))
         assert result.converged and result.iterations_run <= 2
@@ -652,19 +701,24 @@ class TestFit:
         # a first U step that leaves NaN in U makes the whole attempt
         # non-finite: it is retried at half the step, and nothing raises
         state = random_state(g.poisson(), seed=77)
-        scales = []
-        real_step = optimizer.full_scoring
+        scales, poisoned = [], []
+        real_sweep, real_solve = optimizer._sweep, optimizer.solve_rows
 
-        def poisoned_step(state, block, stats, scale):
-            fallbacks = real_step(state, block, stats, scale)
-            if not scales:
-                block_of(state, block).own[0, -1] = np.nan
+        def counted_sweep(state, scale, notes, u_system):
             scales.append(scale)
-            return fallbacks
+            return real_sweep(state, scale, notes, u_system)
 
-        monkeypatch.setattr(optimizer, "full_scoring", poisoned_step)
+        def poisoned_solve(*args):
+            step, fallbacks = real_solve(*args)
+            if not poisoned:
+                step[0, -1] = np.nan
+                poisoned.append(True)
+            return step, fallbacks
+
+        monkeypatch.setattr(optimizer, "_sweep", counted_sweep)
+        monkeypatch.setattr(optimizer, "solve_rows", poisoned_solve)
         result = g.fit(state, g.FitConfig(max_iters=5, tol=1e-14))
-        assert scales[:3] == [1.0, 1.0, 0.5]
+        assert scales[:2] == [1.0, 0.5]
         assert any(w.startswith("sweep step-halvings applied")
                    for w in result.warnings)
         qs = [q for _, q in result.trace]

@@ -6,9 +6,8 @@ import pytest
 import glmpca as g
 from oracle import OracleError
 import oracle
-from glmpca.model import predictor_stats
 
-from conftest import random_state
+from conftest import gradient, means, random_state
 
 
 class TestFiniteDiffGradient:
@@ -18,12 +17,12 @@ class TestFiniteDiffGradient:
         state = random_state(g.gaussian(), seed=1)
         k = state.index.u_cols[-1]
         fd = oracle.finite_diff_gradient(state, "U", k)
-        np.testing.assert_allclose(fd, g.gradient(state, "U")[:, -1], rtol=0,
+        np.testing.assert_allclose(fd, gradient(state, "U")[:, -1], rtol=0,
                                    atol=1e-8)
 
     def test_penalty_only_gradient(self):
         state = random_state(g.gaussian(), seed=2, penalty=0.5)
-        state.Y = predictor_stats(state).M.copy()  # data term vanishes
+        state.Y = means(state)  # data term vanishes
         k = state.index.latent_cols[0]
         fd = oracle.finite_diff_gradient(state, "U", k)
         np.testing.assert_allclose(fd, -0.5 * state.U[:, k], rtol=0,

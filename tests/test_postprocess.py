@@ -8,10 +8,9 @@ import pytest
 
 import glmpca as g
 from glmpca import IndexSets, ModelState
-from glmpca.model import predictor_stats
 from glmpca.postprocess import rotate_factors
 
-from conftest import ALL_FAMILIES, advance, random_state
+from conftest import ALL_FAMILIES, advance, means, random_state
 
 
 class TestProjection:
@@ -163,7 +162,7 @@ class TestFullPipeline:
     def test_means_invariant(self, family):
         for seed in range(5):
             state = advance(random_state(family, seed=300 + seed), 6)
-            m_before = predictor_stats(state).M
+            m_before = means(state)
             u_hat, v_hat = g.postprocess(state)
             r_after = (state.A @ state.X.T + state.Z @ state.Gamma.T
                        + v_hat @ u_hat.T + state.delta[None, :])
