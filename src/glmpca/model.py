@@ -28,9 +28,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ConfigError, DataError, DomainError
-from .families import Family
+from .families import MEAN_FLOOR, PROB_CEIL, PROB_FLOOR, Family
 
 INIT_SCALE = 0.1  # latent init sd is INIT_SCALE / sqrt(n_latent)
+CHUNK_ROWS = 128  # rows of Y per chunk of the checks and the scoring pass
 
 
 @dataclass(frozen=True)
@@ -146,8 +147,11 @@ def check_data_matrix(Y, family: Family) -> np.ndarray:
     """Validate a J x N data matrix against the family's support.
 
     Counts must be nonnegative integers, bernoulli data must be 0/1, and
-    everything must be finite.  Errors name the first offending cell with
-    1-based row/column indices.
+    everything must be finite.  The rows are checked CHUNK_ROWS at a time,
+    so no J x N temporary is made, and the first chunk holding a bad cell
+    wins: the error names that chunk's first offending cell, with 1-based
+    row/column indices, and its reason (a non-finite value when the
+    chunk holds one).
     """
     Y = np.asarray(Y, dtype=float)
     if Y.ndim != 2:
@@ -158,11 +162,13 @@ def check_data_matrix(Y, family: Family) -> np.ndarray:
             f"data must have at least 1 feature row and 2 observation "
             f"columns, got {n_feat} x {n_obs}"
         )
-    bad, reason = family._outside_support(Y)
-    if bad.any():
-        j, i = np.argwhere(bad)[0]
-        raise DataError(f"invalid entry {float(Y[j, i])!r} at row {j + 1}, "
-                        f"column {i + 1}: {reason}")
+    for lo in range(0, n_feat, CHUNK_ROWS):
+        bad, reason = family._outside_support(Y[lo:lo + CHUNK_ROWS])
+        if bad.any():
+            j, i = np.argwhere(bad)[0]
+            j += lo
+            raise DataError(f"invalid entry {float(Y[j, i])!r} at row "
+                            f"{j + 1}, column {i + 1}: {reason}")
     return Y
 
 
@@ -220,6 +226,35 @@ def resolve_offset(offset, Y: np.ndarray, family: Family) -> np.ndarray:
     return vec.copy()
 
 
+def null_intercept(Y: np.ndarray, delta: np.ndarray,
+                   family: Family) -> np.ndarray:
+    """The intercept-only fit of each row of Y given the offset delta,
+    in closed form from the row means (one matrix-vector product, with
+    weights 1/N, so no sum of finite values overflows):
+
+    - log link: log sum_i y_ij - log sum_i exp(delta_i), the second term
+      a log-sum-exp, so no offset overflows.  The Poisson fit; the
+      negative binomial takes it as a start.
+    - logit: logit(mean_i y_ij), the fit when delta is constant.
+    - identity: mean_i y_ij - mean_i delta_i.
+
+    An all-zero row, and for the logit an all-one row, has no finite
+    fit: its mean is clipped to MEAN_FLOOR, or into [PROB_FLOOR,
+    PROB_CEIL].
+    """
+    weights = np.full(Y.shape[1], 1.0 / Y.shape[1])
+    row_means = Y @ weights
+    if family.link == "identity":
+        return row_means - delta @ weights
+    if family.link == "logit":
+        p = np.clip(row_means, PROB_FLOOR, PROB_CEIL)
+        return np.log(p) - np.log1p(-p)
+    top = delta.max()
+    with np.errstate(under="ignore"):  # an offset far below the top
+        log_mean_exp = top + np.log(np.mean(np.exp(delta - top)))
+    return np.log(np.maximum(row_means, MEAN_FLOOR)) - log_mean_exp
+
+
 # ----------------------------------------------------------------------
 # construction
 
@@ -254,9 +289,13 @@ def build_model(Y, *, n_latent: int, family: Family, obs_covariates=None,
     seed : int
         Seeds the latent initialization; a nonnegative integer.
 
-    The latent blocks start at small seeded Gaussian noise with standard
-    deviation 0.1/sqrt(n_latent) so that initial means stay near
-    g⁻¹(offset); the coefficient blocks start at zero.
+    With an intercept, its coefficients start at the intercept-only fit
+    of each feature row given the offset (null_intercept), the start of
+    GLM practice, so the first step does not overshoot; the other
+    coefficients start at zero.  The latent blocks start at small seeded
+    Gaussian noise with standard deviation 0.1/sqrt(n_latent), so the
+    initial means stay near those of that null fit (near g⁻¹(offset)
+    only without an intercept).
     """
     Y = check_data_matrix(Y, family)
     n_feat, n_obs = Y.shape
@@ -302,14 +341,14 @@ def build_model(Y, *, n_latent: int, family: Family, obs_covariates=None,
     V[:, index.latent_slice] = rng.normal(0.0, sd, (n_feat, index.n_latent))
 
     delta = resolve_offset(offset, Y, family)
+    if intercept:
+        V[:, 0] = null_intercept(Y, delta, family)
     return ModelState(Y=Y, family=family, U=U, V=V, delta=delta,
                       penalty=float(penalty), index=index)
 
 
 # ----------------------------------------------------------------------
 # the scoring pass
-
-CHUNK_ROWS = 128  # rows of Y per chunk of the scoring pass
 
 
 def linear_predictor(state: ModelState,

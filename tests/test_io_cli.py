@@ -549,9 +549,17 @@ class TestCli:
 
     def test_stalled_fit_exits_2_naming_the_stall(self, tmp_path, capsys,
                                                   monkeypatch):
-        # without halvings the first sweep on these counts lowers Q, so
-        # the fit stalls at once
+        # from a zero intercept and without halvings the first sweep on
+        # these counts lowers Q, so the fit stalls at once
         monkeypatch.setattr(optimizer, "MAX_HALVINGS", 0)
+        real_build = cli.build_model
+
+        def zero_intercept_build(*args, **kwargs):
+            state = real_build(*args, **kwargs)
+            state.V[:, 0] = 0.0
+            return state
+
+        monkeypatch.setattr(cli, "build_model", zero_intercept_build)
         data = tmp_path / "counts.csv"
         Y = np.random.default_rng(0).poisson(5.0, size=(40, 30))
         np.savetxt(data, Y, fmt="%d", delimiter=",")

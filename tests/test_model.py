@@ -2,14 +2,15 @@
 
 import inspect
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import glmpca as g
 from glmpca import ConfigError, DataError
-from glmpca.families import MEAN_CEIL, PROB_CEIL, PROB_FLOOR
-from glmpca.model import IndexSets, ModelState, resolve_offset
+from glmpca.families import MEAN_CEIL, MEAN_FLOOR, PROB_CEIL, PROB_FLOOR
+from glmpca.model import CHUNK_ROWS, IndexSets, ModelState, resolve_offset
 import oracle
 
 from conftest import (ALL_FAMILIES, block_system, gradient, gram_diagonal,
@@ -59,6 +60,42 @@ class TestDataValidation:
         with pytest.raises(DataError):
             g.check_data_matrix(np.ones(4), g.gaussian())
 
+    def test_bad_cell_past_the_first_chunk_names_its_row(self):
+        Y = np.ones((3 * CHUNK_ROWS, 4))
+        Y[CHUNK_ROWS + 4, 2] = 0.5
+        with pytest.raises(DataError, match=(
+                rf"invalid entry 0\.5 at row {CHUNK_ROWS + 5}, column 3: "
+                "poisson data must be a nonnegative integer")):
+            g.check_data_matrix(Y, g.poisson())
+
+    def test_first_chunk_holding_a_bad_cell_wins(self):
+        # a NaN is reported before a negative count in its own chunk,
+        # but not before one in an earlier chunk
+        Y = np.ones((2 * CHUNK_ROWS, 4))
+        Y[CHUNK_ROWS + 1, 0] = np.nan
+        Y[CHUNK_ROWS + 3, 1] = -1.0
+        with pytest.raises(DataError, match=(
+                rf"nan at row {CHUNK_ROWS + 2}, column 1: non-finite")):
+            g.check_data_matrix(Y, g.poisson())
+        Y[1, 3] = -1.0
+        with pytest.raises(DataError, match=(
+                r"-1\.0 at row 2, column 4: poisson data must be")):
+            g.check_data_matrix(Y, g.poisson())
+
+    def test_check_and_start_make_no_jxn_temporary(self):
+        # 4000 rows are 32 chunks: a chunk's masks and np.floor are about
+        # 1/20 of Y, one J x N temporary would be 1 (a mask 1/8)
+        Y = np.random.default_rng(11).poisson(2.0, (4000, 200)).astype(float)
+        tracemalloc.start()
+        try:
+            state = g.build_model(Y, n_latent=3, family=g.poisson(),
+                                  offset="auto", seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert state.Y is Y
+        assert peak < 0.1 * Y.nbytes
+
 
 class TestBuildModel:
     def test_docstring_parameters_match_signature(self):
@@ -71,12 +108,17 @@ class TestBuildModel:
         assert documented == list(inspect.signature(g.build_model).parameters)
 
     def test_default_shapes_and_intercept(self):
-        Y = np.zeros((5, 10))
+        Y = np.arange(50.0).reshape(5, 10) % 4
+        Y[0] = 0.0
         state = g.build_model(Y, n_latent=2, family=g.poisson(), seed=0)
         assert state.U.shape == (10, 3)
         assert state.V.shape == (5, 3)
         np.testing.assert_array_equal(state.U[:, 0], np.ones(10))
-        np.testing.assert_array_equal(state.A, np.zeros((5, 1)))
+        # the null fit without an offset: the log of each row's mean, the
+        # all-zero row's clipped to the mean floor
+        expected = np.log(np.maximum(Y.mean(axis=1), MEAN_FLOOR))
+        np.testing.assert_allclose(state.A[:, 0], expected, rtol=1e-15,
+                                   atol=0)
 
     def test_offset_policy_none_gives_zeros(self):
         state = g.build_model(np.zeros((5, 10)), n_latent=1,
@@ -227,6 +269,94 @@ class TestBuildModel:
         with pytest.raises(ConfigError, match="unknown offset policy"):
             g.build_model(Y, n_latent=1, family=g.poisson(),
                           offset="bogus", seed=0)
+
+
+class TestInterceptStart:
+    """build_model starts the intercept at the null fit of each row given
+    the offset, and every other coefficient at zero."""
+
+    @staticmethod
+    def fit_is_monotone(state):
+        result = g.fit(state, g.FitConfig(max_iters=30, tol=1e-9))
+        qs = [q for _, q in result.trace]
+        assert np.all(np.isfinite(qs))
+        for prev, cur in zip(qs, qs[1:]):
+            assert cur >= prev - 1e-12 * (1.0 + abs(prev))
+
+    @pytest.mark.parametrize("family", [g.poisson(), g.negative_binomial(2.0)],
+                             ids=lambda f: f.kind)
+    def test_all_zero_count_row_is_clipped(self, family):
+        rng = np.random.default_rng(21)
+        Y = rng.poisson(3.0, (8, 12)).astype(float)
+        Y[2] = 0.0
+        delta = rng.normal(0.0, 0.5, 12)
+        state = g.build_model(Y, n_latent=1, family=family, offset=delta,
+                              seed=0)
+        log_mean_exp = np.log(np.mean(np.exp(delta)))
+        assert state.A[2, 0] == pytest.approx(
+            np.log(MEAN_FLOOR) - log_mean_exp, rel=1e-14)
+        self.fit_is_monotone(state)
+
+    def test_bernoulli_constant_rows_are_clipped(self):
+        rng = np.random.default_rng(22)
+        Y = rng.binomial(1, 0.4, (8, 12)).astype(float)
+        Y[0], Y[1] = 1.0, 0.0
+        Y[2, :3] = 1.0
+        Y[2, 3:] = 0.0
+        state = g.build_model(Y, n_latent=1, family=g.bernoulli(), seed=0)
+        p = np.array([PROB_CEIL, PROB_FLOOR, 0.25])
+        np.testing.assert_allclose(state.A[:3, 0], np.log(p) - np.log1p(-p),
+                                   rtol=1e-12, atol=0)
+        self.fit_is_monotone(state)
+
+    def test_gaussian_start_is_the_mean_residual(self):
+        rng = np.random.default_rng(23)
+        Y = rng.normal(2.0, 1.0, (6, 10))
+        delta = rng.normal(0.0, 3.0, 10)
+        state = g.build_model(Y, n_latent=1, family=g.gaussian(),
+                              offset=delta, seed=0)
+        np.testing.assert_allclose(state.A[:, 0], np.mean(Y - delta, axis=1),
+                                   rtol=1e-13, atol=1e-15)
+        with np.errstate(all="raise"):  # no sum of the offsets overflows
+            huge = g.build_model(Y, n_latent=1, family=g.gaussian(),
+                                 offset=np.full(10, 1e308), seed=0)
+        np.testing.assert_allclose(huge.A[:, 0], -1e308, rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: f.kind)
+    def test_without_intercept_every_coefficient_starts_at_zero(self,
+                                                                family):
+        # and the seeded latent start does not depend on the intercept
+        rng = np.random.default_rng(24)
+        Y = rng.binomial(1, 0.5, (6, 10)).astype(float)
+        X = rng.normal(size=(10, 2))
+        plain = g.build_model(Y, n_latent=2, family=family, seed=5,
+                              obs_covariates=X, intercept=False)
+        start = g.build_model(Y, n_latent=2, family=family, seed=5,
+                              obs_covariates=X)
+        np.testing.assert_array_equal(plain.A, np.zeros((6, 2)))
+        np.testing.assert_array_equal(start.A[:, 1:], np.zeros((6, 2)))
+        np.testing.assert_array_equal(plain.U_latent, start.U_latent)
+        np.testing.assert_array_equal(plain.V_latent, start.V_latent)
+
+    @pytest.mark.parametrize("offsets", [(-800.0, 800.0), (-800.0, -800.0),
+                                         (800.0, 0.0)],
+                             ids=["both", "all-low", "high"])
+    def test_poisson_start_zeroes_the_intercept_score(self, offsets):
+        # sum_i (y_ij - exp(a_j + delta_i)) = 0: the start is the exact
+        # null fit, with no overflow from any offset
+        rng = np.random.default_rng(25)
+        Y = rng.poisson(4.0, (7, 12)).astype(float)
+        delta = rng.normal(0.0, 0.5, 12)
+        delta[:6] += offsets[0]
+        delta[6:] += offsets[1]
+        with np.errstate(all="raise"):
+            state = g.build_model(Y, n_latent=1, family=g.poisson(),
+                                  offset=delta, seed=0)
+        with np.errstate(under="ignore"):
+            fitted = np.exp(state.A[:, 0][:, None] + delta[None, :])
+        rowsums = Y.sum(axis=1)
+        np.testing.assert_allclose(fitted.sum(axis=1), rowsums, rtol=1e-10,
+                                   atol=0)
 
 
 class TestLinearPredictor:

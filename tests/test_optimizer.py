@@ -180,13 +180,14 @@ class TestHeldPredictor:
         assert calls == [first, first, last, last]
 
     def test_halved_retry_keeps_the_start_u_system(self, monkeypatch):
-        # from build_model's small latent start the first full sweep
-        # overshoots: it is halved twice, the second sweep not at all
+        # from a zero intercept and a small latent start the first full
+        # sweep overshoots: it is halved twice, the second sweep not at all
         rng = np.random.default_rng(0)
         R = (rng.normal(1.0, 0.5, (10, 1))
              + rng.normal(0, 0.7, (10, 2)) @ rng.normal(0, 0.7, (2, 14)))
         Y = rng.poisson(np.exp(R)).astype(float)
         state = g.build_model(Y, n_latent=2, family=g.poisson(), seed=0)
+        state.V[:, 0] = 0.0
         start = model.score_pass(state)[1]
         scales, systems = [], []
         real_sweep = optimizer._sweep
@@ -591,6 +592,24 @@ class TestFit:
                                    state.penalty, state.index)),
             rtol=0, atol=1e-10)
 
+    def test_null_intercept_start_needs_no_first_halving(self):
+        # counts with row effects, column sizes and a rank-2 signal: from
+        # a zero intercept the first full sweep overshoots and is halved
+        # twice; from the null fit build_model starts at, it is not
+        rng = np.random.default_rng(1)
+        R = (rng.normal(1.0, 0.5, (40, 1))
+             + np.log(rng.gamma(4.0, 0.25, (1, 30)))
+             + rng.normal(0, 0.5, (40, 2)) @ rng.normal(0, 0.5, (2, 30)))
+        Y = rng.poisson(np.exp(R)).astype(float)
+        one_sweep = g.FitConfig(max_iters=1)
+        for zero_intercept, warnings in (
+                (True, ["sweep step-halvings applied (x2)"]), (False, [])):
+            state = g.build_model(Y, n_latent=2, family=g.poisson(),
+                                  offset="auto", seed=0)
+            if zero_intercept:
+                state.V[:, 0] = 0.0
+            assert g.fit(state, one_sweep).warnings == warnings
+
     def test_saturated_integer_start_poisson(self):
         # default penalties with a zero latent block: counts equal to the
         # intercept means are a fixed point, nothing moves
@@ -637,12 +656,13 @@ class TestFit:
     ], ids=["tol", "max_iters", "stalled"])
     def test_stop_reason(self, cfg, halvings, reason, converged,
                          monkeypatch):
-        # on these counts the first full-size sweep lowers Q, so without
-        # halvings the fit stalls at once; with them it converges.  fit
-        # reads the halving budget when it runs.
+        # from a zero intercept the first full-size sweep on these counts
+        # lowers Q, so without halvings the fit stalls at once; with them
+        # it converges.  fit reads the halving budget when it runs.
         monkeypatch.setattr(optimizer, "MAX_HALVINGS", halvings)
         Y = np.random.default_rng(0).poisson(5.0, size=(40, 30)).astype(float)
         state = g.build_model(Y, n_latent=2, family=g.poisson(), seed=0)
+        state.V[:, 0] = 0.0
         q0 = g.objective(state)
         result = g.fit(state, cfg)
         assert result.stop_reason == reason
@@ -670,8 +690,11 @@ class TestFit:
         assert result.trace[-1] == (2, result.final_q)
 
     def test_nonfinite_objective_raises_fit_error(self):
+        # from a zero intercept: the null fit's start would make the
+        # starting Q non-finite
         Y = np.full((4, 8), 1e200)
         state = g.build_model(Y, n_latent=1, family=g.gaussian(), seed=0)
+        state.V[:, 0] = 0.0
         with pytest.raises(FitError, match="halvings"):
             g.fit(state, g.FitConfig())
 
@@ -688,7 +711,11 @@ class TestFit:
         offset = np.full(8, 1e200) if case == "huge offset" else "none"
         state = g.build_model(Y, n_latent=1, family=g.gaussian(),
                               offset=offset, seed=0)
-        if case == "inf in U":
+        if case == "huge offset":
+            # a zero intercept leaves the offset in R; the null fit's
+            # intercept would cancel it
+            state.V[:, 0] = 0.0
+        elif case == "inf in U":
             state.U[0, -1] = np.inf
         elif case == "inf in V":
             state.V[0, -1] = np.inf
