@@ -118,7 +118,7 @@ class Family:
             h = mu * (1.0 - mu)
         return _ret(h, r)
 
-    def _working_weights(self, r):
+    def _working_weights(self, r, out=(None, None, None)):
         """Means and Fisher-scoring weights at the linear predictor r, a
         float array, which is not checked: the fit builds r only from
         finite factors (model.finite_factors).
@@ -127,30 +127,34 @@ class Family:
         S = h/rho(M) and the information weight I = h²/rho(M), with
         h = g⁻¹'(r).  One exp, one in-place clamp.  For canonical links
         h == rho(M), so S is the scalar 1 and I is rho(M), which for the
-        Poisson is M itself.
+        Poisson is M itself.  ``out`` holds three arrays shaped like r,
+        or None each, into which M, S and I are written; r is not.
         """
-        M = self._mean(r)
+        m_out, s_out, i_out = out
+        M = self._mean(r, out=m_out)
         if self.kind == "poisson":
             return M, 1.0, M
         if self.is_canonical:
-            return M, 1.0, self._rho(M)
+            return M, 1.0, self._rho(M, out=i_out)
         # negative binomial, log link: h == M, rho == M (1 + M/alpha)
-        S = M / self.dispersion
+        S = np.divide(M, self.dispersion, out=s_out)
         S += 1.0
         np.reciprocal(S, out=S)
-        return M, S, M * S
+        return M, S, np.multiply(M, S, out=i_out)
 
-    def _mean(self, r):
+    def _mean(self, r, out=None):
         """g⁻¹(r), clamped in place into the strict interior of the
-        domain; always a new array."""
+        domain: written into ``out`` when one is given, else a new
+        array; r is not modified."""
         with np.errstate(over="ignore"):
             if self.link == "identity":
-                return r + 0.0
+                return np.add(r, 0.0, out=out)
             if self.link == "log":
-                mu = np.asarray(np.exp(r))
+                mu = np.asarray(np.exp(r, out=out))
                 lo, hi = MEAN_FLOOR, MEAN_CEIL
             else:  # logit: 1 / (1 + exp(-r))
-                mu = np.asarray(np.exp(-r))
+                mu = np.asarray(np.negative(r, out=out))
+                np.exp(mu, out=mu)
                 mu += 1.0
                 np.reciprocal(mu, out=mu)
                 lo, hi = PROB_FLOOR, PROB_CEIL
@@ -191,16 +195,22 @@ class Family:
         out = y_arr * t_arr - self._kappa(t_arr)
         return _ret(out, out)  # a float when y and theta are both scalars
 
-    def _rho(self, mu):
+    def _rho(self, mu, out=None):
+        """rho(mu), written into ``out`` when one is given."""
         if self.kind == "gaussian":
-            return np.ones_like(mu)
+            rho = np.empty_like(mu) if out is None else out
+            rho.fill(1.0)
+            return rho
         if self.kind == "poisson":
-            return mu + 0.0
+            return np.add(mu, 0.0, out=out)
         if self.kind == "bernoulli":
-            rho = 1.0 - mu
+            rho = np.subtract(1.0, mu, out=out)
             rho *= mu
             return rho
-        return mu + mu * mu / self.dispersion
+        rho = np.multiply(mu, mu, out=out)
+        rho /= self.dispersion
+        rho += mu
+        return rho
 
     def _theta(self, mu):
         if self.kind == "gaussian":
@@ -228,9 +238,11 @@ class Family:
             theta > cut, np.log(-np.expm1(np.maximum(theta, cut))),
             np.log1p(-np.exp(np.minimum(theta, cut))))
 
-    def _loglik_sum(self, y, r, mu):
+    def _loglik_sum(self, y, r, mu, scratch=None):
         """Sum of y*theta(mu) - kappa(theta(mu)) over all cells, with mu
-        the clamped mean of the predictor r; overwrites r.
+        the clamped mean of the predictor r; overwrites r, and
+        ``scratch``, an array shaped like r, when one is given: the one
+        temporary is written there.
 
         No log of an exp: theta is r, clipped to the mean clamps.  For
         the negative binomial theta is -t with t = log1p(alpha/mu), and
@@ -239,22 +251,26 @@ class Family:
         digits at large means; near the mean floor, where kappa is about
         mu, it is exact to about 1e-15 absolute.  A Bernoulli cell is
         log(mu) or log(1 - mu), by y, so it follows the clamped mean,
-        not r.
+        not r; it is picked by exact 0/1 arithmetic, (1 - mu) - y (1 - mu)
+        + y mu, which rounds nothing for y in {0, 1} and finite mu.
         """
         if self.kind == "gaussian":
             r *= 0.5
             r *= mu  # kappa = theta^2/2, with theta == mu == r
-            return float(np.sum(np.subtract(y * mu, r, out=r)))
+            ymu = np.multiply(y, mu, out=scratch)
+            return float(np.sum(np.subtract(ymu, r, out=r)))
         if self.kind == "bernoulli":
             np.subtract(1.0, mu, out=r)
-            np.copyto(r, mu, where=y == 1)
+            t = np.multiply(y, r, out=scratch)
+            r -= t
+            r += np.multiply(y, mu, out=t)
             return float(np.sum(np.log(r, out=r)))
         np.clip(r, LOG_MEAN_FLOOR, LOG_MEAN_CEIL, out=r)
         if self.kind == "poisson":
             r *= y
             r -= mu
             return float(np.sum(r))
-        t = self.dispersion / mu
+        t = np.divide(self.dispersion, mu, out=scratch)
         np.log1p(t, out=t)
         r -= np.log(self.dispersion)
         r += t

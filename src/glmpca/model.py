@@ -18,7 +18,10 @@ U block (its gradient and one information matrix per row, summed over
 the chunks) and, when the pass steps, the V step of each chunk, which
 given U separates over the rows of Y.  One function builds a chunk's
 system for either block (row_system) and one adds the ridge and solves
-it (solve_rows).  So no J x N array is made but one chunk's.
+it (solve_rows).  So no J x N array is made but one chunk's, and no
+chunk allocates one: a pass allocates one stack of chunk buffers, and
+every chunk writes its predictor, means, weights and log-likelihood
+temporary into it (row_weights).
 """
 
 from __future__ import annotations
@@ -351,11 +354,11 @@ def build_model(Y, *, n_latent: int, family: Family, obs_covariates=None,
 # the scoring pass
 
 
-def linear_predictor(state: ModelState,
-                     rows: slice = slice(None)) -> np.ndarray:
+def linear_predictor(state: ModelState, rows: slice = slice(None),
+                     out: np.ndarray | None = None) -> np.ndarray:
     """R = V U' + 1 delta', the J x N linear predictor, or its rows
-    ``rows``."""
-    R = state.V[rows] @ state.U.T
+    ``rows``; written into ``out`` when one is given."""
+    R = np.matmul(state.V[rows], state.U.T, out=out)
     R += state.delta[None, :]
     return R
 
@@ -365,15 +368,24 @@ def finite_factors(state: ModelState) -> bool:
     return all(np.isfinite(a).all() for a in (state.U, state.V, state.delta))
 
 
-def row_weights(state: ModelState, rows: slice):
+def row_weights(state: ModelState, rows: slice,
+                buffers: np.ndarray | None = None):
     """R, M, (Y - M) S and I for the rows ``rows`` of Y: the linear
     predictor, its clamped means, the score residual and the information
     weights (Family._working_weights).  Nothing is checked: the factors
     must be finite (finite_factors), Y is validated by build_model and
-    the means are clamped into the domain."""
-    R = linear_predictor(state, rows)
-    M, S, I = state.family._working_weights(R)
-    resid = state.Y[rows] - M
+    the means are clamped into the domain.
+
+    ``buffers``, a 5 x n x N stack for the n rows, is the chunk's slice
+    of the pass's one buffer stack (score_pass): R, the residual, M, S
+    and I are written into its five slices, so they are views of it (I
+    is M for the Poisson, and S is the scalar 1 for canonical links).
+    Without it each is a new array."""
+    if buffers is None:
+        buffers = (None,) * 5
+    R = linear_predictor(state, rows, out=buffers[0])
+    M, S, I = state.family._working_weights(R, out=buffers[2:])
+    resid = np.subtract(state.Y[rows], M, out=buffers[1])
     if np.ndim(S):  # S is the scalar 1 for canonical links
         resid *= S
     return R, M, resid, I
@@ -446,7 +458,10 @@ def score_pass(state: ModelState, v_scale: float | None = None):
     pass ends on.  With ``v_scale``, each chunk first takes its V step,
     scaled by ``v_scale``, in place: given U, the V step separates over
     the rows of Y.  So a chunk's R is built once without a step and
-    twice with one, and no J x N array is made.
+    twice with one, and no J x N array is made.  The pass allocates one
+    stack of five chunk buffers, which each chunk's row_weights and
+    log likelihood write into, so no chunk allocates an array of its
+    size; the returned system shares no memory with it.
 
     Returns (Q, (U gradient N x m, U Gram stack N x m x m), V fallback
     rows).  Nothing is checked, as in row_weights; a non-finite Q is
@@ -457,20 +472,23 @@ def score_pass(state: ModelState, v_scale: float | None = None):
     u_grad = np.zeros((state.n_obs, m))
     u_gram = np.zeros((state.n_obs, m, m))
     q, fallbacks = 0.0, 0
+    stack = np.empty((5, min(CHUNK_ROWS, state.n_feat), state.n_obs))
     for lo in range(0, state.n_feat, CHUNK_ROWS):
         rows = slice(lo, lo + CHUNK_ROWS)
+        buffers = stack[:, :min(CHUNK_ROWS, state.n_feat - lo)]
         if v_scale is not None:
-            _, _, resid, info = row_weights(state, rows)
+            _, _, resid, info = row_weights(state, rows, buffers)
             step, n = solve_rows(
                 *row_system(resid, info, state.U[:, idx.v_cols]),
                 state.V[rows, idx.latent_slice], state.penalty)
             state.V[rows, idx.v_cols] += v_scale * step
             fallbacks += n
-        R, M, resid, info = row_weights(state, rows)
+        R, M, resid, info = row_weights(state, rows, buffers)
         grad, gram = row_system(resid.T, info.T, state.V[rows, idx.u_cols])
         u_grad += grad
         u_gram += gram
-        q += state.family._loglik_sum(state.Y[rows], R, M)  # overwrites R
+        # overwrites R, and the spent residual as its scratch
+        q += state.family._loglik_sum(state.Y[rows], R, M, resid)
     if state.penalty:  # 0 * inf would make Q NaN for huge latent factors
         for latent in (state.U_latent, state.V_latent):
             q -= 0.5 * state.penalty * float(np.sum(latent ** 2))

@@ -319,9 +319,12 @@ class TestLoglikSum:
         return y, r, mu
 
     def fused(self, fam, y, r, mu):
+        """The kernel's sum, the same without and with a scratch buffer
+        (filled with NaN, so that reading it would show)."""
         mu_before = mu.copy()
         out = fam._loglik_sum(y, r.copy(), mu)
         np.testing.assert_array_equal(mu, mu_before)
+        assert fam._loglik_sum(y, r.copy(), mu, np.full_like(r, np.nan)) == out
         return out
 
     @pytest.mark.parametrize("fam, extremes", [
@@ -371,6 +374,19 @@ class TestLoglikSum:
         assert self.fused(fam, y, r, mu) == pytest.approx(expected, rel=1e-13)
         public = fam.loglik_term(y[0, 0], fam.natural_param(mu[0, 0]))
         assert public == pytest.approx(expected, rel=1e-13)
+
+    @pytest.mark.parametrize("scratch", [False, True],
+                             ids=["no-scratch", "scratch"])
+    def test_bernoulli_picks_the_mean_by_y(self, scratch):
+        # the cell is log(mu) where y == 1 and log(1 - mu) where y == 0,
+        # bit for bit, also with means at both clamps (r = -800, 800)
+        fam = g.bernoulli()
+        y, r, mu = self.case(fam, (-800.0, 800.0))
+        assert mu[0, 0] == mu[1, 0] == PROB_FLOOR
+        assert mu[0, 1] == mu[1, 1] == PROB_CEIL
+        expected = np.sum(np.log(np.where(y == 1, mu, 1.0 - mu)))
+        buffer = np.full_like(r, np.nan) if scratch else None
+        assert fam._loglik_sum(y, r.copy(), mu, buffer) == expected
 
     @pytest.mark.parametrize("fam", ALL[1:], ids=lambda f: f.kind)
     def test_flat_beyond_the_clamps(self, fam):

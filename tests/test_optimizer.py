@@ -149,9 +149,9 @@ class TestHeldPredictor:
         calls = []
         real = model.linear_predictor
 
-        def counted(state, rows):
+        def counted(state, rows, out=None):
             calls.append((rows.start, rows.stop))
-            return real(state, rows)
+            return real(state, rows, out)
 
         monkeypatch.setattr(model, "linear_predictor", counted)
         return calls
@@ -254,6 +254,87 @@ class TestChunks:
             for part, expected in zip(got, want):
                 assert np.abs(part - expected).max() <= \
                     1e-12 * np.abs(expected).max()
+
+    @staticmethod
+    def reference_pass(state, v_scale):
+        """score_pass built from buffer-free row_weights and row_system
+        calls: each chunk's arrays are new, and the log likelihood has no
+        scratch buffer."""
+        idx = state.index
+        m = len(idx.u_cols)
+        u_grad = np.zeros((state.n_obs, m))
+        u_gram = np.zeros((state.n_obs, m, m))
+        q = 0.0
+        for lo in range(0, state.n_feat, model.CHUNK_ROWS):
+            rows = slice(lo, lo + model.CHUNK_ROWS)
+            if v_scale is not None:
+                _, _, resid, info = model.row_weights(state, rows)
+                step, _ = model.solve_rows(
+                    *model.row_system(resid, info, state.U[:, idx.v_cols]),
+                    state.V[rows, idx.latent_slice], state.penalty)
+                state.V[rows, idx.v_cols] += v_scale * step
+            R, M, resid, info = model.row_weights(state, rows)
+            grad, gram = model.row_system(resid.T, info.T,
+                                          state.V[rows, idx.u_cols])
+            u_grad += grad
+            u_gram += gram
+            q += state.family._loglik_sum(state.Y[rows], R, M)
+        for latent in (state.U_latent, state.V_latent):
+            q -= 0.5 * state.penalty * float(np.sum(latent ** 2))
+        return q, (u_grad, u_gram)
+
+    @pytest.mark.parametrize("v_scale", [None, 0.5], ids=["score", "step"])
+    @pytest.mark.parametrize("n_feat", [10, 6], ids=["J=10", "J=6"])
+    @pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: f.kind)
+    def test_buffers_change_no_number(self, family, n_feat, v_scale,
+                                      monkeypatch):
+        # chunks of 7 rows: 10 rows end on a partial chunk, 6 rows are
+        # below one chunk.  Two passes on the same state, so that stale
+        # contents of a reused buffer would show
+        monkeypatch.setattr(model, "CHUNK_ROWS", 7)
+        state = random_state(family, seed=50, n_feat=n_feat, n_obs=9)
+        reference = dataclasses.replace(state, U=state.U.copy(),
+                                        V=state.V.copy())
+        for _ in range(2):
+            q, system, _ = model.score_pass(state, v_scale)
+            want_q, want_system = self.reference_pass(reference, v_scale)
+            assert q == want_q
+            for got, want in zip(system, want_system):
+                np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(state.V, reference.V)
+
+    @pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: f.kind)
+    def test_chunk_arrays_are_views_of_one_stack(self, family, monkeypatch):
+        # R, M, the residual and I (unless I is M) of every chunk are
+        # disjoint slices of one buffer stack per pass, and the U system
+        # the pass returns is not
+        monkeypatch.setattr(model, "CHUNK_ROWS", 4)
+        real = model.row_weights
+        seen = []
+
+        def recorded(state, rows, buffers=None):
+            arrays = real(state, rows, buffers)
+            seen.append((buffers, arrays))
+            return arrays
+
+        monkeypatch.setattr(model, "row_weights", recorded)
+        state = random_state(family, seed=51)
+        _, system, _ = model.score_pass(state, 1.0)
+        assert state.n_feat == 6 and len(seen) == 4
+        stack = seen[0][0].base
+        assert stack.shape == (5, 4, state.n_obs)
+        for (buffers, (R, M, resid, info)), n in zip(seen, (4, 4, 2, 2)):
+            assert buffers.base is stack
+            assert buffers.shape == (5, n, state.n_obs)
+            assert (info is M) == (family.kind == "poisson")
+            views = [R, M, resid] + ([] if info is M else [info])
+            for k, view in enumerate(views):
+                assert view.shape == (n, state.n_obs)
+                assert np.shares_memory(view, stack)
+                assert not any(np.shares_memory(view, other)
+                               for other in views[k + 1:])
+        for part in system:
+            assert not np.shares_memory(part, stack)
 
     def test_fit_holds_no_jxn_array_but_y(self):
         # 4000 rows are 32 chunks of the default size; one J x N
