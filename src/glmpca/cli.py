@@ -86,9 +86,10 @@ def run_cli(argv=None) -> int:
         if args.family != "negative_binomial" and args.dispersion is not None:
             raise ConfigError(
                 "--dispersion is only valid for --family negative_binomial")
+        family = Family(args.family, dispersion=args.dispersion)
+        config = optimizer.FitConfig(max_iters=args.max_iters, tol=args.tol)
 
         loaded = gio.read_matrix(args.input_path, args.input_format)
-        family = Family(args.family, dispersion=args.dispersion)
 
         obs_cov = feat_cov = None
         if args.obs_covariates:
@@ -107,8 +108,7 @@ def run_cli(argv=None) -> int:
             obs_covariates=obs_cov, feat_covariates=feat_cov,
             intercept=args.intercept, offset=offset,
             penalty=args.penalty, seed=args.seed)
-        result = optimizer.fit(state, optimizer.FitConfig(
-            max_iters=args.max_iters, tol=args.tol))
+        result = optimizer.fit(state, config)
         gio.write_result(result, args.output_dir,
                          row_names=loaded.row_names,
                          col_names=loaded.col_names, config=run_config)

@@ -1,4 +1,9 @@
-"""Exception hierarchy for glmpca."""
+"""Exception hierarchy for glmpca, and the one check of a scalar option."""
+
+import numbers
+import sys
+
+import numpy as np
 
 
 class GlmPcaError(Exception):
@@ -23,3 +28,27 @@ class FitError(GlmPcaError):
     def __init__(self, message: str, trace=None):
         self.trace = list(trace) if trace is not None else []
         super().__init__(message)
+
+
+def check_option(value, name: str, *, integer: bool = False,
+                 positive: bool = False):
+    """The scalar option ``value`` as a Python int when ``integer``, else
+    as a float.
+
+    Raises ConfigError naming ``name`` for a bool, a non-number, a
+    non-integer when ``integer``, a value that is not a finite float
+    otherwise, and a value below 0, or at 0 when ``positive``.  An
+    integer of any size passes unconverted to float.
+    """
+    # a numpy scalar is checked as its Python twin: then an int of any
+    # size is compared with a Python float exactly, where numpy would
+    # convert one side and could overflow; NaN fails every comparison
+    number = value.item() if isinstance(value, np.generic) else value
+    kind = numbers.Integral if integer else numbers.Real
+    if (isinstance(number, bool) or not isinstance(number, kind)
+            or not (number > 0 if positive else number >= 0)
+            or not (integer or number <= sys.float_info.max)):
+        sign = "positive" if positive else "nonnegative"
+        what = "integer" if integer else "finite scalar"
+        raise ConfigError(f"{name} must be a {sign} {what}, got {value!r}")
+    return int(number) if integer else float(number)

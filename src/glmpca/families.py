@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import ConfigError, DataError, DomainError
+from .exceptions import (ConfigError, DataError, DomainError,
+                         check_option)
 
 # Means are clamped strictly inside their domain so that 1/rho(mu) and
 # theta(mu) stay finite without branching in the update loops.
@@ -39,8 +40,6 @@ _LINK = {
     "bernoulli": "logit",
     "negative_binomial": "log",
 }
-_TRUE_CANONICAL = {"gaussian": "identity", "poisson": "log",
-                   "bernoulli": "logit"}
 
 KINDS = tuple(_LINK)
 
@@ -68,6 +67,10 @@ class Family:
     dispersion : float, optional
         Negative binomial shape alpha (variance mu + mu**2/alpha).
         Required for the negative binomial, ignored by the other kinds.
+
+    The dispersion of the negative binomial must be a positive finite
+    number, not a bool (exceptions.check_option), and is stored as a
+    float; anything else raises ConfigError.
     """
 
     kind: str
@@ -77,12 +80,8 @@ class Family:
         if self.kind not in KINDS:
             raise ConfigError(f"unknown family kind {self.kind!r}")
         if self.kind == "negative_binomial":
-            d = self.dispersion
-            if d is None or not np.isfinite(d) or d <= 0:
-                raise ConfigError(
-                    "negative_binomial requires a positive finite dispersion"
-                )
-            object.__setattr__(self, "dispersion", float(d))
+            object.__setattr__(self, "dispersion", check_option(
+                self.dispersion, "dispersion", positive=True))
 
     # ------------------------------------------------------------------
     # link functions
@@ -94,8 +93,9 @@ class Family:
 
     @property
     def is_canonical(self) -> bool:
-        """True when the link equals the family's canonical link."""
-        return _TRUE_CANONICAL.get(self.kind) == self.link
+        """True when the link equals the family's canonical link: for
+        every kind but the negative binomial."""
+        return self.kind != "negative_binomial"
 
     def inverse_link(self, r):
         """Mean mu = g⁻¹(r), clamped into the domain interior."""
@@ -107,16 +107,10 @@ class Family:
         """Derivative h(r) = d g⁻¹(r) / dr; strictly positive."""
         arr = _asfloat(r)
         _check_predictor(arr)
-        if self.link == "identity":
-            h = np.ones_like(arr)
-        elif self.link == "log":
-            # equals the clamped mean, which keeps h finite and preserves
-            # h == rho(mu) exactly for the Poisson
-            h = self._mean(arr)
-        else:  # logit
-            mu = self._mean(arr)
-            h = mu * (1.0 - mu)
-        return _ret(h, r)
+        mu = self._mean(arr)
+        # the clamped mean for the log link, which keeps h finite; rho(mu)
+        # for the canonical links
+        return _ret(mu if self.link == "log" else self._rho(mu), r)
 
     def _working_weights(self, r, out=(None, None, None)):
         """Means and Fisher-scoring weights at the linear predictor r, a

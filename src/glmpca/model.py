@@ -17,7 +17,8 @@ CHUNK_ROWS at a time (score_pass): Q, the Fisher-scoring system of the
 U block (its gradient and one information matrix per row, summed over
 the chunks) and, when the pass steps, the V step of each chunk, which
 given U separates over the rows of Y.  One function builds a chunk's
-system for either block (row_system) and one adds the ridge and solves
+system for either block (row_system) from the column products of the
+partner's design (column_products), and one adds the ridge and solves
 it (solve_rows).  So no J x N array is made but one chunk's, and no
 chunk allocates one: a pass allocates one stack of chunk buffers, and
 every chunk writes its predictor, means, weights and log-likelihood
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import ConfigError, DataError, DomainError
+from .exceptions import ConfigError, DataError, DomainError, check_option
 from .families import MEAN_FLOOR, PROB_CEIL, PROB_FLOOR, Family
 
 INIT_SCALE = 0.1  # latent init sd is INIT_SCALE / sqrt(n_latent)
@@ -52,10 +53,10 @@ class IndexSets:
     n_latent: int
 
     def __post_init__(self):
-        if self.n_obs_cov < 0 or self.n_feat_cov < 0:
-            raise ConfigError("covariate counts must be nonnegative")
-        if self.n_latent < 1:
-            raise ConfigError("need at least one latent dimension")
+        for name in ("n_obs_cov", "n_feat_cov", "n_latent"):
+            object.__setattr__(self, name, check_option(
+                getattr(self, name), name, integer=True,
+                positive=name == "n_latent"))
 
     @property
     def n_total(self) -> int:
@@ -273,7 +274,7 @@ def build_model(Y, *, n_latent: int, family: Family, obs_covariates=None,
     Y : array (J, N)
         Data, features as rows and observations as columns.
     n_latent : int
-        Number of latent dimensions.
+        Number of latent dimensions, at least 1.
     family : Family
         Noise model.
     obs_covariates : array (N, K), optional
@@ -291,6 +292,10 @@ def build_model(Y, *, n_latent: int, family: Family, obs_covariates=None,
         and of V only; coefficient blocks are never penalized.
     seed : int
         Seeds the latent initialization; a nonnegative integer.
+
+    Each scalar option must be a finite number, not a bool, and an
+    integer where one is asked for (exceptions.check_option); anything
+    else raises ConfigError naming the option.
 
     With an intercept, its coefficients start at the intercept-only fit
     of each feature row given the offset (null_intercept), the start of
@@ -316,18 +321,9 @@ def build_model(Y, *, n_latent: int, family: Family, obs_covariates=None,
     _check_full_rank(X, "observation design matrix")
     _check_full_rank(Z, "feature design matrix")
 
-    if (isinstance(n_latent, bool)
-            or not isinstance(n_latent, (int, np.integer)) or n_latent < 1):
-        raise ConfigError("n_latent must be a positive integer")
-    if (isinstance(seed, bool) or not isinstance(seed, (int, np.integer))
-            or seed < 0):
-        raise ConfigError(f"seed must be a nonnegative integer, got {seed!r}")
-    if (isinstance(penalty, bool)
-            or not isinstance(penalty, (int, float, np.integer, np.floating))
-            or not 0 <= penalty < np.inf):
-        raise ConfigError(
-            f"penalty must be a nonnegative finite scalar, got {penalty!r}")
-    index = IndexSets(X.shape[1], Z.shape[1], int(n_latent))
+    index = IndexSets(X.shape[1], Z.shape[1], n_latent)
+    seed = check_option(seed, "seed", integer=True)
+    penalty = check_option(penalty, "penalty")
     if index.n_total >= min(n_obs, n_feat):
         raise ConfigError(
             f"n_latent + covariate columns = {index.n_total} must be below "
@@ -347,7 +343,7 @@ def build_model(Y, *, n_latent: int, family: Family, obs_covariates=None,
     if intercept:
         V[:, 0] = null_intercept(Y, delta, family)
     return ModelState(Y=Y, family=family, U=U, V=V, delta=delta,
-                      penalty=float(penalty), index=index)
+                      penalty=penalty, index=index)
 
 
 # ----------------------------------------------------------------------
@@ -391,20 +387,27 @@ def row_weights(state: ModelState, rows: slice,
     return R, M, resid, I
 
 
-def row_system(resid: np.ndarray, info: np.ndarray,
-               design: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The unpenalized Fisher-scoring system of a set of own rows, given
-    the partner's updateable columns D = ``design`` (n x m): the score
-    ``resid @ D``, one row per own row, and the information matrices
-    D' diag(info_r) D, stacked, each one row of ``info @ P`` with P the
-    n x m² column products of D.
-
-    The V step of a chunk of rows of Y passes (resid, I, U[:, v_cols]).
-    The U side passes (resid.T, I.T, V_c[:, u_cols]) for each chunk, and
-    its system is the sum over the chunks.
-    """
+def column_products(design: np.ndarray) -> np.ndarray:
+    """The n x m² products D[:, a] D[:, b] of the columns of the n x m
+    matrix D = ``design``, row by row."""
     n, m = design.shape
-    products = (design[:, :, None] * design[:, None, :]).reshape(n, m * m)
+    return (design[:, :, None] * design[:, None, :]).reshape(n, m * m)
+
+
+def row_system(resid: np.ndarray, info: np.ndarray, design: np.ndarray,
+               products: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The unpenalized Fisher-scoring system of a set of own rows, given
+    the partner's updateable columns D = ``design`` (n x m) and their
+    ``products``, column_products(D): the score ``resid @ D``, one row
+    per own row, and the information matrices D' diag(info_r) D,
+    stacked, each one row of ``info @ products``.
+
+    The V step of each chunk of rows of Y passes (resid, I, U[:, v_cols])
+    with the products of that design, formed once per pass.  The U side
+    passes (resid.T, I.T, V_c[:, u_cols]) with the products of each
+    chunk's design, and its system is the sum over the chunks.
+    """
+    m = design.shape[1]
     return resid @ design, (info @ products).reshape(-1, m, m)
 
 
@@ -457,11 +460,13 @@ def score_pass(state: ModelState, v_scale: float | None = None):
     and the unpenalized U system (row_system), both at the point the
     pass ends on.  With ``v_scale``, each chunk first takes its V step,
     scaled by ``v_scale``, in place: given U, the V step separates over
-    the rows of Y.  So a chunk's R is built once without a step and
-    twice with one, and no J x N array is made.  The pass allocates one
-    stack of five chunk buffers, which each chunk's row_weights and
-    log likelihood write into, so no chunk allocates an array of its
-    size; the returned system shares no memory with it.
+    the rows of Y, and every chunk's V system has the one design
+    U[:, v_cols], whose column products are formed once per pass.  So a
+    chunk's R is built once without a step and twice with one, and no
+    J x N array is made.  The pass allocates one stack of five chunk
+    buffers, which each chunk's row_weights and log likelihood write
+    into, so no chunk allocates an array of its size; the returned
+    system shares no memory with it.
 
     Returns (Q, (U gradient N x m, U Gram stack N x m x m), V fallback
     rows).  Nothing is checked, as in row_weights; a non-finite Q is
@@ -473,18 +478,23 @@ def score_pass(state: ModelState, v_scale: float | None = None):
     u_gram = np.zeros((state.n_obs, m, m))
     q, fallbacks = 0.0, 0
     stack = np.empty((5, min(CHUNK_ROWS, state.n_feat), state.n_obs))
+    if v_scale is not None:  # U, so the V design, is fixed in the pass
+        v_design = state.U[:, idx.v_cols]
+        v_products = column_products(v_design)
     for lo in range(0, state.n_feat, CHUNK_ROWS):
         rows = slice(lo, lo + CHUNK_ROWS)
         buffers = stack[:, :min(CHUNK_ROWS, state.n_feat - lo)]
         if v_scale is not None:
             _, _, resid, info = row_weights(state, rows, buffers)
             step, n = solve_rows(
-                *row_system(resid, info, state.U[:, idx.v_cols]),
+                *row_system(resid, info, v_design, v_products),
                 state.V[rows, idx.latent_slice], state.penalty)
             state.V[rows, idx.v_cols] += v_scale * step
             fallbacks += n
         R, M, resid, info = row_weights(state, rows, buffers)
-        grad, gram = row_system(resid.T, info.T, state.V[rows, idx.u_cols])
+        u_design = state.V[rows, idx.u_cols]
+        grad, gram = row_system(resid.T, info.T, u_design,
+                                column_products(u_design))
         u_grad += grad
         u_gram += gram
         # overwrites R, and the spent residual as its scratch

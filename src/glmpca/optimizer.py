@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import ConfigError, FitError
+from .exceptions import FitError, check_option
 from .model import ModelState, finite_factors, score_pass, solve_rows
 from .postprocess import postprocess
 
@@ -45,7 +45,10 @@ MAX_HALVINGS = 10     # step halvings per sweep before the fit stalls
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Optimization hyperparameters: the sweep cap and the tolerance.
+    """Optimization hyperparameters: the sweep cap ``max_iters``, a
+    positive integer, and the tolerance ``tol``, a positive finite
+    number.  Neither may be a bool (exceptions.check_option); anything
+    else raises ConfigError naming the option.
 
     ``full_scoring_coef`` is accepted and has no effect: every block step
     already applies full Fisher scoring to the coefficient columns.
@@ -56,12 +59,9 @@ class FitConfig:
     full_scoring_coef: bool = False
 
     def __post_init__(self):
-        if (isinstance(self.max_iters, bool)
-                or not isinstance(self.max_iters, (int, np.integer))
-                or self.max_iters < 1):
-            raise ConfigError("max_iters must be an integer >= 1")
-        if isinstance(self.tol, bool) or not self.tol > 0:
-            raise ConfigError("tol must be positive")
+        for name, integer in (("max_iters", True), ("tol", False)):
+            object.__setattr__(self, name, check_option(
+                getattr(self, name), name, integer=integer, positive=True))
 
 
 @dataclass

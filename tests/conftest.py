@@ -84,7 +84,9 @@ def block_system(state, block):
     if block == "U":
         return model.score_pass(state)[1]
     _, _, resid, info = model.row_weights(state, slice(None))
-    return model.row_system(resid, info, state.U[:, state.index.v_cols])
+    design = state.U[:, state.index.v_cols]
+    return model.row_system(resid, info, design,
+                            model.column_products(design))
 
 
 def gradient(state, block):

@@ -102,6 +102,10 @@ class TestDinverseLink:
         with pytest.raises(DomainError):
             g.gaussian().dinverse_link(np.nan)
 
+    def test_scalar_gives_float(self):
+        for fam in ALL:
+            assert type(fam.dinverse_link(0.5)) is float
+
 
 class TestVariance:
     def test_gaussian_constant(self):

@@ -489,8 +489,10 @@ class TestCli:
          "offset file has 19 values, expected 20"),
         (["--input", "{latin1_mtx}"], "latin1.mtx: not UTF-8 text"),
         (["--input", "{latin1_csv}"], "latin1.csv: not UTF-8 text"),
+        (["--tol", "inf"], "tol must be a positive finite scalar, got inf"),
     ], ids=["negative_seed", "dispersion_without_nb", "unknown_offset",
-            "short_offset_file", "non_utf8_mtx", "non_utf8_csv"])
+            "short_offset_file", "non_utf8_mtx", "non_utf8_csv",
+            "infinite_tol"])
     def test_bad_input_exits_1_with_one_error_line(self, tmp_path, capsys,
                                                    args, message):
         files = {"short_offset": tmp_path / "offset.csv",

@@ -271,6 +271,61 @@ class TestBuildModel:
                           offset="bogus", seed=0)
 
 
+# each taker of a scalar option, called with that option alone set
+OPTION_TAKERS = {
+    "Family": lambda **kw: g.Family("negative_binomial", **kw),
+    "FitConfig": g.FitConfig,
+    "IndexSets": lambda **kw: IndexSets(
+        **(dict(n_obs_cov=0, n_feat_cov=0, n_latent=1) | kw)),
+    "build_model": lambda **kw: g.build_model(
+        np.ones((5, 10)), **(dict(n_latent=1, family=g.poisson(), seed=0)
+                             | kw)),
+}
+
+
+class TestScalarOptions:
+    """Every scalar option is held to one rule (check_option): a finite
+    number, not a bool, an integer where one is asked for, and positive
+    or nonnegative as the option needs."""
+
+    @pytest.mark.parametrize("taker, name, value", [
+        ("Family", "dispersion", True),
+        ("Family", "dispersion", "2"),
+        ("Family", "dispersion", None),
+        ("FitConfig", "tol", "x"),
+        ("FitConfig", "tol", None),
+        ("FitConfig", "tol", np.inf),
+        ("FitConfig", "max_iters", np.bool_(True)),
+        ("IndexSets", "n_latent", True),
+        ("IndexSets", "n_obs_cov", 1.0),
+        ("IndexSets", "n_feat_cov", np.nan),
+        ("build_model", "penalty", 10**400),
+    ], ids=["bool_dispersion", "string_dispersion", "missing_dispersion",
+            "string_tol", "none_tol", "infinite_tol", "numpy_bool_max_iters",
+            "bool_index_latent", "float_obs_count", "nan_feat_count",
+            "huge_int_penalty"])
+    def test_bad_value_rejected_naming_option(self, taker, name, value):
+        with pytest.raises(ConfigError, match=f"^{name} must be a ") as err:
+            OPTION_TAKERS[taker](**{name: value})
+        assert str(err.value).endswith(f", got {value!r}")
+
+    def test_good_values_build_and_fit(self):
+        family = g.negative_binomial(np.float32(2.0))
+        config = g.FitConfig(max_iters=np.int64(3), tol=np.float32(1e-3))
+        Y = np.ones((6, 10)) + np.eye(6, 10)
+        state = g.build_model(Y, n_latent=np.int64(1), family=family,
+                              penalty=0, seed=10**400)
+        # each stored as a Python number; the seed is not converted
+        stored = [(family.dispersion, float), (config.max_iters, int),
+                  (config.tol, float), (state.penalty, float),
+                  (state.index.n_latent, int)]
+        assert [type(value) for value, _ in stored] == \
+            [kind for _, kind in stored]
+        assert state.penalty == 0.0 and config.tol == np.float32(1e-3)
+        result = g.fit(state, config)
+        assert np.isfinite(result.final_q) and result.iterations_run <= 3
+
+
 class TestInterceptStart:
     """build_model starts the intercept at the null fit of each row given
     the offset, and every other coefficient at zero."""

@@ -269,13 +269,16 @@ class TestChunks:
             rows = slice(lo, lo + model.CHUNK_ROWS)
             if v_scale is not None:
                 _, _, resid, info = model.row_weights(state, rows)
+                design = state.U[:, idx.v_cols]
                 step, _ = model.solve_rows(
-                    *model.row_system(resid, info, state.U[:, idx.v_cols]),
+                    *model.row_system(resid, info, design,
+                                      model.column_products(design)),
                     state.V[rows, idx.latent_slice], state.penalty)
                 state.V[rows, idx.v_cols] += v_scale * step
             R, M, resid, info = model.row_weights(state, rows)
-            grad, gram = model.row_system(resid.T, info.T,
-                                          state.V[rows, idx.u_cols])
+            design = state.V[rows, idx.u_cols]
+            grad, gram = model.row_system(resid.T, info.T, design,
+                                          model.column_products(design))
             u_grad += grad
             u_gram += gram
             q += state.family._loglik_sum(state.Y[rows], R, M)
@@ -444,10 +447,11 @@ class TestFullScoring:
         expected, ref_fallbacks = rowwise_full_scoring(
             state, "V", info, resid, 0.5)
         assert ref_fallbacks == 1
-        cols = state.index.v_cols
+        design = state.U[:, state.index.v_cols]
         step, fallbacks = g.solve_rows(
-            *g.row_system(resid, info, state.U[:, cols]), state.V_latent,
-            state.penalty)
+            *g.row_system(resid, info, design,
+                          model.column_products(design)),
+            state.V_latent, state.penalty)
         assert fallbacks == 1
         np.testing.assert_allclose(0.5 * step, expected, rtol=1e-12, atol=0)
         np.testing.assert_array_equal(step[1, :2], 0.0)  # A stays
@@ -907,14 +911,17 @@ class TestFit:
         with pytest.raises(ConfigError):
             g.FitConfig(tol=0.0)
         # bool is an int subclass, but True is no count and no tolerance
-        with pytest.raises(ConfigError, match="max_iters must be an integer"):
+        with pytest.raises(ConfigError,
+                           match="max_iters must be a positive integer"):
             g.FitConfig(max_iters=True)
-        with pytest.raises(ConfigError, match="tol must be positive"):
+        with pytest.raises(ConfigError,
+                           match="tol must be a positive finite scalar"):
             g.FitConfig(tol=True)
 
     @pytest.mark.parametrize("field", ["max_iters"])
     def test_config_rejects_fractional_counts(self, field):
         # range() would raise a TypeError from inside fit instead
-        with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+        with pytest.raises(ConfigError,
+                           match=f"{field} must be a positive integer"):
             g.FitConfig(**{field: 2.5})
         assert getattr(g.FitConfig(**{field: np.int64(3)}), field) == 3
