@@ -33,20 +33,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit", help="fit a factorization and write results")
     p.add_argument("--input", dest="input_path", required=True,
                    help="data matrix path")
-    p.add_argument("--format", dest="input_format",
-                   choices=["matrixmarket", "csv"], default=None,
-                   help="input format (default: inferred from extension)")
     p.add_argument("--family", required=True, choices=list(KINDS))
     p.add_argument("--dispersion", type=float, default=None,
                    help="negative binomial shape (required for that family)")
     p.add_argument("--dims", required=True, type=int,
                    help="number of latent dimensions")
     p.add_argument("--obs-covariates", default=None,
-                   help="CSV of observation covariates (N rows)")
+                   help="matrix of observation covariates (N rows)")
     p.add_argument("--feat-covariates", default=None,
-                   help="CSV of feature covariates (J rows)")
+                   help="matrix of feature covariates (J rows)")
     p.add_argument("--offset", default="none",
-                   help="'none', 'auto', or 'file:PATH' (a CSV of one "
+                   help="'none', 'auto', or 'file:PATH' (a matrix of one "
                         "row or one column, one value per observation)")
     p.add_argument("--no-intercept", dest="intercept", action="store_false",
                    help="drop the default all-ones observation covariate")
@@ -63,14 +60,11 @@ def _load_offset(policy: str, n_obs: int):
     if policy in ("none", "auto"):
         return policy
     if policy.startswith("file:"):
-        values = gio.read_matrix(policy[len("file:"):], "csv").values
+        values = gio.read_matrix(policy[len("file:"):]).values
         if 1 not in values.shape:
             raise ConfigError(
                 f"offset file must hold one row or one column of {n_obs} "
                 f"values, got {values.shape[0]} x {values.shape[1]}")
-        if values.size != n_obs:
-            raise ConfigError(
-                f"offset file has {values.size} values, expected {n_obs}")
         return values.reshape(-1)
     raise ConfigError(
         f"--offset must be 'none', 'auto', or 'file:PATH', got {policy!r}")
@@ -83,22 +77,19 @@ def run_cli(argv=None) -> int:
         if args.family == "negative_binomial" and args.dispersion is None:
             raise ConfigError(
                 "--dispersion is required for --family negative_binomial")
-        if args.family != "negative_binomial" and args.dispersion is not None:
-            raise ConfigError(
-                "--dispersion is only valid for --family negative_binomial")
         family = Family(args.family, dispersion=args.dispersion)
         config = optimizer.FitConfig(max_iters=args.max_iters, tol=args.tol)
 
-        loaded = gio.read_matrix(args.input_path, args.input_format)
+        loaded = gio.read_matrix(args.input_path)
 
         obs_cov = feat_cov = None
         if args.obs_covariates:
-            obs_cov = gio.read_matrix(args.obs_covariates, "csv").values
+            obs_cov = gio.read_matrix(args.obs_covariates).values
         if args.feat_covariates:
-            feat_cov = gio.read_matrix(args.feat_covariates, "csv").values
+            feat_cov = gio.read_matrix(args.feat_covariates).values
         offset = _load_offset(args.offset, loaded.values.shape[1])
 
-        # meta.json echoes every flag, with the input format resolved
+        # meta.json echoes every flag, and the format the input was read as
         run_config = dict(vars(args), input_format=loaded.format)
         del run_config["command"]
 

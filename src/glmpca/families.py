@@ -66,7 +66,7 @@ class Family:
         with the identity, log, logit and log link respectively.
     dispersion : float, optional
         Negative binomial shape alpha (variance mu + mu**2/alpha).
-        Required for the negative binomial, ignored by the other kinds.
+        Required for the negative binomial, rejected by the other kinds.
 
     The dispersion of the negative binomial must be a positive finite
     number, not a bool (exceptions.check_option), and is stored as a
@@ -82,6 +82,10 @@ class Family:
         if self.kind == "negative_binomial":
             object.__setattr__(self, "dispersion", check_option(
                 self.dispersion, "dispersion", positive=True))
+        elif self.dispersion is not None:
+            raise ConfigError(
+                "dispersion is only valid for the negative_binomial kind, "
+                f"got {self.dispersion!r} for {self.kind!r}")
 
     # ------------------------------------------------------------------
     # link functions
@@ -238,15 +242,15 @@ class Family:
         ``scratch``, an array shaped like r, when one is given: the one
         temporary is written there.
 
-        No log of an exp: theta is r, clipped to the mean clamps.  For
-        the negative binomial theta is -t with t = log1p(alpha/mu), and
-        kappa is alpha (r - log(alpha) + t) with r clipped, so a cell
-        -(y t + kappa) adds two positive terms and keeps its relative
-        digits at large means; near the mean floor, where kappa is about
-        mu, it is exact to about 1e-15 absolute.  A Bernoulli cell is
-        log(mu) or log(1 - mu), by y, so it follows the clamped mean,
-        not r; it is picked by exact 0/1 arithmetic, (1 - mu) - y (1 - mu)
-        + y mu, which rounds nothing for y in {0, 1} and finite mu.
+        No log of an exp: for the Poisson theta is r, clipped to the
+        mean clamps.  For the negative binomial theta is -t with
+        t = log1p(alpha/mu), and kappa is alpha log1p(mu/alpha), so a
+        cell -(y t + kappa) adds two positive terms, each to full
+        relative precision, at large means and at large alpha alike.  A
+        Bernoulli cell is log(mu) or log(1 - mu), by y, so it follows
+        the clamped mean, not r; it is picked by exact 0/1 arithmetic,
+        (1 - mu) - y (1 - mu) + y mu, which rounds nothing for y in
+        {0, 1} and finite mu.
         """
         if self.kind == "gaussian":
             r *= 0.5
@@ -259,17 +263,17 @@ class Family:
             r -= t
             r += np.multiply(y, mu, out=t)
             return float(np.sum(np.log(r, out=r)))
-        np.clip(r, LOG_MEAN_FLOOR, LOG_MEAN_CEIL, out=r)
         if self.kind == "poisson":
+            np.clip(r, LOG_MEAN_FLOOR, LOG_MEAN_CEIL, out=r)
             r *= y
             r -= mu
             return float(np.sum(r))
         t = np.divide(self.dispersion, mu, out=scratch)
         np.log1p(t, out=t)
-        r -= np.log(self.dispersion)
-        r += t
-        r *= self.dispersion  # kappa
         t *= y
+        np.divide(mu, self.dispersion, out=r)
+        np.log1p(r, out=r)
+        r *= self.dispersion  # kappa
         r += t
         return -float(np.sum(r))  # sum of y theta - kappa = -(y t + kappa)
 

@@ -1,10 +1,11 @@
 """Matrix readers and result writers.
 
-Two input formats: MatrixMarket coordinate files (read into a dense
-array, absent entries zero) and CSV with features as rows and
-observations as columns, where a header row and a leading row-name
-column are auto-detected.  All numbers are written with 17 significant
-digits, which round-trips IEEE doubles exactly.
+Two input formats, told apart by the file's first line, not its name:
+MatrixMarket coordinate files, which open with a ``%%MatrixMarket``
+banner (read into a dense array, absent entries zero), and CSV with
+features as rows and observations as columns, where a header row and a
+leading row-name column are auto-detected.  All numbers are written
+with 17 significant digits, which round-trips IEEE doubles exactly.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .exceptions import DataError
+from .exceptions import ConfigError, DataError
 from .optimizer import FitResult
 
 
@@ -58,7 +59,7 @@ def read_matrix_market(path) -> LoadedMatrix:
     an entry.  Only when a check fails is the body scanned again line by
     line, by ``_body_error``, to name the first bad line."""
     path = Path(path)
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if lineno == 1:
@@ -232,23 +233,21 @@ def read_csv_matrix(path) -> LoadedMatrix:
     return LoadedMatrix(np.array(data), row_names, col_names, "csv")
 
 
-def read_matrix(path, fmt: str | None = None) -> LoadedMatrix:
-    """Read a matrix, inferring the format from the extension when
-    ``fmt`` is None (.mtx/.mm are MatrixMarket, everything else CSV).
-    Both are read as UTF-8; an undecodable byte raises DataError."""
+def read_matrix(path) -> LoadedMatrix:
+    """Read a matrix as MatrixMarket when its first line starts with
+    ``%%MatrixMarket`` (in any case), else as CSV.  Both are read as
+    UTF-8 with any byte-order mark skipped; an undecodable byte raises
+    DataError."""
     path = Path(path)
-    if fmt is None:
-        fmt = "matrixmarket" if path.suffix.lower() in (".mtx", ".mm") \
-            else "csv"
     try:
-        if fmt == "matrixmarket":
+        with open(path, encoding="utf-8-sig") as fh:
+            banner = fh.readline().lstrip().lower()
+        if banner.startswith("%%matrixmarket"):
             return read_matrix_market(path)
-        if fmt == "csv":
-            return read_csv_matrix(path)
+        return read_csv_matrix(path)
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text ({exc.reason} "
                         f"0x{exc.object[exc.start]:02x})") from None
-    raise DataError(f"unknown input format {fmt!r}")
 
 
 # ----------------------------------------------------------------------
@@ -267,6 +266,17 @@ def _write_csv(path: Path, values: np.ndarray, row_names: list[str],
             writer.writerow([name, *(_fmt(v) for v in row)])
 
 
+def _names(names, argument: str, count: int, prefix: str) -> list[str]:
+    """``names`` as a list of ``count``, or positional names for None."""
+    if names is None:
+        return [f"{prefix}_{k + 1}" for k in range(count)]
+    names = list(names)
+    if len(names) != count:
+        raise ConfigError(
+            f"{argument} has {len(names)} names, expected {count}")
+    return names
+
+
 def write_result(result: FitResult, out_dir, row_names=None, col_names=None,
                  config: dict | None = None) -> list[Path]:
     """Write the documented result file set into ``out_dir``.
@@ -274,16 +284,16 @@ def write_result(result: FitResult, out_dir, row_names=None, col_names=None,
     factors.csv (N x L), loadings.csv (J x L), coef_A.csv (J x K_o),
     coef_Gamma.csv (N x K_f, omitted when there are no feature
     covariates), offset.csv, trace.csv, and meta.json.  Positional names
-    are generated when none are supplied.
+    are generated when none are supplied; supplied names must number J
+    (``row_names``) and N (``col_names``), else ConfigError is raised
+    before any file is written.
     """
+    n_obs, n_latent = result.factors.shape
+    feat_names = _names(row_names, "row_names", result.loadings.shape[0],
+                        "feat")
+    obs_names = _names(col_names, "col_names", n_obs, "obs")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    n_obs, n_latent = result.factors.shape
-    n_feat = result.loadings.shape[0]
-    feat_names = list(row_names) if row_names else \
-        [f"feat_{j + 1}" for j in range(n_feat)]
-    obs_names = list(col_names) if col_names else \
-        [f"obs_{i + 1}" for i in range(n_obs)]
     dims = [f"dim{k + 1}" for k in range(n_latent)]
 
     written = []

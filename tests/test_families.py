@@ -41,6 +41,12 @@ class TestConstruction:
         with pytest.raises(ConfigError):
             g.negative_binomial(-1.0)
 
+    @pytest.mark.parametrize("kind", ["gaussian", "poisson", "bernoulli"])
+    def test_dispersion_rejected_for_other_kinds(self, kind):
+        with pytest.raises(ConfigError, match=f"got 2.0 for '{kind}'"):
+            g.Family(kind, dispersion=2.0)
+        assert g.Family(kind, dispersion=None) == g.Family(kind)
+
     def test_is_canonical(self):
         assert g.poisson().is_canonical
         assert g.gaussian().is_canonical
@@ -378,6 +384,21 @@ class TestLoglikSum:
         assert self.fused(fam, y, r, mu) == pytest.approx(expected, rel=1e-13)
         public = fam.loglik_term(y[0, 0], fam.natural_param(mu[0, 0]))
         assert public == pytest.approx(expected, rel=1e-13)
+
+    @pytest.mark.parametrize("alpha", [1e8, 1e12, 1e14, 1e300])
+    def test_negative_binomial_large_dispersion(self, alpha):
+        # as alpha grows the family nears the Poisson and kappa nears mu;
+        # each cell -(y log1p(alpha/mu) + alpha log1p(mu/alpha)) keeps
+        # its digits, so the kernel's sum must match their exact sum
+        fam = g.negative_binomial(alpha)
+        rng = np.random.default_rng(5)
+        r = rng.normal(math.log(3.0), 0.5, (40, 30))
+        mu = fam._working_weights(r)[0]
+        y = rng.poisson(3.0, r.shape).astype(float)
+        expected = -math.fsum((y * np.log1p(alpha / mu)
+                               + alpha * np.log1p(mu / alpha)).ravel())
+        assert self.fused(fam, y, r, mu) == pytest.approx(expected,
+                                                          rel=1e-12)
 
     @pytest.mark.parametrize("scratch", [False, True],
                              ids=["no-scratch", "scratch"])

@@ -278,6 +278,39 @@ def corrupted_mtx(draw):
                     entries)
 
 
+class TestFormatFromBanner:
+    """read_matrix picks the reader by the file's first line, never by
+    its name."""
+
+    @pytest.mark.parametrize("name", ["m.mtx", "m.txt", "m"])
+    def test_banner_reads_matrix_market_under_any_name(self, tmp_path,
+                                                       name):
+        path = tmp_path / name
+        path.write_bytes(FIXTURE.read_bytes())
+        loaded = gio.read_matrix(path)
+        assert loaded.format == "matrixmarket"
+        np.testing.assert_array_equal(loaded.values,
+                                      gio.read_matrix(FIXTURE).values)
+
+    @pytest.mark.parametrize("prefix", [b"", b"\xef\xbb\xbf"],
+                             ids=["plain", "byte_order_mark"])
+    def test_lower_case_banner_detected(self, tmp_path, prefix):
+        path = tmp_path / "m.csv"
+        path.write_bytes(prefix + b"%%matrixmarket matrix coordinate real "
+                         b"general\n2 2 1\n2 1 5\n")
+        loaded = gio.read_matrix(path)
+        assert loaded.format == "matrixmarket"
+        np.testing.assert_array_equal(loaded.values, [[0.0, 0.0], [5.0, 0.0]])
+
+    def test_csv_named_mtx_reads_as_csv(self, tmp_path):
+        path = tmp_path / "m.mtx"
+        path.write_text("id,s1,s2\ngeneA,1,2\ngeneB,3,4\n")
+        loaded = gio.read_matrix(path)
+        assert loaded.format == "csv"
+        np.testing.assert_array_equal(loaded.values, [[1.0, 2.0], [3.0, 4.0]])
+        assert loaded.row_names == ["geneA", "geneB"]
+
+
 class TestReaderMatchesLineReader:
     """The np.loadtxt reader against the line-by-line reference loop."""
 
@@ -374,12 +407,6 @@ class TestCsvReader:
                                  r"byte 0xff\)"):
             gio.read_matrix(path)
 
-    def test_unknown_format_rejected(self, tmp_path):
-        path = tmp_path / "m.csv"
-        path.write_text("1,2\n3,4\n")
-        with pytest.raises(DataError, match="unknown input format 'xyz'"):
-            gio.read_matrix(path, "xyz")
-
     def test_write_read_round_trip_is_exact(self, tmp_path):
         rng = np.random.default_rng(3)
         values = rng.normal(size=(5, 4)) * 10.0 ** rng.integers(-8, 8, (5, 4))
@@ -439,6 +466,18 @@ class TestWriteResult:
         factors = (tmp_path / "factors.csv").read_text().splitlines()
         assert [line.split(",")[0] for line in factors[1:]] == ["s1", "s2"]
 
+    @pytest.mark.parametrize("names, message", [
+        ({"row_names": ["a", "b", "c"]}, "row_names has 3 names, expected 12"),
+        ({"col_names": ["s1"]}, "col_names has 1 names, expected 20"),
+    ], ids=["row_names", "col_names"])
+    def test_name_count_mismatch_writes_nothing(self, tmp_path, names,
+                                                message):
+        result = make_result(n_obs=20, n_feat=12)
+        out = tmp_path / "o"
+        with pytest.raises(g.ConfigError, match=re.escape(message)):
+            gio.write_result(result, out, **names)
+        assert not out.exists()
+
     def test_names_with_commas_and_quotes_round_trip(self, tmp_path):
         result = make_result(n_obs=2, n_feat=3, n_latent=1)
         names = ["g0,x", 'say "hi"', "g2"]
@@ -481,18 +520,19 @@ class TestCli:
 
     @pytest.mark.parametrize("args, message", [
         (["--seed", "-1"], "seed must be a nonnegative integer, got -1"),
-        (["--dispersion", "2"], "--dispersion is only valid for --family "
-         "negative_binomial"),
+        (["--dispersion", "2"], "dispersion is only valid for the "
+         "negative_binomial kind, got 2.0 for 'poisson'"),
         (["--offset", "bogus"], "--offset must be 'none', 'auto', or "
          "'file:PATH', got 'bogus'"),
         (["--offset", "file:{short_offset}"],
-         "offset file has 19 values, expected 20"),
+         "offset must have length 20, got (19,)"),
         (["--input", "{latin1_mtx}"], "latin1.mtx: not UTF-8 text"),
         (["--input", "{latin1_csv}"], "latin1.csv: not UTF-8 text"),
         (["--tol", "inf"], "tol must be a positive finite scalar, got inf"),
+        (["--format", "csv"], "unrecognized arguments: --format csv"),
     ], ids=["negative_seed", "dispersion_without_nb", "unknown_offset",
             "short_offset_file", "non_utf8_mtx", "non_utf8_csv",
-            "infinite_tol"])
+            "infinite_tol", "format_flag"])
     def test_bad_input_exits_1_with_one_error_line(self, tmp_path, capsys,
                                                    args, message):
         files = {"short_offset": tmp_path / "offset.csv",
@@ -784,13 +824,17 @@ class TestCli:
         assert np.all(np.diff(norms) <= 1e-12)
 
     def test_covariate_files_flow_through(self, tmp_path):
+        # a CSV and a MatrixMarket file, each named .csv: the banner,
+        # not the name, picks the reader
         rng = np.random.default_rng(9)
         obs_cov = tmp_path / "xc.csv"
         obs_cov.write_text(
             "\n".join(format(v, ".17g") for v in rng.normal(size=20)) + "\n")
         feat_cov = tmp_path / "zc.csv"
         feat_cov.write_text(
-            "\n".join(format(v, ".17g") for v in rng.normal(size=10)) + "\n")
+            "%%MatrixMarket matrix coordinate real general\n10 1 10\n"
+            + "".join(f"{j + 1} 1 {v:.17g}\n"
+                      for j, v in enumerate(rng.normal(size=10))))
         out = tmp_path / "o"
         code = self.run("fit", "--input", str(FIXTURE), "--family",
                         "poisson", "--dims", "1", "--seed", "4",
