@@ -4,8 +4,10 @@ Two input formats, told apart by the file's first line, not its name:
 MatrixMarket coordinate files, which open with a ``%%MatrixMarket``
 banner (read into a dense array, absent entries zero), and CSV with
 features as rows and observations as columns, where a header row and a
-leading row-name column are auto-detected.  All numbers are written
-with 17 significant digits, which round-trips IEEE doubles exactly.
+leading row-name column are auto-detected.  The body of an ``integer``
+MatrixMarket file is parsed as int64, any other as floats, to the same
+array.  All numbers are written with 17 significant digits, which
+round-trips IEEE doubles exactly.
 """
 
 from __future__ import annotations
@@ -33,10 +35,6 @@ class LoadedMatrix:
     format: str | None = None  # "matrixmarket" or "csv" once read
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def _is_number(token: str) -> bool:
     try:
         float(token)
@@ -56,11 +54,20 @@ def read_matrix_market(path) -> LoadedMatrix:
     entries are parsed by one ``np.loadtxt`` call, checked as arrays and
     added into the dense matrix in file order, so duplicate coordinates
     are summed.  ``%`` starts a comment, on a line of its own or after
-    an entry.  Only when a check fails is the body scanned again line by
-    line, by ``_body_error``, to name the first bad line."""
+    an entry.
+
+    The body of a file with an ``integer`` banner, as count data come,
+    is parsed first as int64, which is faster.  When that parse fails (a
+    real value, an index in float form, a number past int64, a malformed
+    line) or its entries fail the checks, the body is parsed again as
+    floats, to the same array: a value past 2**53 rounds to the same
+    double either way.  A ``real`` body is parsed as floats only.  Only
+    when the float checks fail is the body scanned again line by line,
+    by ``_body_error``, to name the first bad line."""
     path = Path(path)
     with open(path, encoding="utf-8-sig") as fh:
-        for lineno, raw in enumerate(fh, start=1):
+        # readline, not iteration, so that tell() can mark the body
+        for lineno, raw in enumerate(iter(fh.readline, ""), start=1):
             line = raw.strip()
             if lineno == 1:
                 fields = line.lower().split()
@@ -94,35 +101,58 @@ def read_matrix_market(path) -> LoadedMatrix:
             break
         else:
             raise DataError(f"{path}: missing size line")
+        body = fh.tell()
 
-        try:
-            with warnings.catch_warnings():
-                # an empty body is judged by the entry count below
-                warnings.filterwarnings(
-                    "ignore", "loadtxt: input contained no data", UserWarning)
-                entries = np.loadtxt(fh, comments="%", ndmin=2)
-        except ValueError:
-            entries = None
-        if entries is None or not _entries_fit(entries, rows, cols, nnz):
-            fh.seek(0)
-            raise DataError(_body_error(path, fh, lineno, rows, cols, nnz))
+        ints = None
+        if fields[3] == "integer":
+            try:
+                with warnings.catch_warnings():
+                    # numpy 1.23 parses "1.0" as an integer with only a
+                    # DeprecationWarning: any warning, an empty body's
+                    # too, sends the body to the float parse
+                    warnings.simplefilter("error")
+                    ints = np.loadtxt(fh, dtype=np.int64, comments="%",
+                                      ndmin=2)
+            except (ValueError, Warning):
+                pass
+        if ints is not None and _entries_fit(ints, rows, cols, nnz):
+            entries = ints
+        else:
+            fh.seek(body)
+            try:
+                with warnings.catch_warnings():
+                    # an empty body is judged by the entry count below
+                    warnings.filterwarnings(
+                        "ignore", "loadtxt: input contained no data",
+                        UserWarning)
+                    entries = np.loadtxt(fh, comments="%", ndmin=2)
+            except ValueError:
+                entries = None
+            if entries is None or not _entries_fit(entries, rows, cols,
+                                                   nnz):
+                fh.seek(0)
+                raise DataError(
+                    _body_error(path, fh, lineno, rows, cols, nnz))
     if nnz:
-        # the flat index (r - 1) * cols + (c - 1), built in place in the
-        # row column: whole floats below rows * cols are exact, and no
-        # more nnz-long arrays are made than the intp copy
-        flat = entries[:, 0]
-        flat -= 1
+        # the flat index (r - 1) * cols + (c - 1), exact below
+        # rows * cols in int64 and in whole floats alike.  It is built
+        # in a contiguous array, faster than in place in the strided
+        # row column.  Integer values are cast first: left to ufunc.at,
+        # the cast is slow.
+        flat = entries[:, 0] - 1
         flat *= cols
         flat += entries[:, 1]
         flat -= 1
-        np.add.at(values.reshape(-1), flat.astype(np.intp), entries[:, 2])
+        np.add.at(values.reshape(-1), flat.astype(np.intp, copy=False),
+                  entries[:, 2].astype(float, copy=False))
     return LoadedMatrix(values, format="matrixmarket")
 
 
 def _entries_fit(entries: np.ndarray, rows: int, cols: int,
                  nnz: int) -> bool:
-    """Whether parsed entries are ``nnz`` (row, col, value) triples with
-    whole indices inside a ``rows`` x ``cols`` matrix."""
+    """Whether parsed entries, int64 or float, are ``nnz`` (row, col,
+    value) triples with whole indices inside a ``rows`` x ``cols``
+    matrix."""
     if len(entries) != nnz:
         return False
     if nnz == 0:
@@ -131,8 +161,10 @@ def _entries_fit(entries: np.ndarray, rows: int, cols: int,
         return False
     index = entries[:, :2]
     # NaN fails every comparison, and an infinite index the upper bound
-    return bool(np.all((index >= 1) & (index <= (rows, cols))
-                       & (index == np.floor(index))))
+    fits = (index >= 1) & (index <= (rows, cols))
+    if index.dtype.kind == "f":  # integers are whole
+        fits &= index == np.floor(index)
+    return bool(np.all(fits))
 
 
 def _whole_number(token: str) -> int:
@@ -262,8 +294,9 @@ def _write_csv(path: Path, values: np.ndarray, row_names: list[str],
         # row-name column even when every row name is a number.
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["", *col_names])
-        for name, row in zip(row_names, np.atleast_2d(values)):
-            writer.writerow([name, *(_fmt(v) for v in row)])
+        writer.writerows(
+            [name, *["%.17g" % v for v in row]]
+            for name, row in zip(row_names, np.atleast_2d(values).tolist()))
 
 
 def _names(names, argument: str, count: int, prefix: str) -> list[str]:
@@ -318,7 +351,7 @@ def write_result(result: FitResult, out_dir, row_names=None, col_names=None,
     with open(trace_path, "w", newline="\n") as fh:
         fh.write("iteration,Q\n")
         for iteration, q in result.trace:
-            fh.write(f"{iteration},{_fmt(q)}\n")
+            fh.write("%s,%.17g\n" % (iteration, q))
     written.append(trace_path)
 
     meta = {

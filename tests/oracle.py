@@ -271,15 +271,27 @@ def pca_reference(Y, n_components: int):
 # reference MatrixMarket reader
 
 
+def _index(token: str) -> int:
+    """An entry index: an integer, or a float whose value is whole."""
+    try:
+        return int(token)
+    except ValueError:
+        number = float(token)
+        if not number.is_integer():
+            raise
+        return int(number)
+
+
 def read_matrix_market_lines(path) -> np.ndarray:
     """The dense matrix of a MatrixMarket coordinate file, read one line
     at a time: the reader's loop before the entries were parsed by one
     ``np.loadtxt`` call, with the same error messages.
 
     Entries are added in file order, so duplicates sum as in the fast
-    reader.  Unlike it, this loop accepts what ``int`` and ``float``
-    accept (underscores, non-ASCII digits) and rejects an index in float
-    form and a comment after an entry."""
+    reader, and an index may be written in float form with a whole value
+    (``2.0``, ``2e0``) as there.  Unlike it, this loop accepts what
+    ``int`` and ``float`` accept (underscores, non-ASCII digits) and
+    rejects a comment after an entry."""
     path = Path(path)
     rows = cols = None
     remaining = 0
@@ -322,7 +334,7 @@ def read_matrix_market_lines(path) -> np.ndarray:
                 raise DataError(
                     f"{path}:{lineno}: expected 'row col value' entry")
             try:
-                r, c = int(tokens[0]), int(tokens[1])
+                r, c = _index(tokens[0]), _index(tokens[1])
                 v = float(tokens[2])
             except ValueError:
                 raise DataError(f"{path}:{lineno}: malformed entry {line!r}")

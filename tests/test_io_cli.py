@@ -138,13 +138,17 @@ class TestMatrixMarketReader:
     @pytest.mark.parametrize("body", ["", "% only a comment\n", "\n  \n"],
                              ids=["empty", "comment", "blank"])
     def test_no_entries_read_as_zeros_without_warning(self, tmp_path, body):
-        path = tmp_path / "m.mtx"
-        path.write_text("%%MatrixMarket matrix coordinate real general\n"
-                        "2 3 0\n" + body)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            loaded = gio.read_matrix(path)
-        np.testing.assert_array_equal(loaded.values, np.zeros((2, 3)))
+        # recorded, not raised: the reader's own filters must hide the
+        # warnings of both its parses, which an integer banner runs
+        for field in ("real", "integer"):
+            path = tmp_path / f"{field}.mtx"
+            path.write_text(f"%%MatrixMarket matrix coordinate {field} "
+                            "general\n2 3 0\n" + body)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                loaded = gio.read_matrix(path)
+            assert caught == []
+            np.testing.assert_array_equal(loaded.values, np.zeros((2, 3)))
 
     @pytest.mark.parametrize("size", ["1 1", "1 3", "3 1"])
     def test_one_entry_keeps_two_dimensions(self, tmp_path, size):
@@ -202,24 +206,97 @@ class TestMatrixMarketReader:
         assert peak < 1.5 * values.nbytes
 
 
+class TestIntegerParse:
+    """The body of an ``integer`` file is parsed first as int64.  When
+    it holds any other number, that parse fails and the body is parsed
+    again as floats, to the same array and the same errors.  A ``real``
+    body is parsed as floats only."""
+
+    HEADER = "%%MatrixMarket matrix coordinate integer general\n"
+
+    @pytest.mark.parametrize("header, body, dtypes", [
+        (HEADER, "2 3 2\n1 1 4 % note\n2 3 -1\n", [np.int64]),
+        (HEADER, "2 3 2\n1 1 4.0\n2 3 -1\n", [np.int64, float]),
+        (HEADER, "2 3 2\n1 1 4\n2.0 3 -1\n", [np.int64, float]),
+        (HEADER, "2 3 2\n1 1 4\n2 3 -1e0\n", [np.int64, float]),
+        (HEADER.replace("integer", "real"), "2 3 2\n1 1 4\n2 3 -1\n",
+         [float]),
+    ], ids=["integer", "real_value", "float_index", "exponent_value",
+            "real_banner"])
+    def test_loadtxt_calls_by_body(self, tmp_path, monkeypatch, header,
+                                   body, dtypes):
+        # an integer body that fell back silently would only show as
+        # lost speed
+        loadtxt = np.loadtxt
+        seen = []
+
+        def spy(*args, **kwargs):
+            seen.append(kwargs.get("dtype", float))
+            return loadtxt(*args, **kwargs)
+
+        monkeypatch.setattr(gio.np, "loadtxt", spy)
+        path = tmp_path / "m.mtx"
+        path.write_text(header + body)
+        values = gio.read_matrix(path).values
+        assert seen == dtypes
+        np.testing.assert_array_equal(values, [[4, 0, 0], [0, 0, -1]])
+
+    @pytest.mark.parametrize("value", [2**53 + 1, 2**53 + 3, 10**18 + 1,
+                                       2**63 - 1, 1 - 2**63])
+    def test_large_integer_value_rounds_as_the_float_parse(self, tmp_path,
+                                                           value):
+        path = tmp_path / "m.mtx"
+        path.write_text(self.HEADER + f"1 2 1\n1 1 {value}\n")
+        expected = np.loadtxt([str(value)], dtype=float)
+        assert int(expected) != value  # not a double: the parse rounds
+        assert gio.read_matrix(path).values[0, 0] == expected
+
+    @pytest.mark.parametrize("entries", ["1 1\n2 2\n", "1 1 4 7\n2 2 1 1\n"],
+                             ids=["two_columns", "four_columns"])
+    def test_integer_entries_of_one_wrong_width_are_rejected(self, tmp_path,
+                                                             entries):
+        path = tmp_path / "m.mtx"
+        path.write_text(self.HEADER + "2 2 2\n" + entries)
+        with pytest.raises(DataError) as error:
+            gio.read_matrix(path)
+        assert str(error.value) == f"{path}:3: expected 'row col value' entry"
+
+    def test_index_past_int64_raises_the_float_parse_error(self, tmp_path):
+        path = tmp_path / "m.mtx"
+        path.write_text(self.HEADER + f"2 2 1\n{2**64} 1 5\n")
+        with pytest.raises(DataError) as error:
+            gio.read_matrix(path)
+        assert str(error.value) == (
+            f"{path}:3: entry ({2**64}, 1) outside 2 x 2 matrix")
+
+
 @st.composite
 def mtx_lines(draw):
     """(rows, cols, entry lines, header lines) of a valid MatrixMarket
-    file: random shape, duplicate coordinates, tab and space separators
-    and values in integer, repr and exponent form."""
+    file: random shape, duplicate coordinates, tab and space separators.
+    Half the bodies are all integers, which the reader parses as int64
+    under an ``integer`` banner; the others mix values in integer, repr
+    and exponent form with indices in float form, which send an
+    ``integer`` body to the float parse."""
     rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
     n = draw(st.integers(0, 12))
     coords = draw(st.lists(st.tuples(st.integers(1, rows),
                                      st.integers(1, cols)),
                            min_size=n, max_size=n))
+    integral = draw(st.booleans())
     entries = []
     for r, c in coords:
         v = draw(st.floats(-1e6, 1e6, allow_nan=False))
-        text = draw(st.sampled_from([repr(v), f"{v:.6e}", f"{v:E}",
-                                     str(int(v))]))
+        if integral:
+            row, col, text = str(r), str(c), str(int(v))
+        else:
+            row, col = (draw(st.sampled_from([str(k), f"{k}.0", f"{k}e0"]))
+                        for k in (r, c))
+            text = draw(st.sampled_from([repr(v), f"{v:.6e}", f"{v:E}",
+                                         str(int(v))]))
         sep = draw(st.sampled_from([" ", "\t", "  ", " \t"]))
         lead = draw(st.sampled_from(["", " ", "\t"]))
-        entries.append(f"{lead}{r}{sep}{c}{sep}{text}")
+        entries.append(f"{lead}{row}{sep}{col}{sep}{text}")
     field = draw(st.sampled_from(["real", "integer"]))
     header = [f"%%MatrixMarket matrix coordinate {field} general",
               *draw(st.lists(st.sampled_from(["% a comment", ""]),
@@ -488,6 +565,34 @@ class TestWriteResult:
         np.testing.assert_array_equal(loadings.values, result.loadings)
         factors = gio.read_matrix(tmp_path / "factors.csv")
         assert factors.row_names == ["s,1", "s2"]
+
+    def test_csv_bytes_match_per_value_format(self, tmp_path):
+        # every value as format(float(x), ".17g"), names quoted by csv
+        factors = np.array([[0.1, 1e-300], [-0.0, 2.0**53 + 1]])
+        loadings = np.array([[1 / 3, -2.5e308], [5e-324, 7.0], [-1.0, 0.0]])
+        result = FitResult(
+            factors=factors, loadings=loadings,
+            coef_A=loadings[:, :1], coef_Gamma=factors,
+            offset=np.array([0.1, -0.0]), trace=[(1, -0.1)],
+            converged=True, stop_reason="tol", iterations_run=1,
+            final_q=-0.1)
+        obs = {"1": "1", 'say "hi"': '"say ""hi"""'}
+        feat = {"7": "7", "2.5": "2.5", "a,b": '"a,b"'}
+        gio.write_result(result, tmp_path, row_names=list(feat),
+                         col_names=list(obs))
+        for name, values, names, header in [
+                ("factors.csv", factors, obs, ",dim1,dim2"),
+                ("loadings.csv", loadings, feat, ",dim1,dim2"),
+                ("coef_A.csv", loadings[:, :1], feat, ",x1"),
+                ("coef_Gamma.csv", factors, obs, ",z1,z2"),
+                ("offset.csv", [[0.1], [-0.0]], obs, ",offset")]:
+            lines = [header] + [
+                ",".join([quoted, *(format(float(x), ".17g") for x in row)])
+                for quoted, row in zip(names.values(), values)]
+            assert (tmp_path / name).read_bytes() == \
+                "".join(line + "\n" for line in lines).encode()
+        assert (tmp_path / "trace.csv").read_bytes() == \
+            f"iteration,Q\n1,{format(-0.1, '.17g')}\n".encode()
 
 
 CSV_OUTPUTS = ("factors.csv", "loadings.csv", "coef_A.csv", "offset.csv",
