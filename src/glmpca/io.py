@@ -4,16 +4,21 @@ Two input formats, told apart by the file's first line, not its name:
 MatrixMarket coordinate files, which open with a ``%%MatrixMarket``
 banner (read into a dense array, absent entries zero), and CSV with
 features as rows and observations as columns, where a header row and a
-leading row-name column are auto-detected.  The body of an ``integer``
-MatrixMarket file is parsed as int64, any other as floats, to the same
-array.  All numbers are written with 17 significant digits, which
-round-trips IEEE doubles exactly.
+leading row-name column are auto-detected.  A MatrixMarket body is
+parsed by ``np.loadtxt`` from the file's path, after the header lines
+are skipped: as int64 under an ``integer`` banner, else as floats, to
+the same array.  Inputs are opened more than once, so they must be
+regular files, not pipes, and are read as plain text, never
+decompressed.  All numbers are written with 17 significant digits,
+which round-trips IEEE doubles exactly.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
+import os
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -51,10 +56,12 @@ def read_matrix_market(path) -> LoadedMatrix:
     """Parse a MatrixMarket coordinate file into a dense matrix.
 
     The banner, comments and size line are read line by line.  The
-    entries are parsed by one ``np.loadtxt`` call, checked as arrays and
-    added into the dense matrix in file order, so duplicate coordinates
-    are summed.  ``%`` starts a comment, on a line of its own or after
-    an entry.
+    entries are parsed by one ``np.loadtxt`` call, given the file's path
+    and the number of header lines to skip, checked as arrays and added
+    into the dense matrix in file order, so duplicate coordinates are
+    summed.  ``%`` starts a comment, on a line of its own or after an
+    entry.  The file is opened more than once, so it must be a regular
+    file, not a pipe; it is read as plain text, never decompressed.
 
     The body of a file with an ``integer`` banner, as count data come,
     is parsed first as int64, which is faster.  When that parse fails (a
@@ -66,8 +73,7 @@ def read_matrix_market(path) -> LoadedMatrix:
     by ``_body_error``, to name the first bad line."""
     path = Path(path)
     with open(path, encoding="utf-8-sig") as fh:
-        # readline, not iteration, so that tell() can mark the body
-        for lineno, raw in enumerate(iter(fh.readline, ""), start=1):
+        for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if lineno == 1:
                 fields = line.lower().split()
@@ -101,38 +107,32 @@ def read_matrix_market(path) -> LoadedMatrix:
             break
         else:
             raise DataError(f"{path}: missing size line")
-        body = fh.tell()
 
-        ints = None
-        if fields[3] == "integer":
-            try:
-                with warnings.catch_warnings():
-                    # numpy 1.23 parses "1.0" as an integer with only a
-                    # DeprecationWarning: any warning, an empty body's
-                    # too, sends the body to the float parse
-                    warnings.simplefilter("error")
-                    ints = np.loadtxt(fh, dtype=np.int64, comments="%",
-                                      ndmin=2)
-            except (ValueError, Warning):
-                pass
-        if ints is not None and _entries_fit(ints, rows, cols, nnz):
-            entries = ints
-        else:
-            fh.seek(body)
-            try:
-                with warnings.catch_warnings():
-                    # an empty body is judged by the entry count below
-                    warnings.filterwarnings(
-                        "ignore", "loadtxt: input contained no data",
-                        UserWarning)
-                    entries = np.loadtxt(fh, comments="%", ndmin=2)
-            except ValueError:
-                entries = None
-            if entries is None or not _entries_fit(entries, rows, cols,
-                                                   nnz):
-                fh.seek(0)
-                raise DataError(
-                    _body_error(path, fh, lineno, rows, cols, nnz))
+    ints = None
+    if fields[3] == "integer":
+        try:
+            with warnings.catch_warnings():
+                # numpy 1.23 parses "1.0" as an integer with only a
+                # DeprecationWarning: any warning, an empty body's too,
+                # sends the body to the float parse
+                warnings.simplefilter("error")
+                ints = _load_body(path, lineno, np.int64)
+        except (ValueError, Warning):
+            pass
+    if ints is not None and _entries_fit(ints, rows, cols, nnz):
+        entries = ints
+    else:
+        try:
+            with warnings.catch_warnings():
+                # an empty body is judged by the entry count below
+                warnings.filterwarnings(
+                    "ignore", "loadtxt: input contained no data",
+                    UserWarning)
+                entries = _load_body(path, lineno, float)
+        except ValueError:
+            entries = None
+        if entries is None or not _entries_fit(entries, rows, cols, nnz):
+            raise DataError(_body_error(path, lineno, rows, cols, nnz))
     if nnz:
         # the flat index (r - 1) * cols + (c - 1), exact below
         # rows * cols in int64 and in whole floats alike.  It is built
@@ -148,6 +148,28 @@ def read_matrix_market(path) -> LoadedMatrix:
     return LoadedMatrix(values, format="matrixmarket")
 
 
+# the suffixes numpy's DataSource decompresses a path by
+_DECOMPRESSED_BY_NUMPY = (".gz", ".bz2", ".xz", ".lzma")
+
+
+def _load_body(path: Path, header_lines: int, dtype) -> np.ndarray:
+    """``np.loadtxt`` of the lines after the first ``header_lines``.
+
+    Given a path, numpy parses the file in its chunked C reader; given a
+    file object, it pulls the lines through Python, at about half the
+    speed.  But numpy decompresses a path named by a compression suffix,
+    so such a file is handed over open, as the plain text it is read as
+    everywhere else.  Both count lines alike: the file is opened in
+    universal-newline mode either way, as the header loop opens it."""
+    if os.path.splitext(path)[1] in _DECOMPRESSED_BY_NUMPY:
+        opened = open(path, encoding="utf-8-sig")
+    else:
+        opened = contextlib.nullcontext(path)
+    with opened as source:
+        return np.loadtxt(source, dtype=dtype, comments="%", ndmin=2,
+                          skiprows=header_lines, encoding="utf-8-sig")
+
+
 def _entries_fit(entries: np.ndarray, rows: int, cols: int,
                  nnz: int) -> bool:
     """Whether parsed entries, int64 or float, are ``nnz`` (row, col,
@@ -159,12 +181,15 @@ def _entries_fit(entries: np.ndarray, rows: int, cols: int,
         return True
     if entries.shape[1] != 3:
         return False
-    index = entries[:, :2]
-    # NaN fails every comparison, and an infinite index the upper bound
-    fits = (index >= 1) & (index <= (rows, cols))
-    if index.dtype.kind == "f":  # integers are whole
-        fits &= index == np.floor(index)
-    return bool(np.all(fits))
+    # reductions per index column; NaN fails every comparison, and an
+    # infinite index one of the bounds
+    for index, limit in ((entries[:, 0], rows), (entries[:, 1], cols)):
+        if not (index.min() >= 1 and index.max() <= limit):
+            return False
+    if entries.dtype.kind == "f":  # integers are whole
+        index = entries[:, :2]
+        return bool(np.all(index == np.floor(index)))
+    return True
 
 
 def _whole_number(token: str) -> int:
@@ -179,7 +204,7 @@ def _whole_number(token: str) -> int:
         return int(number)
 
 
-def _body_error(path: Path, fh, size_lineno: int, rows: int, cols: int,
+def _body_error(path: Path, size_lineno: int, rows: int, cols: int,
                 nnz: int) -> str:
     """The message for a MatrixMarket body that failed the array checks.
 
@@ -190,24 +215,25 @@ def _body_error(path: Path, fh, size_lineno: int, rows: int, cols: int,
     in ASCII without underscores, though ``int`` and ``float`` take
     both."""
     count = 0
-    for lineno, raw in enumerate(fh, start=1):
-        line = raw.split("%", 1)[0].strip()
-        if lineno <= size_lineno or not line:
-            continue
-        tokens = line.split()
-        if len(tokens) != 3:
-            return f"{path}:{lineno}: expected 'row col value' entry"
-        try:
-            if not all(t.isascii() and "_" not in t for t in tokens):
-                raise ValueError(line)
-            r, c = _whole_number(tokens[0]), _whole_number(tokens[1])
-            float(tokens[2])
-        except ValueError:
-            return f"{path}:{lineno}: malformed entry {line!r}"
-        if not (1 <= r <= rows and 1 <= c <= cols):
-            return (f"{path}:{lineno}: entry ({r}, {c}) outside "
-                    f"{rows} x {cols} matrix")
-        count += 1
+    with open(path, encoding="utf-8-sig") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.split("%", 1)[0].strip()
+            if lineno <= size_lineno or not line:
+                continue
+            tokens = line.split()
+            if len(tokens) != 3:
+                return f"{path}:{lineno}: expected 'row col value' entry"
+            try:
+                if not all(t.isascii() and "_" not in t for t in tokens):
+                    raise ValueError(line)
+                r, c = _whole_number(tokens[0]), _whole_number(tokens[1])
+                float(tokens[2])
+            except ValueError:
+                return f"{path}:{lineno}: malformed entry {line!r}"
+            if not (1 <= r <= rows and 1 <= c <= cols):
+                return (f"{path}:{lineno}: entry ({r}, {c}) outside "
+                        f"{rows} x {cols} matrix")
+            count += 1
     if count < nnz:
         return f"{path}: {nnz - count} entries missing at end of file"
     if count > nnz:

@@ -217,8 +217,10 @@ def irls_glm(y, X, family: Family, offset=None, max_iters: int = 200,
     """Maximum-likelihood GLM coefficients by iteratively reweighted
     least squares, to ``tol`` relative change.
 
-    Independent of the block-scoring optimizer.  Divergence (or not
-    converging within max_iters) raises OracleError so callers can skip.
+    Independent of the block-scoring optimizer and of the Family
+    kernels: means, their derivatives and variances come from the scalar
+    formulas above.  Divergence (or not converging within max_iters)
+    raises OracleError so callers can skip.
     """
     y = np.asarray(y, dtype=float)
     X = np.asarray(X, dtype=float)
@@ -231,9 +233,9 @@ def irls_glm(y, X, family: Family, offset=None, max_iters: int = 200,
     beta = np.zeros(p)
     for _ in range(max_iters):
         eta = X @ beta + offset
-        mu = family.inverse_link(eta)
-        h = family.dinverse_link(eta)
-        w = h * h / family.variance(mu)
+        mu = np.array([_mean_of(family, r) for r in eta])
+        h = np.array([_dmean_of(family, r) for r in eta])
+        w = h * h / np.array([_variance_of(family, m) for m in mu])
         z = eta - offset + (y - mu) / h
         try:
             beta_new = np.linalg.solve(X.T @ (w[:, None] * X), X.T @ (w * z))
@@ -296,7 +298,7 @@ def read_matrix_market_lines(path) -> np.ndarray:
     rows = cols = None
     remaining = 0
     values = None
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if lineno == 1:

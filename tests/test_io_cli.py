@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import os
 import re
 import subprocess
 import sys
@@ -210,7 +211,9 @@ class TestIntegerParse:
     """The body of an ``integer`` file is parsed first as int64.  When
     it holds any other number, that parse fails and the body is parsed
     again as floats, to the same array and the same errors.  A ``real``
-    body is parsed as floats only."""
+    body is parsed as floats only.  Each parse is given the file's path
+    and the header lines to skip, unless numpy would decompress a file
+    of that name."""
 
     HEADER = "%%MatrixMarket matrix coordinate integer general\n"
 
@@ -221,25 +224,60 @@ class TestIntegerParse:
         (HEADER, "2 3 2\n1 1 4\n2 3 -1e0\n", [np.int64, float]),
         (HEADER.replace("integer", "real"), "2 3 2\n1 1 4\n2 3 -1\n",
          [float]),
+        (HEADER + "% a comment\n\n  \n", "2 3 2\n1 1 4\n2 3 -1\n",
+         [np.int64]),
+        (HEADER + "%\n", "2 3 3\n1 1 4\n2 3 -1.5e0\n2 3 0.5\n",
+         [np.int64, float]),
     ], ids=["integer", "real_value", "float_index", "exponent_value",
-            "real_banner"])
+            "real_banner", "header_comments", "header_comment_real"])
     def test_loadtxt_calls_by_body(self, tmp_path, monkeypatch, header,
                                    body, dtypes):
-        # an integer body that fell back silently would only show as
-        # lost speed
+        # an integer body that fell back silently, or a body handed to
+        # numpy as a file object or lines, which it reads through Python
+        # and not in its C chunk reader, would only show as lost speed
         loadtxt = np.loadtxt
         seen = []
 
-        def spy(*args, **kwargs):
-            seen.append(kwargs.get("dtype", float))
-            return loadtxt(*args, **kwargs)
+        def spy(source, *args, **kwargs):
+            seen.append((kwargs.get("dtype", float), source,
+                         kwargs.get("skiprows")))
+            return loadtxt(source, *args, **kwargs)
 
         monkeypatch.setattr(gio.np, "loadtxt", spy)
         path = tmp_path / "m.mtx"
         path.write_text(header + body)
         values = gio.read_matrix(path).values
-        assert seen == dtypes
+        assert [dtype for dtype, _, _ in seen] == dtypes
+        size_line = header.count("\n") + 1
+        for _, source, skiprows in seen:
+            assert isinstance(source, (str, os.PathLike))
+            assert Path(source) == path
+            assert skiprows == size_line
         np.testing.assert_array_equal(values, [[4, 0, 0], [0, 0, -1]])
+
+    @pytest.mark.parametrize("field", ["integer", "real"])
+    @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma",
+                                        ".GZ"])
+    def test_names_numpy_would_decompress_read_as_text(self, tmp_path,
+                                                       field, suffix):
+        # numpy decompresses a path by its suffix; the reader reads
+        # every file as the plain text it sniffed the banner from
+        text = (self.HEADER.replace("integer", field)
+                + "% note\n3 2 3\n1 1 4\n3 2 -1\n1 1 2 % twice\n")
+        (tmp_path / "m.mtx").write_text(text)
+        (tmp_path / f"m.mtx{suffix}").write_text(text)
+        expected = gio.read_matrix(tmp_path / "m.mtx").values
+        np.testing.assert_array_equal(expected, [[6, 0], [0, 0], [0, -1]])
+        np.testing.assert_array_equal(
+            gio.read_matrix(tmp_path / f"m.mtx{suffix}").values, expected)
+
+    def test_bad_body_under_a_compression_suffix_names_its_line(
+            self, tmp_path):
+        path = tmp_path / "m.mtx.gz"
+        path.write_text(self.HEADER + "2 2 2\n1 1 4\n2 x 1\n")
+        with pytest.raises(DataError) as error:
+            gio.read_matrix(path)
+        assert str(error.value) == f"{path}:4: malformed entry '2 x 1'"
 
     @pytest.mark.parametrize("value", [2**53 + 1, 2**53 + 3, 10**18 + 1,
                                        2**63 - 1, 1 - 2**63])
@@ -298,22 +336,26 @@ def mtx_lines(draw):
         lead = draw(st.sampled_from(["", " ", "\t"]))
         entries.append(f"{lead}{row}{sep}{col}{sep}{text}")
     field = draw(st.sampled_from(["real", "integer"]))
+    # str.splitlines would also split a line at \x0c, \x85 or \u2028;
+    # the header loop and np.loadtxt's skiprows count lines alike only
+    # if neither does
     header = [f"%%MatrixMarket matrix coordinate {field} general",
-              *draw(st.lists(st.sampled_from(["% a comment", ""]),
-                             max_size=2))]
+              *draw(st.lists(st.sampled_from(
+                  ["% a comment", "", "% form\x0cfeed", "% next\x85line",
+                   "% line\u2028separator"]), max_size=3))]
     return rows, cols, entries, header
 
 
 def join_mtx(draw, header, size, entries):
     """Header, size line and entries with comment and blank lines drawn
-    between the entries, joined by LF or CRLF line ends."""
+    between the entries, joined by LF, CRLF or lone CR line ends."""
     lines = [*header, size]
     for entry in entries:
         lines += draw(st.lists(st.sampled_from(
             ["% between", "%", "  % indented", "", "   ", "\t"]),
             max_size=2))
         lines.append(entry)
-    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
     return newline.join(lines) + newline
 
 
