@@ -51,7 +51,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="one ridge lambda on the latent columns of U and V")
     p.add_argument("--max-iters", type=int, default=1000)
     p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output-dir", default=".")
     return parser
 
@@ -98,7 +97,7 @@ def run_cli(argv=None) -> int:
             loaded.values, n_latent=args.dims, family=family,
             obs_covariates=obs_cov, feat_covariates=feat_cov,
             intercept=args.intercept, offset=offset,
-            penalty=args.penalty, seed=args.seed)
+            penalty=args.penalty)
         result = optimizer.fit(state, config)
         gio.write_result(result, args.output_dir,
                          row_names=loaded.row_names,

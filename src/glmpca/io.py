@@ -18,6 +18,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import json
+import math
 import os
 import warnings
 from dataclasses import dataclass
@@ -143,8 +144,14 @@ def read_matrix_market(path) -> LoadedMatrix:
         flat *= cols
         flat += entries[:, 1]
         flat -= 1
-        np.add.at(values.reshape(-1), flat.astype(np.intp, copy=False),
-                  entries[:, 2].astype(float, copy=False))
+        flat = flat.astype(np.intp, copy=False)
+        cells = values.reshape(-1)
+        # a float value may be non-finite, or duplicates may sum past
+        # the largest double; int64 values cannot
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.add.at(cells, flat, entries[:, 2].astype(float, copy=False))
+        if entries.dtype.kind == "f" and not np.isfinite(cells[flat]).all():
+            raise DataError(_nonfinite_error(path, lineno))
     return LoadedMatrix(values, format="matrixmarket")
 
 
@@ -239,6 +246,29 @@ def _body_error(path: Path, size_lineno: int, rows: int, cols: int,
     if count > nnz:
         return f"{path}: more entries than declared"
     return f"{path}: entries np.loadtxt cannot parse"
+
+
+def _nonfinite_error(path: Path, size_lineno: int) -> str:
+    """The message for a MatrixMarket body, already checked, whose value
+    or sum of duplicates is not finite.  A slow line scan, run only on
+    that error path: the first line whose value, added in file order to
+    its cell as the scatter adds it, makes a non-finite cell wins."""
+    sums: dict[tuple[int, int], float] = {}
+    with open(path, encoding="utf-8-sig") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.split("%", 1)[0].strip()
+            if lineno <= size_lineno or not line:
+                continue
+            row, col, token = line.split()
+            cell = (_whole_number(row), _whole_number(col))
+            value = float(token)
+            sums[cell] = sums.get(cell, 0.0) + value
+            if not math.isfinite(sums[cell]):
+                what = ("sums past the largest double"
+                        if math.isfinite(value)
+                        else f"has the non-finite value {token!r}")
+                return f"{path}:{lineno}: entry {cell} {what}"
+    return f"{path}: non-finite entries"
 
 
 def read_csv_matrix(path) -> LoadedMatrix:

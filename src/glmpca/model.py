@@ -23,6 +23,13 @@ it (solve_rows).  So no J x N array is made but one chunk's, and no
 chunk allocates one: a pass allocates one stack of chunk buffers, and
 every chunk writes its predictor, means, weights and log-likelihood
 temporary into it (row_weights).
+
+build_model starts the latent blocks at zero, a state marked as not
+yet started, and the fit's first pass scores that null point.  In place
+of the U system it builds a one-pass sketch of the Pearson residuals
+E = (Y - M) S / sqrt(I) there (score_pass with a test matrix), from
+which residual_start takes a weighted rank-L SVD of E: the start that
+the fit's first sweep sets the latent blocks to (optimizer.fit).
 """
 
 from __future__ import annotations
@@ -34,8 +41,8 @@ import numpy as np
 from .exceptions import ConfigError, DataError, DomainError, check_option
 from .families import MEAN_FLOOR, PROB_CEIL, PROB_FLOOR, Family
 
-INIT_SCALE = 0.1  # latent init sd is INIT_SCALE / sqrt(n_latent)
 CHUNK_ROWS = 128  # rows of Y per chunk of the checks and the scoring pass
+OVERSAMPLE = 8    # the start's sketch has n_latent + OVERSAMPLE columns
 
 
 @dataclass(frozen=True)
@@ -100,7 +107,12 @@ class IndexSets:
 @dataclass
 class ModelState:
     """Data plus all fitted quantities.  Single writer; reads may be shared.
-    ``penalty`` is the ridge lambda on U_latent and V_latent only."""
+    ``penalty`` is the ridge lambda on U_latent and V_latent only.
+
+    ``started`` is False only on a state build_model returns, whose
+    latent blocks are zero: the first sweep of optimizer.fit sets them to
+    the residual start and marks the state started.  Any other state,
+    one built by hand included, is fit from its own blocks."""
 
     Y: np.ndarray
     family: Family
@@ -109,6 +121,7 @@ class ModelState:
     delta: np.ndarray
     penalty: float
     index: IndexSets
+    started: bool = True
 
     @property
     def n_obs(self) -> int:
@@ -265,8 +278,7 @@ def null_intercept(Y: np.ndarray, delta: np.ndarray,
 
 def build_model(Y, *, n_latent: int, family: Family, obs_covariates=None,
                 feat_covariates=None, intercept: bool = True,
-                offset="none", penalty: float = 1e-4,
-                seed: int = 0) -> ModelState:
+                offset="none", penalty: float = 1e-4) -> ModelState:
     """Assemble a ModelState ready for fitting.
 
     Parameters
@@ -290,8 +302,6 @@ def build_model(Y, *, n_latent: int, family: Family, obs_covariates=None,
     penalty : float
         One nonnegative ridge lambda, applied to the latent columns of U
         and of V only; coefficient blocks are never penalized.
-    seed : int
-        Seeds the latent initialization; a nonnegative integer.
 
     Each scalar option must be a finite number, not a bool, and an
     integer where one is asked for (exceptions.check_option); anything
@@ -300,10 +310,11 @@ def build_model(Y, *, n_latent: int, family: Family, obs_covariates=None,
     With an intercept, its coefficients start at the intercept-only fit
     of each feature row given the offset (null_intercept), the start of
     GLM practice, so the first step does not overshoot; the other
-    coefficients start at zero.  The latent blocks start at small seeded
-    Gaussian noise with standard deviation 0.1/sqrt(n_latent), so the
-    initial means stay near those of that null fit (near g⁻¹(offset)
-    only without an intercept).
+    coefficients start at zero.  So do the latent blocks, and the state
+    is marked as not yet started: the fit's first pass scores this null
+    point and sketches its Pearson residuals, and its first sweep sets
+    the latent blocks to their weighted rank-L SVD (residual_start).
+    Nothing here is random, so the same input always fits the same way.
     """
     Y = check_data_matrix(Y, family)
     n_feat, n_obs = Y.shape
@@ -322,7 +333,6 @@ def build_model(Y, *, n_latent: int, family: Family, obs_covariates=None,
     _check_full_rank(Z, "feature design matrix")
 
     index = IndexSets(X.shape[1], Z.shape[1], n_latent)
-    seed = check_option(seed, "seed", integer=True)
     penalty = check_option(penalty, "penalty")
     if index.n_total >= min(n_obs, n_feat):
         raise ConfigError(
@@ -330,20 +340,16 @@ def build_model(Y, *, n_latent: int, family: Family, obs_covariates=None,
             f"min(N, J) = {min(n_obs, n_feat)}"
         )
 
-    rng = np.random.default_rng(seed)
-    sd = INIT_SCALE / np.sqrt(index.n_latent)
     U = np.zeros((n_obs, index.n_total))
     V = np.zeros((n_feat, index.n_total))
     U[:, index.obs_slice] = X
     V[:, index.feat_slice] = Z
-    U[:, index.latent_slice] = rng.normal(0.0, sd, (n_obs, index.n_latent))
-    V[:, index.latent_slice] = rng.normal(0.0, sd, (n_feat, index.n_latent))
 
     delta = resolve_offset(offset, Y, family)
     if intercept:
         V[:, 0] = null_intercept(Y, delta, family)
     return ModelState(Y=Y, family=family, U=U, V=V, delta=delta,
-                      penalty=penalty, index=index)
+                      penalty=penalty, index=index, started=False)
 
 
 # ----------------------------------------------------------------------
@@ -427,12 +433,13 @@ def solve_rows(grad: np.ndarray, gram: np.ndarray, own_latent: np.ndarray,
     unpenalized column whose partner column is all zero) unchanged.
     Returns the steps and the number of those fallback rows.
     """
-    m = grad.shape[1]
-    latent = range(m - own_latent.shape[1], m)
+    n, m = grad.shape
+    first = m - own_latent.shape[1]  # the first latent column
     rhs = grad.copy()
-    rhs[:, latent] -= penalty * own_latent
+    rhs[:, first:] -= penalty * own_latent
     gram = gram.copy()
-    gram[:, latent, latent] += penalty
+    # the latent diagonal: every (m + 1)-th entry of each flat m² row
+    gram.reshape(n, m * m)[:, first * (m + 1)::m + 1] += penalty
     try:
         return np.linalg.solve(gram, rhs[..., None])[..., 0], 0
     except np.linalg.LinAlgError:
@@ -450,7 +457,8 @@ def solve_rows(grad: np.ndarray, gram: np.ndarray, own_latent: np.ndarray,
     return step, fallbacks
 
 
-def score_pass(state: ModelState, v_scale: float | None = None):
+def score_pass(state: ModelState, v_scale: float | None = None,
+               omega: np.ndarray | None = None):
     """One pass over the rows of Y, CHUNK_ROWS at a time: the penalized
     partial log likelihood
 
@@ -468,22 +476,40 @@ def score_pass(state: ModelState, v_scale: float | None = None):
     into, so no chunk allocates an array of its size; the returned
     system shares no memory with it.
 
+    With ``omega``, an N x k test matrix (sketch_matrix), the pass
+    builds the sketch residual_start takes in place of the U system:
+    with E = resid / sqrt(I) the Pearson residuals of a chunk, written
+    into the buffer S no longer needs, it writes the chunk's rows of
+    T = E omega (J x k) and adds E' T into an N x k array, and it keeps
+    the row means and the column sums of I.
+
     Returns (Q, (U gradient N x m, U Gram stack N x m x m), V fallback
-    rows).  Nothing is checked, as in row_weights; a non-finite Q is
+    rows), or (Q, (T, E' T, row means of I, column sums of I), 0) with
+    ``omega``.  Nothing is checked, as in row_weights; a non-finite Q is
     returned as-is so the optimizer's step halving can react to it.
     """
     idx = state.index
-    m = len(idx.u_cols)
-    u_grad = np.zeros((state.n_obs, m))
-    u_gram = np.zeros((state.n_obs, m, m))
+    n_feat, n_obs = state.n_feat, state.n_obs
     q, fallbacks = 0.0, 0
-    stack = np.empty((5, min(CHUNK_ROWS, state.n_feat), state.n_obs))
+    if omega is None:
+        m = len(idx.u_cols)
+        u_grad = np.zeros((n_obs, m))
+        u_gram = np.zeros((n_obs, m, m))
+    else:
+        sketch = np.empty((n_feat, omega.shape[1]))
+        co_sketch = np.zeros((n_obs, omega.shape[1]))
+        row_means = np.empty(n_feat)
+        col_sums = np.zeros(n_obs)
+        # the sums of I as matrix-vector products, faster than reductions
+        mean_weights = np.full(n_obs, 1.0 / n_obs)
+        ones = np.ones(min(CHUNK_ROWS, n_feat))
+    stack = np.empty((5, min(CHUNK_ROWS, n_feat), n_obs))
     if v_scale is not None:  # U, so the V design, is fixed in the pass
         v_design = state.U[:, idx.v_cols]
         v_products = column_products(v_design)
-    for lo in range(0, state.n_feat, CHUNK_ROWS):
+    for lo in range(0, n_feat, CHUNK_ROWS):
         rows = slice(lo, lo + CHUNK_ROWS)
-        buffers = stack[:, :min(CHUNK_ROWS, state.n_feat - lo)]
+        buffers = stack[:, :min(CHUNK_ROWS, n_feat - lo)]
         if v_scale is not None:
             _, _, resid, info = row_weights(state, rows, buffers)
             step, n = solve_rows(
@@ -492,17 +518,88 @@ def score_pass(state: ModelState, v_scale: float | None = None):
             state.V[rows, idx.v_cols] += v_scale * step
             fallbacks += n
         R, M, resid, info = row_weights(state, rows, buffers)
-        u_design = state.V[rows, idx.u_cols]
-        grad, gram = row_system(resid.T, info.T, u_design,
-                                column_products(u_design))
-        u_grad += grad
-        u_gram += gram
+        if omega is None:
+            u_design = state.V[rows, idx.u_cols]
+            grad, gram = row_system(resid.T, info.T, u_design,
+                                    column_products(u_design))
+            u_grad += grad
+            u_gram += gram
+        else:
+            pearson = np.sqrt(info, out=buffers[3])
+            np.divide(resid, pearson, out=pearson)
+            co_sketch += pearson.T @ np.matmul(pearson, omega,
+                                               out=sketch[rows])
+            np.matmul(info, mean_weights, out=row_means[rows])
+            col_sums += ones[:len(info)] @ info
         # overwrites R, and the spent residual as its scratch
         q += state.family._loglik_sum(state.Y[rows], R, M, resid)
     if state.penalty:  # 0 * inf would make Q NaN for huge latent factors
         for latent in (state.U_latent, state.V_latent):
             q -= 0.5 * state.penalty * float(np.sum(latent ** 2))
+    if omega is not None:
+        return q, (sketch, co_sketch, row_means, col_sums), 0
     return q, (u_grad, u_gram), fallbacks
+
+
+def sketch_matrix(n_rows: int, n_cols: int) -> np.ndarray:
+    """The start's fixed n_rows x n_cols test matrix: entry (i, c) is
+    output number i n_cols + c + 1 of the splitmix64 generator run from
+    state 0 (Steele, Lea & Flood 2014), its top 53 bits taken as a
+    uniform number in [0, 1), less 1/2.  It is made by exact uint64
+    arithmetic, so it is the same on every machine, and it needs no
+    random-number module."""
+    z = np.arange(1, n_rows * n_cols + 1, dtype=np.uint64)
+    z *= np.uint64(0x9E3779B97F4A7C15)  # wraps modulo 2**64
+    for shift, mult in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+        z ^= z >> np.uint64(shift)
+        z *= np.uint64(mult)
+    z ^= z >> np.uint64(31)
+    z >>= np.uint64(11)
+    return (z * 2.0 ** -53 - 0.5).reshape(n_rows, n_cols)
+
+
+def residual_start(sketch, n_latent: int):
+    """The latent blocks' start, (U_latent N x L, V_latent J x L), from
+    the sketch score_pass builds at the null point (Townes et al. 2019,
+    by a one-pass randomized range finder: Halko, Martinsson & Tropp
+    2011).
+
+    The information is fitted by I ~ a b', a the row means and b the
+    column means over the overall mean (exact when I has rank 1, as at
+    the Poisson null), so E = resid / sqrt(I) ~ sqrt(a b') (resid / I):
+    a Fisher-scoring step on every cell of the predictor, weighted so
+    that its rank-L SVD P diag(s) W' gives the weighted rank-L step
+    diag(1/sqrt(a)) P diag(s) W' diag(1/sqrt(b)), split evenly into
+    V_latent = P sqrt(s) / sqrt(a) and U_latent = W sqrt(s) / sqrt(b).
+
+    With T = E omega = Q_T R_T, the basis Q_T nearly spans E's leading
+    left singular vectors, and B = Q_T' E has the transpose
+    (E' T) R_T⁻¹, so one pass over Y suffices; P comes from Q_T and the
+    SVD of the k x N matrix B.
+    Q_T and R_T are taken from the SVD of T, not a QR: T has rank below
+    k whenever J < k or the residual's rank is, and then only T's
+    nonzero directions are kept.  Every singular value of B at or below
+    s_max * max(J, N) * eps, the rule of postprocess.rotate_factors,
+    and every one past the residual's rank, gives an all-zero latent
+    pair, a fixed point of the sweep.
+    """
+    t, co_sketch, a, col_sums = sketch
+    n_feat, n_obs = len(t), len(co_sketch)
+    tiny = max(n_feat, n_obs) * np.finfo(float).eps
+    q_t, s_t, r_rot = np.linalg.svd(t, full_matrices=False)
+    keep = s_t > s_t.max(initial=0.0) * tiny
+    # B' = (E' T) R_T⁻¹, with T = q_t diag(s_t) r_rot on the kept part
+    b_t = co_sketch @ (r_rot[keep].T / s_t[keep])
+    w, sing, p_rot = np.linalg.svd(b_t, full_matrices=False)
+    rank = min(n_latent, len(sing))
+    sing = sing[:rank] * (sing[:rank] > sing.max(initial=0.0) * tiny)
+    b = col_sums / np.mean(col_sums)
+    u_latent = np.zeros((n_obs, n_latent))
+    v_latent = np.zeros((n_feat, n_latent))
+    u_latent[:, :rank] = w[:, :rank] * np.sqrt(sing) / np.sqrt(b)[:, None]
+    v_latent[:, :rank] = ((q_t[:, keep] @ p_rot.T[:, :rank]) * np.sqrt(sing)
+                          / np.sqrt(a)[:, None])
+    return u_latent, v_latent
 
 
 def objective(state: ModelState) -> float:

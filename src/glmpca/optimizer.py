@@ -19,13 +19,24 @@ between sweeps the fit holds O(N m²) numbers besides U, V and Y.  Every
 R is built from U, V and delta, so rounding cannot accumulate from
 sweep to sweep.
 
+A state build_model returns is not yet started: its latent blocks are
+zero.  Its first pass builds no U system; it sketches the Pearson
+residuals of that null point (model.score_pass), and model.residual_start
+turns the sketch into a start for both latent blocks.  Sweep 1 sets the
+latent blocks to that start in place of its U step, then runs the pass
+with the V step; the coefficient blocks keep their values until the
+pass.  The start is deterministic, so the same input gives the same
+fit.
+
 Each failure has one remedy.  A singular row system (an unpenalized
 column whose partner column is all zero) takes the diagonal step, which
 leaves that column unchanged (model.solve_rows).  A step is not
 guaranteed to increase Q, so a sweep is retried from its starting point,
 with the starting point's U system and both steps halved, when it gives
 non-finite factors or a Q that is non-finite or lower, up to
-MAX_HALVINGS times; that budget is fixed, not a FitConfig setting.
+MAX_HALVINGS times; that budget is fixed, not a FitConfig setting.  A
+halving scales sweep 1's start as it scales a U step: the latent blocks
+are set to the start times the step's scale.
 """
 
 from __future__ import annotations
@@ -36,7 +47,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import FitError, check_option
-from .model import ModelState, finite_factors, score_pass, solve_rows
+from .model import (OVERSAMPLE, ModelState, finite_factors, residual_start,
+                    score_pass, sketch_matrix, solve_rows)
 from .postprocess import postprocess
 
 ASCENT_SLACK = 1e-12  # accepted drop per sweep: ASCENT_SLACK * (1 + |Q|)
@@ -92,15 +104,24 @@ class FitResult:
 
 
 def _sweep(state: ModelState, scale: float, notes: Counter,
-           u_system: tuple[np.ndarray, np.ndarray]):
+           u_system: tuple[np.ndarray, np.ndarray] | None,
+           start: tuple[np.ndarray, np.ndarray] | None = None):
     """One joint block step for U, then one for V, over all updateable
     columns, steps scaled by ``scale``.  The U step solves ``u_system``,
     the U system of the current state; the V step is taken chunk by
-    chunk in the scoring pass.  Returns the new point's Q and U
-    system."""
+    chunk in the scoring pass.  Given ``start``, the (U_latent,
+    V_latent) of model.residual_start, the latent blocks are set to it
+    times ``scale`` in place of the U step, and ``u_system`` is not
+    read.  Returns the new point's Q and U system."""
     idx = state.index
-    step, u_fallbacks = solve_rows(*u_system, state.U_latent, state.penalty)
-    state.U[:, idx.u_cols] += scale * step
+    if start is None:
+        step, u_fallbacks = solve_rows(*u_system, state.U_latent,
+                                       state.penalty)
+        state.U[:, idx.u_cols] += scale * step
+    else:
+        u_fallbacks = 0
+        np.multiply(start[0], scale, out=state.U_latent)
+        np.multiply(start[1], scale, out=state.V_latent)
     q, u_system, v_fallbacks = score_pass(state, scale)
     for block, fallbacks in (("U", u_fallbacks), ("V", v_fallbacks)):
         if fallbacks:
@@ -121,6 +142,11 @@ def fit(state: ModelState, config: FitConfig | None = None) -> FitResult:
     runs), which is undone before the fit stops (``"stalled"``).  So the
     recorded trace is non-decreasing.
 
+    A state build_model returns starts at the weighted SVD of its null
+    model's residuals, set by sweep 1 (see the module docstring), and is
+    marked started once that sweep is accepted, so a second fit of the
+    same state goes on from where the first ended.
+
     Raises FitError when the starting point has non-finite factors or Q,
     and when Q is non-finite even after all step halvings.
     """
@@ -135,23 +161,32 @@ def fit(state: ModelState, config: FitConfig | None = None) -> FitResult:
     # no floating-point error escapes, whatever the caller's np.seterr: a
     # non-finite point is retried with a halved step or ends in a FitError
     with np.errstate(all="ignore"):
-        q_prev, u_system, _ = score_pass(state)
+        n_latent = state.index.n_latent
+        u_system = start = None
+        if state.started:
+            q_prev, u_system, _ = score_pass(state)
+        else:  # the null point's first pass sketches, builds no U system
+            q_prev, sketch, _ = score_pass(
+                state, omega=sketch_matrix(state.n_obs, n_latent + OVERSAMPLE))
         if not np.isfinite(q_prev):
             raise FitError("objective non-finite at the starting point",
                            trace)
+        if u_system is None:
+            start = residual_start(sketch, n_latent)
         for t in range(1, cfg.max_iters + 1):
             u_snap = state.U.copy()
             v_snap = state.V.copy()
             for attempt in range(MAX_HALVINGS + 1):
                 q_new, new_system = _sweep(state, 0.5 ** attempt, notes,
-                                           u_system)
+                                           u_system, start)
                 if not finite_factors(state):
                     q_new = np.nan
                 if np.isfinite(q_new) and (
                         q_new >= q_prev - ASCENT_SLACK * (1.0 + abs(q_prev))):
                     if attempt:
                         notes["sweep step-halvings applied"] += attempt
-                    u_system = new_system
+                    u_system, start = new_system, None
+                    state.started = True
                     break
                 # undo the rejected attempt; the start's U system is kept
                 state.U[...] = u_snap

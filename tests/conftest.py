@@ -32,7 +32,9 @@ def sample_response(rng, family, mean):
 def random_state(family, seed, n_feat=6, n_obs=9, n_latent=2,
                  with_feat_cov=True, penalty=1e-4, scale=0.3):
     """A generic fitted-shape state: intercept, optional feature covariate,
-    random coefficient/latent blocks, and data sampled at the implied mean."""
+    random coefficient/latent blocks, and data sampled at the implied mean.
+    Its blocks are set by hand, so fit() goes on from them: it is marked
+    started, not left for the residual start."""
     rng = np.random.default_rng(seed)
     k_f = 1 if with_feat_cov else 0
     Z = rng.normal(size=(n_feat, k_f)) if k_f else None
@@ -47,13 +49,26 @@ def random_state(family, seed, n_feat=6, n_obs=9, n_latent=2,
     Y = sample_response(rng, family, family.inverse_link(R))
     state = g.build_model(Y, n_latent=n_latent, family=family,
                           feat_covariates=Z, intercept=True, offset=delta,
-                          penalty=penalty, seed=seed)
+                          penalty=penalty)
     idx = state.index
     state.V[:, idx.obs_slice] = coef_a
     if k_f:
         state.U[:, idx.feat_slice] = gamma
     state.U[:, idx.latent_slice] = u_lat
     state.V[:, idx.latent_slice] = v_lat
+    state.started = True
+    return state
+
+
+def noise_start(state, seed=0):
+    """Set the latent blocks of ``state`` to Gaussian noise with standard
+    deviation 0.1/sqrt(L), U's drawn first from ``seed``, and mark the
+    state started: a small hand-set start that fit() goes on from."""
+    rng = np.random.default_rng(seed)
+    sd = 0.1 / np.sqrt(state.index.n_latent)
+    state.U_latent[...] = rng.normal(0.0, sd, state.U_latent.shape)
+    state.V_latent[...] = rng.normal(0.0, sd, state.V_latent.shape)
+    state.started = True
     return state
 
 

@@ -65,7 +65,7 @@ def test_c3_pca_equivalence():
         rng = np.random.default_rng(42)
         Y = rng.standard_normal((20, 40))
         state = g.build_model(Y, n_latent=3, family=g.gaussian(),
-                              penalty=0.0, seed=5)
+                              penalty=0.0)
         result = g.fit(state, g.FitConfig(max_iters=20000, tol=1e-12))
         assert result.converged
         scores, loadings = oracle.pca_reference(Y, 3)
@@ -164,7 +164,7 @@ def test_c7_synthetic_recovery():
                     + d_true[None, :])
         Y = rng.poisson(np.exp(log_mean)).astype(float)
         state = g.build_model(Y, n_latent=1, family=g.poisson(),
-                              offset="auto", seed=27)
+                              offset="auto")
         result = g.fit(state, g.FitConfig(max_iters=400, tol=1e-6))
         corr = np.corrcoef(result.factors[:, 0], truth)[0, 1]
         assert abs(corr) >= 0.95
@@ -179,7 +179,7 @@ def test_c8_cli_round_trip(tmp_path, capsys):
             out = tmp_path / tag
             code = run_cli(["fit", "--input", str(FIXTURE),
                             "--family", "poisson", "--dims", "2",
-                            "--seed", "7", "--output-dir", str(out)])
+                            "--output-dir", str(out)])
             assert code == 0
             outs.append(out)
         for name in csvs:
@@ -198,8 +198,8 @@ def test_c8_cli_round_trip(tmp_path, capsys):
         # exit 2: iteration cap reached, outputs still written
         out2 = tmp_path / "cap"
         code = run_cli(["fit", "--input", str(FIXTURE), "--family",
-                        "poisson", "--dims", "2", "--seed", "7",
-                        "--max-iters", "1", "--tol", "1e-12",
+                        "poisson", "--dims", "2", "--max-iters", "1",
+                        "--tol", "1e-12",
                         "--output-dir", str(out2)])
         assert code == 2
         for name in csvs + ("meta.json",):

@@ -1,8 +1,8 @@
 """Golden objective traces and the public names.
 
 ``tests/data/golden_traces.json`` holds the objective Q after every sweep
-of a few small seeded fits: one per family, one with observation and
-feature covariates, and one well-posed Poisson fit with a real rank-3
+of a few small fits of seeded data: one per family, one with observation
+and feature covariates, and one well-posed Poisson fit with a real rank-3
 signal.  A refactor of the numerics must reproduce these traces to 1e-12
 relative error, or explain the difference and re-record them with
 
@@ -25,8 +25,10 @@ CASES = ("gaussian", "poisson", "bernoulli", "negative_binomial",
          "covariates_full_scoring", "poisson_well_posed")
 # final Q of the well-posed case under the per-column diagonal scoring
 # that the joint block step replaced (commit 73d3a4b: 79 sweeps to
-# tol=1e-8; the block step takes 10)
+# tol=1e-8; the block step took 10 from small random latent blocks)
 DIAGONAL_FINAL_Q = 11561.235123392828
+# sweeps the block step took on the well-posed case from random blocks
+RANDOM_START_SWEEPS = 10
 
 
 def well_posed_fit():
@@ -35,8 +37,7 @@ def well_posed_fit():
     R = (rng.normal(1.0, 0.5, (120, 1))
          + rng.normal(0.0, 0.5, (120, 3)) @ rng.normal(0.0, 0.5, (3, 100)))
     Y = rng.poisson(np.exp(R)).astype(float)
-    state = g.build_model(Y, n_latent=3, family=g.poisson(), offset="auto",
-                          seed=3)
+    state = g.build_model(Y, n_latent=3, family=g.poisson(), offset="auto")
     return g.fit(state, g.FitConfig(max_iters=3000, tol=1e-8))
 
 
@@ -65,8 +66,7 @@ def golden_fit(name):
     Y = sample_response(rng, family, family.inverse_link(R))
     state = g.build_model(Y, n_latent=n_latent, family=family,
                           obs_covariates=X, feat_covariates=Z,
-                          offset="auto" if family.link == "log" else "none",
-                          seed=3)
+                          offset="auto" if family.link == "log" else "none")
     return g.fit(state, g.FitConfig(max_iters=150, tol=1e-5))
 
 
@@ -86,6 +86,10 @@ def test_well_posed_fit_reaches_at_least_the_diagonal_optimum():
     result = well_posed_fit()
     assert result.converged
     assert result.final_q >= DIAGONAL_FINAL_Q
+
+
+def test_residual_start_needs_no_more_sweeps_than_a_random_one():
+    assert well_posed_fit().iterations_run <= RANDOM_START_SWEEPS
 
 
 def test_every_exported_name_resolves():

@@ -128,6 +128,29 @@ class TestMatrixMarketReader:
                            match=r"m\.mtx:8: malformed entry '1 q 1'"):
             gio.read_matrix(path)
 
+    @pytest.mark.parametrize("field", ["real", "integer"])
+    @pytest.mark.parametrize("body, line, message", [
+        ("1 1 1e308\n2 2 1\n1 1 1e308\n", 5,
+         "entry (1, 1) sums past the largest double"),
+        ("1 1 -1e308\n1 1 -1e308\n2 2 1\n", 4,
+         "entry (1, 1) sums past the largest double"),
+        ("2 2 1\n1 2 nan\n1 1 1\n", 4,
+         "entry (1, 2) has the non-finite value 'nan'"),
+        ("1 1 inf\n1 1 -inf\n2 2 1e400\n", 3,
+         "entry (1, 1) has the non-finite value 'inf'"),
+    ], ids=["overflow", "negative_overflow", "nan", "inf"])
+    def test_nonfinite_value_or_sum_names_its_line(self, tmp_path, field,
+                                                  body, line, message):
+        # one DataError naming the line, and no numpy warning before it
+        path = tmp_path / "m.mtx"
+        path.write_text(f"%%MatrixMarket matrix coordinate {field} general"
+                        f"\n2 2 3\n{body}")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError) as err:
+                gio.read_matrix(path)
+        assert str(err.value) == f"{path}:{line}: {message}"
+
     def test_negative_count_under_poisson_names_cell(self, tmp_path):
         path = tmp_path / "m.mtx"
         path.write_text("%%MatrixMarket matrix coordinate real general\n"
@@ -651,7 +674,7 @@ class TestCli:
             out = tmp_path / run
             code = self.run("fit", "--input", str(FIXTURE),
                             "--family", "poisson", "--dims", "2",
-                            "--seed", "7", "--output-dir", str(out))
+                            "--output-dir", str(out))
             assert code == 0
             outs.append(out)
         for name in CSV_OUTPUTS:
@@ -666,7 +689,6 @@ class TestCli:
         assert "--dispersion" in capsys.readouterr().err
 
     @pytest.mark.parametrize("args, message", [
-        (["--seed", "-1"], "seed must be a nonnegative integer, got -1"),
         (["--dispersion", "2"], "dispersion is only valid for the "
          "negative_binomial kind, got 2.0 for 'poisson'"),
         (["--offset", "bogus"], "--offset must be 'none', 'auto', or "
@@ -677,17 +699,30 @@ class TestCli:
         (["--input", "{latin1_csv}"], "latin1.csv: not UTF-8 text"),
         (["--tol", "inf"], "tol must be a positive finite scalar, got inf"),
         (["--format", "csv"], "unrecognized arguments: --format csv"),
-    ], ids=["negative_seed", "dispersion_without_nb", "unknown_offset",
+        (["--seed", "7"], "unrecognized arguments: --seed 7"),
+        (["--input", "{overflow_mtx}"],
+         "overflow.mtx:5: entry (1, 1) sums past the largest double"),
+        (["--input", "{huge_mtx}"],
+         "huge.mtx:5: entry (1, 3) has the non-finite value '1e400'"),
+    ], ids=["dispersion_without_nb", "unknown_offset",
             "short_offset_file", "non_utf8_mtx", "non_utf8_csv",
-            "infinite_tol", "format_flag"])
+            "infinite_tol", "format_flag", "seed_flag",
+            "duplicates_overflow", "infinite_value"])
     def test_bad_input_exits_1_with_one_error_line(self, tmp_path, capsys,
                                                    args, message):
         files = {"short_offset": tmp_path / "offset.csv",
                  "latin1_mtx": tmp_path / "latin1.mtx",
-                 "latin1_csv": tmp_path / "latin1.csv"}
+                 "latin1_csv": tmp_path / "latin1.csv",
+                 "overflow_mtx": tmp_path / "overflow.mtx",
+                 "huge_mtx": tmp_path / "huge.mtx"}
         files["short_offset"].write_text(",".join(["0"] * 19) + "\n")
         files["latin1_mtx"].write_bytes(FIXTURE.read_bytes() + b"% \xff\n")
         files["latin1_csv"].write_bytes(b"1,2,3\n4,5,\xff\n")
+        banner = "%%MatrixMarket matrix coordinate real general\n"
+        files["overflow_mtx"].write_text(
+            banner + "2 3 3\n1 1 1e308\n2 2 1\n1 1 1e308\n")
+        files["huge_mtx"].write_text(
+            banner + "% a comment line\n2 3 2\n2 2 1\n1 3 1e400\n")
         out = tmp_path / "o"
         code = self.run("fit", "--input", str(FIXTURE), "--family",
                         "poisson", "--dims", "1", "--output-dir", str(out),
@@ -726,8 +761,8 @@ class TestCli:
     def test_non_convergence_exits_2_with_outputs(self, tmp_path, capsys):
         out = tmp_path / "o"
         code = self.run("fit", "--input", str(FIXTURE), "--family",
-                        "poisson", "--dims", "2", "--seed", "7",
-                        "--max-iters", "1", "--tol", "1e-12",
+                        "poisson", "--dims", "2", "--max-iters", "1",
+                        "--tol", "1e-12",
                         "--output-dir", str(out))
         assert code == 2
         for name in CSV_OUTPUTS + ("meta.json",):
@@ -769,7 +804,7 @@ class TestCli:
         code = self.run("fit", "--input", str(FIXTURE),
                         "--family", "negative_binomial",
                         "--dispersion", "2.0", "--dims", "1",
-                        "--seed", "1", "--output-dir", str(out))
+                        "--output-dir", str(out))
         assert code == 0
         meta = json.loads((out / "meta.json").read_text())
         assert meta["config"]["dispersion"] == 2.0
@@ -786,7 +821,7 @@ class TestCli:
             "family": "poisson", "dispersion": None,
             "dims": 2, "obs_covariates": None, "feat_covariates": None,
             "offset": "none", "intercept": True, "penalty": 1e-4,
-            "max_iters": 2, "tol": 1e-6, "seed": 0, "output_dir": str(out)}
+            "max_iters": 2, "tol": 1e-6, "output_dir": str(out)}
 
     def test_readme_flag_table_matches_parser(self):
         # the first column of README's flag table names every fit flag
@@ -908,7 +943,7 @@ class TestCli:
         offpath.write_text(",".join(format(d, ".17g") for d in delta) + "\n")
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         args = ("fit", "--input", str(FIXTURE), "--family", "poisson",
-                "--dims", "1", "--seed", "3")
+                "--dims", "1")
         assert self.run(*args, "--offset", "auto",
                         "--output-dir", str(out_a)) == 0
         assert self.run(*args, "--offset", f"file:{offpath}",
@@ -924,10 +959,10 @@ class TestCli:
         offpath.write_text("\n".join(format(d, ".17g") for d in delta) + "\n")
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         assert self.run("fit", "--input", str(FIXTURE), "--family",
-                        "poisson", "--dims", "1", "--seed", "3",
-                        "--offset", "auto", "--output-dir", str(out_a)) == 0
+                        "poisson", "--dims", "1", "--offset", "auto",
+                        "--output-dir", str(out_a)) == 0
         assert self.run("fit", "--input", str(FIXTURE), "--family",
-                        "poisson", "--dims", "1", "--seed", "3",
+                        "poisson", "--dims", "1",
                         "--offset", f"file:{offpath}",
                         "--output-dir", str(out_b)) == 0
         assert (out_a / "factors.csv").read_bytes() == \
@@ -948,8 +983,7 @@ class TestCli:
         code = self.run("fit", "--input", str(path), "--family", "gaussian",
                         "--dims", "3", "--offset", "none", "--no-intercept",
                         "--penalty", "0", "--tol", "1e-12",
-                        "--max-iters", "20000", "--seed", "5",
-                        "--output-dir", str(out))
+                        "--max-iters", "20000", "--output-dir", str(out))
         assert code == 0
 
         def read_block(name):
@@ -984,7 +1018,7 @@ class TestCli:
                       for j, v in enumerate(rng.normal(size=10))))
         out = tmp_path / "o"
         code = self.run("fit", "--input", str(FIXTURE), "--family",
-                        "poisson", "--dims", "1", "--seed", "4",
+                        "poisson", "--dims", "1",
                         "--obs-covariates", str(obs_cov),
                         "--feat-covariates", str(feat_cov),
                         "--output-dir", str(out))
@@ -1000,11 +1034,36 @@ class TestCli:
         out = tmp_path / "o"
         proc = subprocess.run(
             [sys.executable, "-m", "glmpca", "fit", "--input", str(FIXTURE),
-             "--family", "poisson", "--dims", "1", "--seed", "2",
-             "--output-dir", str(out)],
+             "--family", "poisson", "--dims", "1", "--output-dir", str(out)],
             capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert (out / "factors.csv").exists()
+
+    def test_fit_process_never_imports_numpy_random(self, tmp_path):
+        # the start is built without random numbers, so the CLI leaves
+        # numpy.random unimported, where importing numpy alone does
+        script = (
+            "import json, runpy, sys\n"
+            "import numpy\n"
+            "by_numpy = 'numpy.random' in sys.modules\n"
+            "sys.argv = ['glmpca'] + sys.argv[1:]\n"
+            "try:\n"
+            "    runpy.run_module('glmpca', run_name='__main__')\n"
+            "except SystemExit as exc:\n"
+            "    code = exc.code\n"
+            "print(json.dumps([code, by_numpy,\n"
+            "                  'numpy.random' in sys.modules]))\n")
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "fit", "--input", str(FIXTURE),
+             "--family", "poisson", "--dims", "1",
+             "--output-dir", str(tmp_path / "o")],
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        code, by_numpy, loaded = json.loads(proc.stdout.splitlines()[-1])
+        assert code == 0
+        if by_numpy:
+            pytest.skip("this numpy imports numpy.random itself")
+        assert not loaded
 
     def test_bad_flag_exits_1(self, capsys):
         assert self.run("fit", "--no-such-flag") == 1

@@ -10,7 +10,8 @@ import pytest
 import glmpca as g
 from glmpca import ConfigError, DataError
 from glmpca.families import MEAN_CEIL, MEAN_FLOOR, PROB_CEIL, PROB_FLOOR
-from glmpca.model import CHUNK_ROWS, IndexSets, ModelState, resolve_offset
+from glmpca.model import (CHUNK_ROWS, IndexSets, ModelState, resolve_offset,
+                          sketch_matrix)
 import oracle
 
 from conftest import (ALL_FAMILIES, block_system, gradient, gram_diagonal,
@@ -89,7 +90,7 @@ class TestDataValidation:
         tracemalloc.start()
         try:
             state = g.build_model(Y, n_latent=3, family=g.poisson(),
-                                  offset="auto", seed=0)
+                                  offset="auto")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -110,7 +111,7 @@ class TestBuildModel:
     def test_default_shapes_and_intercept(self):
         Y = np.arange(50.0).reshape(5, 10) % 4
         Y[0] = 0.0
-        state = g.build_model(Y, n_latent=2, family=g.poisson(), seed=0)
+        state = g.build_model(Y, n_latent=2, family=g.poisson())
         assert state.U.shape == (10, 3)
         assert state.V.shape == (5, 3)
         np.testing.assert_array_equal(state.U[:, 0], np.ones(10))
@@ -122,34 +123,40 @@ class TestBuildModel:
 
     def test_offset_policy_none_gives_zeros(self):
         state = g.build_model(np.zeros((5, 10)), n_latent=1,
-                              family=g.poisson(), offset="none", seed=0)
+                              family=g.poisson(), offset="none")
         np.testing.assert_array_equal(state.delta, np.zeros(10))
 
-    def test_seeded_init_is_deterministic(self):
-        Y = np.zeros((5, 10))
-        a = g.build_model(Y, n_latent=2, family=g.poisson(), seed=11)
-        b = g.build_model(Y, n_latent=2, family=g.poisson(), seed=11)
-        np.testing.assert_array_equal(a.U, b.U)
-        np.testing.assert_array_equal(a.V, b.V)
-        c = g.build_model(Y, n_latent=2, family=g.poisson(), seed=12)
-        assert not np.array_equal(a.U_latent, c.U_latent)
+    def test_latent_blocks_start_at_zero_unstarted(self):
+        # the residual start is left to the fit's first sweep
+        Y = np.arange(50.0).reshape(5, 10) % 4
+        state = g.build_model(Y, n_latent=2, family=g.poisson())
+        assert not state.started
+        np.testing.assert_array_equal(state.U_latent, 0.0)
+        np.testing.assert_array_equal(state.V_latent, 0.0)
+        # a hand-built state is fit from its own blocks
+        assert ModelState(state.Y, state.family, state.U, state.V,
+                          state.delta, state.penalty, state.index).started
 
-    def test_latent_init_scale(self):
-        state = g.build_model(np.zeros((40, 80)), n_latent=4,
-                              family=g.poisson(), seed=3)
-        sd = state.U_latent.std()
-        assert 0.02 < sd < 0.1  # target 0.1/sqrt(4) = 0.05
+    def test_sketch_matrix_is_fixed_and_centered(self):
+        omega = sketch_matrix(1000, 12)
+        np.testing.assert_array_equal(omega, sketch_matrix(1000, 12))
+        # splitmix64 from state 0: its first output is 0xe220a8397b1dcdaf
+        assert omega[0, 0] == (0xE220A8397B1DCDAF >> 11) * 2.0 ** -53 - 0.5
+        assert np.all((omega >= -0.5) & (omega < 0.5))
+        assert abs(omega.mean()) < 0.01
+        # columns far from collinear: the range finder needs full rank
+        assert np.linalg.cond(omega) < 1.5
 
     def test_rank_deficient_designs_rejected(self):
         Y = np.zeros((6, 10))
         dup = np.ones((10, 1))  # duplicates the intercept column
         with pytest.raises(ConfigError, match="rank deficient"):
             g.build_model(Y, n_latent=1, family=g.poisson(),
-                          obs_covariates=dup, seed=0)
+                          obs_covariates=dup)
         zcol = np.zeros((6, 1))
         with pytest.raises(ConfigError, match="rank deficient"):
             g.build_model(Y, n_latent=1, family=g.poisson(),
-                          feat_covariates=zcol, seed=0)
+                          feat_covariates=zcol)
 
     @pytest.mark.parametrize("kwargs, message", [
         (dict(obs_covariates=np.ones((9, 1))), "obs_covariates must be a "
@@ -157,34 +164,30 @@ class TestBuildModel:
         (dict(feat_covariates=[[0.0], [np.nan], [1.0], [2.0], [3.0]]),
          "feat_covariates contains non-finite values"),
         (dict(n_latent=1.5), "n_latent must be a positive integer"),
-        (dict(seed=-1), "seed must be a nonnegative integer, got -1"),
-        (dict(seed=0.5), "seed must be a nonnegative integer, got 0.5"),
         (dict(n_latent=True), "n_latent must be a positive integer"),
-        (dict(seed=False), "seed must be a nonnegative integer, got False"),
         (dict(penalty=True), "penalty must be a nonnegative finite scalar"),
     ], ids=["short_covariates", "nan_covariate", "fractional_n_latent",
-            "negative_seed", "fractional_seed", "bool_n_latent", "bool_seed",
-            "bool_penalty"])
+            "bool_n_latent", "bool_penalty"])
     def test_bad_argument_rejected(self, kwargs, message):
-        args = dict(n_latent=1, family=g.poisson(), seed=0) | kwargs
+        args = dict(n_latent=1, family=g.poisson()) | kwargs
         with pytest.raises(ConfigError, match=message):
             g.build_model(np.zeros((5, 10)), **args)
 
     def test_covariate_vector_is_one_column(self):
         z = np.arange(5.0)
         state = g.build_model(np.zeros((5, 10)), n_latent=1,
-                              family=g.poisson(), feat_covariates=z, seed=0)
+                              family=g.poisson(), feat_covariates=z)
         assert state.index.n_feat_cov == 1
         np.testing.assert_array_equal(state.Z, z[:, None])
 
     def test_too_many_dimensions_rejected(self):
         Y = np.zeros((4, 10))
         with pytest.raises(ConfigError, match="min"):
-            g.build_model(Y, n_latent=3, family=g.poisson(), seed=0)
+            g.build_model(Y, n_latent=3, family=g.poisson())
 
     def test_penalty_defaults_and_layout(self):
         state = g.build_model(np.zeros((5, 10)), n_latent=2,
-                              family=g.poisson(), seed=0)
+                              family=g.poisson())
         assert state.penalty == 1e-4
         # X, Z, A and Gamma all nonzero: the fit's systems carry no ridge,
         # and solve_rows adds lambda to the latent columns of the
@@ -220,13 +223,13 @@ class TestBuildModel:
     def test_penalty_rejected(self, penalty):
         with pytest.raises(ConfigError, match="penalty"):
             g.build_model(np.zeros((5, 10)), n_latent=2, family=g.poisson(),
-                          penalty=penalty, seed=0)
+                          penalty=penalty)
 
     @pytest.mark.parametrize("penalty", [0, 2, np.float64(0.3)],
                              ids=["int-zero", "int", "numpy-float"])
     def test_penalty_accepted(self, penalty):
         state = g.build_model(np.zeros((5, 10)), n_latent=2,
-                              family=g.poisson(), penalty=penalty, seed=0)
+                              family=g.poisson(), penalty=penalty)
         assert type(state.penalty) is float
         assert state.penalty == penalty
 
@@ -234,7 +237,7 @@ class TestBuildModel:
         rng = np.random.default_rng(0)
         Y = rng.poisson(3.0, (6, 12)).astype(float) + 1.0
         state = g.build_model(Y, n_latent=1, family=g.poisson(),
-                              offset="auto", seed=0)
+                              offset="auto")
         colsums = Y.sum(axis=0)
         np.testing.assert_allclose(state.delta,
                                    np.log(colsums / colsums.mean()))
@@ -243,14 +246,14 @@ class TestBuildModel:
         rng = np.random.default_rng(0)
         Y = rng.normal(size=(6, 12))
         state = g.build_model(Y, n_latent=1, family=g.gaussian(),
-                              offset="auto", seed=0)
+                              offset="auto")
         np.testing.assert_allclose(state.delta, Y.mean(axis=0))
 
     def test_auto_offset_rejected_for_logit(self):
         Y = np.zeros((6, 12))
         with pytest.raises(ConfigError, match="auto offset"):
             g.build_model(Y, n_latent=1, family=g.bernoulli(),
-                          offset="auto", seed=0)
+                          offset="auto")
 
     def test_auto_offset_zero_column_rejected(self):
         Y = np.ones((4, 8))
@@ -262,13 +265,13 @@ class TestBuildModel:
         Y = np.zeros((4, 8))
         with pytest.raises(ConfigError, match="length"):
             g.build_model(Y, n_latent=1, family=g.poisson(),
-                          offset=np.zeros(5), seed=0)
+                          offset=np.zeros(5))
         with pytest.raises(ConfigError, match="non-finite"):
             g.build_model(Y, n_latent=1, family=g.poisson(),
-                          offset=np.full(8, np.inf), seed=0)
+                          offset=np.full(8, np.inf))
         with pytest.raises(ConfigError, match="unknown offset policy"):
             g.build_model(Y, n_latent=1, family=g.poisson(),
-                          offset="bogus", seed=0)
+                          offset="bogus")
 
 
 # each taker of a scalar option, called with that option alone set
@@ -278,7 +281,7 @@ OPTION_TAKERS = {
     "IndexSets": lambda **kw: IndexSets(
         **(dict(n_obs_cov=0, n_feat_cov=0, n_latent=1) | kw)),
     "build_model": lambda **kw: g.build_model(
-        np.ones((5, 10)), **(dict(n_latent=1, family=g.poisson(), seed=0)
+        np.ones((5, 10)), **(dict(n_latent=1, family=g.poisson())
                              | kw)),
 }
 
@@ -314,8 +317,8 @@ class TestScalarOptions:
         config = g.FitConfig(max_iters=np.int64(3), tol=np.float32(1e-3))
         Y = np.ones((6, 10)) + np.eye(6, 10)
         state = g.build_model(Y, n_latent=np.int64(1), family=family,
-                              penalty=0, seed=10**400)
-        # each stored as a Python number; the seed is not converted
+                              penalty=0)
+        # each stored as a Python number
         stored = [(family.dispersion, float), (config.max_iters, int),
                   (config.tol, float), (state.penalty, float),
                   (state.index.n_latent, int)]
@@ -345,8 +348,7 @@ class TestInterceptStart:
         Y = rng.poisson(3.0, (8, 12)).astype(float)
         Y[2] = 0.0
         delta = rng.normal(0.0, 0.5, 12)
-        state = g.build_model(Y, n_latent=1, family=family, offset=delta,
-                              seed=0)
+        state = g.build_model(Y, n_latent=1, family=family, offset=delta)
         log_mean_exp = np.log(np.mean(np.exp(delta)))
         assert state.A[2, 0] == pytest.approx(
             np.log(MEAN_FLOOR) - log_mean_exp, rel=1e-14)
@@ -358,7 +360,7 @@ class TestInterceptStart:
         Y[0], Y[1] = 1.0, 0.0
         Y[2, :3] = 1.0
         Y[2, 3:] = 0.0
-        state = g.build_model(Y, n_latent=1, family=g.bernoulli(), seed=0)
+        state = g.build_model(Y, n_latent=1, family=g.bernoulli())
         p = np.array([PROB_CEIL, PROB_FLOOR, 0.25])
         np.testing.assert_allclose(state.A[:3, 0], np.log(p) - np.log1p(-p),
                                    rtol=1e-12, atol=0)
@@ -369,24 +371,24 @@ class TestInterceptStart:
         Y = rng.normal(2.0, 1.0, (6, 10))
         delta = rng.normal(0.0, 3.0, 10)
         state = g.build_model(Y, n_latent=1, family=g.gaussian(),
-                              offset=delta, seed=0)
+                              offset=delta)
         np.testing.assert_allclose(state.A[:, 0], np.mean(Y - delta, axis=1),
                                    rtol=1e-13, atol=1e-15)
         with np.errstate(all="raise"):  # no sum of the offsets overflows
             huge = g.build_model(Y, n_latent=1, family=g.gaussian(),
-                                 offset=np.full(10, 1e308), seed=0)
+                                 offset=np.full(10, 1e308))
         np.testing.assert_allclose(huge.A[:, 0], -1e308, rtol=1e-13, atol=0)
 
     @pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: f.kind)
     def test_without_intercept_every_coefficient_starts_at_zero(self,
                                                                 family):
-        # and the seeded latent start does not depend on the intercept
+        # and the latent blocks start at zero, with or without it
         rng = np.random.default_rng(24)
         Y = rng.binomial(1, 0.5, (6, 10)).astype(float)
         X = rng.normal(size=(10, 2))
-        plain = g.build_model(Y, n_latent=2, family=family, seed=5,
+        plain = g.build_model(Y, n_latent=2, family=family,
                               obs_covariates=X, intercept=False)
-        start = g.build_model(Y, n_latent=2, family=family, seed=5,
+        start = g.build_model(Y, n_latent=2, family=family,
                               obs_covariates=X)
         np.testing.assert_array_equal(plain.A, np.zeros((6, 2)))
         np.testing.assert_array_equal(start.A[:, 1:], np.zeros((6, 2)))
@@ -406,7 +408,7 @@ class TestInterceptStart:
         delta[6:] += offsets[1]
         with np.errstate(all="raise"):
             state = g.build_model(Y, n_latent=1, family=g.poisson(),
-                                  offset=delta, seed=0)
+                                  offset=delta)
         with np.errstate(under="ignore"):
             fitted = np.exp(state.A[:, 0][:, None] + delta[None, :])
         rowsums = Y.sum(axis=1)
@@ -417,7 +419,7 @@ class TestInterceptStart:
 class TestLinearPredictor:
     def test_all_zero(self):
         state = g.build_model(np.zeros((3, 6)), n_latent=1,
-                              family=g.gaussian(), intercept=False, seed=0)
+                              family=g.gaussian(), intercept=False)
         state.U[...] = 0.0
         state.V[...] = 0.0
         np.testing.assert_array_equal(g.linear_predictor(state),
@@ -425,7 +427,7 @@ class TestLinearPredictor:
 
     def test_rank_one_rows(self):
         state = g.build_model(np.zeros((3, 6)), n_latent=1,
-                              family=g.gaussian(), intercept=False, seed=0)
+                              family=g.gaussian(), intercept=False)
         u = np.arange(6.0)
         state.U[:, 0] = u
         state.V[:, 0] = 1.0
@@ -457,7 +459,7 @@ class TestObjective:
     def test_poisson_closed_form_at_zero(self):
         Y = np.array([[3.0, 0.0], [1.0, 2.0]])
         state = g.build_model(Y, n_latent=1, family=g.poisson(),
-                              intercept=False, penalty=0.0, seed=0)
+                              intercept=False, penalty=0.0)
         state.U[...] = 0.0
         state.V[...] = 0.0
         assert g.objective(state) == pytest.approx(-4.0)
@@ -507,7 +509,7 @@ class TestObjective:
         qs = []
         for u, v in ((1.0, 1.0), (1e160, 1e-160)):
             state = g.build_model(Y, n_latent=1, family=g.poisson(),
-                                  penalty=0.0, seed=0)
+                                  penalty=0.0)
             state.U[:, state.index.latent_slice] = u
             state.V[:, state.index.latent_slice] = v
             qs.append(g.objective(state))
@@ -559,7 +561,7 @@ class TestClampedMeans:
     gradient keeps the pull y - M with M the clamp value."""
 
     def clamped_state(self, family, Y, intercepts):
-        state = g.build_model(Y, n_latent=1, family=family, seed=0)
+        state = g.build_model(Y, n_latent=1, family=family)
         state.V[:, 0] = intercepts  # the intercept column of A
         return state
 

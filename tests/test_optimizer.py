@@ -14,7 +14,8 @@ from glmpca import model, optimizer
 from glmpca.model import IndexSets, ModelState, linear_predictor
 
 from conftest import (ALL_FAMILIES, block_step, column_penalty, gradient,
-                      means, own_block, random_state, sample_response)
+                      means, noise_start, own_block, random_state,
+                      sample_response)
 
 
 def tiny_state(Y, family, U, V, penalty=0.0, index=None):
@@ -79,8 +80,7 @@ class TestColumnUpdates:
         rng = np.random.default_rng(17)
         Y = sample_response(rng, family,
                             family.inverse_link(rng.normal(0.5, 0.3, (5, 7))))
-        state = g.build_model(Y, n_latent=1, family=family, intercept=False,
-                              seed=17)
+        state = g.build_model(Y, n_latent=1, family=family, intercept=False)
         state.U[:] = rng.normal(0.0, 0.3, state.U.shape)
         state.V[:] = rng.normal(0.0, 0.3, state.V.shape)
         assert state.index.u_cols == state.index.v_cols == [0]
@@ -128,14 +128,14 @@ class TestHeldPredictor:
         checked = []
         real_sweep = optimizer._sweep
 
-        def checked_sweep(state, scale, notes, u_system):
+        def checked_sweep(state, scale, notes, u_system, start=None):
             # the held U system is the one a fresh pass over the state
             # builds
             fresh = model.score_pass(state)[1]
             for held, current in zip(u_system, fresh):
                 np.testing.assert_array_equal(held, current)
             checked.append(scale)
-            return real_sweep(state, scale, notes, u_system)
+            return real_sweep(state, scale, notes, u_system, start)
 
         monkeypatch.setattr(optimizer, "_sweep", checked_sweep)
         g.fit(state, g.FitConfig(max_iters=5, tol=1e-14,
@@ -186,16 +186,16 @@ class TestHeldPredictor:
         R = (rng.normal(1.0, 0.5, (10, 1))
              + rng.normal(0, 0.7, (10, 2)) @ rng.normal(0, 0.7, (2, 14)))
         Y = rng.poisson(np.exp(R)).astype(float)
-        state = g.build_model(Y, n_latent=2, family=g.poisson(), seed=0)
+        state = noise_start(g.build_model(Y, n_latent=2, family=g.poisson()))
         state.V[:, 0] = 0.0
         start = model.score_pass(state)[1]
         scales, systems = [], []
         real_sweep = optimizer._sweep
 
-        def counted_sweep(state, scale, notes, u_system):
+        def counted_sweep(state, scale, notes, u_system, start=None):
             scales.append(scale)
             systems.append(u_system)
-            return real_sweep(state, scale, notes, u_system)
+            return real_sweep(state, scale, notes, u_system, start)
 
         monkeypatch.setattr(optimizer, "_sweep", counted_sweep)
         calls = self.count_builds(monkeypatch)
@@ -232,9 +232,9 @@ class TestChunks:
         def run():
             systems = []
 
-            def recorded_sweep(state, scale, notes, u_system):
+            def recorded_sweep(state, scale, notes, u_system, start=None):
                 systems.append(u_system)
-                return real_sweep(state, scale, notes, u_system)
+                return real_sweep(state, scale, notes, u_system, start)
 
             monkeypatch.setattr(optimizer, "_sweep", recorded_sweep)
             result = g.fit(self.chunk_case(case),
@@ -344,7 +344,7 @@ class TestChunks:
         # temporary alone would be twice the bound
         rng = np.random.default_rng(11)
         Y = rng.poisson(2.0, size=(4000, 200)).astype(float)
-        state = g.build_model(Y, n_latent=3, family=g.poisson(), seed=0)
+        state = g.build_model(Y, n_latent=3, family=g.poisson())
         assert state.n_feat >= 16 * model.CHUNK_ROWS
         tracemalloc.start()
         try:
@@ -399,7 +399,7 @@ def two_sided_state(family, seed, n_feat=7, n_obs=11):
     mean = family.inverse_link(rng.normal(0.5, 0.3, (n_feat, n_obs)))
     Y = sample_response(rng, family, mean)
     state = g.build_model(Y, n_latent=2, family=family, obs_covariates=X,
-                          feat_covariates=Z, penalty=0.3, seed=seed)
+                          feat_covariates=Z, penalty=0.3)
     idx = state.index
     for own, cols in ((state.U, idx.feat_slice), (state.U, idx.latent_slice),
                       (state.V, idx.obs_slice), (state.V, idx.latent_slice)):
@@ -465,7 +465,7 @@ class TestFullScoring:
         n, n_latent = 60, 40
         Y = rng.poisson(2.0, size=(n, n)).astype(float)
         state = g.build_model(Y, n_latent=n_latent, family=g.poisson(),
-                              penalty=1.0, seed=77)
+                              penalty=1.0)
         lat = state.index.latent_slice
         state.U[:, lat] = rng.normal(0.0, 0.3, (n, n_latent))
         state.V[:, lat] = rng.normal(0.0, 0.3, (n, n_latent))
@@ -498,7 +498,7 @@ class TestFullScoring:
         X = np.column_stack([np.ones(n_obs), rng.normal(size=n_obs)])
         Y = rng.normal(size=(n_feat, n_obs))
         state = g.build_model(Y, n_latent=1, family=g.gaussian(),
-                              obs_covariates=X[:, 1:], seed=0)
+                              obs_covariates=X[:, 1:])
         state.U[:, state.index.latent_slice] = 0.0
         state.V[:, state.index.latent_slice] = 0.0
         fallbacks = block_step(state, "V")
@@ -538,9 +538,8 @@ class TestFullScoring:
         mu = np.exp(rng.normal(1.0, 0.3, n_feat)[:, None] + delta[None, :])
         Y = rng.poisson(mu).astype(float)
         state = g.build_model(Y, n_latent=1, family=g.poisson(),
-                              offset=delta, seed=0)
-        state.U[:, state.index.latent_slice] = 0.0
-        state.V[:, state.index.latent_slice] = 0.0
+                              offset=delta)
+        state.started = True  # the zero latent block is a fixed point
         g.fit(state, g.FitConfig(max_iters=200, tol=1e-14))
         expected = np.log(Y.sum(axis=1) / np.exp(delta).sum())
         np.testing.assert_allclose(state.A[:, 0], expected, rtol=0,
@@ -552,7 +551,7 @@ class TestFullScoring:
         Z = rng.normal(size=(n_feat, 2))
         Y = rng.normal(size=(n_feat, n_obs))
         state = g.build_model(Y, n_latent=1, family=g.gaussian(),
-                              intercept=False, feat_covariates=Z, seed=0)
+                              intercept=False, feat_covariates=Z)
         state.U[:, state.index.latent_slice] = 0.0
         state.V[:, state.index.latent_slice] = 0.0
         assert block_step(state, "U") == 0
@@ -643,7 +642,7 @@ class TestFit:
         rng = np.random.default_rng(99)
         Y = rng.standard_normal((6, 12))
         state = g.build_model(Y, n_latent=2, family=g.gaussian(),
-                              penalty=0.0, seed=3)
+                              penalty=0.0)
         result = g.fit(state, g.FitConfig(max_iters=20000, tol=1e-14))
         assert result.converged
         scores, loadings = oracle.pca_reference(Y, 2)
@@ -654,7 +653,7 @@ class TestFit:
         # C3's data: the output is PCA's own, not just the same product
         Y = np.random.default_rng(42).standard_normal((20, 40))
         state = g.build_model(Y, n_latent=3, family=g.gaussian(),
-                              penalty=0.0, seed=5)
+                              penalty=0.0)
         result = g.fit(state, g.FitConfig(max_iters=20000, tol=1e-12))
         scores, loadings = oracle.pca_reference(Y, 3)
         signs = np.sign(np.sum(result.loadings * loadings, axis=0))
@@ -679,8 +678,9 @@ class TestFit:
 
     def test_null_intercept_start_needs_no_first_halving(self):
         # counts with row effects, column sizes and a rank-2 signal: from
-        # a zero intercept the first full sweep overshoots and is halved
-        # twice; from the null fit build_model starts at, it is not
+        # a zero intercept the first full sweep, which sets the residual
+        # start of that wrong null point, overshoots and is halved once;
+        # from the null fit build_model starts at, it is not
         rng = np.random.default_rng(1)
         R = (rng.normal(1.0, 0.5, (40, 1))
              + np.log(rng.gamma(4.0, 0.25, (1, 30)))
@@ -688,9 +688,9 @@ class TestFit:
         Y = rng.poisson(np.exp(R)).astype(float)
         one_sweep = g.FitConfig(max_iters=1)
         for zero_intercept, warnings in (
-                (True, ["sweep step-halvings applied (x2)"]), (False, [])):
+                (True, ["sweep step-halvings applied"]), (False, [])):
             state = g.build_model(Y, n_latent=2, family=g.poisson(),
-                                  offset="auto", seed=0)
+                                  offset="auto")
             if zero_intercept:
                 state.V[:, 0] = 0.0
             assert g.fit(state, one_sweep).warnings == warnings
@@ -700,7 +700,7 @@ class TestFit:
         # intercept means are a fixed point, nothing moves
         counts = np.array([2.0, 5.0, 1.0, 7.0])
         Y = np.tile(counts[:, None], (1, 9))
-        state = g.build_model(Y, n_latent=1, family=g.poisson(), seed=0)
+        state = g.build_model(Y, n_latent=1, family=g.poisson())
         state.U[:, state.index.latent_slice] = 0.0
         state.V[:, state.index.latent_slice] = 0.0
         state.V[:, 0] = np.log(counts)
@@ -746,19 +746,22 @@ class TestFit:
         # it converges.  fit reads the halving budget when it runs.
         monkeypatch.setattr(optimizer, "MAX_HALVINGS", halvings)
         Y = np.random.default_rng(0).poisson(5.0, size=(40, 30)).astype(float)
-        state = g.build_model(Y, n_latent=2, family=g.poisson(), seed=0)
+        state = g.build_model(Y, n_latent=2, family=g.poisson())
         state.V[:, 0] = 0.0
         q0 = g.objective(state)
         result = g.fit(state, cfg)
         assert result.stop_reason == reason
         assert result.converged is converged
         if reason == "stalled":
-            # the rejected sweep is undone: Q stays at the starting point
+            # the rejected sweep is undone: Q stays at the starting point,
+            # and the latent blocks at zero, as build_model left them
             assert result.iterations_run == 1
             assert result.final_q == q0
             assert result.trace == [(1, q0)]
             assert result.warnings == [
-                "sweep rejected after max halvings; stopped early"]
+                "sweep rejected after max halvings; stopped early",
+                "2 latent dimension(s) have zero norm (rank-deficient "
+                "latent product)"]
         else:
             assert not any("rejected" in w for w in result.warnings)
 
@@ -778,7 +781,7 @@ class TestFit:
         # from a zero intercept: the null fit's start would make the
         # starting Q non-finite
         Y = np.full((4, 8), 1e200)
-        state = g.build_model(Y, n_latent=1, family=g.gaussian(), seed=0)
+        state = g.build_model(Y, n_latent=1, family=g.gaussian())
         state.V[:, 0] = 0.0
         with pytest.raises(FitError, match="halvings"):
             g.fit(state, g.FitConfig())
@@ -795,7 +798,7 @@ class TestFit:
         Y = np.random.default_rng(0).normal(size=(5, 8))
         offset = np.full(8, 1e200) if case == "huge offset" else "none"
         state = g.build_model(Y, n_latent=1, family=g.gaussian(),
-                              offset=offset, seed=0)
+                              offset=offset)
         if case == "huge offset":
             # a zero intercept leaves the offset in R; the null fit's
             # intercept would cancel it
@@ -816,9 +819,9 @@ class TestFit:
         scales, poisoned = [], []
         real_sweep, real_solve = optimizer._sweep, optimizer.solve_rows
 
-        def counted_sweep(state, scale, notes, u_system):
+        def counted_sweep(state, scale, notes, u_system, start=None):
             scales.append(scale)
-            return real_sweep(state, scale, notes, u_system)
+            return real_sweep(state, scale, notes, u_system, start)
 
         def poisoned_solve(*args):
             step, fallbacks = real_solve(*args)
@@ -848,8 +851,8 @@ class TestFit:
 
         def run():
             state = g.build_model(Y, n_latent=2, family=g.poisson(),
-                                  offset=offset, seed=0)
-            return g.fit(state, g.FitConfig(max_iters=30))
+                                  offset=offset)
+            return g.fit(state, g.FitConfig(max_iters=30, tol=1e-300))
 
         plain = run()
         with np.errstate(all="raise"):
@@ -925,3 +928,122 @@ class TestFit:
                            match=f"{field} must be a positive integer"):
             g.FitConfig(**{field: 2.5})
         assert getattr(g.FitConfig(**{field: np.int64(3)}), field) == 3
+
+
+def rank_two_counts(n_feat=40, n_obs=30, seed=1):
+    """Counts with row effects, column sizes and a rank-2 signal."""
+    rng = np.random.default_rng(seed)
+    R = (rng.normal(1.0, 0.5, (n_feat, 1))
+         + np.log(rng.gamma(4.0, 0.25, (1, n_obs)))
+         + rng.normal(0, 0.5, (n_feat, 2)) @ rng.normal(0, 0.5, (2, n_obs)))
+    return rng.poisson(np.exp(R)).astype(float)
+
+
+class TestResidualStart:
+    """A state build_model returns starts at the weighted SVD of its null
+    model's Pearson residuals, sketched in the fit's first pass and set
+    by sweep 1."""
+
+    def test_two_fits_are_bit_identical(self):
+        Y = rank_two_counts()
+        a, b = (g.fit(g.build_model(Y, n_latent=3, family=g.poisson(),
+                                    offset="auto"))
+                for _ in range(2))
+        np.testing.assert_equal(dataclasses.asdict(a), dataclasses.asdict(b))
+
+    @pytest.mark.parametrize("zero_intercept, scale", [(False, 1.0),
+                                                       (True, 0.5)])
+    def test_sweep_one_sets_the_scaled_start(self, zero_intercept, scale,
+                                             monkeypatch):
+        # the first pass sketches and builds no U system; sweep 1 sets the
+        # latent blocks to the start times the step scale, solves no U
+        # system and takes the V step.  From a zero intercept the full
+        # start overshoots and is halved once.
+        Y = rank_two_counts()
+        state = g.build_model(Y, n_latent=2, family=g.poisson(),
+                              offset="auto")
+        if zero_intercept:
+            state.V[:, 0] = 0.0
+        ref = dataclasses.replace(state, U=state.U.copy(), V=state.V.copy())
+        q0, sketch, fallbacks = model.score_pass(
+            ref, omega=model.sketch_matrix(30, 2 + model.OVERSAMPLE))
+        assert fallbacks == 0 and sketch[0].shape == (40, 10)
+        u_start, v_start = model.residual_start(sketch, 2)
+        ref.U_latent[...] = scale * u_start
+        ref.V_latent[...] = scale * v_start
+        q1 = model.score_pass(ref, scale)[0]
+        g.project_out_covariates(ref)
+
+        solved = []
+        monkeypatch.setattr(optimizer, "solve_rows",
+                            lambda *args: solved.append(args))
+        result = g.fit(state, g.FitConfig(max_iters=1))
+        assert solved == [] and state.started
+        assert result.trace == [(1, q1)] and q1 > q0
+        np.testing.assert_array_equal(state.U, ref.U)
+        np.testing.assert_array_equal(state.V, ref.V)
+
+    def test_start_is_the_weighted_svd_of_the_pearson_residuals(self):
+        # with J <= k the sketch spans every row, so the one-pass range
+        # finder returns the exact weighted rank-L SVD
+        Y = rank_two_counts(n_feat=8, n_obs=15)
+        state = g.build_model(Y, n_latent=2, family=g.poisson(),
+                              offset="auto")
+        _, _, resid, info = model.row_weights(state, slice(None))
+        a = info.mean(axis=1)
+        b = info.mean(axis=0) / info.mean()
+        p, s, w_t = np.linalg.svd(resid / np.sqrt(info))
+        expected = (p[:, :2] * s[:2] / np.sqrt(a)[:, None]) @ \
+            (w_t[:2] / np.sqrt(b))
+        sketch = model.score_pass(
+            state, omega=model.sketch_matrix(15, 10))[1]
+        u_start, v_start = model.residual_start(sketch, 2)
+        np.testing.assert_allclose(v_start @ u_start.T, expected, rtol=0,
+                                   atol=1e-12 * np.abs(expected).max())
+        # the product is split evenly: both blocks carry sqrt(s)
+        np.testing.assert_allclose(
+            np.linalg.norm(v_start * np.sqrt(a)[:, None], axis=0),
+            np.linalg.norm(u_start * np.sqrt(b)[:, None], axis=0),
+            rtol=1e-12)
+
+    def test_residual_of_rank_below_l_gives_a_zero_pair(self):
+        # two distinct rows: the null model's residual has rank 2, so
+        # the third latent pair starts at zero, stays there and is named
+        rng = np.random.default_rng(3)
+        rows = rng.poisson(4.0, (2, 12)).astype(float)
+        Y = rows[[0, 1, 0, 1, 0, 1]]
+        state = g.build_model(Y, n_latent=3, family=g.poisson())
+        result = g.fit(state, g.FitConfig(max_iters=50))
+        assert result.stop_reason in ("tol", "max_iters")
+        assert not state.U_latent[:, 2].any()
+        assert not state.V_latent[:, 2].any()
+        assert np.all(np.linalg.norm(state.U_latent[:, :2], axis=0) > 0)
+        assert ("1 latent dimension(s) have zero norm "
+                "(rank-deficient latent product)") in result.warnings
+
+    def test_hand_built_zero_latent_state_stays_at_zero(self):
+        # C4's fixed point: a hand-built state is fit from its own blocks,
+        # and all-zero latent blocks are never moved
+        Y = rank_two_counts()
+        built = g.build_model(Y, n_latent=2, family=g.poisson(),
+                              offset="auto")
+        state = ModelState(built.Y, built.family, built.U, built.V,
+                           built.delta, built.penalty, built.index)
+        result = g.fit(state, g.FitConfig(max_iters=20))
+        assert not state.U_latent.any() and not state.V_latent.any()
+        assert ("2 latent dimension(s) have zero norm "
+                "(rank-deficient latent product)") in result.warnings
+
+    def test_second_fit_does_not_start_again(self, monkeypatch):
+        starts = []
+        real = optimizer.residual_start
+        monkeypatch.setattr(optimizer, "residual_start",
+                            lambda *args: starts.append(1) or real(*args))
+        state = g.build_model(rank_two_counts(), n_latent=2,
+                              family=g.poisson(), offset="auto")
+        first = g.fit(state, g.FitConfig(max_iters=2, tol=1e-300))
+        latent = state.U_latent.copy()
+        assert starts == [1] and state.started and latent.any()
+        second = g.fit(state, g.FitConfig(max_iters=1, tol=1e-300))
+        assert starts == [1]
+        assert second.final_q >= first.final_q

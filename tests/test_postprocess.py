@@ -10,7 +10,7 @@ import glmpca as g
 from glmpca import IndexSets, ModelState
 from glmpca.postprocess import rotate_factors
 
-from conftest import ALL_FAMILIES, advance, means, random_state
+from conftest import ALL_FAMILIES, advance, means, noise_start, random_state
 
 
 class TestProjection:
@@ -23,8 +23,8 @@ class TestProjection:
     def test_no_covariates_leaves_state_unchanged(self):
         rng = np.random.default_rng(5)
         Y = rng.normal(size=(5, 11))
-        state = g.build_model(Y, n_latent=2, family=g.gaussian(),
-                              intercept=False, seed=1)
+        state = noise_start(g.build_model(Y, n_latent=2, family=g.gaussian(),
+                                          intercept=False), seed=1)
         u0, v0 = state.U.copy(), state.V.copy()
         g.project_out_covariates(state)
         np.testing.assert_array_equal(state.U, u0)
@@ -222,8 +222,8 @@ class TestFullPipeline:
         rng = np.random.default_rng(0)
         Y = rng.poisson(2.0, (12, 30)).astype(float)
         Z = rng.normal(size=(12, 1))
-        state = g.build_model(Y, n_latent=2, family=g.poisson(),
-                              feat_covariates=Z, penalty=0.0, seed=0)
+        state = noise_start(g.build_model(Y, n_latent=2, family=g.poisson(),
+                                          feat_covariates=Z, penalty=0.0))
         k = state.index.latent_cols[-1]
         state.U[:, k] = 0.0
         state.V[:, k] = 0.0
