@@ -7,7 +7,9 @@ features as rows and observations as columns, where a header row and a
 leading row-name column are auto-detected.  A MatrixMarket body is
 parsed by ``np.loadtxt`` from the file's path, after the header lines
 are skipped: as int64 under an ``integer`` banner, else as floats, to
-the same array.  Inputs are opened more than once, so they must be
+the same array.  A body that fails the array checks, or whose summed
+cells are not all finite, is read once more, line by line, to name its
+first bad line.  Inputs are opened more than once, so they must be
 regular files, not pipes, and are read as plain text, never
 decompressed.  All numbers are written with 17 significant digits,
 which round-trips IEEE doubles exactly.
@@ -69,9 +71,11 @@ def read_matrix_market(path) -> LoadedMatrix:
     real value, an index in float form, a number past int64, a malformed
     line) or its entries fail the checks, the body is parsed again as
     floats, to the same array: a value past 2**53 rounds to the same
-    double either way.  A ``real`` body is parsed as floats only.  Only
-    when the float checks fail is the body scanned again line by line,
-    by ``_body_error``, to name the first bad line."""
+    double either way.  A ``real`` body is parsed as floats only.  The
+    body is scanned again line by line, by ``_body_error``, only to name
+    the first bad line, in file order, of a body the fast path rejects:
+    when the float checks fail, and when a float value, or a sum of
+    duplicates, leaves a cell that is not finite."""
     path = Path(path)
     with open(path, encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -151,7 +155,7 @@ def read_matrix_market(path) -> LoadedMatrix:
         with np.errstate(over="ignore", invalid="ignore"):
             np.add.at(cells, flat, entries[:, 2].astype(float, copy=False))
         if entries.dtype.kind == "f" and not np.isfinite(cells[flat]).all():
-            raise DataError(_nonfinite_error(path, lineno))
+            raise DataError(_body_error(path, lineno, rows, cols, nnz))
     return LoadedMatrix(values, format="matrixmarket")
 
 
@@ -213,15 +217,19 @@ def _whole_number(token: str) -> int:
 
 def _body_error(path: Path, size_lineno: int, rows: int, cols: int,
                 nnz: int) -> str:
-    """The message for a MatrixMarket body that failed the array checks.
-
-    A slow line scan, run only on that error path: the first bad line
-    in file order wins, then an entry count that differs from the size
-    line.  It reads lines as the array checks do: ``%`` starts a
-    comment, and a token is a number only as ``np.loadtxt`` parses it,
-    in ASCII without underscores, though ``int`` and ``float`` take
-    both."""
+    """The message for a MatrixMarket body the fast path rejected: its
+    entries failed the array checks, or their scatter left a non-finite
+    cell.  A slow line scan, run only on those error paths, that walks
+    the body once in file order: the first bad line wins (a width other
+    than three, a malformed token, an index that is not whole or lies
+    outside the matrix, or a value that, added to its cell as the
+    scatter adds it, makes the cell non-finite), then an entry count
+    that differs from the size line.  It reads lines as the array checks
+    do: ``%`` starts a comment, and a token is a number only as
+    ``np.loadtxt`` parses it, in ASCII without underscores, though
+    ``int`` and ``float`` take both."""
     count = 0
+    sums: dict[tuple[int, int], float] = {}
     with open(path, encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("%", 1)[0].strip()
@@ -234,41 +242,24 @@ def _body_error(path: Path, size_lineno: int, rows: int, cols: int,
                 if not all(t.isascii() and "_" not in t for t in tokens):
                     raise ValueError(line)
                 r, c = _whole_number(tokens[0]), _whole_number(tokens[1])
-                float(tokens[2])
+                value = float(tokens[2])
             except ValueError:
                 return f"{path}:{lineno}: malformed entry {line!r}"
             if not (1 <= r <= rows and 1 <= c <= cols):
                 return (f"{path}:{lineno}: entry ({r}, {c}) outside "
                         f"{rows} x {cols} matrix")
+            sums[r, c] = sums.get((r, c), 0.0) + value
+            if not math.isfinite(sums[r, c]):
+                what = ("sums past the largest double"
+                        if math.isfinite(value)
+                        else f"has the non-finite value {tokens[2]!r}")
+                return f"{path}:{lineno}: entry ({r}, {c}) {what}"
             count += 1
     if count < nnz:
         return f"{path}: {nnz - count} entries missing at end of file"
     if count > nnz:
         return f"{path}: more entries than declared"
-    return f"{path}: entries np.loadtxt cannot parse"
-
-
-def _nonfinite_error(path: Path, size_lineno: int) -> str:
-    """The message for a MatrixMarket body, already checked, whose value
-    or sum of duplicates is not finite.  A slow line scan, run only on
-    that error path: the first line whose value, added in file order to
-    its cell as the scatter adds it, makes a non-finite cell wins."""
-    sums: dict[tuple[int, int], float] = {}
-    with open(path, encoding="utf-8-sig") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("%", 1)[0].strip()
-            if lineno <= size_lineno or not line:
-                continue
-            row, col, token = line.split()
-            cell = (_whole_number(row), _whole_number(col))
-            value = float(token)
-            sums[cell] = sums.get(cell, 0.0) + value
-            if not math.isfinite(sums[cell]):
-                what = ("sums past the largest double"
-                        if math.isfinite(value)
-                        else f"has the non-finite value {token!r}")
-                return f"{path}:{lineno}: entry {cell} {what}"
-    return f"{path}: non-finite entries"
+    return f"{path}: entries that cannot be read as finite numbers"
 
 
 def read_csv_matrix(path) -> LoadedMatrix:

@@ -558,6 +558,13 @@ def sketch_matrix(n_rows: int, n_cols: int) -> np.ndarray:
     return (z * 2.0 ** -53 - 0.5).reshape(n_rows, n_cols)
 
 
+def negligible(sing: np.ndarray, n_rows: int, n_cols: int) -> np.ndarray:
+    """Which singular values ``sing`` of an n_rows x n_cols matrix are
+    rounding: s <= s_max * max(n_rows, n_cols) * eps, as in matrix_rank."""
+    eps = np.finfo(float).eps
+    return sing <= sing.max(initial=0.0) * max(n_rows, n_cols) * eps
+
+
 def residual_start(sketch, n_latent: int):
     """The latent blocks' start, (U_latent N x L, V_latent J x L), from
     the sketch score_pass builds at the null point (Townes et al. 2019,
@@ -578,21 +585,21 @@ def residual_start(sketch, n_latent: int):
     SVD of the k x N matrix B.
     Q_T and R_T are taken from the SVD of T, not a QR: T has rank below
     k whenever J < k or the residual's rank is, and then only T's
-    nonzero directions are kept.  Every singular value of B at or below
-    s_max * max(J, N) * eps, the rule of postprocess.rotate_factors,
-    and every one past the residual's rank, gives an all-zero latent
-    pair, a fixed point of the sweep.
+    nonzero directions are kept.  Both cuts are negligible's, for the
+    J x N matrix E: a direction of T it calls rounding is dropped, and
+    a singular value of B it calls rounding, like every one past the
+    residual's rank, gives an all-zero latent pair, a fixed point of the
+    sweep.
     """
     t, co_sketch, a, col_sums = sketch
     n_feat, n_obs = len(t), len(co_sketch)
-    tiny = max(n_feat, n_obs) * np.finfo(float).eps
     q_t, s_t, r_rot = np.linalg.svd(t, full_matrices=False)
-    keep = s_t > s_t.max(initial=0.0) * tiny
+    keep = ~negligible(s_t, n_feat, n_obs)
     # B' = (E' T) R_T⁻¹, with T = q_t diag(s_t) r_rot on the kept part
     b_t = co_sketch @ (r_rot[keep].T / s_t[keep])
     w, sing, p_rot = np.linalg.svd(b_t, full_matrices=False)
     rank = min(n_latent, len(sing))
-    sing = sing[:rank] * (sing[:rank] > sing.max(initial=0.0) * tiny)
+    sing = sing[:rank] * ~negligible(sing[:rank], n_feat, n_obs)
     b = col_sums / np.mean(col_sums)
     u_latent = np.zeros((n_obs, n_latent))
     v_latent = np.zeros((n_feat, n_latent))

@@ -30,7 +30,8 @@ fit.
 
 Each failure has one remedy.  A singular row system (an unpenalized
 column whose partner column is all zero) takes the diagonal step, which
-leaves that column unchanged (model.solve_rows).  A step is not
+leaves that column unchanged (model.solve_rows); its rows are counted
+in the fit's warnings only when their sweep is accepted.  A step is not
 guaranteed to increase Q, so a sweep is retried from its starting point,
 with the starting point's U system and both steps halved, when it gives
 non-finite factors or a Q that is non-finite or lower, up to
@@ -177,12 +178,14 @@ def fit(state: ModelState, config: FitConfig | None = None) -> FitResult:
             u_snap = state.U.copy()
             v_snap = state.V.copy()
             for attempt in range(MAX_HALVINGS + 1):
-                q_new, new_system = _sweep(state, 0.5 ** attempt, notes,
-                                           u_system, start)
+                attempt_notes: Counter = Counter()
+                q_new, new_system = _sweep(state, 0.5 ** attempt,
+                                           attempt_notes, u_system, start)
                 if not finite_factors(state):
                     q_new = np.nan
                 if np.isfinite(q_new) and (
                         q_new >= q_prev - ASCENT_SLACK * (1.0 + abs(q_prev))):
+                    notes.update(attempt_notes)
                     if attempt:
                         notes["sweep step-halvings applied"] += attempt
                     u_system, start = new_system, None

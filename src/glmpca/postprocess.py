@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import ModelState
+from .model import ModelState, negligible
 
 
 def project_out_covariates(state: ModelState) -> ModelState:
@@ -39,9 +39,9 @@ def project_out_covariates(state: ModelState) -> ModelState:
 
     so V U' keeps its value for any such coef, and D' own_latent = 0
     afterwards by the normal equations.  ``lstsq`` returns the
-    minimum-norm solution, dropping singular values at or below
-    s_max * max(M, N) * eps, the rank rule build_model applies to
-    designs; on a full-rank design that is the unique solution.  The X
+    minimum-norm solution, dropping the design's singular values that
+    model.negligible calls rounding, the rank rule build_model applies
+    to designs; on a full-rank design that is the unique solution.  The X
     side runs first, so the Gamma update uses the x-projected U_latent.
     """
     idx = state.index
@@ -65,22 +65,20 @@ def rotate_factors(u_latent: np.ndarray, v_latent: np.ndarray,
     With thin QR factorizations U~ = Q_u R_u, V~ = Q_v R_v and the L x L
     SVD R_v R_u' = P diag(s) W', the loadings Vhat = Q_v P are
     orthonormal and the factors Uhat = Q_u W diag(s) orthogonal, in
-    decreasing norm s, with Vhat Uhat' = V~ U~'.  Singular values at or
-    below s_max * max(J, N) * eps, np.linalg.matrix_rank's rule for the
-    J x N product, are rounding and are set to zero.  A zero singular
-    value gives an all-zero factor column, which is legal and left to
-    the caller to flag.  Its loading column, which Q_v P fills with any
-    direction, is refilled from the QR of [z | other loadings | those
-    columns], so it is orthogonal to the columns of ``z`` (Z, to which
-    the projection made V~ orthogonal) and the loadings stay
-    orthonormal.  Signs are fixed so each loading column's largest
-    absolute entry is positive.
+    decreasing norm s, with Vhat Uhat' = V~ U~'.  Singular values that
+    are rounding for the J x N product (model.negligible) are set to
+    zero.  A zero singular value gives an all-zero factor column, which
+    is legal and left to the caller to flag.  Its loading column, which
+    Q_v P fills with any direction, is refilled from the QR of [z |
+    other loadings | those columns], so it is orthogonal to the columns
+    of ``z`` (Z, to which the projection made V~ orthogonal) and the
+    loadings stay orthonormal.  Signs are fixed so each loading column's
+    largest absolute entry is positive.
     """
     q_u, r_u = np.linalg.qr(u_latent)
     q_v, r_v = np.linalg.qr(v_latent)
     p_rot, sing, w_rot_t = np.linalg.svd(r_v @ r_u.T)
-    tiny = sing.max(initial=0.0) * max(len(u_latent), len(v_latent))
-    zero = sing <= tiny * np.finfo(sing.dtype).eps
+    zero = negligible(sing, len(v_latent), len(u_latent))
     sing[zero] = 0.0
     v_hat = q_v @ p_rot
     if zero.any():

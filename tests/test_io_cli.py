@@ -151,6 +151,18 @@ class TestMatrixMarketReader:
                 gio.read_matrix(path)
         assert str(err.value) == f"{path}:{line}: {message}"
 
+    @pytest.mark.parametrize("field", ["real", "integer"])
+    def test_first_of_two_faults_is_named(self, tmp_path, field):
+        # a non-finite value on line 3 and an index outside the matrix on
+        # line 4: the first bad line in file order wins
+        path = tmp_path / "m.mtx"
+        path.write_text(f"%%MatrixMarket matrix coordinate {field} general"
+                        "\n2 2 2\n1 1 inf\n3 1 1\n")
+        with pytest.raises(DataError) as err:
+            gio.read_matrix(path)
+        assert str(err.value) == (
+            f"{path}:3: entry (1, 1) has the non-finite value 'inf'")
+
     def test_negative_count_under_poisson_names_cell(self, tmp_path):
         path = tmp_path / "m.mtx"
         path.write_text("%%MatrixMarket matrix coordinate real general\n"

@@ -841,6 +841,28 @@ class TestFit:
         for prev, cur in zip(qs, qs[1:]):
             assert cur >= prev - 1e-12 * (1.0 + abs(prev))
 
+    def test_rejected_attempt_fallbacks_not_counted(self, monkeypatch):
+        # every U solve reports one fallback row, and the first one's
+        # NaN step gets its attempt rejected and undone: only the
+        # accepted attempt's fallback row reaches the warnings
+        state = random_state(g.poisson(), seed=77)
+        real_solve = optimizer.solve_rows
+        solves = []
+
+        def one_fallback_solve(*args):
+            step, _ = real_solve(*args)
+            if not solves:
+                step[0, -1] = np.nan
+            solves.append(True)
+            return step, 1
+
+        monkeypatch.setattr(optimizer, "solve_rows", one_fallback_solve)
+        result = g.fit(state, g.FitConfig(max_iters=1))
+        assert len(solves) == 2
+        assert result.warnings == [
+            "block step fell back to diagonal for U rows",
+            "sweep step-halvings applied"]
+
     def test_underflow_under_strict_errstate(self):
         # exp(-800) underflows to 0 and is clamped to the mean floor, so
         # a caller's np.errstate(all="raise") changes nothing in the fit
