@@ -1,9 +1,11 @@
 """Exponential-family noise models.
 
-Each family bundles the five ingredients the factorization needs: the
-inverse link g⁻¹ mapping a linear predictor to a mean, its derivative h,
-the variance function rho(mu), the natural parameter theta(mu), and the
-cumulant kappa(theta).  The log density of every supported family is
+Each family is a kind with its standard link.  The fit runs only two
+of its kernels: _working_weights, which maps a linear predictor to the
+clamped mean g⁻¹ and the Fisher-scoring weights built from its
+derivative h and the variance function rho(mu), and _loglik_sum.  The
+natural parameter theta(mu) and the cumulant kappa(theta) serve the
+public methods only.  The log density of every supported family is
 
     c(y) + y*theta - kappa(theta)
 
@@ -187,7 +189,9 @@ class Family:
     def loglik_term(self, y, theta):
         """Per-cell partial log likelihood y*theta - kappa(theta)."""
         y_arr = _asfloat(y)
-        self.check_support(y_arr)
+        bad, reason = self._outside_support(y_arr)
+        if bad.any():
+            raise DataError(f"data outside the support: {reason}")
         t_arr = _asfloat(theta)
         self._check_natural_domain(t_arr)
         out = y_arr * t_arr - self._kappa(t_arr)
@@ -279,12 +283,6 @@ class Family:
 
     # ------------------------------------------------------------------
     # support and domain checks
-
-    def check_support(self, y) -> None:
-        """Raise DataError if any value lies outside the family's support."""
-        bad, reason = self._outside_support(_asfloat(y))
-        if bad.any():
-            raise DataError(f"data outside the support: {reason}")
 
     def _outside_support(self, y: np.ndarray):
         """(mask of the entries of y outside the support, the reason)."""

@@ -69,13 +69,13 @@ def read_matrix_market(path) -> LoadedMatrix:
     The body of a file with an ``integer`` banner, as count data come,
     is parsed first as int64, which is faster.  When that parse fails (a
     real value, an index in float form, a number past int64, a malformed
-    line) or its entries fail the checks, the body is parsed again as
-    floats, to the same array: a value past 2**53 rounds to the same
-    double either way.  A ``real`` body is parsed as floats only.  The
-    body is scanned again line by line, by ``_body_error``, only to name
-    the first bad line, in file order, of a body the fast path rejects:
-    when the float checks fail, and when a float value, or a sum of
-    duplicates, leaves a cell that is not finite."""
+    line, any warning) or its entries fail the checks, the body is
+    parsed again as floats, to the same array: a value past 2**53 rounds
+    to the same double either way.  A ``real`` body is parsed as floats
+    only.  The body is scanned again line by line, by ``_body_error``,
+    only to name the first bad line, in file order, of a body the fast
+    path rejects: when the float checks fail, and when a float value, or
+    a sum of duplicates, leaves a cell that is not finite."""
     path = Path(path)
     with open(path, encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -113,31 +113,23 @@ def read_matrix_market(path) -> LoadedMatrix:
         else:
             raise DataError(f"{path}: missing size line")
 
-    ints = None
-    if fields[3] == "integer":
+    for dtype in (np.int64, float) if fields[3] == "integer" else (float,):
         try:
             with warnings.catch_warnings():
-                # numpy 1.23 parses "1.0" as an integer with only a
-                # DeprecationWarning: any warning, an empty body's too,
-                # sends the body to the float parse
+                # any warning rejects the parse (numpy 1.23 parses "1.0"
+                # as an integer with only a DeprecationWarning), but an
+                # empty body is judged by the entry count
                 warnings.simplefilter("error")
-                ints = _load_body(path, lineno, np.int64)
-        except (ValueError, Warning):
-            pass
-    if ints is not None and _entries_fit(ints, rows, cols, nnz):
-        entries = ints
-    else:
-        try:
-            with warnings.catch_warnings():
-                # an empty body is judged by the entry count below
                 warnings.filterwarnings(
                     "ignore", "loadtxt: input contained no data",
                     UserWarning)
-                entries = _load_body(path, lineno, float)
-        except ValueError:
-            entries = None
-        if entries is None or not _entries_fit(entries, rows, cols, nnz):
-            raise DataError(_body_error(path, lineno, rows, cols, nnz))
+                entries = _load_body(path, lineno, dtype)
+        except (ValueError, Warning):
+            continue
+        if _entries_fit(entries, rows, cols, nnz):
+            break
+    else:
+        raise DataError(_body_error(path, lineno, rows, cols, nnz))
     if nnz:
         # the flat index (r - 1) * cols + (c - 1), exact below
         # rows * cols in int64 and in whole floats alike.  It is built

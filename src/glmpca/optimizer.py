@@ -42,7 +42,6 @@ are set to the start times the step's scale.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -104,7 +103,7 @@ class FitResult:
 # the fit loop
 
 
-def _sweep(state: ModelState, scale: float, notes: Counter,
+def _sweep(state: ModelState, scale: float,
            u_system: tuple[np.ndarray, np.ndarray] | None,
            start: tuple[np.ndarray, np.ndarray] | None = None):
     """One joint block step for U, then one for V, over all updateable
@@ -113,22 +112,17 @@ def _sweep(state: ModelState, scale: float, notes: Counter,
     chunk in the scoring pass.  Given ``start``, the (U_latent,
     V_latent) of model.residual_start, the latent blocks are set to it
     times ``scale`` in place of the U step, and ``u_system`` is not
-    read.  Returns the new point's Q and U system."""
-    idx = state.index
+    read.  Returns the new point's Q and U system, then the number of
+    U rows and of V rows that fell back to the diagonal step."""
     if start is None:
-        step, u_fallbacks = solve_rows(*u_system, state.U_latent,
-                                       state.penalty)
-        state.U[:, idx.u_cols] += scale * step
+        step, u_rows = solve_rows(*u_system, state.U_latent, state.penalty)
+        state.U[:, state.index.u_cols] += scale * step
     else:
-        u_fallbacks = 0
+        u_rows = 0
         np.multiply(start[0], scale, out=state.U_latent)
         np.multiply(start[1], scale, out=state.V_latent)
-    q, u_system, v_fallbacks = score_pass(state, scale)
-    for block, fallbacks in (("U", u_fallbacks), ("V", v_fallbacks)):
-        if fallbacks:
-            notes[f"block step fell back to diagonal for {block} rows"] += \
-                fallbacks
-    return q, u_system
+    q, u_system, v_rows = score_pass(state, scale)
+    return q, u_system, u_rows, v_rows
 
 
 def fit(state: ModelState, config: FitConfig | None = None) -> FitResult:
@@ -148,17 +142,22 @@ def fit(state: ModelState, config: FitConfig | None = None) -> FitResult:
     marked started once that sweep is accepted, so a second fit of the
     same state goes on from where the first ended.
 
+    ``warnings`` names, in this order and each only if it occurred: the
+    U rows and the V rows that fell back to the diagonal step, a stalled
+    stop, the step halvings, and the latent dimensions of zero norm.
+    Rows and halvings are tallied over accepted sweeps only.
+
     Raises FitError when the starting point has non-finite factors or Q,
     and when Q is non-finite even after all step halvings.
     """
     cfg = config or FitConfig()
-    notes: Counter = Counter()
     trace: list[tuple[int, float]] = []
     if not finite_factors(state):
         raise FitError("objective undefined at the starting point: U, V "
                        "or delta holds a non-finite value", trace)
 
     stop_reason = "max_iters"
+    u_rows = v_rows = halvings = 0  # tallies over accepted sweeps
     # no floating-point error escapes, whatever the caller's np.seterr: a
     # non-finite point is retried with a halved step or ends in a FitError
     with np.errstate(all="ignore"):
@@ -172,22 +171,23 @@ def fit(state: ModelState, config: FitConfig | None = None) -> FitResult:
         if not np.isfinite(q_prev):
             raise FitError("objective non-finite at the starting point",
                            trace)
+        # only after the check: LAPACK's SVD of a sketch holding inf may
+        # never return
         if u_system is None:
             start = residual_start(sketch, n_latent)
         for t in range(1, cfg.max_iters + 1):
             u_snap = state.U.copy()
             v_snap = state.V.copy()
             for attempt in range(MAX_HALVINGS + 1):
-                attempt_notes: Counter = Counter()
-                q_new, new_system = _sweep(state, 0.5 ** attempt,
-                                           attempt_notes, u_system, start)
+                q_new, new_system, new_u_rows, new_v_rows = _sweep(
+                    state, 0.5 ** attempt, u_system, start)
                 if not finite_factors(state):
                     q_new = np.nan
                 if np.isfinite(q_new) and (
                         q_new >= q_prev - ASCENT_SLACK * (1.0 + abs(q_prev))):
-                    notes.update(attempt_notes)
-                    if attempt:
-                        notes["sweep step-halvings applied"] += attempt
+                    u_rows += new_u_rows
+                    v_rows += new_v_rows
+                    halvings += attempt
                     u_system, start = new_system, None
                     state.started = True
                     break
@@ -201,7 +201,6 @@ def fit(state: ModelState, config: FitConfig | None = None) -> FitResult:
                         f"{MAX_HALVINGS} step halvings", trace)
                 # finite but still lower after all halvings, and undone:
                 # Q has not settled to tol, so the fit is stalled
-                notes["sweep rejected after max halvings; stopped early"] += 1
                 trace.append((t, q_prev))
                 stop_reason = "stalled"
                 break
@@ -213,8 +212,12 @@ def fit(state: ModelState, config: FitConfig | None = None) -> FitResult:
                 stop_reason = "tol"
                 break
 
-    warnings = [f"{msg} (x{n})" if n > 1 else msg
-                for msg, n in sorted(notes.items())]
+    warnings = [f"{msg} (x{n})" if n > 1 else msg for msg, n in (
+        ("block step fell back to diagonal for U rows", u_rows),
+        ("block step fell back to diagonal for V rows", v_rows),
+        ("sweep rejected after max halvings; stopped early",
+         int(stop_reason == "stalled")),
+        ("sweep step-halvings applied", halvings)) if n]
     u_hat, v_hat = postprocess(state)
     zero_dims = int(np.sum(np.linalg.norm(u_hat, axis=0) == 0))
     if zero_dims:

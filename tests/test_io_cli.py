@@ -263,8 +263,10 @@ class TestIntegerParse:
          [np.int64]),
         (HEADER + "%\n", "2 3 3\n1 1 4\n2 3 -1.5e0\n2 3 0.5\n",
          [np.int64, float]),
+        (HEADER, "2 3 0\n", [np.int64]),
     ], ids=["integer", "real_value", "float_index", "exponent_value",
-            "real_banner", "header_comments", "header_comment_real"])
+            "real_banner", "header_comments", "header_comment_real",
+            "empty"])
     def test_loadtxt_calls_by_body(self, tmp_path, monkeypatch, header,
                                    body, dtypes):
         # an integer body that fell back silently, or a body handed to
@@ -288,7 +290,9 @@ class TestIntegerParse:
             assert isinstance(source, (str, os.PathLike))
             assert Path(source) == path
             assert skiprows == size_line
-        np.testing.assert_array_equal(values, [[4, 0, 0], [0, 0, -1]])
+        empty = body == "2 3 0\n"
+        want = np.zeros((2, 3)) if empty else [[4, 0, 0], [0, 0, -1]]
+        np.testing.assert_array_equal(values, want)
 
     @pytest.mark.parametrize("field", ["integer", "real"])
     @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma",

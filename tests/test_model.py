@@ -491,7 +491,7 @@ class TestObjective:
         def boom(*args):
             raise AssertionError("validation ran inside the objective")
 
-        monkeypatch.setattr(g.Family, "check_support", boom)
+        monkeypatch.setattr(g.Family, "_outside_support", boom)
         monkeypatch.setattr(g.Family, "_check_mean_domain", boom)
         assert g.objective(state) == expected
 

@@ -1,8 +1,8 @@
 """Tests for the joint block step, the sweep, and the fit loop."""
 
+import copy
 import dataclasses
 import tracemalloc
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -128,14 +128,14 @@ class TestHeldPredictor:
         checked = []
         real_sweep = optimizer._sweep
 
-        def checked_sweep(state, scale, notes, u_system, start=None):
+        def checked_sweep(state, scale, u_system, start=None):
             # the held U system is the one a fresh pass over the state
             # builds
             fresh = model.score_pass(state)[1]
             for held, current in zip(u_system, fresh):
                 np.testing.assert_array_equal(held, current)
             checked.append(scale)
-            return real_sweep(state, scale, notes, u_system, start)
+            return real_sweep(state, scale, u_system, start)
 
         monkeypatch.setattr(optimizer, "_sweep", checked_sweep)
         g.fit(state, g.FitConfig(max_iters=5, tol=1e-14,
@@ -176,7 +176,7 @@ class TestHeldPredictor:
         state = random_state(g.bernoulli(), seed=45)
         u_system = model.score_pass(state)[1]
         calls.clear()
-        optimizer._sweep(state, 1.0, Counter(), u_system)
+        optimizer._sweep(state, 1.0, u_system)
         assert calls == [first, first, last, last]
 
     def test_halved_retry_keeps_the_start_u_system(self, monkeypatch):
@@ -192,10 +192,10 @@ class TestHeldPredictor:
         scales, systems = [], []
         real_sweep = optimizer._sweep
 
-        def counted_sweep(state, scale, notes, u_system, start=None):
+        def counted_sweep(state, scale, u_system, start=None):
             scales.append(scale)
             systems.append(u_system)
-            return real_sweep(state, scale, notes, u_system, start)
+            return real_sweep(state, scale, u_system, start)
 
         monkeypatch.setattr(optimizer, "_sweep", counted_sweep)
         calls = self.count_builds(monkeypatch)
@@ -232,9 +232,9 @@ class TestChunks:
         def run():
             systems = []
 
-            def recorded_sweep(state, scale, notes, u_system, start=None):
+            def recorded_sweep(state, scale, u_system, start=None):
                 systems.append(u_system)
-                return real_sweep(state, scale, notes, u_system, start)
+                return real_sweep(state, scale, u_system, start)
 
             monkeypatch.setattr(optimizer, "_sweep", recorded_sweep)
             result = g.fit(self.chunk_case(case),
@@ -592,12 +592,10 @@ class TestDegenerateColumns:
     def test_column_unchanged_by_fallback_step(self):
         state, k = self.degenerate_state()
         u_before = state.U.copy()
-        notes = Counter()
-        optimizer._sweep(state, 1.0, notes, model.score_pass(state)[1])
+        rows = optimizer._sweep(state, 1.0, model.score_pass(state)[1])[2:]
         # every U row fell back to the diagonal step, which leaves the
         # zero-pivot column as it was and moves the others
-        assert notes == Counter(
-            {"block step fell back to diagonal for U rows": state.n_obs})
+        assert rows == (state.n_obs, 0)
         np.testing.assert_array_equal(state.U[:, k], u_before[:, k])
         others = [c for c in state.index.u_cols if c != k]
         assert np.all(state.U[:, others] != u_before[:, others])
@@ -631,10 +629,14 @@ class TestDegenerateColumns:
                            U=np.column_stack([x, x, np.zeros(n_obs)]),
                            V=np.zeros((n_feat, 3)), penalty=1e-4,
                            index=IndexSets(2, 0, 1))
-        notes = Counter()
-        optimizer._sweep(state, 1.0, notes, model.score_pass(state)[1])
-        assert notes == Counter(
-            {"block step fell back to diagonal for V rows": n_feat})
+        fit_state = copy.deepcopy(state)
+        rows = optimizer._sweep(state, 1.0, model.score_pass(state)[1])[2:]
+        assert rows == (0, n_feat)
+        # the fit's own tally words them
+        assert g.fit(fit_state, g.FitConfig(max_iters=1)).warnings == [
+            f"block step fell back to diagonal for V rows (x{n_feat})",
+            "1 latent dimension(s) have zero norm "
+            "(rank-deficient latent product)"]
 
 
 class TestFit:
@@ -819,9 +821,9 @@ class TestFit:
         scales, poisoned = [], []
         real_sweep, real_solve = optimizer._sweep, optimizer.solve_rows
 
-        def counted_sweep(state, scale, notes, u_system, start=None):
+        def counted_sweep(state, scale, u_system, start=None):
             scales.append(scale)
-            return real_sweep(state, scale, notes, u_system, start)
+            return real_sweep(state, scale, u_system, start)
 
         def poisoned_solve(*args):
             step, fallbacks = real_solve(*args)
