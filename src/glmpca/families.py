@@ -104,16 +104,20 @@ class Family:
         return self.kind != "negative_binomial"
 
     def inverse_link(self, r):
-        """Mean mu = g⁻¹(r), clamped into the domain interior."""
+        """Mean mu = g⁻¹(r), clamped into the domain interior.  An exp
+        that overflows or underflows on the way is clamped, whatever the
+        caller's np.seterr."""
         arr = _asfloat(r)
         _check_predictor(arr)
-        return _ret(self._mean(arr), r)
+        with np.errstate(over="ignore", under="ignore"):
+            return _ret(self._mean(arr), r)
 
     def dinverse_link(self, r):
         """Derivative h(r) = d g⁻¹(r) / dr; strictly positive."""
         arr = _asfloat(r)
         _check_predictor(arr)
-        mu = self._mean(arr)
+        with np.errstate(over="ignore", under="ignore"):
+            mu = self._mean(arr)
         # the clamped mean for the log link, which keeps h finite; rho(mu)
         # for the canonical links
         return _ret(mu if self.link == "log" else self._rho(mu), r)
@@ -145,19 +149,21 @@ class Family:
     def _mean(self, r, out=None):
         """g⁻¹(r), clamped in place into the strict interior of the
         domain: written into ``out`` when one is given, else a new
-        array; r is not modified."""
-        with np.errstate(over="ignore"):
-            if self.link == "identity":
-                return np.add(r, 0.0, out=out)
-            if self.link == "log":
-                mu = np.asarray(np.exp(r, out=out))
-                lo, hi = MEAN_FLOOR, MEAN_CEIL
-            else:  # logit: 1 / (1 + exp(-r))
-                mu = np.asarray(np.negative(r, out=out))
-                np.exp(mu, out=mu)
-                mu += 1.0
-                np.reciprocal(mu, out=mu)
-                lo, hi = PROB_FLOOR, PROB_CEIL
+        array; r is not modified.  An exp that overflows or underflows
+        is clamped like any other; it sets no error state of its own, so
+        it runs under its caller's (model.score_pass ignores all errors
+        once per pass)."""
+        if self.link == "identity":
+            return np.add(r, 0.0, out=out)
+        if self.link == "log":
+            mu = np.asarray(np.exp(r, out=out))
+            lo, hi = MEAN_FLOOR, MEAN_CEIL
+        else:  # logit: 1 / (1 + exp(-r))
+            mu = np.asarray(np.negative(r, out=out))
+            np.exp(mu, out=mu)
+            mu += 1.0
+            np.reciprocal(mu, out=mu)
+            lo, hi = PROB_FLOOR, PROB_CEIL
         return np.clip(mu, lo, hi, out=mu)
 
     # ------------------------------------------------------------------

@@ -22,7 +22,13 @@ partner's design (column_products), and one adds the ridge and solves
 it (solve_rows).  So no J x N array is made but one chunk's, and no
 chunk allocates one: a pass allocates one stack of chunk buffers, and
 every chunk writes its predictor, means, weights and log-likelihood
-temporary into it (row_weights).
+temporary into it (row_weights).  A chunk's predictor is one GEMM,
+[V | 1] [U | delta]', with the offset as one more column of the
+product (linear_predictor).  What is fixed for a pass is set once per
+pass, not per chunk: the updateable columns as views of U and V where
+they are contiguous, and numpy's error state, which ignores every
+floating-point error in the pass (an exp that overflows or underflows
+is clamped, and a non-finite Q is the optimizer's to handle).
 
 build_model starts the latent blocks at zero, a state marked as not
 yet started, and the fit's first pass scores that null point.  In place
@@ -359,10 +365,22 @@ def build_model(Y, *, n_latent: int, family: Family, obs_covariates=None,
 def linear_predictor(state: ModelState, rows: slice = slice(None),
                      out: np.ndarray | None = None) -> np.ndarray:
     """R = V U' + 1 delta', the J x N linear predictor, or its rows
-    ``rows``; written into ``out`` when one is given."""
-    R = np.matmul(state.V[rows], state.U.T, out=out)
-    R += state.delta[None, :]
-    return R
+    ``rows``; written into ``out`` when one is given.
+
+    R is one GEMM, [V | 1] [U | delta]': the offset enters as one more
+    column of the product, so no second pass over R adds it.  Both
+    operands are formed at each call, O((n + N) K) copies beside the
+    O(n N K) product, and [U | delta]' is formed C-ordered, where the
+    product of U' as a transposed view runs slower."""
+    V = state.V[rows]
+    n, k = V.shape
+    left = np.empty((n, k + 1))
+    left[:, :k] = V
+    left[:, k] = 1.0
+    right = np.empty((k + 1, state.n_obs))
+    right[:k] = state.U.T
+    right[k] = state.delta
+    return np.matmul(left, right, out=out)
 
 
 def finite_factors(state: ModelState) -> bool:
@@ -379,16 +397,19 @@ def row_weights(state: ModelState, rows: slice,
     the means are clamped into the domain.
 
     ``buffers``, a 5 x n x N stack for the n rows, is the chunk's slice
-    of the pass's one buffer stack (score_pass): R, the residual, M, S
-    and I are written into its five slices, so they are views of it (I
-    is M for the Poisson, and S is the scalar 1 for canonical links).
-    Without it each is a new array."""
+    of the pass's one buffer stack (score_pass): R, the one GEMM of
+    linear_predictor, the residual, M, S and I are written into its
+    five slices, so they are views of it (I is M for the Poisson, and S
+    is the scalar 1 for canonical links).  Without it each is a new
+    array.  An exp that overflows or underflows sets no error state of
+    its own (Family._mean): score_pass ignores every floating-point
+    error once per pass, and any other caller runs under its own."""
     if buffers is None:
         buffers = (None,) * 5
     R = linear_predictor(state, rows, out=buffers[0])
     M, S, I = state.family._working_weights(R, out=buffers[2:])
     resid = np.subtract(state.Y[rows], M, out=buffers[1])
-    if np.ndim(S):  # S is the scalar 1 for canonical links
+    if isinstance(S, np.ndarray):  # S is the scalar 1 for canonical links
         resid *= S
     return R, M, resid, I
 
@@ -474,7 +495,12 @@ def score_pass(state: ModelState, v_scale: float | None = None,
     J x N array is made.  The pass allocates one stack of five chunk
     buffers, which each chunk's row_weights and log likelihood write
     into, so no chunk allocates an array of its size; the returned
-    system shares no memory with it.
+    system shares no memory with it.  The updateable columns are set
+    once per pass: U's are the slice n_obs_cov:n_total, and V's are the
+    slice 0:n_total without feature covariates, else one index array;
+    so a chunk's U design is a view of V, and so is its V update
+    without feature covariates.  The error state is set once per pass
+    too: the pass ignores every floating-point error.
 
     With ``omega``, an N x k test matrix (sketch_matrix), the pass
     builds the sketch residual_start takes in place of the U system:
@@ -491,6 +517,8 @@ def score_pass(state: ModelState, v_scale: float | None = None,
     idx = state.index
     n_feat, n_obs = state.n_feat, state.n_obs
     q, fallbacks = 0.0, 0
+    u_cols = slice(idx.n_obs_cov, idx.n_total)
+    v_cols = np.array(idx.v_cols) if idx.n_feat_cov else slice(idx.n_total)
     if omega is None:
         m = len(idx.u_cols)
         u_grad = np.zeros((n_obs, m))
@@ -505,37 +533,40 @@ def score_pass(state: ModelState, v_scale: float | None = None,
         ones = np.ones(min(CHUNK_ROWS, n_feat))
     stack = np.empty((5, min(CHUNK_ROWS, n_feat), n_obs))
     if v_scale is not None:  # U, so the V design, is fixed in the pass
-        v_design = state.U[:, idx.v_cols]
+        v_design = state.U[:, v_cols]
         v_products = column_products(v_design)
-    for lo in range(0, n_feat, CHUNK_ROWS):
-        rows = slice(lo, lo + CHUNK_ROWS)
-        buffers = stack[:, :min(CHUNK_ROWS, n_feat - lo)]
-        if v_scale is not None:
-            _, _, resid, info = row_weights(state, rows, buffers)
-            step, n = solve_rows(
-                *row_system(resid, info, v_design, v_products),
-                state.V[rows, idx.latent_slice], state.penalty)
-            state.V[rows, idx.v_cols] += v_scale * step
-            fallbacks += n
-        R, M, resid, info = row_weights(state, rows, buffers)
-        if omega is None:
-            u_design = state.V[rows, idx.u_cols]
-            grad, gram = row_system(resid.T, info.T, u_design,
-                                    column_products(u_design))
-            u_grad += grad
-            u_gram += gram
-        else:
-            pearson = np.sqrt(info, out=buffers[3])
-            np.divide(resid, pearson, out=pearson)
-            co_sketch += pearson.T @ np.matmul(pearson, omega,
-                                               out=sketch[rows])
-            np.matmul(info, mean_weights, out=row_means[rows])
-            col_sums += ones[:len(info)] @ info
-        # overwrites R, and the spent residual as its scratch
-        q += state.family._loglik_sum(state.Y[rows], R, M, resid)
-    if state.penalty:  # 0 * inf would make Q NaN for huge latent factors
-        for latent in (state.U_latent, state.V_latent):
-            q -= 0.5 * state.penalty * float(np.sum(latent ** 2))
+    # an exp that overflows or underflows is clamped, and a non-finite
+    # Q is the optimizer's to handle
+    with np.errstate(all="ignore"):
+        for lo in range(0, n_feat, CHUNK_ROWS):
+            rows = slice(lo, lo + CHUNK_ROWS)
+            buffers = stack[:, :min(CHUNK_ROWS, n_feat - lo)]
+            if v_scale is not None:
+                _, _, resid, info = row_weights(state, rows, buffers)
+                step, n = solve_rows(
+                    *row_system(resid, info, v_design, v_products),
+                    state.V[rows, idx.latent_slice], state.penalty)
+                state.V[rows, v_cols] += v_scale * step
+                fallbacks += n
+            R, M, resid, info = row_weights(state, rows, buffers)
+            if omega is None:
+                u_design = state.V[rows, u_cols]
+                grad, gram = row_system(resid.T, info.T, u_design,
+                                        column_products(u_design))
+                u_grad += grad
+                u_gram += gram
+            else:
+                pearson = np.sqrt(info, out=buffers[3])
+                np.divide(resid, pearson, out=pearson)
+                co_sketch += pearson.T @ np.matmul(pearson, omega,
+                                                   out=sketch[rows])
+                np.matmul(info, mean_weights, out=row_means[rows])
+                col_sums += ones[:len(info)] @ info
+            # overwrites R, and the spent residual as its scratch
+            q += state.family._loglik_sum(state.Y[rows], R, M, resid)
+        if state.penalty:  # 0 * inf would make Q NaN for huge latent factors
+            for latent in (state.U_latent, state.V_latent):
+                q -= 0.5 * state.penalty * float(np.sum(latent ** 2))
     if omega is not None:
         return q, (sketch, co_sketch, row_means, col_sums), 0
     return q, (u_grad, u_gram), fallbacks

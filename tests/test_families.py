@@ -322,7 +322,10 @@ class TestLoglikSum:
         rng = np.random.default_rng(seed)
         r = rng.normal(0.0, 1.5, (6, 10))
         r[:2, :len(extremes)] = extremes
-        mu = fam._working_weights(r)[0]
+        # the kernel runs under its caller's error state, and the scoring
+        # pass that calls it ignores every floating-point error
+        with np.errstate(all="ignore"):
+            mu = fam._working_weights(r)[0]
         y = sample_response(rng, fam, fam.inverse_link(np.clip(r, -3, 3)))
         if fam.kind == "bernoulli":
             y[0], y[1] = 1.0, 0.0

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import glmpca as g
-from glmpca import ConfigError, DataError
+from glmpca import ConfigError, DataError, model
 from glmpca.families import MEAN_CEIL, MEAN_FLOOR, PROB_CEIL, PROB_FLOOR
 from glmpca.model import (CHUNK_ROWS, IndexSets, ModelState, resolve_offset,
                           sketch_matrix)
@@ -26,6 +26,18 @@ class TestIndexSets:
         assert set(idx.u_cols) == set(idx.feat_cols) | set(idx.latent_cols)
         assert set(idx.v_cols) == set(idx.obs_cols) | set(idx.latent_cols)
         assert not set(idx.obs_cols) & set(idx.feat_cols)
+
+    @pytest.mark.parametrize("n_latent", [1, 4])
+    @pytest.mark.parametrize("n_obs_cov, n_feat_cov",
+                             [(0, 0), (1, 0), (3, 2), (0, 2)])
+    def test_column_sets_the_pass_slices(self, n_obs_cov, n_feat_cov,
+                                         n_latent):
+        # score_pass takes U's updateable columns as the slice
+        # n_obs_cov:n_total, and V's as 0:n_total exactly when there is
+        # no feature covariate
+        idx = IndexSets(n_obs_cov, n_feat_cov, n_latent)
+        assert idx.u_cols == list(range(n_obs_cov, idx.n_total))
+        assert (idx.v_cols == list(range(idx.n_total))) == (n_feat_cov == 0)
 
     def test_latent_required(self):
         with pytest.raises(ConfigError):
@@ -454,6 +466,50 @@ class TestLinearPredictor:
         np.testing.assert_allclose(g.linear_predictor(state), blockwise,
                                    rtol=0, atol=1e-12)
 
+    @staticmethod
+    def assert_matches_product(R, V, U, delta):
+        """R is V U' + 1 delta' to within 4 eps max|R|: the offset enters
+        the one GEMM as a column, so only the order of its sum differs."""
+        expected = V @ U.T + delta[None, :]
+        bound = 4 * np.finfo(float).eps * np.abs(expected).max()
+        assert np.abs(R - expected).max() <= bound
+
+    def test_offset_rides_in_the_product(self):
+        # K = 7 columns (intercept, Z, five latent) and a non-zero offset
+        state = random_state(g.poisson(), seed=6, n_feat=12, n_obs=257,
+                             n_latent=5)
+        state.delta[:] = np.random.default_rng(6).normal(0.0, 2.0, 257)
+        assert state.index.n_total == 7 and np.all(state.delta != 0)
+        self.assert_matches_product(g.linear_predictor(state), state.V,
+                                    state.U, state.delta)
+
+    @pytest.mark.parametrize("v_scale", [None, 0.5], ids=["score", "step"])
+    def test_every_chunk_of_a_pass(self, v_scale, monkeypatch):
+        # chunks of 4 rows over J = 10 end on a tail of 2: no row of an
+        # earlier chunk's operands may reach the tail's R, in the first
+        # pass or in a second one; with a step, each build sees the V
+        # rows it was called with
+        monkeypatch.setattr(model, "CHUNK_ROWS", 4)
+        state = random_state(g.bernoulli(), seed=7, n_feat=10, n_obs=257,
+                             n_latent=5)
+        real = model.linear_predictor
+        builds = []
+
+        def checked(state, rows, out=None):
+            V = state.V[rows].copy()
+            R = real(state, rows, out)
+            self.assert_matches_product(R, V, state.U, state.delta)
+            builds.append((rows.start, len(R)))
+            return R
+
+        monkeypatch.setattr(model, "linear_predictor", checked)
+        for _ in range(2):
+            model.score_pass(state, v_scale)
+        chunks = [(0, 4), (4, 4), (8, 2)]
+        per_pass = chunks if v_scale is None else [
+            c for c in chunks for _ in range(2)]
+        assert builds == 2 * per_pass
+
 
 class TestObjective:
     def test_poisson_closed_form_at_zero(self):
@@ -494,6 +550,25 @@ class TestObjective:
         monkeypatch.setattr(g.Family, "_outside_support", boom)
         monkeypatch.setattr(g.Family, "_check_mean_domain", boom)
         assert g.objective(state) == expected
+
+    @pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: f.kind)
+    def test_strict_error_state_changes_nothing(self, family):
+        # an intercept of -800 (+800 for the logit) takes every mean to a
+        # clamp through an exp that underflows; the objective and the
+        # public links clamp it whatever the caller's np.seterr
+        state = random_state(family, seed=37, n_feat=30, n_obs=20)
+        state.V[:, 0] = 800.0 if family.link == "logit" else -800.0
+        r = np.array([-800.0, 0.0, 800.0])
+
+        def values():
+            return (g.objective(state), family.inverse_link(r),
+                    family.dinverse_link(r))
+
+        plain = values()
+        with np.errstate(all="raise"):
+            strict = values()
+        assert np.isfinite(plain[0])
+        np.testing.assert_equal(strict, plain)
 
     def test_nonfinite_predictor_still_raises(self):
         state = random_state(g.poisson(), seed=35, n_feat=5, n_obs=6)
