@@ -175,10 +175,13 @@ class Family:
     # already checked by build_model.
 
     def variance(self, mu):
-        """Variance function rho(mu); strictly positive on the domain."""
+        """Variance function rho(mu); strictly positive on the domain.
+        A product that underflows is rounded, whatever the caller's
+        np.seterr."""
         arr = _asfloat(mu)
         self._check_mean_domain(arr)
-        return _ret(self._rho(arr), mu)
+        with np.errstate(over="ignore", under="ignore"):
+            return _ret(self._rho(arr), mu)
 
     def natural_param(self, mu):
         """Natural parameter theta(mu)."""
@@ -187,20 +190,25 @@ class Family:
         return _ret(self._theta(arr), mu)
 
     def cumulant(self, theta):
-        """Cumulant kappa(theta); kappa'(theta) = mu, kappa''(theta) = rho."""
+        """Cumulant kappa(theta); kappa'(theta) = mu, kappa''(theta) = rho.
+        An exp that overflows or underflows is rounded, whatever the
+        caller's np.seterr."""
         arr = _asfloat(theta)
         self._check_natural_domain(arr)
-        return _ret(self._kappa(arr), theta)
+        with np.errstate(over="ignore", under="ignore"):
+            return _ret(self._kappa(arr), theta)
 
     def loglik_term(self, y, theta):
-        """Per-cell partial log likelihood y*theta - kappa(theta)."""
+        """Per-cell partial log likelihood y*theta - kappa(theta), under
+        the error state of cumulant."""
         y_arr = _asfloat(y)
         bad, reason = self._outside_support(y_arr)
         if bad.any():
             raise DataError(f"data outside the support: {reason}")
         t_arr = _asfloat(theta)
         self._check_natural_domain(t_arr)
-        out = y_arr * t_arr - self._kappa(t_arr)
+        with np.errstate(over="ignore", under="ignore"):
+            out = y_arr * t_arr - self._kappa(t_arr)
         return _ret(out, out)  # a float when y and theta are both scalars
 
     def _rho(self, mu, out=None):
@@ -234,8 +242,7 @@ class Family:
         if self.kind == "gaussian":
             return 0.5 * theta * theta
         if self.kind == "poisson":
-            with np.errstate(over="ignore"):
-                return np.exp(theta)
+            return np.exp(theta)
         if self.kind == "bernoulli":
             # log(1 + e^theta) without overflow for large |theta|
             return np.logaddexp(0.0, theta)
@@ -246,46 +253,39 @@ class Family:
             theta > cut, np.log(-np.expm1(np.maximum(theta, cut))),
             np.log1p(-np.exp(np.minimum(theta, cut))))
 
-    def _loglik_sum(self, y, r, mu, scratch=None):
+    def _loglik_sum(self, y, r, mu):
         """Sum of y*theta(mu) - kappa(theta(mu)) over all cells, with mu
-        the clamped mean of the predictor r; overwrites r, and
-        ``scratch``, an array shaped like r, when one is given: the one
-        temporary is written there.
+        the clamped mean of the predictor r, arrays of one shape (read
+        C-ordered: np.vdot copies any other); r may be overwritten, as
+        the one temporary.  The sums over cells of y are dot products,
+        so no product array is formed: the Gaussian sum is
+        y.mu - mu.mu / 2.
 
         No log of an exp: for the Poisson theta is r, clipped to the
-        mean clamps.  For the negative binomial theta is -t with
-        t = log1p(alpha/mu), and kappa is alpha log1p(mu/alpha), so a
-        cell -(y t + kappa) adds two positive terms, each to full
-        relative precision, at large means and at large alpha alike.  A
-        Bernoulli cell is log(mu) or log(1 - mu), by y, so it follows
-        the clamped mean, not r; it is picked by exact 0/1 arithmetic,
-        (1 - mu) - y (1 - mu) + y mu, which rounds nothing for y in
-        {0, 1} and finite mu.
+        mean clamps, and the sum is y.theta - sum(mu).  For the negative
+        binomial theta is -t with t = log1p(alpha/mu), and kappa is
+        alpha log1p(mu/alpha), so the sum -(y.t + sum(kappa)) adds
+        positive terms, each to full relative precision, at large means
+        and at large alpha alike.  A Bernoulli cell is log(mu) or
+        log(1 - mu), by y, so it follows the clamped mean, not r; it is
+        log|y - 1 + mu|, which rounds nothing for y in {0, 1}: y - 1 is
+        exact, and mu - 1 is exactly -(1 - mu).
         """
-        if self.kind == "gaussian":
-            r *= 0.5
-            r *= mu  # kappa = theta^2/2, with theta == mu == r
-            ymu = np.multiply(y, mu, out=scratch)
-            return float(np.sum(np.subtract(ymu, r, out=r)))
+        if self.kind == "gaussian":  # theta == mu, kappa = mu^2/2
+            return float(np.vdot(y, mu) - 0.5 * np.vdot(mu, mu))
         if self.kind == "bernoulli":
-            np.subtract(1.0, mu, out=r)
-            t = np.multiply(y, r, out=scratch)
-            r -= t
-            r += np.multiply(y, mu, out=t)
+            np.subtract(y, 1.0, out=r)
+            r += mu
+            np.abs(r, out=r)
             return float(np.sum(np.log(r, out=r)))
         if self.kind == "poisson":
             np.clip(r, LOG_MEAN_FLOOR, LOG_MEAN_CEIL, out=r)
-            r *= y
-            r -= mu
-            return float(np.sum(r))
-        t = np.divide(self.dispersion, mu, out=scratch)
-        np.log1p(t, out=t)
-        t *= y
-        np.divide(mu, self.dispersion, out=r)
-        np.log1p(r, out=r)
-        r *= self.dispersion  # kappa
-        r += t
-        return -float(np.sum(r))  # sum of y theta - kappa = -(y t + kappa)
+            return float(np.vdot(y, r) - np.sum(mu))
+        t = np.log1p(np.divide(self.dispersion, mu, out=r), out=r)
+        yt = np.vdot(y, t)
+        kappa = self.dispersion * np.sum(
+            np.log1p(np.divide(mu, self.dispersion, out=r), out=r))
+        return -float(yt + kappa)
 
     # ------------------------------------------------------------------
     # support and domain checks

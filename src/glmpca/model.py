@@ -15,11 +15,15 @@ minus one ridge penalty on the latent columns of U and V.
 Everything the fit computes from Y comes from one pass over its rows,
 CHUNK_ROWS at a time (score_pass): Q, the Fisher-scoring system of the
 U block (its gradient and one information matrix per row, summed over
-the chunks) and, when the pass steps, the V step of each chunk, which
-given U separates over the rows of Y.  One function builds a chunk's
-system for either block (row_system) from the column products of the
-partner's design (column_products), and one adds the ridge and solves
-it (solve_rows).  So no J x N array is made but one chunk's, and no
+the chunks) and, when the pass steps, the V step, which given U
+separates over the rows of Y.  The V step is taken one group of
+consecutive chunks at a time: every chunk of the group writes its rows
+of the group's V system, one stacked solve steps them all, and then the
+group's chunks are scored.  A group's V system fits in one chunk
+buffer.  One function builds a chunk's system for either block
+(row_system) from the column products of the partner's design
+(column_products), and one adds the ridge and solves a stack of row
+systems (solve_rows).  So no J x N array is made but one chunk's, and no
 chunk allocates one: a pass allocates one stack of chunk buffers, and
 every chunk writes its predictor, means, weights and log-likelihood
 temporary into it (row_weights).  A chunk's predictor is one GEMM,
@@ -174,9 +178,10 @@ def check_data_matrix(Y, family: Family) -> np.ndarray:
     so no J x N temporary is made, and the first chunk holding a bad cell
     wins: the error names that chunk's first offending cell, with 1-based
     row/column indices, and its reason (a non-finite value when the
-    chunk holds one).
+    chunk holds one).  Y is returned C-ordered, as every chunk of the
+    fit reads whole rows of it; a C-ordered float array is not copied.
     """
-    Y = np.asarray(Y, dtype=float)
+    Y = np.ascontiguousarray(Y, dtype=float)
     if Y.ndim != 2:
         raise DataError("data must be a 2-d matrix (features x observations)")
     n_feat, n_obs = Y.shape
@@ -422,20 +427,27 @@ def column_products(design: np.ndarray) -> np.ndarray:
 
 
 def row_system(resid: np.ndarray, info: np.ndarray, design: np.ndarray,
-               products: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+               products: np.ndarray, out=(None, None)
+               ) -> tuple[np.ndarray, np.ndarray]:
     """The unpenalized Fisher-scoring system of a set of own rows, given
     the partner's updateable columns D = ``design`` (n x m) and their
     ``products``, column_products(D): the score ``resid @ D``, one row
     per own row, and the information matrices D' diag(info_r) D,
-    stacked, each one row of ``info @ products``.
+    stacked, each one row of ``info @ products``.  ``out`` holds an
+    n x m and an n x m² array, or None each, into which the two
+    products are written.
 
-    The V step of each chunk of rows of Y passes (resid, I, U[:, v_cols])
-    with the products of that design, formed once per pass.  The U side
-    passes (resid.T, I.T, V_c[:, u_cols]) with the products of each
-    chunk's design, and its system is the sum over the chunks.
+    The V step passes, for each chunk of rows of Y, (resid, I,
+    U[:, v_cols]) with the products of that design, formed once per
+    pass, and writes the chunk's system into its rows of the group's
+    system arrays (score_pass).  The U side passes (resid.T, I.T,
+    V_c[:, u_cols]) with the products of each chunk's design, and its
+    system is the sum over the chunks.
     """
     m = design.shape[1]
-    return resid @ design, (info @ products).reshape(-1, m, m)
+    grad, gram = out
+    return (np.matmul(resid, design, out=grad),
+            np.matmul(info, products, out=gram).reshape(-1, m, m))
 
 
 def solve_rows(grad: np.ndarray, gram: np.ndarray, own_latent: np.ndarray,
@@ -487,20 +499,26 @@ def score_pass(state: ModelState, v_scale: float | None = None,
         - 1/2 lambda (||U_latent||^2 + ||V_latent||^2)
 
     and the unpenalized U system (row_system), both at the point the
-    pass ends on.  With ``v_scale``, each chunk first takes its V step,
-    scaled by ``v_scale``, in place: given U, the V step separates over
-    the rows of Y, and every chunk's V system has the one design
-    U[:, v_cols], whose column products are formed once per pass.  So a
-    chunk's R is built once without a step and twice with one, and no
-    J x N array is made.  The pass allocates one stack of five chunk
-    buffers, which each chunk's row_weights and log likelihood write
-    into, so no chunk allocates an array of its size; the returned
-    system shares no memory with it.  The updateable columns are set
-    once per pass: U's are the slice n_obs_cov:n_total, and V's are the
-    slice 0:n_total without feature covariates, else one index array;
-    so a chunk's U design is a view of V, and so is its V update
-    without feature covariates.  The error state is set once per pass
-    too: the pass ignores every floating-point error.
+    pass ends on.  With ``v_scale``, the pass takes the V step, scaled
+    by ``v_scale``, in place, one group of consecutive chunks at a
+    time: given U, the V step separates over the rows of Y, and every
+    chunk's V system has the one design U[:, v_cols], whose column
+    products are formed once per pass.  Each chunk of a group writes
+    its V system into its rows of the group's system arrays, one
+    solve_rows call steps the group's rows of V, and then the group's
+    chunks are scored at their new V rows.  A group holds
+    max(1, N // (m (m + 1))) chunks, m = len(v_cols), so its V system
+    takes no more memory than one chunk buffer, and it is freed before
+    the group is scored.  So a chunk's R is built once without a step
+    and twice with one, and no J x N array is made.  The pass allocates
+    one stack of five chunk buffers, which each chunk's row_weights and
+    log likelihood write into, so no chunk allocates an array of its
+    size; the returned system shares no memory with it.  The updateable
+    columns are set once per pass: U's are the slice n_obs_cov:n_total,
+    and V's are the slice 0:n_total without feature covariates, else one
+    index array; so a chunk's U design is a view of V, and so is the V
+    update without feature covariates.  The error state is set once per
+    pass too: the pass ignores every floating-point error.
 
     With ``omega``, an N x k test matrix (sketch_matrix), the pass
     builds the sketch residual_start takes in place of the U system:
@@ -532,38 +550,51 @@ def score_pass(state: ModelState, v_scale: float | None = None,
         mean_weights = np.full(n_obs, 1.0 / n_obs)
         ones = np.ones(min(CHUNK_ROWS, n_feat))
     stack = np.empty((5, min(CHUNK_ROWS, n_feat), n_obs))
+    group_rows = n_feat
     if v_scale is not None:  # U, so the V design, is fixed in the pass
         v_design = state.U[:, v_cols]
         v_products = column_products(v_design)
+        m_v = v_design.shape[1]
+        group_rows = CHUNK_ROWS * max(1, n_obs // (m_v * (m_v + 1)))
     # an exp that overflows or underflows is clamped, and a non-finite
     # Q is the optimizer's to handle
     with np.errstate(all="ignore"):
-        for lo in range(0, n_feat, CHUNK_ROWS):
-            rows = slice(lo, lo + CHUNK_ROWS)
-            buffers = stack[:, :min(CHUNK_ROWS, n_feat - lo)]
+        for top in range(0, n_feat, group_rows):
+            group = slice(top, min(top + group_rows, n_feat))
+            chunks = [slice(lo, lo + CHUNK_ROWS)
+                      for lo in range(top, group.stop, CHUNK_ROWS)]
             if v_scale is not None:
-                _, _, resid, info = row_weights(state, rows, buffers)
+                v_grad = np.empty((group.stop - top, m_v))
+                v_gram = np.empty((group.stop - top, m_v * m_v))
+                for rows in chunks:
+                    _, _, resid, info = row_weights(
+                        state, rows, stack[:, :n_feat - rows.start])
+                    part = slice(rows.start - top, rows.stop - top)
+                    row_system(resid, info, v_design, v_products,
+                               out=(v_grad[part], v_gram[part]))
                 step, n = solve_rows(
-                    *row_system(resid, info, v_design, v_products),
-                    state.V[rows, idx.latent_slice], state.penalty)
-                state.V[rows, v_cols] += v_scale * step
+                    v_grad, v_gram.reshape(-1, m_v, m_v),
+                    state.V[group, idx.latent_slice], state.penalty)
+                state.V[group, v_cols] += v_scale * step
                 fallbacks += n
-            R, M, resid, info = row_weights(state, rows, buffers)
-            if omega is None:
-                u_design = state.V[rows, u_cols]
-                grad, gram = row_system(resid.T, info.T, u_design,
-                                        column_products(u_design))
-                u_grad += grad
-                u_gram += gram
-            else:
-                pearson = np.sqrt(info, out=buffers[3])
-                np.divide(resid, pearson, out=pearson)
-                co_sketch += pearson.T @ np.matmul(pearson, omega,
-                                                   out=sketch[rows])
-                np.matmul(info, mean_weights, out=row_means[rows])
-                col_sums += ones[:len(info)] @ info
-            # overwrites R, and the spent residual as its scratch
-            q += state.family._loglik_sum(state.Y[rows], R, M, resid)
+                del v_grad, v_gram, step  # not held while the group scores
+            for rows in chunks:
+                buffers = stack[:, :n_feat - rows.start]
+                R, M, resid, info = row_weights(state, rows, buffers)
+                if omega is None:
+                    u_design = state.V[rows, u_cols]
+                    grad, gram = row_system(resid.T, info.T, u_design,
+                                            column_products(u_design))
+                    u_grad += grad
+                    u_gram += gram
+                else:
+                    pearson = np.sqrt(info, out=buffers[3])
+                    np.divide(resid, pearson, out=pearson)
+                    co_sketch += pearson.T @ np.matmul(pearson, omega,
+                                                       out=sketch[rows])
+                    np.matmul(info, mean_weights, out=row_means[rows])
+                    col_sums += ones[:len(info)] @ info
+                q += state.family._loglik_sum(state.Y[rows], R, M)  # spends R
         if state.penalty:  # 0 * inf would make Q NaN for huge latent factors
             for latent in (state.U_latent, state.V_latent):
                 q -= 0.5 * state.penalty * float(np.sum(latent ** 2))

@@ -14,7 +14,9 @@ Each point is scored once, by one pass over row chunks of Y
 (model.score_pass), which returns Q and the U system of the point.  A
 sweep solves the U step from the held system of its starting point,
 then runs the pass with the V step, which ends on the new point's Q and
-U system.  So an accepted sweep builds each chunk's R twice, and
+U system.  The pass solves the V step one group of chunks at a time,
+in one stacked solve per group, and scores each group after its step.
+So an accepted sweep builds each chunk's R twice, and
 between sweeps the fit holds O(N m²) numbers besides U, V and Y.  Every
 R is built from U, V and delta, so rounding cannot accumulate from
 sweep to sweep.
@@ -108,8 +110,8 @@ def _sweep(state: ModelState, scale: float,
            start: tuple[np.ndarray, np.ndarray] | None = None):
     """One joint block step for U, then one for V, over all updateable
     columns, steps scaled by ``scale``.  The U step solves ``u_system``,
-    the U system of the current state; the V step is taken chunk by
-    chunk in the scoring pass.  Given ``start``, the (U_latent,
+    the U system of the current state; the V step is taken group by
+    group of chunks in the scoring pass.  Given ``start``, the (U_latent,
     V_latent) of model.residual_start, the latent blocks are set to it
     times ``scale`` in place of the U step, and ``u_system`` is not
     read.  Returns the new point's Q and U system, then the number of

@@ -109,6 +109,21 @@ class TestDataValidation:
         assert state.Y is Y
         assert peak < 0.1 * Y.nbytes
 
+    def test_fortran_ordered_data_fits_as_c_ordered(self):
+        # every chunk of the fit reads whole rows of Y, so an F-ordered
+        # Y (pandas' .values, for one) is made C-ordered once, and fits
+        # bit for bit as its C-ordered copy; a C-ordered Y is not copied
+        Y = np.random.default_rng(12).poisson(2.0, (40, 30)).astype(float)
+        assert np.shares_memory(g.check_data_matrix(Y, g.poisson()), Y)
+        results = []
+        for data in (Y, np.asfortranarray(Y)):
+            state = g.build_model(data, n_latent=2, family=g.poisson(),
+                                  offset="auto")
+            assert state.Y.flags.c_contiguous
+            results.append(g.fit(state, g.FitConfig(max_iters=20)))
+        assert results[0].iterations_run > 1
+        np.testing.assert_equal(vars(results[1]), vars(results[0]))
+
 
 class TestBuildModel:
     def test_docstring_parameters_match_signature(self):
@@ -488,7 +503,9 @@ class TestLinearPredictor:
         # chunks of 4 rows over J = 10 end on a tail of 2: no row of an
         # earlier chunk's operands may reach the tail's R, in the first
         # pass or in a second one; with a step, each build sees the V
-        # rows it was called with
+        # rows it was called with.  N // (m (m + 1)) = 257 // 42 puts all
+        # three chunks in one group: each is built for the group's V step,
+        # then each again to score it
         monkeypatch.setattr(model, "CHUNK_ROWS", 4)
         state = random_state(g.bernoulli(), seed=7, n_feat=10, n_obs=257,
                              n_latent=5)
@@ -506,8 +523,7 @@ class TestLinearPredictor:
         for _ in range(2):
             model.score_pass(state, v_scale)
         chunks = [(0, 4), (4, 4), (8, 2)]
-        per_pass = chunks if v_scale is None else [
-            c for c in chunks for _ in range(2)]
+        per_pass = chunks if v_scale is None else chunks + chunks
         assert builds == 2 * per_pass
 
 

@@ -159,25 +159,27 @@ class TestHeldPredictor:
     @pytest.mark.parametrize("full, sweeps", [(False, 1), (True, 3)])
     def test_predictor_built_once_per_sweep(self, full, sweeps, monkeypatch):
         # a fit builds each chunk's R once for its starting point, then
-        # twice per sweep: for the chunk's V step and for scoring the new
-        # point, whose U system the next U step takes as it is; the
-        # no-effect full_scoring_coef changes nothing
+        # twice per sweep: for the V step of the chunk's group and for
+        # scoring the new point, whose U system the next U step takes as
+        # it is; the no-effect full_scoring_coef changes nothing.  With
+        # N = 24 and m = 3 V columns a group holds 24 // 12 = 2 chunks,
+        # so both chunks take the V step before either is scored
         monkeypatch.setattr(model, "CHUNK_ROWS", 4)
         calls = self.count_builds(monkeypatch)
-        state = random_state(g.bernoulli(), seed=45)
-        assert state.n_feat == 6
+        state = random_state(g.bernoulli(), seed=45, n_obs=24)
+        assert state.n_feat == 6 and len(state.index.v_cols) == 3
         result = g.fit(state, g.FitConfig(max_iters=sweeps, tol=1e-300,
                                           full_scoring_coef=full))
         assert result.iterations_run == sweeps and not result.warnings
         first, last = (0, 4), (4, 8)
-        assert calls == [first, last] + [first, first, last, last] * sweeps
+        assert calls == [first, last] + [first, last, first, last] * sweeps
 
         # _sweep alone: the U step builds nothing
-        state = random_state(g.bernoulli(), seed=45)
+        state = random_state(g.bernoulli(), seed=45, n_obs=24)
         u_system = model.score_pass(state)[1]
         calls.clear()
         optimizer._sweep(state, 1.0, u_system)
-        assert calls == [first, first, last, last]
+        assert calls == [first, last, first, last]
 
     def test_halved_retry_keeps_the_start_u_system(self, monkeypatch):
         # from a zero intercept and a small latent start the first full
@@ -305,6 +307,37 @@ class TestChunks:
             for got, want in zip(system, want_system):
                 np.testing.assert_array_equal(got, want)
             np.testing.assert_array_equal(state.V, reference.V)
+
+    @pytest.mark.parametrize("n_feat, groups", [(10, [4, 4, 2]),
+                                                (11, [4, 4, 3])],
+                             ids=["J=10", "J=11"])
+    @pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: f.kind)
+    def test_grouped_v_step_matches_chunk_by_chunk(self, family, n_feat,
+                                                   groups, monkeypatch):
+        # chunks of 2 rows, and N // (m (m + 1)) = 25 // 12 = 2 chunks
+        # per group: 10 rows end on a group of one chunk, 11 rows on a
+        # group whose second chunk holds one row.  One solve per group
+        # steps V, Q and the U system bit for bit as one per chunk
+        monkeypatch.setattr(model, "CHUNK_ROWS", 2)
+        state = random_state(family, seed=52, n_feat=n_feat, n_obs=25)
+        assert len(state.index.v_cols) == 3
+        reference = dataclasses.replace(state, U=state.U.copy(),
+                                        V=state.V.copy())
+        want_q, want_system = self.reference_pass(reference, 0.5)
+        solved = []
+        real = model.solve_rows
+
+        def recorded(grad, *args):
+            solved.append(len(grad))
+            return real(grad, *args)
+
+        monkeypatch.setattr(model, "solve_rows", recorded)
+        q, system, fallbacks = model.score_pass(state, 0.5)
+        assert solved == groups and fallbacks == 0
+        np.testing.assert_array_equal(state.V, reference.V)
+        assert q == want_q
+        for got, want in zip(system, want_system):
+            np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: f.kind)
     def test_chunk_arrays_are_views_of_one_stack(self, family, monkeypatch):
