@@ -4,8 +4,8 @@ Each family is a kind with its standard link.  The fit runs only two
 of its kernels: _working_weights, which maps a linear predictor to the
 clamped mean g⁻¹ and the Fisher-scoring weights built from its
 derivative h and the variance function rho(mu), and _loglik_sum.  The
-natural parameter theta(mu) and the cumulant kappa(theta) serve the
-public methods only.  The log density of every supported family is
+natural parameter theta(mu) serves natural_param only, and the cumulant
+kappa(theta) loglik_term only.  Every supported family's log density is
 
     c(y) + y*theta - kappa(theta)
 
@@ -46,15 +46,17 @@ _LINK = {
 KINDS = tuple(_LINK)
 
 
-def _asfloat(x):
-    return np.asarray(x, dtype=float)
-
-
-def _ret(out, like):
-    """Return a float for scalar input, an ndarray otherwise."""
-    if np.ndim(like) == 0:
-        return float(out)
-    return out
+def _guarded(kernel, *checked):
+    """kernel(*arrays) for (argument, check) pairs, each argument cast to
+    a float array and checked in turn; overflow and underflow are ignored
+    whatever the caller's np.seterr, and a 0-d result is a float."""
+    arrays = []
+    for x, check in checked:
+        arrays.append(np.asarray(x, dtype=float))
+        check(arrays[-1])
+    with np.errstate(over="ignore", under="ignore"):
+        out = kernel(*arrays)
+    return float(out) if np.ndim(out) == 0 else out
 
 
 @dataclass(frozen=True)
@@ -105,22 +107,15 @@ class Family:
 
     def inverse_link(self, r):
         """Mean mu = g⁻¹(r), clamped into the domain interior.  An exp
-        that overflows or underflows on the way is clamped, whatever the
-        caller's np.seterr."""
-        arr = _asfloat(r)
-        _check_predictor(arr)
-        with np.errstate(over="ignore", under="ignore"):
-            return _ret(self._mean(arr), r)
+        that overflows or underflows on the way is clamped."""
+        return _guarded(self._mean, (r, self._check_predictor))
 
     def dinverse_link(self, r):
-        """Derivative h(r) = d g⁻¹(r) / dr; strictly positive."""
-        arr = _asfloat(r)
-        _check_predictor(arr)
-        with np.errstate(over="ignore", under="ignore"):
-            mu = self._mean(arr)
-        # the clamped mean for the log link, which keeps h finite; rho(mu)
-        # for the canonical links
-        return _ret(mu if self.link == "log" else self._rho(mu), r)
+        """Derivative h(r) = d g⁻¹(r) / dr > 0: the clamped mean for the
+        log link, which keeps h finite, and rho(mu) for canonical links."""
+        return _guarded(lambda arr: self._mean(arr) if self.link == "log"
+                        else self._rho(self._mean(arr)),
+                        (r, self._check_predictor))
 
     def _working_weights(self, r, out=(None, None, None)):
         """Means and Fisher-scoring weights at the linear predictor r, a
@@ -169,47 +164,25 @@ class Family:
     # ------------------------------------------------------------------
     # moment functions
     #
-    # Each public method validates its argument, then runs the private
-    # arithmetic.  The fit calls none of them: _working_weights and
-    # _loglik_sum work on means already clamped into the domain and data
-    # already checked by build_model.
+    # Each public method runs its private arithmetic through _guarded.
+    # The fit calls none of them: _working_weights and _loglik_sum work
+    # on means already clamped and data already checked by build_model.
 
     def variance(self, mu):
-        """Variance function rho(mu); strictly positive on the domain.
-        A product that underflows is rounded, whatever the caller's
-        np.seterr."""
-        arr = _asfloat(mu)
-        self._check_mean_domain(arr)
-        with np.errstate(over="ignore", under="ignore"):
-            return _ret(self._rho(arr), mu)
+        """Variance function rho(mu); strictly positive on the domain."""
+        return _guarded(self._rho, (mu, self._check_mean_domain))
 
     def natural_param(self, mu):
         """Natural parameter theta(mu)."""
-        arr = _asfloat(mu)
-        self._check_mean_domain(arr)
-        return _ret(self._theta(arr), mu)
-
-    def cumulant(self, theta):
-        """Cumulant kappa(theta); kappa'(theta) = mu, kappa''(theta) = rho.
-        An exp that overflows or underflows is rounded, whatever the
-        caller's np.seterr."""
-        arr = _asfloat(theta)
-        self._check_natural_domain(arr)
-        with np.errstate(over="ignore", under="ignore"):
-            return _ret(self._kappa(arr), theta)
+        return _guarded(self._theta, (mu, self._check_mean_domain))
 
     def loglik_term(self, y, theta):
-        """Per-cell partial log likelihood y*theta - kappa(theta), under
-        the error state of cumulant."""
-        y_arr = _asfloat(y)
-        bad, reason = self._outside_support(y_arr)
-        if bad.any():
-            raise DataError(f"data outside the support: {reason}")
-        t_arr = _asfloat(theta)
-        self._check_natural_domain(t_arr)
-        with np.errstate(over="ignore", under="ignore"):
-            out = y_arr * t_arr - self._kappa(t_arr)
-        return _ret(out, out)  # a float when y and theta are both scalars
+        """Per-cell partial log likelihood y*theta - kappa(theta), where
+        kappa'(theta) = mu and kappa''(theta) = rho: kappa(theta) is
+        -loglik_term(0, theta)."""
+        return _guarded(lambda y, t: y * t - self._kappa(t),
+                        (y, self._check_support),
+                        (theta, self._check_natural_domain))
 
     def _rho(self, mu, out=None):
         """rho(mu), written into ``out`` when one is given."""
@@ -235,8 +208,11 @@ class Family:
             return np.log(mu)
         if self.kind == "bernoulli":
             return np.log(mu) - np.log1p(-mu)
-        # log(mu/(mu+alpha)), without cancellation at large means
-        return -np.log1p(self.dispersion / mu)
+        # log(mu/(mu+alpha)), without cancellation at large means; where
+        # alpha/mu overflows, log1p(alpha/mu) is log(alpha) - log(mu)
+        ratio = self.dispersion / mu
+        return np.where(np.isinf(ratio), np.log(mu) - np.log(self.dispersion),
+                        -np.log1p(ratio))
 
     def _kappa(self, theta):
         if self.kind == "gaussian":
@@ -300,13 +276,21 @@ class Family:
         return ((y < 0) | (y != np.floor(y)),
                 f"{self.kind} data must be a nonnegative integer")
 
+    def _check_predictor(self, arr) -> None:
+        if not np.all(np.isfinite(arr)):
+            raise DomainError("linear predictor contains non-finite values")
+
+    def _check_support(self, y) -> None:
+        bad, reason = self._outside_support(y)
+        if bad.any():
+            raise DataError(f"data outside the support: {reason}")
+
     def _check_natural_domain(self, arr) -> None:
         if not np.all(np.isfinite(arr)):
             raise DomainError("natural parameter contains non-finite values")
         if self.kind == "negative_binomial" and np.any(arr >= 0):
             raise DomainError(
-                "negative binomial natural parameter must be negative"
-            )
+                "negative binomial natural parameter must be negative")
 
     def _check_mean_domain(self, arr) -> None:
         if not np.all(np.isfinite(arr)):
@@ -315,11 +299,6 @@ class Family:
             raise DomainError(f"{self.kind} mean must be positive")
         if self.kind == "bernoulli" and np.any(arr >= 1):
             raise DomainError("bernoulli mean must be below 1")
-
-
-def _check_predictor(arr) -> None:
-    if not np.all(np.isfinite(arr)):
-        raise DomainError("linear predictor contains non-finite values")
 
 
 def gaussian() -> Family:

@@ -43,9 +43,18 @@ class LoadedMatrix:
     format: str | None = None  # "matrixmarket" or "csv" once read
 
 
+def _number(token: str) -> float:
+    """``float(token)`` for a number as ``np.loadtxt`` parses it, in ASCII
+    without underscores, though ``int`` and ``float`` take both; any
+    other token raises ValueError."""
+    if not token.isascii() or "_" in token:
+        raise ValueError(token)
+    return float(token)
+
+
 def _is_number(token: str) -> bool:
     try:
-        float(token)
+        _number(token)
         return True
     except ValueError:
         return False
@@ -198,12 +207,12 @@ def _entries_fit(entries: np.ndarray, rows: int, cols: int,
 def _whole_number(token: str) -> int:
     """An entry index as the array checks accept it: a decimal integer,
     or a number in float form whose value is whole (``1.0``, ``1e0``)."""
+    number = _number(token)
+    if not number.is_integer():
+        raise ValueError(token)
     try:
-        return int(token)
+        return int(token)  # exact past 2**53
     except ValueError:
-        number = float(token)
-        if not number.is_integer():
-            raise ValueError(token) from None
         return int(number)
 
 
@@ -217,9 +226,8 @@ def _body_error(path: Path, size_lineno: int, rows: int, cols: int,
     outside the matrix, or a value that, added to its cell as the
     scatter adds it, makes the cell non-finite), then an entry count
     that differs from the size line.  It reads lines as the array checks
-    do: ``%`` starts a comment, and a token is a number only as
-    ``np.loadtxt`` parses it, in ASCII without underscores, though
-    ``int`` and ``float`` take both."""
+    do: ``%`` starts a comment, and a token is a number only by
+    ``_number``, as ``np.loadtxt`` parses it."""
     count = 0
     sums: dict[tuple[int, int], float] = {}
     with open(path, encoding="utf-8-sig") as fh:
@@ -231,10 +239,8 @@ def _body_error(path: Path, size_lineno: int, rows: int, cols: int,
             if len(tokens) != 3:
                 return f"{path}:{lineno}: expected 'row col value' entry"
             try:
-                if not all(t.isascii() and "_" not in t for t in tokens):
-                    raise ValueError(line)
                 r, c = _whole_number(tokens[0]), _whole_number(tokens[1])
-                value = float(tokens[2])
+                value = _number(tokens[2])
             except ValueError:
                 return f"{path}:{lineno}: malformed entry {line!r}"
             if not (1 <= r <= rows and 1 <= c <= cols):
@@ -259,11 +265,13 @@ def read_csv_matrix(path) -> LoadedMatrix:
 
     A non-numeric first cell in any data row, or an empty top-left
     header cell (as pandas and R's write.csv write), marks a row-name
-    column.  A UTF-8 byte-order mark is skipped."""
+    column.  A cell is a number by ``_number``, the MatrixMarket
+    reader's rule.  An error names the file line a row ends on.  A
+    UTF-8 byte-order mark is skipped."""
     path = Path(path)
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        raw_rows = [(lineno, row) for lineno, row in
-                    enumerate(csv.reader(fh), start=1) if row]
+        reader = csv.reader(fh)
+        raw_rows = [(reader.line_num, row) for row in reader if row]
     if not raw_rows:
         raise DataError(f"{path}: empty file")
 
@@ -292,7 +300,7 @@ def read_csv_matrix(path) -> LoadedMatrix:
             raise DataError(
                 f"{path}:{lineno}: expected {width} values, got {len(row)}")
         try:
-            data.append([float(tok) for tok in row])
+            data.append([_number(tok) for tok in row])
         except ValueError:
             bad = next(tok for tok in row if not _is_number(tok))
             raise DataError(f"{path}:{lineno}: non-numeric value {bad!r}")

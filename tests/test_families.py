@@ -21,6 +21,11 @@ def central_diff(fn, x, eps=1e-6):
     return (fn(x + eps) - fn(x - eps)) / (2.0 * eps)
 
 
+def kappa(fam, theta):
+    """The cumulant kappa(theta), as -loglik_term(0, theta)."""
+    return -fam.loglik_term(0.0, theta)
+
+
 class TestConstruction:
     def test_canonical_resolution(self):
         assert g.gaussian().link == "identity"
@@ -158,28 +163,43 @@ class TestNaturalParam:
         assert fam.natural_param(5.0) == pytest.approx(math.log(5.0 / 7.0))
         assert fam.natural_param(5.0) < 0
 
+    def test_nb_tiny_means(self):
+        # alpha / mu overflows below mu = alpha / 1.8e308, where theta is
+        # log(mu) - log(alpha) to double precision; the means around the
+        # cut, and a subnormal one, stay finite and continuous
+        fam = g.negative_binomial(2.0)
+        mu = np.array([5e-324, 1e-308, 1.1e-308, 1.2e-308, 1e-300])
+        theta = fam.natural_param(mu)
+        np.testing.assert_allclose(theta, np.log(mu) - math.log(2.0),
+                                   rtol=1e-15)
+        assert fam.natural_param(1e-308) == pytest.approx(-709.889355822726,
+                                                          rel=1e-14)
+        assert np.isfinite(fam.loglik_term(np.zeros(5), theta)).all()
+
 
 class TestCumulant:
+    """kappa(theta), reached through loglik_term at y = 0."""
+
     def test_trivia(self):
-        assert g.poisson().cumulant(0.0) == pytest.approx(1.0)
-        assert g.bernoulli().cumulant(0.0) == pytest.approx(math.log(2.0))
-        assert g.gaussian().cumulant(2.0) == pytest.approx(2.0)
+        assert kappa(g.poisson(), 0.0) == pytest.approx(1.0)
+        assert kappa(g.bernoulli(), 0.0) == pytest.approx(math.log(2.0))
+        assert kappa(g.gaussian(), 2.0) == pytest.approx(2.0)
 
     def test_bernoulli_overflow_safe(self):
         fam = g.bernoulli()
-        assert fam.cumulant(800.0) == pytest.approx(800.0)
-        assert fam.cumulant(-800.0) == pytest.approx(0.0, abs=1e-300)
-        assert np.isfinite(fam.cumulant(np.array([-750.0, 750.0]))).all()
+        assert kappa(fam, 800.0) == pytest.approx(800.0)
+        assert kappa(fam, -800.0) == pytest.approx(0.0, abs=1e-300)
+        assert np.isfinite(kappa(fam, np.array([-750.0, 750.0]))).all()
 
     def test_nb_domain(self):
         fam = g.negative_binomial(2.0)
         with pytest.raises(DomainError):
-            fam.cumulant(0.0)
+            kappa(fam, 0.0)
         with pytest.raises(DomainError):
-            fam.cumulant(1.0)
+            kappa(fam, 1.0)
         # kappa(theta(mu)) = alpha * log((mu + alpha)/alpha)
         mu = 3.0
-        assert fam.cumulant(fam.natural_param(mu)) == pytest.approx(
+        assert kappa(fam, fam.natural_param(mu)) == pytest.approx(
             2.0 * math.log(5.0 / 2.0))
 
 
@@ -210,14 +230,19 @@ class TestLoglikTerm:
 
 @pytest.mark.parametrize("fam", ALL, ids=lambda f: f.kind)
 def test_strict_error_state_changes_nothing(fam):
-    # exp(-800) underflows in the Poisson and NB cumulants (logaddexp in
-    # the Bernoulli's), and mu * mu in the NB variance at mu = 1e-300:
+    # exp(+-800) overflows or underflows in the log and logit means, and
+    # exp(-800) in the Poisson and NB cumulants (logaddexp in the
+    # Bernoulli's); mu * mu underflows in the NB variance at mu = 1e-300,
+    # and alpha / mu overflows in the NB natural parameter at mu = 1e-308:
     # each public method rounds it whatever the caller's np.seterr
+    r = np.array([-800.0, 800.0, 0.5])
     theta = np.array([-800.0, -1.0])
 
     def values():
-        return (fam.cumulant(theta), fam.loglik_term([0.0, 1.0], theta),
-                fam.variance(np.array([1e-300, 0.5])))
+        return (fam.inverse_link(r), fam.dinverse_link(r),
+                fam.variance(np.array([1e-300, 0.5])),
+                fam.natural_param(np.array([1e-308, 0.5])),
+                fam.loglik_term([0.0, 1.0], theta))
 
     plain = values()
     with np.errstate(all="raise"):
@@ -243,13 +268,14 @@ class TestAnalyticIdentities:
         # canonical link: theta equals the linear predictor, so
         # d kappa / d theta must reproduce the inverse link
         for theta in np.linspace(-3.0, 3.0, 25):
-            fd = central_diff(fam.cumulant, theta)
+            fd = central_diff(lambda t: kappa(fam, t), theta)
             assert abs(fd - fam.inverse_link(theta)) <= 1e-6
 
     def test_cumulant_derivative_is_mean_nb(self):
         fam = g.negative_binomial(2.0)
         for mu in np.linspace(0.2, 8.0, 25):
-            fd = central_diff(fam.cumulant, fam.natural_param(mu))
+            fd = central_diff(lambda t: kappa(fam, t),
+                              fam.natural_param(mu))
             assert abs(fd - mu) <= 1e-5 * (1.0 + mu)
 
     @pytest.mark.parametrize("fam", ALL, ids=lambda f: f.kind)

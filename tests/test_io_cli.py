@@ -540,6 +540,42 @@ class TestCsvReader:
         with pytest.raises(DataError, match="oops"):
             gio.read_matrix(path)
 
+    @pytest.mark.parametrize("text, row_names, col_names, values", [
+        ("gene,c1,c2\n1_1,5,0\n2_1,0,3\n", ["1_1", "2_1"], ["c1", "c2"],
+         [[5, 0], [0, 3]]),
+        ("1_1,\u0664\n5,0\n", None, ["1_1", "\u0664"], [[5, 0]]),
+    ], ids=["row_names", "header"])
+    def test_names_are_numbers_only_as_loadtxt_parses_them(
+            self, tmp_path, text, row_names, col_names, values):
+        # float() takes underscores and non-ASCII digits; the reader takes
+        # numbers as the MatrixMarket reader does, so these are names
+        path = tmp_path / "m.csv"
+        path.write_text(text, encoding="utf-8")
+        loaded = gio.read_matrix(path)
+        np.testing.assert_array_equal(loaded.values, values)
+        assert loaded.row_names == row_names
+        assert loaded.col_names == col_names
+
+    @pytest.mark.parametrize("cell", ["1_0", "\u0664"])
+    def test_cell_unparsed_by_loadtxt_is_non_numeric(self, tmp_path, cell):
+        path = tmp_path / "m.csv"
+        path.write_text(f"1,2\n3,{cell}\n", encoding="utf-8")
+        with pytest.raises(DataError, match=re.escape(
+                f"m.csv:2: non-numeric value {cell!r}")):
+            gio.read_matrix(path)
+
+    @pytest.mark.parametrize("row, message", [
+        ("geneB,3,oops", "non-numeric value 'oops'"),
+        ("geneB,3", "expected 2 values, got 1"),
+    ], ids=["cell", "ragged"])
+    def test_errors_name_file_lines_after_a_multiline_name(
+            self, tmp_path, row, message):
+        # the quoted name spans lines 2 and 3, so the bad row is line 4
+        path = tmp_path / "m.csv"
+        path.write_text(f'id,s1,s2\n"gene\nA",1,2\n{row}\n')
+        with pytest.raises(DataError, match=re.escape(f"m.csv:4: {message}")):
+            gio.read_matrix(path)
+
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("")

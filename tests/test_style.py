@@ -1,6 +1,7 @@
 """Source layout checks that need no linter: every line of the package
-holds to PEP 8's 79 characters, and every module but the package's
-__init__ uses each name it imports."""
+holds to PEP 8's 79 characters, every module but the package's
+__init__ uses each name it imports, and every private function or method
+is referenced somewhere in the package."""
 
 import ast
 from pathlib import Path
@@ -34,3 +35,18 @@ def test_modules_use_every_import():
         unused += [f"{path.name}: {name}" for name in imported
                    if name not in used]
     assert unused == []
+
+
+def test_private_functions_are_referenced():
+    # a private helper that no module names, as a bare name or as an
+    # attribute, is dead code; dunder methods are called by Python
+    trees = [ast.parse(path.read_text()) for path in SOURCES]
+    nodes = [node for tree in trees for node in ast.walk(tree)]
+    defined = {node.name for node in nodes
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+               and node.name.startswith("_")
+               and not node.name.endswith("__")}
+    referenced = {node.id for node in nodes if isinstance(node, ast.Name)}
+    referenced |= {node.attr for node in nodes
+                   if isinstance(node, ast.Attribute)}
+    assert sorted(defined - referenced) == []
