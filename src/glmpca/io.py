@@ -263,11 +263,13 @@ def _body_error(path: Path, size_lineno: int, rows: int, cols: int,
 def read_csv_matrix(path) -> LoadedMatrix:
     """Parse a CSV matrix, auto-detecting a header row and row names.
 
-    A non-numeric first cell in any data row, or an empty top-left
-    header cell (as pandas and R's write.csv write), marks a row-name
-    column.  A cell is a number by ``_number``, the MatrixMarket
-    reader's rule.  An error names the file line a row ends on.  A
-    UTF-8 byte-order mark is skipped."""
+    A non-numeric cell in the first row marks a header row, but an empty
+    cell does so only in the top-left corner: elsewhere it is a missing
+    value, which a data row rejects.  A non-numeric first cell in any
+    data row, or an empty top-left header cell (as pandas and R's
+    write.csv write), marks a row-name column.  A cell is a number by
+    ``_number``, the MatrixMarket reader's rule.  An error names the
+    file line a row ends on.  A UTF-8 byte-order mark is skipped."""
     path = Path(path)
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
@@ -276,7 +278,8 @@ def read_csv_matrix(path) -> LoadedMatrix:
         raise DataError(f"{path}: empty file")
 
     first = raw_rows[0][1]
-    has_header = any(not _is_number(tok) for tok in first)
+    has_header = first[0] == "" or any(
+        tok != "" and not _is_number(tok) for tok in first)
     body = raw_rows[1:] if has_header else raw_rows
     if not body:
         raise DataError(f"{path}: no data rows")

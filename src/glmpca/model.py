@@ -37,9 +37,13 @@ is clamped, and a non-finite Q is the optimizer's to handle).
 build_model starts the latent blocks at zero, a state marked as not
 yet started, and the fit's first pass scores that null point.  In place
 of the U system it builds a one-pass sketch of the Pearson residuals
-E = (Y - M) S / sqrt(I) there (score_pass with a test matrix), from
-which residual_start takes a weighted rank-L SVD of E: the start that
-the fit's first sweep sets the latent blocks to (optimizer.fit).
+E = (Y - M) S / sqrt(I) there (score_pass with a test matrix), with the
+spans of the designs X and Z projected out of E's rows and columns,
+from which residual_start takes a weighted rank-L SVD: the start that
+the fit's first sweep sets the latent blocks to (optimizer.fit).  The
+projection leaves the covariate effects to the coefficient blocks, as
+postprocessing does at the end (postprocess.project_out_covariates), so
+the latent blocks do not start on them.
 """
 
 from __future__ import annotations
@@ -521,11 +525,27 @@ def score_pass(state: ModelState, v_scale: float | None = None,
     pass too: the pass ignores every floating-point error.
 
     With ``omega``, an N x k test matrix (sketch_matrix), the pass
-    builds the sketch residual_start takes in place of the U system:
-    with E = resid / sqrt(I) the Pearson residuals of a chunk, written
-    into the buffer S no longer needs, it writes the chunk's rows of
-    T = E omega (J x k) and adds E' T into an N x k array, and it keeps
-    the row means and the column sums of I.
+    builds the sketch residual_start takes in place of the U system, of
+    the Pearson residuals E = resid / sqrt(I) with the covariate spans
+    projected out:
+
+        E_perp = (I - P_z) E (I - P_x),
+
+    P_x and P_z the orthogonal projections onto the columns of the
+    designs X (intercept included) and Z, with orthonormal bases Q_x and
+    Q_z from their QRs.  Those directions of E belong to the effects X A'
+    and Z Gamma' that the coefficient blocks own; a start on them would
+    leave the sweeps to move the latent blocks back off them.  Before the
+    pass omega becomes (I - P_x) omega.  Each chunk's E, written into
+    the buffer S no longer needs, writes the chunk's rows of
+    T = E omega (J x k) and adds E' T into an N x k array, and with Z
+    also adds E' Q_z into an N x n_feat_cov one; the pass keeps the row
+    means and the column sums of I.  After it, with zt = Q_z' T, T
+    becomes T - Q_z zt = E_perp omega and E' T becomes
+    (I - P_x)(E' T - (E' Q_z) zt) = E_perp' (E_perp omega).  So the
+    projection costs O((J + N) (k + n_obs_cov + n_feat_cov)) beside the
+    pass, and no QR is taken of an empty design: with neither, the
+    sketch is that of E itself.
 
     Returns (Q, (U gradient N x m, U Gram stack N x m x m), V fallback
     rows), or (Q, (T, E' T, row means of I, column sums of I), 0) with
@@ -542,6 +562,13 @@ def score_pass(state: ModelState, v_scale: float | None = None,
         u_grad = np.zeros((n_obs, m))
         u_gram = np.zeros((n_obs, m, m))
     else:
+        # orthonormal bases of the designs X and Z; none of an empty one
+        x_basis = np.linalg.qr(state.X)[0] if idx.n_obs_cov else None
+        z_basis = np.linalg.qr(state.Z)[0] if idx.n_feat_cov else None
+        if x_basis is not None:
+            omega = omega - x_basis @ (x_basis.T @ omega)
+        if z_basis is not None:
+            e_z = np.zeros((n_obs, idx.n_feat_cov))
         sketch = np.empty((n_feat, omega.shape[1]))
         co_sketch = np.zeros((n_obs, omega.shape[1]))
         row_means = np.empty(n_feat)
@@ -592,6 +619,8 @@ def score_pass(state: ModelState, v_scale: float | None = None,
                     np.divide(resid, pearson, out=pearson)
                     co_sketch += pearson.T @ np.matmul(pearson, omega,
                                                        out=sketch[rows])
+                    if z_basis is not None:
+                        e_z += pearson.T @ z_basis[rows]
                     np.matmul(info, mean_weights, out=row_means[rows])
                     col_sums += ones[:len(info)] @ info
                 q += state.family._loglik_sum(state.Y[rows], R, M)  # spends R
@@ -599,6 +628,16 @@ def score_pass(state: ModelState, v_scale: float | None = None,
             for latent in (state.U_latent, state.V_latent):
                 q -= 0.5 * state.penalty * float(np.sum(latent ** 2))
     if omega is not None:
+        # a sketch holding inf (Y near the largest double) is left as it
+        # is: inf - inf would make it NaN, and residual_start's SVD, which
+        # gives a NaN start from inf that sweep 1 rejects, raises on NaN
+        if np.isfinite(co_sketch).all():
+            if z_basis is not None:
+                z_sketch = z_basis.T @ sketch
+                sketch -= z_basis @ z_sketch
+                co_sketch -= e_z @ z_sketch
+            if x_basis is not None:
+                co_sketch -= x_basis @ (x_basis.T @ co_sketch)
         return q, (sketch, co_sketch, row_means, col_sums), 0
     return q, (u_grad, u_gram), fallbacks
 
@@ -640,6 +679,11 @@ def residual_start(sketch, n_latent: int):
     that its rank-L SVD P diag(s) W' gives the weighted rank-L step
     diag(1/sqrt(a)) P diag(s) W' diag(1/sqrt(b)), split evenly into
     V_latent = P sqrt(s) / sqrt(a) and U_latent = W sqrt(s) / sqrt(b).
+
+    E is the sketch's: the Pearson residuals with the spans of X and Z
+    projected out (score_pass), so the start satisfies
+    X' diag(sqrt(b)) U_latent = 0 and Z' diag(sqrt(a)) V_latent = 0 to
+    rounding, and it holds no part of the covariate effects.
 
     With T = E omega = Q_T R_T, the basis Q_T nearly spans E's leading
     left singular vectors, and B = Q_T' E has the transpose

@@ -7,6 +7,9 @@ signal.  A refactor of the numerics must reproduce these traces to 1e-12
 relative error, or explain the difference and re-record them with
 
     PYTHONPATH=src python tests/test_golden_trace.py --record
+
+which prints, for each case, its sweeps before and after and the largest
+relative change of its trace.
 """
 
 import json
@@ -104,12 +107,26 @@ def test_scoring_helpers_importable_outside_all():
 
 
 def record() -> None:
+    """Re-record every case, printing the size of each change; the
+    trace change is taken over the sweeps both traces hold."""
+    old = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
     table = {}
     for name in CASES:
         result = golden_fit(name)
         table[name] = {"iterations_run": result.iterations_run,
                        "converged": result.converged,
                        "trace": [list(point) for point in result.trace]}
+        if name not in old:
+            print(f"{name}: new case, {result.iterations_run} sweeps")
+            continue
+        before = np.array([q for _, q in old[name]["trace"]])
+        after = np.array([q for _, q in result.trace])
+        n = min(len(before), len(after))
+        change = np.max(np.abs(after[:n] - before[:n]) / np.abs(before[:n]),
+                        initial=0.0)
+        print(f"{name}: iterations_run {old[name]['iterations_run']} -> "
+              f"{result.iterations_run}, largest relative change of the "
+              f"trace {change:.3g}")
     lines = [f" {json.dumps(k)}: {json.dumps(v)}" for k, v in table.items()]
     GOLDEN.write_text("{\n" + ",\n".join(lines) + "\n}\n")
 

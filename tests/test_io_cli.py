@@ -521,6 +521,27 @@ class TestCsvReader:
         assert loaded.row_names == ["0", "1"]
         assert loaded.col_names == ["o1", "o2", "o3"]
 
+    def test_empty_corner_cell_marks_a_numeric_header(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text(",1,2\na,3,4\n")
+        loaded = gio.read_matrix(path)
+        np.testing.assert_array_equal(loaded.values, [[3, 4]])
+        assert loaded.row_names == ["a"]
+        assert loaded.col_names == ["1", "2"]
+
+    @pytest.mark.parametrize("text, line", [("1,,3\n4,5,6\n", 1),
+                                            ("1,2,3\n4,,6\n", 2)],
+                             ids=["first_row", "second_row"])
+    def test_empty_cell_off_the_corner_is_a_missing_value(self, tmp_path,
+                                                          text, line):
+        # an empty cell marks a header only in the top-left corner, so a
+        # gap in the first row is no header and keeps its data row
+        path = tmp_path / "m.csv"
+        path.write_text(text)
+        with pytest.raises(DataError, match=re.escape(
+                f"m.csv:{line}: non-numeric value ''")):
+            gio.read_matrix(path)
+
     def test_byte_order_mark_skipped(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_bytes("\ufeff1,2,3\n4,5,6\n".encode("utf-8"))

@@ -1040,16 +1040,24 @@ class TestResidualStart:
         np.testing.assert_array_equal(state.U, ref.U)
         np.testing.assert_array_equal(state.V, ref.V)
 
-    def test_start_is_the_weighted_svd_of_the_pearson_residuals(self):
+    @staticmethod
+    def check_weighted_svd(feat_covariates):
         # with J <= k the sketch spans every row, so the one-pass range
-        # finder returns the exact weighted rank-L SVD
+        # finder returns the exact weighted rank-L SVD of the Pearson
+        # residuals with the spans of X and Z projected out
         Y = rank_two_counts(n_feat=8, n_obs=15)
         state = g.build_model(Y, n_latent=2, family=g.poisson(),
-                              offset="auto")
+                              feat_covariates=feat_covariates, offset="auto")
         _, _, resid, info = model.row_weights(state, slice(None))
         a = info.mean(axis=1)
         b = info.mean(axis=0) / info.mean()
-        p, s, w_t = np.linalg.svd(resid / np.sqrt(info))
+
+        def complement(design):
+            return np.eye(len(design)) - design @ np.linalg.pinv(design)
+
+        pearson = complement(state.Z) @ (resid / np.sqrt(info)) \
+            @ complement(state.X)
+        p, s, w_t = np.linalg.svd(pearson)
         expected = (p[:, :2] * s[:2] / np.sqrt(a)[:, None]) @ \
             (w_t[:2] / np.sqrt(b))
         sketch = model.score_pass(
@@ -1062,6 +1070,52 @@ class TestResidualStart:
             np.linalg.norm(v_start * np.sqrt(a)[:, None], axis=0),
             np.linalg.norm(u_start * np.sqrt(b)[:, None], axis=0),
             rtol=1e-12)
+
+    def test_start_is_the_weighted_svd_of_the_pearson_residuals(self):
+        self.check_weighted_svd(None)
+
+    def test_start_with_z_is_the_weighted_svd_of_the_projected_residuals(
+            self):
+        self.check_weighted_svd(np.random.default_rng(4).normal(size=(8, 2)))
+
+    def test_start_is_orthogonal_to_the_covariates(self):
+        # an intercept, 2 observation and 2 feature covariates: the start
+        # holds none of their effects, in the weights of the start
+        rng = np.random.default_rng(6)
+        X = rng.normal(size=(30, 2))
+        Z = rng.normal(size=(40, 2))
+        state = g.build_model(rank_two_counts(), n_latent=2,
+                              family=g.poisson(), obs_covariates=X,
+                              feat_covariates=Z, offset="auto")
+        q0, sketch, _ = model.score_pass(
+            state, omega=model.sketch_matrix(30, 2 + model.OVERSAMPLE))
+        u_start, v_start = model.residual_start(sketch, 2)
+        a, col_sums = sketch[2], sketch[3]
+        weighted_u = np.sqrt(col_sums / col_sums.mean())[:, None] * u_start
+        weighted_v = np.sqrt(a)[:, None] * v_start
+        assert state.X.shape == (30, 3) and state.Z.shape == (40, 2)
+        for design, weighted in ((state.X, weighted_u), (state.Z, weighted_v)):
+            assert np.abs(design.T @ weighted).max() <= 1e-12 * (
+                np.linalg.norm(design) * np.linalg.norm(weighted))
+        assert np.linalg.norm(weighted_u) > 0 and np.isfinite(q0)
+
+    def test_start_without_designs_is_the_unprojected_sketch(self):
+        # no intercept and no covariates: no QR is taken, and the start is
+        # bit for bit the weighted SVD of the sketch of E itself
+        state = g.build_model(rank_two_counts(), n_latent=2,
+                              family=g.poisson(), intercept=False)
+        assert state.index.n_obs_cov == state.index.n_feat_cov == 0
+        omega = model.sketch_matrix(30, 2 + model.OVERSAMPLE)
+        sketch = model.score_pass(state, omega=omega)[1]
+        _, _, resid, info = model.row_weights(state, slice(None))
+        pearson = resid / np.sqrt(info)
+        t = pearson @ omega
+        np.testing.assert_array_equal(sketch[0], t)
+        np.testing.assert_array_equal(sketch[1], pearson.T @ t)
+        for got, want in zip(model.residual_start(sketch, 2),
+                             model.residual_start(
+                                 (t, pearson.T @ t) + sketch[2:], 2)):
+            np.testing.assert_array_equal(got, want)
 
     def test_residual_of_rank_below_l_gives_a_zero_pair(self):
         # two distinct rows: the null model's residual has rank 2, so
