@@ -22,17 +22,18 @@ of the group's V system, one stacked solve steps them all, and then the
 group's chunks are scored.  A group's V system fits in one chunk
 buffer.  One function builds a chunk's system for either block
 (row_system) from the column products of the partner's design
-(column_products), and one adds the ridge and solves a stack of row
-systems (solve_rows).  So no J x N array is made but one chunk's, and no
-chunk allocates one: a pass allocates one stack of chunk buffers, and
-every chunk writes its predictor, means, weights and log-likelihood
-temporary into it (row_weights).  A chunk's predictor is one GEMM,
-[V | 1] [U | delta]', with the offset as one more column of the
-product (linear_predictor).  What is fixed for a pass is set once per
-pass, not per chunk: the updateable columns as views of U and V where
-they are contiguous, and numpy's error state, which ignores every
-floating-point error in the pass (an exp that overflows or underflows
-is clamped, and a non-finite Q is the optimizer's to handle).
+(column_products), and one adds the ridge into a stack of row systems,
+in place, and solves it (solve_rows).  So no J x N array is made but
+one chunk's, and no chunk allocates one: a pass allocates one stack of
+chunk buffers, and every chunk writes its predictor, means, weights
+and log-likelihood temporary into it (row_weights).  A chunk's
+predictor is one GEMM, [V | 1] [U | delta]', with the offset as one
+more column of the product (linear_predictor).  What is fixed for a
+pass is set once per pass, not per chunk: the updateable columns as
+views of U and V where they are contiguous, and numpy's error state,
+which ignores every floating-point error in the pass (an exp that
+overflows or underflows is clamped, and a non-finite Q is the
+optimizer's to handle).
 
 build_model starts the latent blocks at zero, a state marked as not
 yet started, and the fit's first pass scores that null point.  In place
@@ -174,10 +175,23 @@ class ModelState:
 # validation helpers
 
 
+def _as_real(values, what: str, error: type[Exception]) -> np.ndarray:
+    """``values`` as a float array, not copied when it is one.  Raises
+    ``error`` naming ``what`` unless numpy reads ``values`` as a bool,
+    integer or float array: a complex array, whose imaginary part a cast
+    to float would drop, and one holding a string or any other object
+    that is not a number, which the cast would parse or fail on."""
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "biuf":
+        raise error(f"{what} must hold real numbers only, not {arr.dtype}")
+    return arr.astype(float, copy=False)
+
+
 def check_data_matrix(Y, family: Family) -> np.ndarray:
     """Validate a J x N data matrix against the family's support.
 
-    Counts must be nonnegative integers, bernoulli data must be 0/1, and
+    Entries must be real numbers, not complex and not strings; counts
+    must be nonnegative integers, bernoulli data must be 0/1, and
     everything must be finite.  The rows are checked CHUNK_ROWS at a time,
     so no J x N temporary is made, and the first chunk holding a bad cell
     wins: the error names that chunk's first offending cell, with 1-based
@@ -185,7 +199,7 @@ def check_data_matrix(Y, family: Family) -> np.ndarray:
     chunk holds one).  Y is returned C-ordered, as every chunk of the
     fit reads whole rows of it; a C-ordered float array is not copied.
     """
-    Y = np.ascontiguousarray(Y, dtype=float)
+    Y = np.ascontiguousarray(_as_real(Y, "data", DataError))
     if Y.ndim != 2:
         raise DataError("data must be a 2-d matrix (features x observations)")
     n_feat, n_obs = Y.shape
@@ -205,7 +219,7 @@ def check_data_matrix(Y, family: Family) -> np.ndarray:
 
 
 def _as_design(mat, n_rows: int, what: str) -> np.ndarray:
-    mat = np.asarray(mat, dtype=float)
+    mat = _as_real(mat, what, ConfigError)
     if mat.ndim == 1:
         mat = mat[:, None]
     if mat.ndim != 2 or mat.shape[0] != n_rows:
@@ -250,7 +264,7 @@ def resolve_offset(offset, Y: np.ndarray, family: Family) -> np.ndarray:
                 f"auto offset is not defined for the {family.link} link"
             )
         raise ConfigError(f"unknown offset policy {offset!r}")
-    vec = np.asarray(offset, dtype=float)
+    vec = _as_real(offset, "offset", ConfigError)
     if vec.shape != (n_obs,):
         raise ConfigError(f"offset must have length {n_obs}, got {vec.shape}")
     if not np.all(np.isfinite(vec)):
@@ -334,16 +348,12 @@ def build_model(Y, *, n_latent: int, family: Family, obs_covariates=None,
     Y = check_data_matrix(Y, family)
     n_feat, n_obs = Y.shape
 
-    blocks = []
-    if intercept:
-        blocks.append(np.ones((n_obs, 1)))
+    X = np.ones((n_obs, 1 if intercept else 0))
     if obs_covariates is not None:
-        blocks.append(_as_design(obs_covariates, n_obs, "obs_covariates"))
-    X = np.hstack(blocks) if blocks else np.empty((n_obs, 0))
+        X = np.hstack([X, _as_design(obs_covariates, n_obs, "obs_covariates")])
+    Z = np.empty((n_feat, 0))
     if feat_covariates is not None:
         Z = _as_design(feat_covariates, n_feat, "feat_covariates")
-    else:
-        Z = np.empty((n_feat, 0))
     _check_full_rank(X, "observation design matrix")
     _check_full_rank(Z, "feature design matrix")
 
@@ -463,27 +473,29 @@ def solve_rows(grad: np.ndarray, gram: np.ndarray, own_latent: np.ndarray,
             = g_r - lambda own_r on the latent columns,
 
     with lambda the ridge ``penalty`` and the latent columns the last
-    n_latent, those of ``own_latent``.  The arguments are not modified.
+    n_latent, those of ``own_latent``.  The system is penalized in
+    place: afterwards ``grad`` holds the right-hand side and ``gram``
+    the penalized matrices, so no copy of either is made, and the
+    caller's system is spent.  The ridge is written by index, so it
+    reaches a ``gram`` that is a non-contiguous view as well.
     Only when the stacked solve raises LinAlgError (some matrix is
     singular) are the rows solved one by one, and each singular row
     takes the diagonal step, leaving columns with a zero pivot (an
     unpenalized column whose partner column is all zero) unchanged.
     Returns the steps and the number of those fallback rows.
     """
-    n, m = grad.shape
+    m = grad.shape[1]
     first = m - own_latent.shape[1]  # the first latent column
-    rhs = grad.copy()
-    rhs[:, first:] -= penalty * own_latent
-    gram = gram.copy()
-    # the latent diagonal: every (m + 1)-th entry of each flat m² row
-    gram.reshape(n, m * m)[:, first * (m + 1)::m + 1] += penalty
+    grad[:, first:] -= penalty * own_latent
+    latent = np.arange(first, m)
+    gram[:, latent, latent] += penalty  # the latent diagonal
     try:
-        return np.linalg.solve(gram, rhs[..., None])[..., 0], 0
+        return np.linalg.solve(gram, grad[..., None])[..., 0], 0
     except np.linalg.LinAlgError:
         pass
-    step = np.empty_like(rhs)
+    step = np.empty_like(grad)
     fallbacks = 0
-    for r, (g_r, b_r) in enumerate(zip(gram, rhs)):
+    for r, (g_r, b_r) in enumerate(zip(gram, grad)):
         try:
             step[r] = np.linalg.solve(g_r, b_r)
         except np.linalg.LinAlgError:

@@ -7,39 +7,40 @@ rows, and each row takes the full Fisher scoring (Newton with expected
 curvature) step for its own coordinates, mixed second derivatives
 between its columns included.  The paper's diagonal step, one column at
 a time, has the same fixed points; the joint step reaches them in fewer
-sweeps.  The scoring systems are formed and solved in model.py; this
-module runs the sweeps and decides when to stop.
+sweeps.  The scoring systems are formed in model.py and solved by
+model.solve_rows: each V system inside the scoring pass, and the U
+system here, once per sweep.  This module runs the sweeps and decides
+when to stop.
 
 Each point is scored once, by one pass over row chunks of Y
 (model.score_pass), which returns Q and the U system of the point.  A
-sweep solves the U step from the held system of its starting point,
+sweep solves the U system of its starting point once, in place, and
+holds only the N x m step; each attempt adds that step, scaled, to U,
 then runs the pass with the V step, which ends on the new point's Q and
 U system.  The pass solves the V step one group of chunks at a time,
 in one stacked solve per group, and scores each group after its step.
-So an accepted sweep builds each chunk's R twice, and
-between sweeps the fit holds O(N m²) numbers besides U, V and Y.  Every
-R is built from U, V and delta, so rounding cannot accumulate from
-sweep to sweep.
+So an accepted sweep builds each chunk's R twice, and between sweeps
+the fit holds O(N m²) numbers besides U, V and Y.  Every R is built
+from U, V and delta, so rounding cannot accumulate from sweep to sweep.
 
 A state build_model returns is not yet started: its latent blocks are
 zero.  Its first pass builds no U system; it sketches the Pearson
 residuals of that null point (model.score_pass), and model.residual_start
-turns the sketch into a start for both latent blocks.  Sweep 1 sets the
-latent blocks to that start in place of its U step, then runs the pass
-with the V step; the coefficient blocks keep their values until the
-pass.  The start is deterministic, so the same input gives the same
-fit.
+turns the sketch into a start for both latent blocks.  Sweep 1 takes
+that start as its steps on the two latent blocks in place of a U step,
+then runs the pass with the V step; the coefficient blocks keep their
+values until the pass.  The start is deterministic, so the same input
+gives the same fit.
 
 Each failure has one remedy.  A singular row system (an unpenalized
 column whose partner column is all zero) takes the diagonal step, which
 leaves that column unchanged (model.solve_rows); its rows are counted
 in the fit's warnings only when their sweep is accepted.  A step is not
-guaranteed to increase Q, so a sweep is retried from its starting point,
-with the starting point's U system and both steps halved, when it gives
+guaranteed to increase Q, so a sweep is retried from its starting point
+with its held steps halved, the V step's scale with them, when it gives
 non-finite factors or a Q that is non-finite or lower, up to
 MAX_HALVINGS times; that budget is fixed, not a FitConfig setting.  A
-halving scales sweep 1's start as it scales a U step: the latent blocks
-are set to the start times the step's scale.
+halving scales sweep 1's start as it scales a U step.
 """
 
 from __future__ import annotations
@@ -105,26 +106,15 @@ class FitResult:
 # the fit loop
 
 
-def _sweep(state: ModelState, scale: float,
-           u_system: tuple[np.ndarray, np.ndarray] | None,
-           start: tuple[np.ndarray, np.ndarray] | None = None):
-    """One joint block step for U, then one for V, over all updateable
-    columns, steps scaled by ``scale``.  The U step solves ``u_system``,
-    the U system of the current state; the V step is taken group by
-    group of chunks in the scoring pass.  Given ``start``, the (U_latent,
-    V_latent) of model.residual_start, the latent blocks are set to it
-    times ``scale`` in place of the U step, and ``u_system`` is not
-    read.  Returns the new point's Q and U system, then the number of
-    U rows and of V rows that fell back to the diagonal step."""
-    if start is None:
-        step, u_rows = solve_rows(*u_system, state.U_latent, state.penalty)
-        state.U[:, state.index.u_cols] += scale * step
-    else:
-        u_rows = 0
-        np.multiply(start[0], scale, out=state.U_latent)
-        np.multiply(start[1], scale, out=state.V_latent)
-    q, u_system, v_rows = score_pass(state, scale)
-    return q, u_system, u_rows, v_rows
+def _sweep(state: ModelState, scale: float, steps):
+    """One sweep attempt at step scale ``scale``: each held (factor
+    matrix, columns, step) of ``steps`` adds ``scale`` times its step to
+    those columns, then the scoring pass takes the V step, scaled alike,
+    group by group of chunks.  Returns model.score_pass's (Q, U system,
+    V fallback rows) at the new point."""
+    for own, cols, step in steps:
+        own[:, cols] += scale * step
+    return score_pass(state, scale)
 
 
 def fit(state: ModelState, config: FitConfig | None = None) -> FitResult:
@@ -164,7 +154,6 @@ def fit(state: ModelState, config: FitConfig | None = None) -> FitResult:
     # non-finite point is retried with a halved step or ends in a FitError
     with np.errstate(all="ignore"):
         n_latent = state.index.n_latent
-        u_system = start = None
         if state.started:
             q_prev, u_system, _ = score_pass(state)
         else:  # the null point's first pass sketches, builds no U system
@@ -174,26 +163,33 @@ def fit(state: ModelState, config: FitConfig | None = None) -> FitResult:
             raise FitError("objective non-finite at the starting point",
                            trace)
         # only after the check: LAPACK's SVD of a sketch holding inf may
-        # never return
-        if u_system is None:
-            start = residual_start(sketch, n_latent)
+        # never return.  Sweep 1 adds the start to the zero latent blocks
+        if not state.started:
+            latent = state.index.latent_slice
+            steps = list(zip((state.U, state.V), (latent, latent),
+                             residual_start(sketch, n_latent)))
+            step_rows = 0
         for t in range(1, cfg.max_iters + 1):
+            if state.started:  # the U step, solved once: a retry halves it
+                step, step_rows = solve_rows(*u_system, state.U_latent,
+                                             state.penalty)
+                steps = [(state.U, state.index.u_cols, step)]
             u_snap = state.U.copy()
             v_snap = state.V.copy()
             for attempt in range(MAX_HALVINGS + 1):
-                q_new, new_system, new_u_rows, new_v_rows = _sweep(
-                    state, 0.5 ** attempt, u_system, start)
+                u_system = None  # solved or rejected: not held in the pass
+                q_new, u_system, new_v_rows = _sweep(
+                    state, 0.5 ** attempt, steps)
                 if not finite_factors(state):
                     q_new = np.nan
                 if np.isfinite(q_new) and (
                         q_new >= q_prev - ASCENT_SLACK * (1.0 + abs(q_prev))):
-                    u_rows += new_u_rows
+                    u_rows += step_rows
                     v_rows += new_v_rows
                     halvings += attempt
-                    u_system, start = new_system, None
                     state.started = True
                     break
-                # undo the rejected attempt; the start's U system is kept
+                # undo the rejected attempt; its held steps are kept
                 state.U[...] = u_snap
                 state.V[...] = v_snap
             else:

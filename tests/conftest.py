@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import glmpca as g
-from glmpca import model
+from glmpca import model, optimizer
 from glmpca.optimizer import _sweep
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -120,6 +120,14 @@ def gram_diagonal(state, block):
             + column_penalty(state, own_block(state, block)[1]))
 
 
+def u_steps(state, system):
+    """The fit's held U step for the U system ``system`` of the current
+    state, solved once as fit() solves it: _sweep's steps, and the
+    number of U rows that fell back to the diagonal step."""
+    step, rows = model.solve_rows(*system, state.U_latent, state.penalty)
+    return [(state.U, state.index.u_cols, step)], rows
+
+
 def block_step(state, block, scale=1.0):
     """One joint Fisher-scoring step on ``block`` alone, by the fit's own
     code: the V step is the scoring pass with a step, the U step a sweep
@@ -127,27 +135,30 @@ def block_step(state, block, scale=1.0):
     if block == "V":
         return model.score_pass(state, scale)[2]
     v_before = state.V.copy()
-    u_rows = _sweep(state, scale, model.score_pass(state)[1])[2]
+    steps, u_rows = u_steps(state, model.score_pass(state)[1])
+    _sweep(state, scale, steps)
     state.V[...] = v_before
     return u_rows
 
 
 def advance(state, n_sweeps=10):
     """Run scoring sweeps so postprocessing sees a fitted state.  As in
-    fit(), a sweep that lowers Q is retried with halved steps: on these
-    small instances some full-length block steps, taken before any step
-    halving, overshoot to |U| ~ 1e9."""
+    fit(), each sweep solves its U step once, and a sweep that lowers Q
+    is retried with the steps halved, up to optimizer.MAX_HALVINGS
+    times: on these small instances some full-length block steps, taken
+    before any step halving, overshoot to |U| ~ 1e9."""
     for _ in range(n_sweeps):
         q0, system, _ = model.score_pass(state)
         u0, v0 = state.U.copy(), state.V.copy()
-        for attempt in range(11):
-            state.U[...], state.V[...] = u0, v0
-            with np.errstate(all="ignore"):
-                q = _sweep(state, 0.5 ** attempt, system)[0]
-            if model.finite_factors(state) and q >= q0:
-                break
-        else:
-            state.U[...], state.V[...] = u0, v0
+        with np.errstate(all="ignore"):
+            steps = u_steps(state, system)[0]
+            for attempt in range(optimizer.MAX_HALVINGS + 1):
+                state.U[...], state.V[...] = u0, v0
+                q = _sweep(state, 0.5 ** attempt, steps)[0]
+                if model.finite_factors(state) and q >= q0:
+                    break
+            else:
+                state.U[...], state.V[...] = u0, v0
     return state
 
 

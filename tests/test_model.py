@@ -67,6 +67,16 @@ class TestDataValidation:
         with pytest.raises(DataError, match="row 1, column 1"):
             g.check_data_matrix(np.array([[np.nan, 1.0]]), g.gaussian())
 
+    @pytest.mark.parametrize("kind", ["complex", "string"])
+    def test_non_real_data_rejected(self, kind):
+        # a cast to float would drop the imaginary part, or parse text
+        Y = np.ones((5, 10)) + (1j if kind == "complex" else 0)
+        if kind == "string":
+            Y = Y.astype(str)
+            Y[2, 3] = "two"
+        with pytest.raises(DataError, match="data must hold real numbers"):
+            g.build_model(Y, n_latent=1, family=g.poisson())
+
     def test_shape_minimums(self):
         with pytest.raises(DataError):
             g.check_data_matrix(np.ones((2, 1)), g.gaussian())
@@ -200,6 +210,29 @@ class TestBuildModel:
         with pytest.raises(ConfigError, match=message):
             g.build_model(np.zeros((5, 10)), **args)
 
+    @pytest.mark.parametrize("kind", ["complex", "string"])
+    @pytest.mark.parametrize("name, n_rows", [("obs_covariates", 10),
+                                              ("feat_covariates", 5)])
+    def test_non_real_covariates_rejected(self, name, n_rows, kind):
+        design = np.arange(n_rows, dtype=float)[:, None] ** [1, 2]
+        if kind == "complex":
+            design = design + 1j
+        else:
+            design = design.astype(object)
+            design[1, 0] = "one"
+        with pytest.raises(ConfigError,
+                           match=f"{name} must hold real numbers"):
+            g.build_model(np.ones((5, 10)), n_latent=1, family=g.poisson(),
+                          **{name: design})
+
+    @pytest.mark.parametrize("kind", ["complex", "string"])
+    def test_non_real_offset_rejected(self, kind):
+        offset = (np.zeros(10) + 1j if kind == "complex"
+                  else ["0.5"] * 10)
+        with pytest.raises(ConfigError, match="offset must hold real numbers"):
+            g.build_model(np.ones((5, 10)), n_latent=1, family=g.poisson(),
+                          offset=offset)
+
     def test_covariate_vector_is_one_column(self):
         z = np.arange(5.0)
         state = g.build_model(np.zeros((5, 10)), n_latent=1,
@@ -233,15 +266,16 @@ class TestBuildModel:
                 np.testing.assert_array_equal(again, part)
             rhs = grad.copy()
             rhs[:, n_coef:] -= lam * own[:, latent]
+            gram_before = gram.copy()
             ridge = np.zeros_like(gram[0])
             ridge[n_coef:, n_coef:] = lam * np.eye(base.index.n_latent)
             expected = np.linalg.solve(gram + ridge, rhs[..., None])[..., 0]
-            kept = grad.copy(), gram.copy()
             step, fallbacks = g.solve_rows(grad, gram, own[:, latent], lam)
             assert fallbacks == 0
             np.testing.assert_allclose(step, expected, rtol=1e-13, atol=0)
-            for part, before in zip((grad, gram), kept):
-                np.testing.assert_array_equal(part, before)
+            # the system is penalized in place, to the one solved
+            np.testing.assert_array_equal(grad, rhs)
+            np.testing.assert_array_equal(gram, gram_before + ridge)
 
     @pytest.mark.parametrize(
         "penalty", [-1.0, np.nan, np.inf, [0.5], np.array([0.5, 0.25]),

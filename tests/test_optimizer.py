@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from glmpca.model import IndexSets, ModelState, linear_predictor
 
 from conftest import (ALL_FAMILIES, block_step, column_penalty, gradient,
                       means, noise_start, own_block, random_state,
-                      sample_response)
+                      sample_response, u_steps)
 
 
 def tiny_state(Y, family, U, V, penalty=0.0, index=None):
@@ -117,8 +118,9 @@ class TestColumnUpdates:
 
 
 class TestHeldPredictor:
-    """The U step solves the U system held from the scoring pass of its
-    starting point; each accepted sweep builds each chunk's R twice."""
+    """A sweep solves the U system held from the scoring pass of its
+    starting point once, and every attempt takes that held step; each
+    accepted sweep builds each chunk's R twice."""
 
     @pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: f.kind)
     @pytest.mark.parametrize("full", [False, True], ids=["diag", "full"])
@@ -128,14 +130,15 @@ class TestHeldPredictor:
         checked = []
         real_sweep = optimizer._sweep
 
-        def checked_sweep(state, scale, u_system, start=None):
-            # the held U system is the one a fresh pass over the state
-            # builds
-            fresh = model.score_pass(state)[1]
-            for held, current in zip(u_system, fresh):
-                np.testing.assert_array_equal(held, current)
+        def checked_sweep(state, scale, steps):
+            # the held U step is the solve of the U system a fresh pass
+            # over the state builds
+            (own, cols, held), = steps
+            assert own is state.U and cols == state.index.u_cols
+            np.testing.assert_array_equal(
+                held, u_steps(state, model.score_pass(state)[1])[0][0][2])
             checked.append(scale)
-            return real_sweep(state, scale, u_system, start)
+            return real_sweep(state, scale, steps)
 
         monkeypatch.setattr(optimizer, "_sweep", checked_sweep)
         g.fit(state, g.FitConfig(max_iters=5, tol=1e-14,
@@ -176,41 +179,94 @@ class TestHeldPredictor:
 
         # _sweep alone: the U step builds nothing
         state = random_state(g.bernoulli(), seed=45, n_obs=24)
-        u_system = model.score_pass(state)[1]
+        steps = u_steps(state, model.score_pass(state)[1])[0]
         calls.clear()
-        optimizer._sweep(state, 1.0, u_system)
+        optimizer._sweep(state, 1.0, steps)
         assert calls == [first, last, first, last]
 
-    def test_halved_retry_keeps_the_start_u_system(self, monkeypatch):
-        # from a zero intercept and a small latent start the first full
-        # sweep overshoots: it is halved twice, the second sweep not at all
+    @staticmethod
+    def overshooting_state():
+        """From a zero intercept and a small latent start the first full
+        sweep overshoots: it is halved twice, the second sweep not at
+        all."""
         rng = np.random.default_rng(0)
         R = (rng.normal(1.0, 0.5, (10, 1))
              + rng.normal(0, 0.7, (10, 2)) @ rng.normal(0, 0.7, (2, 14)))
         Y = rng.poisson(np.exp(R)).astype(float)
         state = noise_start(g.build_model(Y, n_latent=2, family=g.poisson()))
         state.V[:, 0] = 0.0
-        start = model.score_pass(state)[1]
-        scales, systems = [], []
+        return state
+
+    def test_halved_retry_keeps_the_start_u_step(self, monkeypatch):
+        state = self.overshooting_state()
+        start = u_steps(state, model.score_pass(state)[1])[0][0][2]
+        scales, steps_seen = [], []
         real_sweep = optimizer._sweep
 
-        def counted_sweep(state, scale, u_system, start=None):
+        def counted_sweep(state, scale, steps):
             scales.append(scale)
-            systems.append(u_system)
-            return real_sweep(state, scale, u_system, start)
+            steps_seen.append(steps)
+            return real_sweep(state, scale, steps)
 
         monkeypatch.setattr(optimizer, "_sweep", counted_sweep)
         calls = self.count_builds(monkeypatch)
         result = g.fit(state, g.FitConfig(max_iters=2, tol=1e-300))
         assert scales == [1.0, 0.5, 0.25, 1.0]
         assert result.warnings == ["sweep step-halvings applied (x2)"]
-        # the retries solve the start's U system, held and unchanged
-        assert systems[1] is systems[0] and systems[2] is systems[0]
-        assert systems[3] is not systems[0]
-        for held, fresh in zip(systems[0], start):
-            np.testing.assert_array_equal(held, fresh)
+        # the retries take the start's U step, held and unchanged: the
+        # solve of the U system a fresh pass over the start builds
+        assert steps_seen[1] is steps_seen[0]
+        assert steps_seen[2] is steps_seen[0]
+        assert steps_seen[3] is not steps_seen[0]
+        np.testing.assert_array_equal(steps_seen[0][0][2], start)
         # one chunk: 1 build for the start, 2 per attempt
         assert len(calls) == 1 + 2 * 4
+
+    def test_no_u_system_is_held_through_a_pass(self, monkeypatch):
+        # a U system is freed once it is solved, or once its attempt is
+        # rejected, before the next pass builds one: the fit holds the
+        # N x m step through a pass, not an N x m² system
+        state = self.overshooting_state()
+        refs, held = [], []
+        real_pass = optimizer.score_pass
+
+        def watched_pass(*args):
+            held.append(sum(ref() is not None for ref in refs))
+            out = real_pass(*args)
+            refs.extend(weakref.ref(part) for part in out[1])
+            return out
+
+        monkeypatch.setattr(optimizer, "score_pass", watched_pass)
+        result = g.fit(state, g.FitConfig(max_iters=2, tol=1e-300))
+        assert result.warnings == ["sweep step-halvings applied (x2)"]
+        assert held == [0] * 5
+
+    @pytest.mark.parametrize("halvings", [0, 1, 3])
+    def test_one_u_solve_per_sweep_however_often_halved(self, halvings,
+                                                        monkeypatch):
+        # the first `halvings` attempts are made non-finite, so the sweep
+        # is halved that many times; its U system is solved once
+        state = random_state(g.poisson(), seed=77)
+        solved, scales = [], []
+        real_sweep, real_solve = optimizer._sweep, optimizer.solve_rows
+
+        def poisoned_sweep(state, scale, steps):
+            out = real_sweep(state, scale, steps)
+            scales.append(scale)
+            if len(scales) <= halvings:
+                state.U[0, -1] = np.nan
+            return out
+
+        def counted_solve(*args):
+            solved.append(len(args[0]))
+            return real_solve(*args)
+
+        monkeypatch.setattr(optimizer, "_sweep", poisoned_sweep)
+        monkeypatch.setattr(optimizer, "solve_rows", counted_solve)
+        result = g.fit(state, g.FitConfig(max_iters=1))
+        assert scales == [0.5 ** k for k in range(halvings + 1)]
+        assert solved == [state.n_obs]
+        assert result.iterations_run == 1 and np.isfinite(result.final_q)
 
 
 class TestChunks:
@@ -234,9 +290,12 @@ class TestChunks:
         def run():
             systems = []
 
-            def recorded_sweep(state, scale, u_system, start=None):
-                systems.append(u_system)
-                return real_sweep(state, scale, u_system, start)
+            def recorded_sweep(state, scale, steps):
+                # the new point's U system, copied before the next sweep
+                # solves it in place
+                out = real_sweep(state, scale, steps)
+                systems.append(tuple(part.copy() for part in out[1]))
+                return out
 
             monkeypatch.setattr(optimizer, "_sweep", recorded_sweep)
             result = g.fit(self.chunk_case(case),
@@ -489,6 +548,25 @@ class TestFullScoring:
         np.testing.assert_allclose(0.5 * step, expected, rtol=1e-12, atol=0)
         np.testing.assert_array_equal(step[1, :2], 0.0)  # A stays
 
+    def test_non_contiguous_gram_takes_the_same_step_and_the_ridge(self):
+        # the ridge is added by index into the caller's stack: a
+        # transposed view gets it too, and solves to the same step as a
+        # contiguous copy, bit for bit
+        state = random_state(g.poisson(), seed=79, penalty=0.3)
+        grad, gram = model.score_pass(state)[1]
+        view = np.ascontiguousarray(gram.transpose(1, 2, 0)).transpose(2, 0, 1)
+        assert not view.flags.c_contiguous
+        np.testing.assert_array_equal(view, gram)
+        step, _ = g.solve_rows(grad.copy(), view, state.U_latent,
+                               state.penalty)
+        want, _ = g.solve_rows(grad, gram, state.U_latent, state.penalty)
+        np.testing.assert_array_equal(step, want)
+        np.testing.assert_array_equal(view, gram)
+        latent = state.index.n_latent
+        assert np.all(np.diagonal(view, axis1=1, axis2=2)[:, -latent:]
+                      != np.diagonal(model.score_pass(state)[1][1],
+                                     axis1=1, axis2=2)[:, -latent:])
+
     def test_chunked_step_matches_unchunked_in_bounded_memory(
             self, monkeypatch):
         # K^2 > J and K^2 > N: taken two rows of Y at a time, the V step
@@ -625,7 +703,8 @@ class TestDegenerateColumns:
     def test_column_unchanged_by_fallback_step(self):
         state, k = self.degenerate_state()
         u_before = state.U.copy()
-        rows = optimizer._sweep(state, 1.0, model.score_pass(state)[1])[2:]
+        steps, u_rows = u_steps(state, model.score_pass(state)[1])
+        rows = u_rows, optimizer._sweep(state, 1.0, steps)[2]
         # every U row fell back to the diagonal step, which leaves the
         # zero-pivot column as it was and moves the others
         assert rows == (state.n_obs, 0)
@@ -663,7 +742,8 @@ class TestDegenerateColumns:
                            V=np.zeros((n_feat, 3)), penalty=1e-4,
                            index=IndexSets(2, 0, 1))
         fit_state = copy.deepcopy(state)
-        rows = optimizer._sweep(state, 1.0, model.score_pass(state)[1])[2:]
+        steps, u_rows = u_steps(state, model.score_pass(state)[1])
+        rows = u_rows, optimizer._sweep(state, 1.0, steps)[2]
         assert rows == (0, n_feat)
         # the fit's own tally words them
         assert g.fit(fit_state, g.FitConfig(max_iters=1)).warnings == [
@@ -805,7 +885,7 @@ class TestFit:
         result = g.fit(state, g.FitConfig(max_iters=5, tol=1e-16))
         assert [it for it, _ in result.trace] == [1, 2, 3, 4, 5]
 
-    def test_last_sweep_traced_when_trace_every_exceeds_sweeps(self):
+    def test_trace_ends_on_the_last_sweep_at_max_iters(self):
         # every accepted sweep is traced, so the last one ends the trace
         state = random_state(g.poisson(), seed=93)
         result = g.fit(state, g.FitConfig(max_iters=2, tol=1e-16))
@@ -848,25 +928,20 @@ class TestFit:
             g.fit(state, g.FitConfig())
 
     def test_nonfinite_block_step_is_halved(self, monkeypatch):
-        # a first U step that leaves NaN in U makes the whole attempt
-        # non-finite: it is retried at half the step, and nothing raises
+        # a first attempt that leaves NaN in U is non-finite as a whole:
+        # it is retried at half the step, and nothing raises
         state = random_state(g.poisson(), seed=77)
-        scales, poisoned = [], []
-        real_sweep, real_solve = optimizer._sweep, optimizer.solve_rows
+        scales = []
+        real_sweep = optimizer._sweep
 
-        def counted_sweep(state, scale, u_system, start=None):
+        def poisoned_sweep(state, scale, steps):
+            out = real_sweep(state, scale, steps)
+            if not scales:
+                state.U[0, -1] = np.nan
             scales.append(scale)
-            return real_sweep(state, scale, u_system, start)
+            return out
 
-        def poisoned_solve(*args):
-            step, fallbacks = real_solve(*args)
-            if not poisoned:
-                step[0, -1] = np.nan
-                poisoned.append(True)
-            return step, fallbacks
-
-        monkeypatch.setattr(optimizer, "_sweep", counted_sweep)
-        monkeypatch.setattr(optimizer, "solve_rows", poisoned_solve)
+        monkeypatch.setattr(optimizer, "_sweep", poisoned_sweep)
         result = g.fit(state, g.FitConfig(max_iters=5, tol=1e-14))
         assert scales[:2] == [1.0, 0.5]
         assert any(w.startswith("sweep step-halvings applied")
@@ -877,25 +952,32 @@ class TestFit:
             assert cur >= prev - 1e-12 * (1.0 + abs(prev))
 
     def test_rejected_attempt_fallbacks_not_counted(self, monkeypatch):
-        # every U solve reports one fallback row, and the first one's
-        # NaN step gets its attempt rejected and undone: only the
-        # accepted attempt's fallback row reaches the warnings
+        # the sweep's one U solve and every attempt's V step report one
+        # fallback row each, and the first attempt's NaN in U gets it
+        # rejected and undone: only the accepted attempt's rows reach
+        # the warnings, the U row once for the sweep
         state = random_state(g.poisson(), seed=77)
-        real_solve = optimizer.solve_rows
-        solves = []
+        real_sweep, real_solve = optimizer._sweep, optimizer.solve_rows
+        solves, attempts = [], []
 
         def one_fallback_solve(*args):
-            step, _ = real_solve(*args)
-            if not solves:
-                step[0, -1] = np.nan
             solves.append(True)
-            return step, 1
+            return real_solve(*args)[0], 1
+
+        def one_fallback_sweep(state, scale, steps):
+            q, system, _ = real_sweep(state, scale, steps)
+            if not attempts:
+                state.U[0, -1] = np.nan
+            attempts.append(scale)
+            return q, system, 1
 
         monkeypatch.setattr(optimizer, "solve_rows", one_fallback_solve)
+        monkeypatch.setattr(optimizer, "_sweep", one_fallback_sweep)
         result = g.fit(state, g.FitConfig(max_iters=1))
-        assert len(solves) == 2
+        assert len(solves) == 1 and attempts == [1.0, 0.5]
         assert result.warnings == [
             "block step fell back to diagonal for U rows",
+            "block step fell back to diagonal for V rows",
             "sweep step-halvings applied"]
 
     def test_underflow_under_strict_errstate(self):
