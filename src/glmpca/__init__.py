@@ -13,12 +13,11 @@ from .exceptions import (ConfigError, DataError, DomainError, FitError,
                          GlmPcaError)
 from .families import Family, bernoulli, gaussian, negative_binomial, poisson
 from .io import LoadedMatrix, read_matrix, write_result
-# check_data_matrix and the scoring pass with the two functions it builds
-# and solves each system with stay importable from here for the tests
-# and the benchmark, outside __all__
+# check_data_matrix, which the benchmark calls, and the scoring pass with
+# the two functions it builds and solves each system with, which the
+# tests call, stay importable from here, outside __all__
 from .model import (IndexSets, ModelState, build_model, check_data_matrix,
-                    linear_predictor, objective, row_system, score_pass,
-                    solve_rows)
+                    linear_predictor, row_system, score_pass, solve_rows)
 from .optimizer import FitConfig, FitResult, fit
 from .postprocess import postprocess, project_out_covariates
 
@@ -29,7 +28,6 @@ __all__ = [
     "Family", "bernoulli", "gaussian", "negative_binomial", "poisson",
     "LoadedMatrix", "read_matrix", "write_result",
     "IndexSets", "ModelState", "build_model", "linear_predictor",
-    "objective",
     "FitConfig", "FitResult", "fit",
     "postprocess", "project_out_covariates",
     "__version__",

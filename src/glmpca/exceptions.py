@@ -1,4 +1,5 @@
-"""Exception hierarchy for glmpca, and the one check of a scalar option."""
+"""Exception hierarchy for glmpca, the one check of a scalar option and
+the one check that an array argument holds finite real numbers."""
 
 import numbers
 import sys
@@ -52,3 +53,20 @@ def check_option(value, name: str, *, integer: bool = False,
         what = "integer" if integer else "finite scalar"
         raise ConfigError(f"{name} must be a {sign} {what}, got {value!r}")
     return int(number) if integer else float(number)
+
+
+def _as_real(values, what: str, error: type[Exception], *,
+             finite: bool = True) -> np.ndarray:
+    """``values`` as a float array, not copied when it is one.  Raises
+    ``error`` naming ``what`` unless numpy reads ``values`` as a bool,
+    integer or float array: a complex array, whose imaginary part a cast
+    to float would drop, and one holding a string or any other object
+    that is not a number, which the cast would parse or fail on.  With
+    ``finite``, it also raises for an array holding inf or NaN."""
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "biuf":
+        raise error(f"{what} must hold real numbers only, not {arr.dtype}")
+    arr = arr.astype(float, copy=False)
+    if finite and not np.all(np.isfinite(arr)):
+        raise error(f"{what} contains non-finite values")
+    return arr

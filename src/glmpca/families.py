@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import (ConfigError, DataError, DomainError,
+from .exceptions import (ConfigError, DataError, DomainError, _as_real,
                          check_option)
 
 # Means are clamped strictly inside their domain so that 1/rho(mu) and
@@ -47,13 +47,11 @@ KINDS = tuple(_LINK)
 
 
 def _guarded(kernel, *checked):
-    """kernel(*arrays) for (argument, check) pairs, each argument cast to
-    a float array and checked in turn; overflow and underflow are ignored
-    whatever the caller's np.seterr, and a 0-d result is a float."""
-    arrays = []
-    for x, check in checked:
-        arrays.append(np.asarray(x, dtype=float))
-        check(arrays[-1])
+    """kernel(*arrays) for (argument, check) pairs, each argument checked
+    in turn by its check, which returns it as a float array; overflow and
+    underflow are ignored whatever the caller's np.seterr, and a 0-d
+    result is a float."""
+    arrays = [check(x) for x, check in checked]
     with np.errstate(over="ignore", under="ignore"):
         out = kernel(*arrays)
     return float(out) if np.ndim(out) == 0 else out
@@ -276,29 +274,35 @@ class Family:
         return ((y < 0) | (y != np.floor(y)),
                 f"{self.kind} data must be a nonnegative integer")
 
-    def _check_predictor(self, arr) -> None:
-        if not np.all(np.isfinite(arr)):
-            raise DomainError("linear predictor contains non-finite values")
+    # Each check returns a public method's argument as a float array, or
+    # raises for one that is not finite and real (exceptions._as_real) or
+    # is outside the domain: DataError for data, as build_model does, else
+    # DomainError.
 
-    def _check_support(self, y) -> None:
-        bad, reason = self._outside_support(y)
+    def _check_predictor(self, r) -> np.ndarray:
+        return _as_real(r, "linear predictor", DomainError)
+
+    def _check_support(self, y) -> np.ndarray:
+        arr = _as_real(y, "data", DataError, finite=False)
+        bad, reason = self._outside_support(arr)
         if bad.any():
             raise DataError(f"data outside the support: {reason}")
+        return arr
 
-    def _check_natural_domain(self, arr) -> None:
-        if not np.all(np.isfinite(arr)):
-            raise DomainError("natural parameter contains non-finite values")
+    def _check_natural_domain(self, theta) -> np.ndarray:
+        arr = _as_real(theta, "natural parameter", DomainError)
         if self.kind == "negative_binomial" and np.any(arr >= 0):
             raise DomainError(
                 "negative binomial natural parameter must be negative")
+        return arr
 
-    def _check_mean_domain(self, arr) -> None:
-        if not np.all(np.isfinite(arr)):
-            raise DomainError("mean contains non-finite values")
+    def _check_mean_domain(self, mu) -> np.ndarray:
+        arr = _as_real(mu, "mean", DomainError)
         if self.kind != "gaussian" and np.any(arr <= 0):
             raise DomainError(f"{self.kind} mean must be positive")
         if self.kind == "bernoulli" and np.any(arr >= 1):
             raise DomainError("bernoulli mean must be below 1")
+        return arr
 
 
 def gaussian() -> Family:

@@ -38,13 +38,14 @@ optimizer's to handle).
 build_model starts the latent blocks at zero, a state marked as not
 yet started, and the fit's first pass scores that null point.  In place
 of the U system it builds a one-pass sketch of the Pearson residuals
-E = (Y - M) S / sqrt(I) there (score_pass with a test matrix), with the
-spans of the designs X and Z projected out of E's rows and columns,
-from which residual_start takes a weighted rank-L SVD: the start that
-the fit's first sweep sets the latent blocks to (optimizer.fit).  The
-projection leaves the covariate effects to the coefficient blocks, as
-postprocessing does at the end (postprocess.project_out_covariates), so
-the latent blocks do not start on them.
+E = (Y - M) S / sqrt(I) there (score_pass with ``sketch``, against the
+fixed test matrix sketch_matrix), with the spans of the designs X and Z
+projected out of E's rows and columns, from which residual_start takes
+a weighted rank-L SVD: the start that the fit's first sweep sets the
+latent blocks to (optimizer.fit).  The projection leaves the covariate
+effects to the coefficient blocks, as postprocessing does at the end
+(postprocess.project_out_covariates), so the latent blocks do not start
+on them.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import ConfigError, DataError, DomainError, check_option
+from .exceptions import ConfigError, DataError, _as_real, check_option
 from .families import MEAN_FLOOR, PROB_CEIL, PROB_FLOOR, Family
 
 CHUNK_ROWS = 128  # rows of Y per chunk of the checks and the scoring pass
@@ -175,18 +176,6 @@ class ModelState:
 # validation helpers
 
 
-def _as_real(values, what: str, error: type[Exception]) -> np.ndarray:
-    """``values`` as a float array, not copied when it is one.  Raises
-    ``error`` naming ``what`` unless numpy reads ``values`` as a bool,
-    integer or float array: a complex array, whose imaginary part a cast
-    to float would drop, and one holding a string or any other object
-    that is not a number, which the cast would parse or fail on."""
-    arr = np.asarray(values)
-    if arr.dtype.kind not in "biuf":
-        raise error(f"{what} must hold real numbers only, not {arr.dtype}")
-    return arr.astype(float, copy=False)
-
-
 def check_data_matrix(Y, family: Family) -> np.ndarray:
     """Validate a J x N data matrix against the family's support.
 
@@ -199,7 +188,9 @@ def check_data_matrix(Y, family: Family) -> np.ndarray:
     chunk holds one).  Y is returned C-ordered, as every chunk of the
     fit reads whole rows of it; a C-ordered float array is not copied.
     """
-    Y = np.ascontiguousarray(_as_real(Y, "data", DataError))
+    # no J x N finiteness mask: the support check, chunk by chunk, names
+    # the first non-finite cell
+    Y = np.ascontiguousarray(_as_real(Y, "data", DataError, finite=False))
     if Y.ndim != 2:
         raise DataError("data must be a 2-d matrix (features x observations)")
     n_feat, n_obs = Y.shape
@@ -227,8 +218,6 @@ def _as_design(mat, n_rows: int, what: str) -> np.ndarray:
             f"{what} must be a matrix with {n_rows} rows, "
             f"got shape {mat.shape}"
         )
-    if not np.all(np.isfinite(mat)):
-        raise ConfigError(f"{what} contains non-finite values")
     return mat
 
 
@@ -267,8 +256,6 @@ def resolve_offset(offset, Y: np.ndarray, family: Family) -> np.ndarray:
     vec = _as_real(offset, "offset", ConfigError)
     if vec.shape != (n_obs,):
         raise ConfigError(f"offset must have length {n_obs}, got {vec.shape}")
-    if not np.all(np.isfinite(vec)):
-        raise ConfigError("offset contains non-finite values")
     return vec.copy()
 
 
@@ -479,10 +466,13 @@ def solve_rows(grad: np.ndarray, gram: np.ndarray, own_latent: np.ndarray,
     caller's system is spent.  The ridge is written by index, so it
     reaches a ``gram`` that is a non-contiguous view as well.
     Only when the stacked solve raises LinAlgError (some matrix is
-    singular) are the rows solved one by one, and each singular row
-    takes the diagonal step, leaving columns with a zero pivot (an
-    unpenalized column whose partner column is all zero) unchanged.
-    Returns the steps and the number of those fallback rows.
+    singular) are the singular rows found, as those whose LU
+    factorization has an exact zero pivot (np.linalg.slogdet's sign 0,
+    the pivot that makes np.linalg.solve raise): the other rows are
+    solved in one stacked call, and each singular row takes the diagonal
+    step, leaving columns with a zero pivot (an unpenalized column whose
+    partner column is all zero) unchanged.  Returns the steps and the
+    number of those fallback rows.
     """
     m = grad.shape[1]
     first = m - own_latent.shape[1]  # the first latent column
@@ -493,21 +483,18 @@ def solve_rows(grad: np.ndarray, gram: np.ndarray, own_latent: np.ndarray,
         return np.linalg.solve(gram, grad[..., None])[..., 0], 0
     except np.linalg.LinAlgError:
         pass
+    singular = np.linalg.slogdet(gram)[0] == 0
     step = np.empty_like(grad)
-    fallbacks = 0
-    for r, (g_r, b_r) in enumerate(zip(gram, grad)):
-        try:
-            step[r] = np.linalg.solve(g_r, b_r)
-        except np.linalg.LinAlgError:
-            pivot = np.diagonal(g_r)
-            step[r] = np.divide(b_r, pivot, out=np.zeros(m),
-                                where=pivot != 0)
-            fallbacks += 1
-    return step, fallbacks
+    step[~singular] = np.linalg.solve(gram[~singular],
+                                      grad[~singular, :, None])[..., 0]
+    pivot = np.diagonal(gram[singular], axis1=1, axis2=2)
+    step[singular] = np.divide(grad[singular], pivot,
+                               out=np.zeros_like(pivot), where=pivot != 0)
+    return step, int(np.count_nonzero(singular))
 
 
 def score_pass(state: ModelState, v_scale: float | None = None,
-               omega: np.ndarray | None = None):
+               sketch: bool = False):
     """One pass over the rows of Y, CHUNK_ROWS at a time: the penalized
     partial log likelihood
 
@@ -536,10 +523,10 @@ def score_pass(state: ModelState, v_scale: float | None = None,
     update without feature covariates.  The error state is set once per
     pass too: the pass ignores every floating-point error.
 
-    With ``omega``, an N x k test matrix (sketch_matrix), the pass
-    builds the sketch residual_start takes in place of the U system, of
-    the Pearson residuals E = resid / sqrt(I) with the covariate spans
-    projected out:
+    With ``sketch``, the pass builds the sketch residual_start takes in
+    place of the U system, of the Pearson residuals E = resid / sqrt(I)
+    with the covariate spans projected out, against the start's test
+    matrix omega = sketch_matrix(N, k), k = n_latent + OVERSAMPLE:
 
         E_perp = (I - P_z) E (I - P_x),
 
@@ -561,7 +548,7 @@ def score_pass(state: ModelState, v_scale: float | None = None,
 
     Returns (Q, (U gradient N x m, U Gram stack N x m x m), V fallback
     rows), or (Q, (T, E' T, row means of I, column sums of I), 0) with
-    ``omega``.  Nothing is checked, as in row_weights; a non-finite Q is
+    ``sketch``.  Nothing is checked, as in row_weights; a non-finite Q is
     returned as-is so the optimizer's step halving can react to it.
     """
     idx = state.index
@@ -569,11 +556,12 @@ def score_pass(state: ModelState, v_scale: float | None = None,
     q, fallbacks = 0.0, 0
     u_cols = slice(idx.n_obs_cov, idx.n_total)
     v_cols = np.array(idx.v_cols) if idx.n_feat_cov else slice(idx.n_total)
-    if omega is None:
+    if not sketch:
         m = len(idx.u_cols)
         u_grad = np.zeros((n_obs, m))
         u_gram = np.zeros((n_obs, m, m))
     else:
+        omega = sketch_matrix(n_obs, idx.n_latent + OVERSAMPLE)
         # orthonormal bases of the designs X and Z; none of an empty one
         x_basis = np.linalg.qr(state.X)[0] if idx.n_obs_cov else None
         z_basis = np.linalg.qr(state.Z)[0] if idx.n_feat_cov else None
@@ -581,7 +569,7 @@ def score_pass(state: ModelState, v_scale: float | None = None,
             omega = omega - x_basis @ (x_basis.T @ omega)
         if z_basis is not None:
             e_z = np.zeros((n_obs, idx.n_feat_cov))
-        sketch = np.empty((n_feat, omega.shape[1]))
+        t = np.empty((n_feat, omega.shape[1]))
         co_sketch = np.zeros((n_obs, omega.shape[1]))
         row_means = np.empty(n_feat)
         col_sums = np.zeros(n_obs)
@@ -620,7 +608,7 @@ def score_pass(state: ModelState, v_scale: float | None = None,
             for rows in chunks:
                 buffers = stack[:, :n_feat - rows.start]
                 R, M, resid, info = row_weights(state, rows, buffers)
-                if omega is None:
+                if not sketch:
                     u_design = state.V[rows, u_cols]
                     grad, gram = row_system(resid.T, info.T, u_design,
                                             column_products(u_design))
@@ -630,7 +618,7 @@ def score_pass(state: ModelState, v_scale: float | None = None,
                     pearson = np.sqrt(info, out=buffers[3])
                     np.divide(resid, pearson, out=pearson)
                     co_sketch += pearson.T @ np.matmul(pearson, omega,
-                                                       out=sketch[rows])
+                                                       out=t[rows])
                     if z_basis is not None:
                         e_z += pearson.T @ z_basis[rows]
                     np.matmul(info, mean_weights, out=row_means[rows])
@@ -639,18 +627,18 @@ def score_pass(state: ModelState, v_scale: float | None = None,
         if state.penalty:  # 0 * inf would make Q NaN for huge latent factors
             for latent in (state.U_latent, state.V_latent):
                 q -= 0.5 * state.penalty * float(np.sum(latent ** 2))
-    if omega is not None:
+    if sketch:
         # a sketch holding inf (Y near the largest double) is left as it
         # is: inf - inf would make it NaN, and residual_start's SVD, which
         # gives a NaN start from inf that sweep 1 rejects, raises on NaN
         if np.isfinite(co_sketch).all():
             if z_basis is not None:
-                z_sketch = z_basis.T @ sketch
-                sketch -= z_basis @ z_sketch
+                z_sketch = z_basis.T @ t
+                t -= z_basis @ z_sketch
                 co_sketch -= e_z @ z_sketch
             if x_basis is not None:
                 co_sketch -= x_basis @ (x_basis.T @ co_sketch)
-        return q, (sketch, co_sketch, row_means, col_sums), 0
+        return q, (t, co_sketch, row_means, col_sums), 0
     return q, (u_grad, u_gram), fallbacks
 
 
@@ -725,12 +713,3 @@ def residual_start(sketch, n_latent: int):
     v_latent[:, :rank] = ((q_t[:, keep] @ p_rot.T[:, :rank]) * np.sqrt(sing)
                           / np.sqrt(a)[:, None])
     return u_latent, v_latent
-
-
-def objective(state: ModelState) -> float:
-    """Penalized partial log likelihood Q: the scoring pass without a
-    step (score_pass).  Raises DomainError when U, V or delta holds a
-    non-finite value."""
-    if not finite_factors(state):
-        raise DomainError("factors or offset contain non-finite values")
-    return score_pass(state)[0]

@@ -24,13 +24,14 @@ the fit holds O(N m²) numbers besides U, V and Y.  Every R is built
 from U, V and delta, so rounding cannot accumulate from sweep to sweep.
 
 A state build_model returns is not yet started: its latent blocks are
-zero.  Its first pass builds no U system; it sketches the Pearson
-residuals of that null point (model.score_pass), and model.residual_start
-turns the sketch into a start for both latent blocks.  Sweep 1 takes
-that start as its steps on the two latent blocks in place of a U step,
-then runs the pass with the V step; the coefficient blocks keep their
-values until the pass.  The start is deterministic, so the same input
-gives the same fit.
+zero.  Its first pass, the same one call as any state's, builds no U
+system; it sketches the Pearson residuals of that null point against
+the model's own test matrix (model.score_pass with ``sketch``), and
+model.residual_start turns the sketch into a start for both latent
+blocks.  Sweep 1 takes that start as its steps on the two latent
+blocks in place of a U step, then runs the pass with the V step; the
+coefficient blocks keep their values until the pass.  The start is
+deterministic, so the same input gives the same fit.
 
 Each failure has one remedy.  A singular row system (an unpenalized
 column whose partner column is all zero) takes the diagonal step, which
@@ -50,8 +51,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import FitError, check_option
-from .model import (OVERSAMPLE, ModelState, finite_factors, residual_start,
-                    score_pass, sketch_matrix, solve_rows)
+from .model import (ModelState, finite_factors, residual_start, score_pass,
+                    solve_rows)
 from .postprocess import postprocess
 
 ASCENT_SLACK = 1e-12  # accepted drop per sweep: ASCENT_SLACK * (1 + |Q|)
@@ -153,12 +154,8 @@ def fit(state: ModelState, config: FitConfig | None = None) -> FitResult:
     # no floating-point error escapes, whatever the caller's np.seterr: a
     # non-finite point is retried with a halved step or ends in a FitError
     with np.errstate(all="ignore"):
-        n_latent = state.index.n_latent
-        if state.started:
-            q_prev, u_system, _ = score_pass(state)
-        else:  # the null point's first pass sketches, builds no U system
-            q_prev, sketch, _ = score_pass(
-                state, omega=sketch_matrix(state.n_obs, n_latent + OVERSAMPLE))
+        # the null point's first pass sketches in place of the U system
+        q_prev, u_system, _ = score_pass(state, sketch=not state.started)
         if not np.isfinite(q_prev):
             raise FitError("objective non-finite at the starting point",
                            trace)
@@ -167,7 +164,7 @@ def fit(state: ModelState, config: FitConfig | None = None) -> FitResult:
         if not state.started:
             latent = state.index.latent_slice
             steps = list(zip((state.U, state.V), (latent, latent),
-                             residual_start(sketch, n_latent)))
+                             residual_start(u_system, state.index.n_latent)))
             step_rows = 0
         for t in range(1, cfg.max_iters + 1):
             if state.started:  # the U step, solved once: a retry halves it

@@ -19,7 +19,7 @@ import numpy as np
 from glmpca.exceptions import DataError
 from glmpca.families import (MEAN_CEIL, MEAN_FLOOR, PROB_CEIL, PROB_FLOOR,
                              Family)
-from glmpca.model import ModelState, objective
+from glmpca.model import ModelState, score_pass
 
 
 class OracleError(Exception):
@@ -65,9 +65,9 @@ def finite_diff_gradient(state: ModelState, block: str, k: int,
     for i in range(mat.shape[0]):
         saved = mat[i, k]
         mat[i, k] = saved + eps
-        q_plus = objective(state)
+        q_plus = score_pass(state)[0]
         mat[i, k] = saved - eps
-        q_minus = objective(state)
+        q_minus = score_pass(state)[0]
         mat[i, k] = saved
         grad[i] = (q_plus - q_minus) / (2.0 * eps)
     return grad

@@ -228,6 +228,26 @@ class TestLoglikTerm:
             g.poisson().loglik_term(1.0, np.nan)
 
 
+@pytest.mark.parametrize("value", [np.array([0.5 + 1j]), np.array(["0.5"])],
+                         ids=["complex", "string"])
+@pytest.mark.parametrize("call, error, what", [
+    (lambda fam, x: fam.inverse_link(x), DomainError, "linear predictor"),
+    (lambda fam, x: fam.dinverse_link(x), DomainError, "linear predictor"),
+    (lambda fam, x: fam.variance(x), DomainError, "mean"),
+    (lambda fam, x: fam.natural_param(x), DomainError, "mean"),
+    (lambda fam, x: fam.loglik_term(x, -0.5), DataError, "data"),
+    (lambda fam, x: fam.loglik_term(1.0, x), DomainError,
+     "natural parameter"),
+], ids=["inverse_link", "dinverse_link", "variance", "natural_param",
+        "loglik_term-y", "loglik_term-theta"])
+def test_non_real_argument_rejected(call, error, what, value):
+    # a cast to float would drop the imaginary part or parse the string;
+    # every other argument is in the domain of every family
+    for fam in ALL:
+        with pytest.raises(error, match=f"{what} must hold real numbers"):
+            call(fam, value)
+
+
 @pytest.mark.parametrize("fam", ALL, ids=lambda f: f.kind)
 def test_strict_error_state_changes_nothing(fam):
     # exp(+-800) overflows or underflows in the log and logit means, and

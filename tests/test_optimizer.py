@@ -230,9 +230,9 @@ class TestHeldPredictor:
         refs, held = [], []
         real_pass = optimizer.score_pass
 
-        def watched_pass(*args):
+        def watched_pass(*args, **kwargs):
             held.append(sum(ref() is not None for ref in refs))
-            out = real_pass(*args)
+            out = real_pass(*args, **kwargs)
             refs.extend(weakref.ref(part) for part in out[1])
             return out
 
@@ -530,8 +530,9 @@ class TestFullScoring:
 
     def test_singular_rows_alone_fall_back(self):
         # no information on feature 1: its Gram matrix is zero in the
-        # unpenalized A columns, so the stacked solve raises and the rows
-        # are solved one by one; the fallback row leaves A alone
+        # unpenalized A columns, so the stacked solve raises, the other
+        # rows are solved again in one stacked call, and the fallback row
+        # leaves A alone
         state = two_sided_state(g.poisson(), seed=73)
         _, _, resid, info = model.row_weights(state, slice(None))
         info = info.copy()
@@ -547,6 +548,43 @@ class TestFullScoring:
         assert fallbacks == 1
         np.testing.assert_allclose(0.5 * step, expected, rtol=1e-12, atol=0)
         np.testing.assert_array_equal(step[1, :2], 0.0)  # A stays
+
+    @pytest.mark.parametrize("singular", [
+        [3, 7, 8, 21, 34], [0, 39], list(range(40))],
+        ids=["mixed", "first-and-last", "all"])
+    def test_fallback_matches_per_row_solves_bit_for_bit(self, singular):
+        # a singular row has an all-zero unpenalized column, or is zero
+        # but for the ridge; the others are solved as np.linalg.solve
+        # solves each alone, and each singular row takes the diagonal step
+        rng = np.random.default_rng(107)
+        n, m, n_latent, lam = 40, 5, 2, 0.3
+        factors = rng.normal(size=(n, m, m))
+        gram = factors @ factors.transpose(0, 2, 1)
+        for r in singular:
+            if r % 3:
+                gram[r, r % 3, :] = gram[r, :, r % 3] = 0.0
+            else:
+                gram[r] = 0.0
+        grad = rng.normal(size=(n, m))
+        own = rng.normal(size=(n, n_latent))
+        rhs = grad.copy()
+        rhs[:, m - n_latent:] -= lam * own
+        lhs = gram.copy()
+        for c in range(m - n_latent, m):
+            lhs[:, c, c] += lam
+        expected = np.empty((n, m))
+        rows = []
+        for r in range(n):
+            try:
+                expected[r] = np.linalg.solve(lhs[r], rhs[r])
+            except np.linalg.LinAlgError:
+                rows.append(r)
+                expected[r] = [b / p if p else 0.0
+                               for b, p in zip(rhs[r], np.diag(lhs[r]))]
+        assert rows == singular
+        step, fallbacks = g.solve_rows(grad, gram, own, lam)
+        assert fallbacks == len(singular)
+        np.testing.assert_array_equal(step, expected)
 
     def test_non_contiguous_gram_takes_the_same_step_and_the_ridge(self):
         # the ridge is added by index into the caller's stack: a
@@ -690,7 +728,7 @@ class TestFullScoring:
 
 class TestDegenerateColumns:
     """An unpenalized column whose partner column is all zero makes every
-    Gram matrix of its block singular; the per-row fallback handles it."""
+    Gram matrix of its block singular; the diagonal fallback handles it."""
 
     def degenerate_state(self, penalty=0.0, zero_pair=False):
         state = random_state(g.poisson(), seed=95, penalty=penalty)
@@ -787,8 +825,9 @@ class TestFit:
         # postprocessing rewrites blocks, so compare against a re-run
         np.testing.assert_allclose(
             result.final_q,
-            g.objective(ModelState(state.Y, state.family, u0, v0, state.delta,
-                                   state.penalty, state.index)),
+            g.score_pass(ModelState(state.Y, state.family, u0, v0,
+                                    state.delta, state.penalty,
+                                    state.index))[0],
             rtol=0, atol=1e-10)
 
     def test_null_intercept_start_needs_no_first_halving(self):
@@ -863,7 +902,7 @@ class TestFit:
         Y = np.random.default_rng(0).poisson(5.0, size=(40, 30)).astype(float)
         state = g.build_model(Y, n_latent=2, family=g.poisson())
         state.V[:, 0] = 0.0
-        q0 = g.objective(state)
+        q0 = g.score_pass(state)[0]
         result = g.fit(state, cfg)
         assert result.stop_reason == reason
         assert result.converged is converged
@@ -1104,8 +1143,7 @@ class TestResidualStart:
         if zero_intercept:
             state.V[:, 0] = 0.0
         ref = dataclasses.replace(state, U=state.U.copy(), V=state.V.copy())
-        q0, sketch, fallbacks = model.score_pass(
-            ref, omega=model.sketch_matrix(30, 2 + model.OVERSAMPLE))
+        q0, sketch, fallbacks = model.score_pass(ref, sketch=True)
         assert fallbacks == 0 and sketch[0].shape == (40, 10)
         u_start, v_start = model.residual_start(sketch, 2)
         ref.U_latent[...] = scale * u_start
@@ -1142,8 +1180,7 @@ class TestResidualStart:
         p, s, w_t = np.linalg.svd(pearson)
         expected = (p[:, :2] * s[:2] / np.sqrt(a)[:, None]) @ \
             (w_t[:2] / np.sqrt(b))
-        sketch = model.score_pass(
-            state, omega=model.sketch_matrix(15, 10))[1]
+        sketch = model.score_pass(state, sketch=True)[1]
         u_start, v_start = model.residual_start(sketch, 2)
         np.testing.assert_allclose(v_start @ u_start.T, expected, rtol=0,
                                    atol=1e-12 * np.abs(expected).max())
@@ -1169,8 +1206,7 @@ class TestResidualStart:
         state = g.build_model(rank_two_counts(), n_latent=2,
                               family=g.poisson(), obs_covariates=X,
                               feat_covariates=Z, offset="auto")
-        q0, sketch, _ = model.score_pass(
-            state, omega=model.sketch_matrix(30, 2 + model.OVERSAMPLE))
+        q0, sketch, _ = model.score_pass(state, sketch=True)
         u_start, v_start = model.residual_start(sketch, 2)
         a, col_sums = sketch[2], sketch[3]
         weighted_u = np.sqrt(col_sums / col_sums.mean())[:, None] * u_start
@@ -1187,8 +1223,8 @@ class TestResidualStart:
         state = g.build_model(rank_two_counts(), n_latent=2,
                               family=g.poisson(), intercept=False)
         assert state.index.n_obs_cov == state.index.n_feat_cov == 0
-        omega = model.sketch_matrix(30, 2 + model.OVERSAMPLE)
-        sketch = model.score_pass(state, omega=omega)[1]
+        sketch = model.score_pass(state, sketch=True)[1]
+        omega = model.sketch_matrix(30, 2 + model.OVERSAMPLE)  # expected
         _, _, resid, info = model.row_weights(state, slice(None))
         pearson = resid / np.sqrt(info)
         t = pearson @ omega
