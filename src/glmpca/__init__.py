@@ -13,11 +13,10 @@ from .exceptions import (ConfigError, DataError, DomainError, FitError,
                          GlmPcaError)
 from .families import Family, bernoulli, gaussian, negative_binomial, poisson
 from .io import LoadedMatrix, read_matrix, write_result
-# check_data_matrix, which the benchmark calls, and the scoring pass with
-# the two functions it builds and solves each system with, which the
-# tests call, stay importable from here, outside __all__
-from .model import (IndexSets, ModelState, build_model, check_data_matrix,
-                    linear_predictor, row_system, score_pass, solve_rows)
+# check_data_matrix, which the benchmark calls, stays importable from
+# here, outside __all__; the scoring pass and the kernels it runs are
+# internals, imported from glmpca.model
+from .model import IndexSets, ModelState, build_model, check_data_matrix
 from .optimizer import FitConfig, FitResult, fit
 from .postprocess import postprocess, project_out_covariates
 
@@ -27,7 +26,7 @@ __all__ = [
     "ConfigError", "DataError", "DomainError", "FitError", "GlmPcaError",
     "Family", "bernoulli", "gaussian", "negative_binomial", "poisson",
     "LoadedMatrix", "read_matrix", "write_result",
-    "IndexSets", "ModelState", "build_model", "linear_predictor",
+    "IndexSets", "ModelState", "build_model",
     "FitConfig", "FitResult", "fit",
     "postprocess", "project_out_covariates",
     "__version__",

@@ -86,26 +86,18 @@ class IndexSets:
         return self.n_obs_cov + self.n_feat_cov + self.n_latent
 
     @property
-    def obs_cols(self) -> range:
-        return range(0, self.n_obs_cov)
-
-    @property
-    def feat_cols(self) -> range:
-        return range(self.n_obs_cov, self.n_obs_cov + self.n_feat_cov)
-
-    @property
     def latent_cols(self) -> range:
         return range(self.n_obs_cov + self.n_feat_cov, self.n_total)
 
     @property
     def u_cols(self) -> list[int]:
         """Updateable columns of U (Gamma block, then latent)."""
-        return list(self.feat_cols) + list(self.latent_cols)
+        return list(range(self.n_obs_cov, self.n_total))
 
     @property
     def v_cols(self) -> list[int]:
         """Updateable columns of V (A block, then latent)."""
-        return list(self.obs_cols) + list(self.latent_cols)
+        return list(range(self.n_obs_cov)) + list(self.latent_cols)
 
     @property
     def obs_slice(self) -> slice:
@@ -548,8 +540,10 @@ def score_pass(state: ModelState, v_scale: float | None = None,
 
     Returns (Q, (U gradient N x m, U Gram stack N x m x m), V fallback
     rows), or (Q, (T, E' T, row means of I, column sums of I), 0) with
-    ``sketch``.  Nothing is checked, as in row_weights; a non-finite Q is
-    returned as-is so the optimizer's step halving can react to it.
+    ``sketch``.  Nothing is checked, as in row_weights: a non-finite Q
+    is returned as-is so the optimizer's step halving can react to it,
+    and so is a sketch that is not all finite, from which the optimizer
+    takes no start.
     """
     idx = state.index
     n_feat, n_obs = state.n_feat, state.n_obs
@@ -627,18 +621,14 @@ def score_pass(state: ModelState, v_scale: float | None = None,
         if state.penalty:  # 0 * inf would make Q NaN for huge latent factors
             for latent in (state.U_latent, state.V_latent):
                 q -= 0.5 * state.penalty * float(np.sum(latent ** 2))
-    if sketch:
-        # a sketch holding inf (Y near the largest double) is left as it
-        # is: inf - inf would make it NaN, and residual_start's SVD, which
-        # gives a NaN start from inf that sweep 1 rejects, raises on NaN
-        if np.isfinite(co_sketch).all():
+        if sketch:
             if z_basis is not None:
                 z_sketch = z_basis.T @ t
                 t -= z_basis @ z_sketch
                 co_sketch -= e_z @ z_sketch
             if x_basis is not None:
                 co_sketch -= x_basis @ (x_basis.T @ co_sketch)
-        return q, (t, co_sketch, row_means, col_sums), 0
+            return q, (t, co_sketch, row_means, col_sums), 0
     return q, (u_grad, u_gram), fallbacks
 
 

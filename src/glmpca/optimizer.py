@@ -41,12 +41,18 @@ guaranteed to increase Q, so a sweep is retried from its starting point
 with its held steps halved, the V step's scale with them, when it gives
 non-finite factors or a Q that is non-finite or lower, up to
 MAX_HALVINGS times; that budget is fixed, not a FitConfig setting.  A
-halving scales sweep 1's start as it scales a U step.
+halving scales sweep 1's start as it scales a U step.  A start that no
+halving makes acceptable is dropped: sweep 1 is tried again, with the
+same halvings, as the V step alone, and the latent blocks stay at zero.
+So is a start that cannot be taken, from a sketch that is not all
+finite (counts near the largest double overflow it), whose SVD may
+never return.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
 
 import numpy as np
 
@@ -131,13 +137,15 @@ def fit(state: ModelState, config: FitConfig | None = None) -> FitResult:
     recorded trace is non-decreasing.
 
     A state build_model returns starts at the weighted SVD of its null
-    model's residuals, set by sweep 1 (see the module docstring), and is
-    marked started once that sweep is accepted, so a second fit of the
+    model's residuals, set by sweep 1 unless that sweep drops it (see
+    the module docstring), and is marked started once that sweep is
+    accepted, with or without the start, so a second fit of the
     same state goes on from where the first ended.
 
-    ``warnings`` names, in this order and each only if it occurred: the
-    U rows and the V rows that fell back to the diagonal step, a stalled
-    stop, the step halvings, and the latent dimensions of zero norm.
+    ``warnings`` names, in this order and each only if it occurred: a
+    dropped start, the U rows and the V rows that fell back to the
+    diagonal step, a stalled stop, the step halvings, and the latent
+    dimensions of zero norm.
     Rows and halvings are tallied over accepted sweeps only.
 
     Raises FitError when the starting point has non-finite factors or Q,
@@ -150,7 +158,7 @@ def fit(state: ModelState, config: FitConfig | None = None) -> FitResult:
                        "or delta holds a non-finite value", trace)
 
     stop_reason = "max_iters"
-    u_rows = v_rows = halvings = 0  # tallies over accepted sweeps
+    u_rows = v_rows = halvings = dropped = 0  # tallies over accepted sweeps
     # no floating-point error escapes, whatever the caller's np.seterr: a
     # non-finite point is retried with a halved step or ends in a FitError
     with np.errstate(all="ignore"):
@@ -159,21 +167,25 @@ def fit(state: ModelState, config: FitConfig | None = None) -> FitResult:
         if not np.isfinite(q_prev):
             raise FitError("objective non-finite at the starting point",
                            trace)
-        # only after the check: LAPACK's SVD of a sketch holding inf may
-        # never return.  Sweep 1 adds the start to the zero latent blocks
+        # sweep 1 adds the start to the zero latent blocks, and is tried
+        # again without it when every halving of it is rejected; a sketch
+        # that is not all finite gives no start
         if not state.started:
-            latent = state.index.latent_slice
-            steps = list(zip((state.U, state.V), (latent, latent),
-                             residual_start(u_system, state.index.n_latent)))
+            tries = [[]]
+            if all(np.isfinite(part).all() for part in u_system):
+                latent = state.index.latent_slice
+                tries.insert(0, list(zip(
+                    (state.U, state.V), (latent, latent),
+                    residual_start(u_system, state.index.n_latent))))
             step_rows = 0
         for t in range(1, cfg.max_iters + 1):
             if state.started:  # the U step, solved once: a retry halves it
                 step, step_rows = solve_rows(*u_system, state.U_latent,
                                              state.penalty)
-                steps = [(state.U, state.index.u_cols, step)]
+                tries = [[(state.U, state.index.u_cols, step)]]
             u_snap = state.U.copy()
             v_snap = state.V.copy()
-            for attempt in range(MAX_HALVINGS + 1):
+            for steps, attempt in product(tries, range(MAX_HALVINGS + 1)):
                 u_system = None  # solved or rejected: not held in the pass
                 q_new, u_system, new_v_rows = _sweep(
                     state, 0.5 ** attempt, steps)
@@ -184,6 +196,7 @@ def fit(state: ModelState, config: FitConfig | None = None) -> FitResult:
                     u_rows += step_rows
                     v_rows += new_v_rows
                     halvings += attempt
+                    dropped += not steps
                     state.started = True
                     break
                 # undo the rejected attempt; its held steps are kept
@@ -208,6 +221,7 @@ def fit(state: ModelState, config: FitConfig | None = None) -> FitResult:
                 break
 
     warnings = [f"{msg} (x{n})" if n > 1 else msg for msg, n in (
+        ("residual start dropped", dropped),
         ("block step fell back to diagonal for U rows", u_rows),
         ("block step fell back to diagonal for V rows", v_rows),
         ("sweep rejected after max halvings; stopped early",

@@ -10,6 +10,7 @@ from glmpca import model, optimizer
 from glmpca.optimizer import _sweep
 
 DATA_DIR = Path(__file__).parent / "data"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 ALL_FAMILIES = [g.gaussian(), g.poisson(), g.bernoulli(),
                 g.negative_binomial(2.0)]
@@ -45,7 +46,7 @@ def random_state(family, seed, n_feat=6, n_obs=9, n_latent=2,
     R = coef_a @ np.ones((1, n_obs)) + v_lat @ u_lat.T + delta[None, :]
     if k_f:
         R = R + Z @ gamma.T
-    Y = sample_response(rng, family, family.inverse_link(R))
+    Y = sample_response(rng, family, family._mean(R))
     state = g.build_model(Y, n_latent=n_latent, family=family,
                           feat_covariates=Z, intercept=True, offset=delta,
                           penalty=penalty)

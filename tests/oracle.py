@@ -106,6 +106,17 @@ def _variance_of(fam: Family, mu: float) -> float:
     return mu + mu * mu / fam.dispersion
 
 
+def cellwise(fam: Family, r):
+    """(mu, h, rho) for each cell of the predictor array ``r``: the mean
+    g⁻¹(r), its derivative h(r) and the variance rho(mu), each by the
+    scalar formulas above, one cell at a time."""
+    r = np.asarray(r, dtype=float)
+    mu = np.array([_mean_of(fam, x) for x in r.flat]).reshape(r.shape)
+    h = np.array([_dmean_of(fam, x) for x in r.flat]).reshape(r.shape)
+    rho = np.array([_variance_of(fam, m) for m in mu.flat]).reshape(r.shape)
+    return mu, h, rho
+
+
 def _loglik_of(fam: Family, y: float, mu: float) -> float:
     if fam.kind == "gaussian":
         return y * mu - 0.5 * mu * mu

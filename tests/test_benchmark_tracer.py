@@ -15,7 +15,7 @@ from pathlib import Path
 import glmpca
 from glmpca.families import Family
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+from conftest import PERFBENCH
 
 
 def glmpca_bindings():

@@ -361,6 +361,17 @@ class TestWorkingWeights:
         else:
             assert np.shape(S) == self.GRID.shape
 
+    @pytest.mark.parametrize("fam", ALL, ids=lambda f: f.kind)
+    def test_information_is_finite_and_positive(self, fam):
+        # the means are clamped, so no predictor the fit can build, out
+        # to where exp overflows, gives a zero or non-finite weight; the
+        # scoring pass ignores the overflow, as here
+        r = np.linspace(-800.0, 800.0, 3201)
+        with np.errstate(all="ignore"):
+            _, S, I = fam._working_weights(r)
+        assert np.all(np.isfinite(I)) and np.all(I > 0)
+        assert np.all(np.isfinite(S)) and np.all(S > 0)
+
     def test_does_not_modify_predictor(self):
         r = self.GRID.copy()
         for fam in ALL:
@@ -465,6 +476,26 @@ class TestLoglikSum:
                                + alpha * np.log1p(mu / alpha)).ravel())
         assert self.fused(fam, y, r, mu) == pytest.approx(expected,
                                                           rel=1e-12)
+
+    @pytest.mark.parametrize("fam", ALL, ids=lambda f: f.kind)
+    def test_derivative_is_the_score_residual(self, fam):
+        # per cell, d/dr of the kernel's sum is (y - M) S, the residual
+        # the fit's gradient is built from: central differences at
+        # predictors in [-4, 4], away from the clamps
+        rng = np.random.default_rng(11)
+        r = np.clip(rng.normal(0.0, 1.5, 40), -4.0, 4.0)
+        y = sample_response(rng, fam, fam._mean(r))
+        M, S, _ = fam._working_weights(r)
+
+        def cell(j):
+            def loglik(x):
+                x = np.array([x])
+                return fam._loglik_sum(y[j:j + 1], x, fam._mean(x))
+            return central_diff(loglik, r[j])
+
+        numeric = [cell(j) for j in range(len(r))]
+        np.testing.assert_allclose(numeric, (y - M) * S, rtol=1e-6,
+                                   atol=1e-8)
 
     def test_bernoulli_picks_the_mean_by_y(self):
         # the cell is log(mu) where y == 1 and log(1 - mu) where y == 0,

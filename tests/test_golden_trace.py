@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 import glmpca as g
+from glmpca import model
 
 from conftest import DATA_DIR, sample_response
 
@@ -66,7 +67,7 @@ def golden_fit(name):
     if covariates:
         R = R + rng.normal(0.0, 0.3, (n_feat, 2)) @ X.T \
             + Z @ rng.normal(0.0, 0.3, (n_obs, 2)).T
-    Y = sample_response(rng, family, family.inverse_link(R))
+    Y = sample_response(rng, family, family._mean(R))
     state = g.build_model(Y, n_latent=n_latent, family=family,
                           obs_covariates=X, feat_covariates=Z,
                           offset="auto" if family.link == "log" else "none")
@@ -101,9 +102,13 @@ def test_every_exported_name_resolves():
 
 
 def test_scoring_helpers_importable_outside_all():
-    for name in ("check_data_matrix", "row_system", "score_pass",
+    # check_data_matrix, which the benchmark calls, is importable from the
+    # package outside __all__; the scoring internals only from glmpca.model
+    assert "check_data_matrix" not in g.__all__
+    assert callable(g.check_data_matrix)
+    for name in ("linear_predictor", "row_system", "score_pass",
                  "solve_rows"):
-        assert name not in g.__all__ and callable(getattr(g, name))
+        assert not hasattr(g, name) and callable(getattr(model, name))
 
 
 def record() -> None:

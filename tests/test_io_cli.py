@@ -872,6 +872,27 @@ class TestCli:
         assert meta["converged"] is False
         assert meta["stop_reason"] == "stalled"
 
+    @pytest.mark.parametrize("scale, penalty", [(1.0, "100"),
+                                                (1e160, "1e-4")],
+                             ids=["ridge", "huge_counts"])
+    def test_dropped_start_exits_0(self, tmp_path, capsys, scale, penalty):
+        # a start that every halving rejects (these counts under a ridge
+        # of 100) and one that cannot be taken (counts of about 1e160,
+        # whose sketch overflows): sweep 1 runs without it, and the fit
+        # converges
+        data = tmp_path / "counts.csv"
+        Y = np.random.default_rng(0).poisson(5.0, size=(6, 8)) * scale
+        np.savetxt(data, Y, fmt="%.17g", delimiter=",")
+        out = tmp_path / "o"
+        code = self.run("fit", "--input", str(data), "--family", "poisson",
+                        "--dims", "1", "--penalty", penalty,
+                        "--output-dir", str(out))
+        err = capsys.readouterr().err
+        assert code == 0 and "Traceback" not in err
+        meta = json.loads((out / "meta.json").read_text())
+        assert meta["converged"] is True
+        assert meta["warnings"][0] == "residual start dropped"
+
     def test_negative_binomial_run(self, tmp_path):
         out = tmp_path / "o"
         code = self.run("fit", "--input", str(FIXTURE),

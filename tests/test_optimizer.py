@@ -14,8 +14,8 @@ import oracle
 from glmpca import model, optimizer
 from glmpca.model import IndexSets, ModelState, linear_predictor
 
-from conftest import (ALL_FAMILIES, block_step, column_penalty, gradient,
-                      means, noise_start, own_block, random_state,
+from conftest import (ALL_FAMILIES, PERFBENCH, block_step, column_penalty,
+                      gradient, means, noise_start, own_block, random_state,
                       sample_response, u_steps)
 
 
@@ -36,7 +36,7 @@ def glm_state(family, seed, n_obs=60, n_coef=3, penalty=1e-4):
     X = np.column_stack([np.ones(n_obs)]
                         + [rng.normal(size=n_obs) for _ in range(n_coef - 1)])
     beta = rng.normal(0.0, 0.4, n_coef)
-    mu = family.inverse_link(X @ beta)
+    mu = family._mean(X @ beta)
     y = sample_response(rng, family, mu)
     k = n_coef + 1
     U = np.zeros((n_obs, k))
@@ -80,7 +80,7 @@ class TestColumnUpdates:
         # block step is the paper's diagonal step
         rng = np.random.default_rng(17)
         Y = sample_response(rng, family,
-                            family.inverse_link(rng.normal(0.5, 0.3, (5, 7))))
+                            family._mean(rng.normal(0.5, 0.3, (5, 7))))
         state = g.build_model(Y, n_latent=1, family=family, intercept=False)
         state.U[:] = rng.normal(0.0, 0.3, state.U.shape)
         state.V[:] = rng.normal(0.0, 0.3, state.V.shape)
@@ -488,7 +488,7 @@ def two_sided_state(family, seed, n_feat=7, n_obs=11):
     rng = np.random.default_rng(seed)
     X = rng.normal(size=(n_obs, 1))
     Z = rng.normal(size=(n_feat, 2))
-    mean = family.inverse_link(rng.normal(0.5, 0.3, (n_feat, n_obs)))
+    mean = family._mean(rng.normal(0.5, 0.3, (n_feat, n_obs)))
     Y = sample_response(rng, family, mean)
     state = g.build_model(Y, n_latent=2, family=family, obs_covariates=X,
                           feat_covariates=Z, penalty=0.3)
@@ -504,12 +504,9 @@ class TestFullScoring:
     @pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: f.kind)
     def test_batched_solve_matches_per_row_reference(self, family, block):
         state = two_sided_state(family, seed=71)
-        # weights from the public link and variance functions, not from
-        # the fused kernel the optimizer uses
-        R = linear_predictor(state)
-        mu = family.inverse_link(R)
-        h = family.dinverse_link(R)
-        rho = family.variance(mu)
+        # weights from the oracle's scalar formulas, not from the fused
+        # kernel the optimizer uses
+        mu, h, rho = oracle.cellwise(family, linear_predictor(state))
         expected, ref_fallbacks = rowwise_full_scoring(
             state, block, h ** 2 / rho, (state.Y - mu) * h / rho, 0.375)
         assert ref_fallbacks == 0
@@ -541,8 +538,8 @@ class TestFullScoring:
             state, "V", info, resid, 0.5)
         assert ref_fallbacks == 1
         design = state.U[:, state.index.v_cols]
-        step, fallbacks = g.solve_rows(
-            *g.row_system(resid, info, design,
+        step, fallbacks = model.solve_rows(
+            *model.row_system(resid, info, design,
                           model.column_products(design)),
             state.V_latent, state.penalty)
         assert fallbacks == 1
@@ -582,7 +579,7 @@ class TestFullScoring:
                 expected[r] = [b / p if p else 0.0
                                for b, p in zip(rhs[r], np.diag(lhs[r]))]
         assert rows == singular
-        step, fallbacks = g.solve_rows(grad, gram, own, lam)
+        step, fallbacks = model.solve_rows(grad, gram, own, lam)
         assert fallbacks == len(singular)
         np.testing.assert_array_equal(step, expected)
 
@@ -595,9 +592,9 @@ class TestFullScoring:
         view = np.ascontiguousarray(gram.transpose(1, 2, 0)).transpose(2, 0, 1)
         assert not view.flags.c_contiguous
         np.testing.assert_array_equal(view, gram)
-        step, _ = g.solve_rows(grad.copy(), view, state.U_latent,
+        step, _ = model.solve_rows(grad.copy(), view, state.U_latent,
                                state.penalty)
-        want, _ = g.solve_rows(grad, gram, state.U_latent, state.penalty)
+        want, _ = model.solve_rows(grad, gram, state.U_latent, state.penalty)
         np.testing.assert_array_equal(step, want)
         np.testing.assert_array_equal(view, gram)
         latent = state.index.n_latent
@@ -825,7 +822,7 @@ class TestFit:
         # postprocessing rewrites blocks, so compare against a re-run
         np.testing.assert_allclose(
             result.final_q,
-            g.score_pass(ModelState(state.Y, state.family, u0, v0,
+            model.score_pass(ModelState(state.Y, state.family, u0, v0,
                                     state.delta, state.penalty,
                                     state.index))[0],
             rtol=0, atol=1e-10)
@@ -902,7 +899,7 @@ class TestFit:
         Y = np.random.default_rng(0).poisson(5.0, size=(40, 30)).astype(float)
         state = g.build_model(Y, n_latent=2, family=g.poisson())
         state.V[:, 0] = 0.0
-        q0 = g.score_pass(state)[0]
+        q0 = model.score_pass(state)[0]
         result = g.fit(state, cfg)
         assert result.stop_reason == reason
         assert result.converged is converged
@@ -939,6 +936,30 @@ class TestFit:
         state.V[:, 0] = 0.0
         with pytest.raises(FitError, match="halvings"):
             g.fit(state, g.FitConfig())
+
+    def test_fit_error_carries_the_accepted_sweeps(self, monkeypatch):
+        # every attempt of sweep 3 leaves NaN in U, so the fit raises;
+        # the error carries the (t, Q) of sweeps 1 and 2, the trace a fit
+        # capped at 2 sweeps returns
+        capped = g.fit(random_state(g.poisson(), seed=94),
+                       g.FitConfig(max_iters=2, tol=1e-16))
+        solves = []
+        real_solve, real_sweep = optimizer.solve_rows, optimizer._sweep
+
+        def poisoned_sweep(state, scale, steps):
+            out = real_sweep(state, scale, steps)
+            if len(solves) == 3:  # one U solve per sweep
+                state.U[0, -1] = np.nan
+            return out
+
+        monkeypatch.setattr(optimizer, "solve_rows", lambda *args: (
+            solves.append(1) or real_solve(*args)))
+        monkeypatch.setattr(optimizer, "_sweep", poisoned_sweep)
+        with pytest.raises(FitError, match="at iteration 3 after") as info:
+            g.fit(random_state(g.poisson(), seed=94),
+                  g.FitConfig(max_iters=10, tol=1e-16))
+        assert [t for t, _ in info.value.trace] == [1, 2]
+        assert info.value.trace == capped.trace
 
     @pytest.mark.parametrize("case, message", [
         ("huge offset", "non-finite at the starting point"),
@@ -1262,6 +1283,75 @@ class TestResidualStart:
         assert not state.U_latent.any() and not state.V_latent.any()
         assert ("2 latent dimension(s) have zero norm "
                 "(rank-deficient latent product)") in result.warnings
+
+    @staticmethod
+    def count_attempts(monkeypatch):
+        """Record the (scale, number of held steps) of every sweep
+        attempt of the fits that follow."""
+        attempts = []
+        real = optimizer._sweep
+
+        def counted(state, scale, steps):
+            attempts.append((scale, len(steps)))
+            return real(state, scale, steps)
+
+        monkeypatch.setattr(optimizer, "_sweep", counted)
+        return attempts
+
+    def test_start_rejected_at_every_halving_is_dropped(self, monkeypatch):
+        # under a ridge of 100 every halving of the start on these data
+        # lowers Q.  Sweep 1 is tried again without it, from its first
+        # scale: the latent blocks stay at zero, and the fit ends at each
+        # row's intercept-only GLM fit given the offset
+        Y = (np.random.default_rng(1).random((60, 40)) < 0.3).astype(float)
+        offset = np.linspace(-1.0, 1.0, 40)
+        state = g.build_model(Y, n_latent=2, family=g.bernoulli(),
+                              offset=offset, penalty=100.0)
+        attempts = self.count_attempts(monkeypatch)
+        result = g.fit(state, g.FitConfig(tol=1e-12))
+        start = [(0.5 ** k, 2) for k in range(optimizer.MAX_HALVINGS + 1)]
+        assert attempts[:len(start) + 1] == start + [(1.0, 0)]
+        assert result.stop_reason == "tol" and result.iterations_run == 3
+        assert result.warnings == [
+            "residual start dropped",
+            "2 latent dimension(s) have zero norm (rank-deficient "
+            "latent product)"]
+        assert not state.U_latent.any() and not state.V_latent.any()
+        expected = [oracle.irls_glm(y, np.ones((40, 1)), g.bernoulli(),
+                                    offset=offset)[0] for y in Y]
+        np.testing.assert_allclose(result.coef_A[:, 0], expected, rtol=0,
+                                   atol=1e-9)
+
+    def test_start_dropped_on_benchmark_data(self, monkeypatch):
+        # the benchmark's fit-poisson instance 0 at data seed 1, under a
+        # ridge of 1000: the start is dropped and the fit converges
+        monkeypatch.syspath_prepend(str(PERFBENCH))
+        import workloads
+
+        Y = workloads.data_rng(1, "fit-poisson", 0).poisson(
+            workloads.poisson_model("full")).astype(float)
+        state = g.build_model(Y, n_latent=4, family=g.poisson(),
+                              offset="auto", penalty=1000.0)
+        result = g.fit(state)
+        assert result.converged
+        assert result.warnings[0] == "residual start dropped"
+        assert not state.U_latent.any() and not state.V_latent.any()
+
+    def test_no_start_from_a_non_finite_sketch(self, monkeypatch):
+        # counts of about 1e160 overflow the sketch's E'T to inf, whose
+        # SVD fails: no start is taken, and sweep 1 is taken without one
+        Y = np.random.default_rng(2).poisson(3.0, (8, 12)) * 1e160
+        state = g.build_model(Y, n_latent=2, family=g.poisson())
+        sketch = model.score_pass(state, sketch=True)[1]
+        assert not np.isfinite(sketch[1]).all()
+        starts = []
+        monkeypatch.setattr(optimizer, "residual_start",
+                            lambda *args: starts.append(args))
+        attempts = self.count_attempts(monkeypatch)
+        result = g.fit(state)
+        assert starts == [] and attempts[0] == (1.0, 0)
+        assert result.converged and np.isfinite(result.final_q)
+        assert result.warnings[0] == "residual start dropped"
 
     def test_second_fit_does_not_start_again(self, monkeypatch):
         starts = []

@@ -1,10 +1,14 @@
 """Source layout checks that need no linter: every line of the package
 holds to PEP 8's 79 characters, every module but the package's
-__init__ uses each name it imports, and every private function or method
-is referenced somewhere in the package."""
+__init__ uses each name it imports, every private function or method
+is referenced somewhere in the package, and the package namespace holds
+only what it exports."""
 
 import ast
+import types
 from pathlib import Path
+
+import glmpca
 
 SOURCES = sorted((Path(__file__).parents[1] / "src" / "glmpca").glob("*.py"))
 
@@ -50,3 +54,15 @@ def test_private_functions_are_referenced():
     referenced |= {node.attr for node in nodes
                    if isinstance(node, ast.Attribute)}
     assert sorted(defined - referenced) == []
+
+
+def test_package_namespace_is_its_exports():
+    # the public names of glmpca are its submodules, __all__ and
+    # check_data_matrix, which the benchmark calls: a name dropped from
+    # the package cannot come back unnoticed
+    names = {name for name in vars(glmpca) if not name.startswith("_")}
+    submodules = {name for name in names
+                  if isinstance(getattr(glmpca, name), types.ModuleType)}
+    assert submodules <= {path.stem for path in SOURCES}
+    assert names - submodules == (set(glmpca.__all__) - {"__version__"}
+                                  | {"check_data_matrix"})
