@@ -144,8 +144,8 @@ class Family:
         domain: written into ``out`` when one is given, else a new
         array; r is not modified.  An exp that overflows or underflows
         is clamped like any other; it sets no error state of its own, so
-        it runs under its caller's (model.score_pass ignores all errors
-        once per pass)."""
+        it runs under its caller's (model.score_pass and
+        model.sketch_pass ignore all errors once per pass)."""
         if self.link == "identity":
             return np.add(r, 0.0, out=out)
         if self.link == "log":

@@ -12,37 +12,38 @@ is R = V U' + 1 delta'.  The X and Z blocks are fixed; A, Gamma, and the
 latent blocks are estimated.  The objective is the partial log likelihood
 minus one ridge penalty on the latent columns of U and V.
 
-Everything the fit computes from Y comes from one pass over its rows,
-CHUNK_ROWS at a time (score_pass): Q, the Fisher-scoring system of the
-U block (its gradient and one information matrix per row, summed over
-the chunks) and, when the pass steps, the V step, which given U
-separates over the rows of Y.  The V step is taken one group of
-consecutive chunks at a time: every chunk of the group writes its rows
-of the group's V system, one stacked solve steps them all, and then the
-group's chunks are scored.  A group's V system fits in one chunk
-buffer.  One function builds a chunk's system for either block
-(row_system) from the column products of the partner's design
-(column_products), and one adds the ridge into a stack of row systems,
-in place, and solves it (solve_rows).  So no J x N array is made but
-one chunk's, and no chunk allocates one: a pass allocates one stack of
-chunk buffers, and every chunk writes its predictor, means, weights
-and log-likelihood temporary into it (row_weights).  A chunk's
-predictor is one GEMM, [V | 1] [U | delta]', with the offset as one
-more column of the product (linear_predictor).  What is fixed for a
-pass is set once per pass, not per chunk: the updateable columns as
-views of U and V where they are contiguous, and numpy's error state,
-which ignores every floating-point error in the pass (an exp that
-overflows or underflows is clamped, and a non-finite Q is the
-optimizer's to handle).
+Everything the fit computes from Y comes from passes over its rows,
+CHUNK_ROWS at a time.  The pass every sweep runs (score_pass) gives Q,
+the Fisher-scoring system of the U block (its gradient and one
+information matrix per row, summed over the chunks) and, when the pass
+steps, the V step, which given U separates over the rows of Y.  The V
+step is taken one group of consecutive chunks at a time: every chunk
+of the group writes its rows of the group's V system, one stacked
+solve steps them all, and then the group's chunks are scored.  A
+group's V system fits in one chunk buffer.  One function builds a
+chunk's system for either block (row_system) from the column products
+of the partner's design (column_products), and one adds the ridge into
+a stack of row systems, in place, and solves it (solve_rows).  So no
+J x N array is made but one chunk's, and no chunk allocates one: a
+pass allocates one stack of chunk buffers, and every chunk writes its
+predictor, means, weights and log-likelihood temporary into it
+(row_weights).  A chunk's predictor is one GEMM, [V | 1] [U | delta]',
+with the offset as one more column of the product (linear_predictor).
+What is fixed for a pass is set once per pass, not per chunk: the
+updateable columns as views of U and V where they are contiguous, and
+numpy's error state, which ignores every floating-point error in the
+pass (an exp that overflows or underflows is clamped, and a non-finite
+Q is the optimizer's to handle).
 
 build_model starts the latent blocks at zero, a state marked as not
-yet started, and the fit's first pass scores that null point.  In place
-of the U system it builds a one-pass sketch of the Pearson residuals
-E = (Y - M) S / sqrt(I) there (score_pass with ``sketch``, against the
-fixed test matrix sketch_matrix), with the spans of the designs X and Z
-projected out of E's rows and columns, from which residual_start takes
-a weighted rank-L SVD: the start that the fit's first sweep sets the
-latent blocks to (optimizer.fit).  The projection leaves the covariate
+yet started, and the fit's first pass over that null point is a pass
+of its own (sketch_pass): it scores the point and, in place of the U
+system, builds a one-pass sketch of the Pearson residuals
+E = (Y - M) S / sqrt(I) there against the fixed test matrix
+sketch_matrix, with the spans of the designs X and Z projected out of
+E's rows and columns, from which residual_start takes a weighted
+rank-L SVD: the start that the fit's first sweep sets the latent
+blocks to (optimizer.fit).  The projection leaves the covariate
 effects to the coefficient blocks, as postprocessing does at the end
 (postprocess.project_out_covariates), so the latent blocks do not start
 on them.
@@ -86,10 +87,6 @@ class IndexSets:
         return self.n_obs_cov + self.n_feat_cov + self.n_latent
 
     @property
-    def latent_cols(self) -> range:
-        return range(self.n_obs_cov + self.n_feat_cov, self.n_total)
-
-    @property
     def u_cols(self) -> list[int]:
         """Updateable columns of U (Gamma block, then latent)."""
         return list(range(self.n_obs_cov, self.n_total))
@@ -97,7 +94,8 @@ class IndexSets:
     @property
     def v_cols(self) -> list[int]:
         """Updateable columns of V (A block, then latent)."""
-        return list(range(self.n_obs_cov)) + list(self.latent_cols)
+        return (list(range(self.n_obs_cov))
+                + list(range(self.n_obs_cov + self.n_feat_cov, self.n_total)))
 
     @property
     def obs_slice(self) -> slice:
@@ -395,12 +393,12 @@ def row_weights(state: ModelState, rows: slice,
     the means are clamped into the domain.
 
     ``buffers``, a 5 x n x N stack for the n rows, is the chunk's slice
-    of the pass's one buffer stack (score_pass): R, the one GEMM of
-    linear_predictor, the residual, M, S and I are written into its
-    five slices, so they are views of it (I is M for the Poisson, and S
-    is the scalar 1 for canonical links).  Without it each is a new
-    array.  An exp that overflows or underflows sets no error state of
-    its own (Family._mean): score_pass ignores every floating-point
+    of its pass's one buffer stack (score_pass, sketch_pass): R, the one
+    GEMM of linear_predictor, the residual, M, S and I are written into
+    its five slices, so they are views of it (I is M for the Poisson,
+    and S is the scalar 1 for canonical links).  Without it each is a
+    new array.  An exp that overflows or underflows sets no error state
+    of its own (Family._mean): each pass ignores every floating-point
     error once per pass, and any other caller runs under its own."""
     if buffers is None:
         buffers = (None,) * 5
@@ -485,8 +483,7 @@ def solve_rows(grad: np.ndarray, gram: np.ndarray, own_latent: np.ndarray,
     return step, int(np.count_nonzero(singular))
 
 
-def score_pass(state: ModelState, v_scale: float | None = None,
-               sketch: bool = False):
+def score_pass(state: ModelState, v_scale: float | None = None):
     """One pass over the rows of Y, CHUNK_ROWS at a time: the penalized
     partial log likelihood
 
@@ -515,61 +512,18 @@ def score_pass(state: ModelState, v_scale: float | None = None,
     update without feature covariates.  The error state is set once per
     pass too: the pass ignores every floating-point error.
 
-    With ``sketch``, the pass builds the sketch residual_start takes in
-    place of the U system, of the Pearson residuals E = resid / sqrt(I)
-    with the covariate spans projected out, against the start's test
-    matrix omega = sketch_matrix(N, k), k = n_latent + OVERSAMPLE:
-
-        E_perp = (I - P_z) E (I - P_x),
-
-    P_x and P_z the orthogonal projections onto the columns of the
-    designs X (intercept included) and Z, with orthonormal bases Q_x and
-    Q_z from their QRs.  Those directions of E belong to the effects X A'
-    and Z Gamma' that the coefficient blocks own; a start on them would
-    leave the sweeps to move the latent blocks back off them.  Before the
-    pass omega becomes (I - P_x) omega.  Each chunk's E, written into
-    the buffer S no longer needs, writes the chunk's rows of
-    T = E omega (J x k) and adds E' T into an N x k array, and with Z
-    also adds E' Q_z into an N x n_feat_cov one; the pass keeps the row
-    means and the column sums of I.  After it, with zt = Q_z' T, T
-    becomes T - Q_z zt = E_perp omega and E' T becomes
-    (I - P_x)(E' T - (E' Q_z) zt) = E_perp' (E_perp omega).  So the
-    projection costs O((J + N) (k + n_obs_cov + n_feat_cov)) beside the
-    pass, and no QR is taken of an empty design: with neither, the
-    sketch is that of E itself.
-
     Returns (Q, (U gradient N x m, U Gram stack N x m x m), V fallback
-    rows), or (Q, (T, E' T, row means of I, column sums of I), 0) with
-    ``sketch``.  Nothing is checked, as in row_weights: a non-finite Q
-    is returned as-is so the optimizer's step halving can react to it,
-    and so is a sketch that is not all finite, from which the optimizer
-    takes no start.
+    rows).  Nothing is checked, as in row_weights: a non-finite Q is
+    returned as-is so the optimizer's step halving can react to it.
     """
     idx = state.index
     n_feat, n_obs = state.n_feat, state.n_obs
     q, fallbacks = 0.0, 0
     u_cols = slice(idx.n_obs_cov, idx.n_total)
     v_cols = np.array(idx.v_cols) if idx.n_feat_cov else slice(idx.n_total)
-    if not sketch:
-        m = len(idx.u_cols)
-        u_grad = np.zeros((n_obs, m))
-        u_gram = np.zeros((n_obs, m, m))
-    else:
-        omega = sketch_matrix(n_obs, idx.n_latent + OVERSAMPLE)
-        # orthonormal bases of the designs X and Z; none of an empty one
-        x_basis = np.linalg.qr(state.X)[0] if idx.n_obs_cov else None
-        z_basis = np.linalg.qr(state.Z)[0] if idx.n_feat_cov else None
-        if x_basis is not None:
-            omega = omega - x_basis @ (x_basis.T @ omega)
-        if z_basis is not None:
-            e_z = np.zeros((n_obs, idx.n_feat_cov))
-        t = np.empty((n_feat, omega.shape[1]))
-        co_sketch = np.zeros((n_obs, omega.shape[1]))
-        row_means = np.empty(n_feat)
-        col_sums = np.zeros(n_obs)
-        # the sums of I as matrix-vector products, faster than reductions
-        mean_weights = np.full(n_obs, 1.0 / n_obs)
-        ones = np.ones(min(CHUNK_ROWS, n_feat))
+    m = len(idx.u_cols)
+    u_grad = np.zeros((n_obs, m))
+    u_gram = np.zeros((n_obs, m, m))
     stack = np.empty((5, min(CHUNK_ROWS, n_feat), n_obs))
     group_rows = n_feat
     if v_scale is not None:  # U, so the V design, is fixed in the pass
@@ -602,34 +556,94 @@ def score_pass(state: ModelState, v_scale: float | None = None,
             for rows in chunks:
                 buffers = stack[:, :n_feat - rows.start]
                 R, M, resid, info = row_weights(state, rows, buffers)
-                if not sketch:
-                    u_design = state.V[rows, u_cols]
-                    grad, gram = row_system(resid.T, info.T, u_design,
-                                            column_products(u_design))
-                    u_grad += grad
-                    u_gram += gram
-                else:
-                    pearson = np.sqrt(info, out=buffers[3])
-                    np.divide(resid, pearson, out=pearson)
-                    co_sketch += pearson.T @ np.matmul(pearson, omega,
-                                                       out=t[rows])
-                    if z_basis is not None:
-                        e_z += pearson.T @ z_basis[rows]
-                    np.matmul(info, mean_weights, out=row_means[rows])
-                    col_sums += ones[:len(info)] @ info
+                u_design = state.V[rows, u_cols]
+                grad, gram = row_system(resid.T, info.T, u_design,
+                                        column_products(u_design))
+                u_grad += grad
+                u_gram += gram
                 q += state.family._loglik_sum(state.Y[rows], R, M)  # spends R
-        if state.penalty:  # 0 * inf would make Q NaN for huge latent factors
-            for latent in (state.U_latent, state.V_latent):
-                q -= 0.5 * state.penalty * float(np.sum(latent ** 2))
-        if sketch:
-            if z_basis is not None:
-                z_sketch = z_basis.T @ t
-                t -= z_basis @ z_sketch
-                co_sketch -= e_z @ z_sketch
-            if x_basis is not None:
-                co_sketch -= x_basis @ (x_basis.T @ co_sketch)
-            return q, (t, co_sketch, row_means, col_sums), 0
+        q = _penalized(state, q)
     return q, (u_grad, u_gram), fallbacks
+
+
+def sketch_pass(state: ModelState):
+    """One pass over the rows of Y, CHUNK_ROWS at a time, at a null
+    point: Q, as score_pass gives it, and the sketch residual_start
+    takes, of the Pearson residuals E = resid / sqrt(I) (row_weights)
+    with the covariate spans projected out, against the start's test
+    matrix omega = sketch_matrix(N, k), k = n_latent + OVERSAMPLE:
+
+        E_perp = (I - P_z) E (I - P_x),
+
+    P_x and P_z the orthogonal projections onto the columns of the
+    designs X (intercept included) and Z, with orthonormal bases Q_x and
+    Q_z from their QRs.  Those directions of E belong to the effects X A'
+    and Z Gamma' that the coefficient blocks own; a start on them would
+    leave the sweeps to move the latent blocks back off them.  Before the
+    pass omega becomes (I - P_x) omega.  Each chunk's E, written into
+    the buffer S no longer needs, writes the chunk's rows of
+    T = E omega (J x k) and adds E' T into an N x k array, and with Z
+    also adds E' Q_z into an N x n_feat_cov one; the pass keeps the row
+    means and the column sums of I.  After it, with zt = Q_z' T, T
+    becomes T - Q_z zt = E_perp omega and E' T becomes
+    (I - P_x)(E' T - (E' Q_z) zt) = E_perp' (E_perp omega).  So the
+    projection costs O((J + N) (k + n_obs_cov + n_feat_cov)) beside the
+    pass, and no QR is taken of an empty design: with neither, the
+    sketch is that of E itself.  The pass takes no step and builds no
+    row system; like score_pass, it allocates one stack of five chunk
+    buffers and ignores every floating-point error.
+
+    Returns (Q, (T, E' T, row means of I, column sums of I)).  Nothing
+    is checked: a non-finite Q, or a sketch that is not all finite,
+    from which the optimizer takes no start, is returned as-is.
+    """
+    n_feat, n_obs, q = state.n_feat, state.n_obs, 0.0
+    omega = sketch_matrix(n_obs, state.index.n_latent + OVERSAMPLE)
+    # orthonormal bases of the designs X and Z; none of an empty one
+    x_basis = np.linalg.qr(state.X)[0] if state.index.n_obs_cov else None
+    z_basis = np.linalg.qr(state.Z)[0] if state.index.n_feat_cov else None
+    if x_basis is not None:
+        omega = omega - x_basis @ (x_basis.T @ omega)
+    if z_basis is not None:
+        e_z = np.zeros((n_obs, state.index.n_feat_cov))
+    t = np.empty((n_feat, omega.shape[1]))
+    co_sketch = np.zeros((n_obs, omega.shape[1]))
+    row_means = np.empty(n_feat)
+    col_sums = np.zeros(n_obs)
+    # the sums of I as matrix-vector products, faster than reductions
+    mean_weights = np.full(n_obs, 1.0 / n_obs)
+    ones = np.ones(min(CHUNK_ROWS, n_feat))
+    stack = np.empty((5, min(CHUNK_ROWS, n_feat), n_obs))
+    with np.errstate(all="ignore"):
+        for lo in range(0, n_feat, CHUNK_ROWS):
+            rows = slice(lo, lo + CHUNK_ROWS)
+            buffers = stack[:, :n_feat - lo]
+            R, M, resid, info = row_weights(state, rows, buffers)
+            pearson = np.sqrt(info, out=buffers[3])
+            np.divide(resid, pearson, out=pearson)
+            co_sketch += pearson.T @ np.matmul(pearson, omega, out=t[rows])
+            if z_basis is not None:
+                e_z += pearson.T @ z_basis[rows]
+            np.matmul(info, mean_weights, out=row_means[rows])
+            col_sums += ones[:len(info)] @ info
+            q += state.family._loglik_sum(state.Y[rows], R, M)  # spends R
+        q = _penalized(state, q)
+        if z_basis is not None:
+            z_sketch = z_basis.T @ t
+            t -= z_basis @ z_sketch
+            co_sketch -= e_z @ z_sketch
+        if x_basis is not None:
+            co_sketch -= x_basis @ (x_basis.T @ co_sketch)
+    return q, (t, co_sketch, row_means, col_sums)
+
+
+def _penalized(state: ModelState, q: float) -> float:
+    """The partial log likelihood ``q`` less the ridge term of the
+    state's latent blocks, U's part subtracted first, then V's."""
+    if state.penalty:  # 0 * inf would make Q NaN for huge latent factors
+        for latent in (state.U_latent, state.V_latent):
+            q -= 0.5 * state.penalty * float(np.sum(latent ** 2))
+    return q
 
 
 def sketch_matrix(n_rows: int, n_cols: int) -> np.ndarray:
@@ -658,7 +672,7 @@ def negligible(sing: np.ndarray, n_rows: int, n_cols: int) -> np.ndarray:
 
 def residual_start(sketch, n_latent: int):
     """The latent blocks' start, (U_latent N x L, V_latent J x L), from
-    the sketch score_pass builds at the null point (Townes et al. 2019,
+    the sketch sketch_pass builds at the null point (Townes et al. 2019,
     by a one-pass randomized range finder: Halko, Martinsson & Tropp
     2011).
 
@@ -671,7 +685,7 @@ def residual_start(sketch, n_latent: int):
     V_latent = P sqrt(s) / sqrt(a) and U_latent = W sqrt(s) / sqrt(b).
 
     E is the sketch's: the Pearson residuals with the spans of X and Z
-    projected out (score_pass), so the start satisfies
+    projected out (sketch_pass), so the start satisfies
     X' diag(sqrt(b)) U_latent = 0 and Z' diag(sqrt(a)) V_latent = 0 to
     rounding, and it holds no part of the covariate effects.
 

@@ -24,14 +24,15 @@ the fit holds O(N m²) numbers besides U, V and Y.  Every R is built
 from U, V and delta, so rounding cannot accumulate from sweep to sweep.
 
 A state build_model returns is not yet started: its latent blocks are
-zero.  Its first pass, the same one call as any state's, builds no U
-system; it sketches the Pearson residuals of that null point against
-the model's own test matrix (model.score_pass with ``sketch``), and
-model.residual_start turns the sketch into a start for both latent
-blocks.  Sweep 1 takes that start as its steps on the two latent
-blocks in place of a U step, then runs the pass with the V step; the
-coefficient blocks keep their values until the pass.  The start is
-deterministic, so the same input gives the same fit.
+zero.  Any other state's first pass is the scoring pass without a
+step, but an unstarted state's is a pass of its own
+(model.sketch_pass): it scores that null point, builds no U system,
+and sketches the point's Pearson residuals against the model's own
+test matrix, and model.residual_start turns the sketch into a start
+for both latent blocks.  Sweep 1 takes that start as its steps on the
+two latent blocks in place of a U step, then runs the pass with the V
+step; the coefficient blocks keep their values until the pass.  The
+start is deterministic, so the same input gives the same fit.
 
 Each failure has one remedy.  A singular row system (an unpenalized
 column whose partner column is all zero) takes the diagonal step, which
@@ -58,7 +59,7 @@ import numpy as np
 
 from .exceptions import FitError, check_option
 from .model import (ModelState, finite_factors, residual_start, score_pass,
-                    solve_rows)
+                    sketch_pass, solve_rows)
 from .postprocess import postprocess
 
 ASCENT_SLACK = 1e-12  # accepted drop per sweep: ASCENT_SLACK * (1 + |Q|)
@@ -69,8 +70,9 @@ MAX_HALVINGS = 10     # step halvings per sweep before the fit stalls
 class FitConfig:
     """Optimization hyperparameters: the sweep cap ``max_iters``, a
     positive integer, and the tolerance ``tol``, a positive finite
-    number.  Neither may be a bool (exceptions.check_option); anything
-    else raises ConfigError naming the option.
+    number, on the relative change of Q over a sweep taken at its full
+    step (fit).  Neither may be a bool (exceptions.check_option);
+    anything else raises ConfigError naming the option.
 
     ``full_scoring_coef`` is accepted and has no effect: every block step
     already applies full Fisher scoring to the coefficient columns.
@@ -128,13 +130,15 @@ def fit(state: ModelState, config: FitConfig | None = None) -> FitResult:
     """Run Fisher-scoring sweeps to convergence, then post-process.
 
     ``state`` is modified in place.  Convergence is declared when the
-    relative objective change |Q_t - Q_{t-1}| / (|Q_{t-1}| + 1) drops
-    below ``config.tol`` (``stop_reason="tol"``).  Two other stops yield
-    ``converged=False``, not an error: hitting ``max_iters`` first
-    (``"max_iters"``), and a sweep that still lowers Q after
-    MAX_HALVINGS step halvings (the module constant, read when fit
-    runs), which is undone before the fit stops (``"stalled"``).  So the
-    recorded trace is non-decreasing.
+    relative objective change |Q_t - Q_{t-1}| / (|Q_{t-1}| + 1) of a
+    sweep accepted at its full step drops below ``config.tol``
+    (``stop_reason="tol"``); a sweep accepted after step halvings
+    changes Q little because its step was cut, so the fit goes on after
+    it.  Two other stops yield ``converged=False``, not an error:
+    hitting ``max_iters`` first (``"max_iters"``), and a sweep that
+    still lowers Q after MAX_HALVINGS step halvings (the module
+    constant, read when fit runs), which is undone before the fit stops
+    (``"stalled"``).  So the recorded trace is non-decreasing.
 
     A state build_model returns starts at the weighted SVD of its null
     model's residuals, set by sweep 1 unless that sweep drops it (see
@@ -162,8 +166,10 @@ def fit(state: ModelState, config: FitConfig | None = None) -> FitResult:
     # no floating-point error escapes, whatever the caller's np.seterr: a
     # non-finite point is retried with a halved step or ends in a FitError
     with np.errstate(all="ignore"):
-        # the null point's first pass sketches in place of the U system
-        q_prev, u_system, _ = score_pass(state, sketch=not state.started)
+        # a started state's first pass builds its U system; the null
+        # point's sketches its residuals in place of one
+        q_prev, u_system = (score_pass(state)[:2] if state.started
+                            else sketch_pass(state))
         if not np.isfinite(q_prev):
             raise FitError("objective non-finite at the starting point",
                            trace)
@@ -216,7 +222,8 @@ def fit(state: ModelState, config: FitConfig | None = None) -> FitResult:
             rel_change = abs(q_new - q_prev) / (abs(q_prev) + 1.0)
             q_prev = q_new
             trace.append((t, q_new))
-            if rel_change < cfg.tol:
+            # a halved sweep's small change says nothing of convergence
+            if rel_change < cfg.tol and attempt == 0:
                 stop_reason = "tol"
                 break
 

@@ -72,10 +72,15 @@ def noise_start(state, seed=0):
     return state
 
 
+def latent_cols(state):
+    """The indices of the latent columns of U and V."""
+    return range(state.index.n_total)[state.index.latent_slice]
+
+
 def column_penalty(state, cols):
     """The ridge lambda of each column in ``cols``: the state's penalty
     on a latent column, 0 on a coefficient column."""
-    latent = state.index.latent_cols
+    latent = latent_cols(state)
     return np.array([state.penalty if k in latent else 0.0 for k in cols])
 
 

@@ -146,7 +146,7 @@ def scalar_objective(state: ModelState) -> float:
         for i in range(state.n_obs):
             mu = _mean_of(state.family, _predictor_entry(state, j, i))
             q += _loglik_of(state.family, state.Y[j, i], mu)
-    for k in state.index.latent_cols:
+    for k in _latent_cols(state):
         for i in range(state.n_obs):
             q -= 0.5 * state.penalty * state.U[i, k] ** 2
         for j in range(state.n_feat):
@@ -154,9 +154,14 @@ def scalar_objective(state: ModelState) -> float:
     return q
 
 
+def _latent_cols(state: ModelState) -> range:
+    """The indices of the latent columns of U and V."""
+    return range(state.index.n_total)[state.index.latent_slice]
+
+
 def _penalty_of(state: ModelState, k: int) -> float:
     """The ridge lambda on column k: only latent columns are penalized."""
-    return state.penalty if k in state.index.latent_cols else 0.0
+    return state.penalty if k in _latent_cols(state) else 0.0
 
 
 def scalar_gradient_u(state: ModelState, k: int) -> np.ndarray:

@@ -25,7 +25,6 @@ class TestIndexSets:
         obs, feat = cols[idx.obs_slice], cols[idx.feat_slice]
         latent = cols[idx.latent_slice]
         assert list(obs) + list(feat) + list(latent) == list(cols)
-        assert list(latent) == list(idx.latent_cols)
         assert set(idx.u_cols) == set(feat) | set(latent)
         assert set(idx.v_cols) == set(obs) | set(latent)
         assert not set(obs) & set(feat)

@@ -15,8 +15,8 @@ from glmpca import model, optimizer
 from glmpca.model import IndexSets, ModelState, linear_predictor
 
 from conftest import (ALL_FAMILIES, PERFBENCH, block_step, column_penalty,
-                      gradient, means, noise_start, own_block, random_state,
-                      sample_response, u_steps)
+                      gradient, latent_cols, means, noise_start, own_block,
+                      random_state, sample_response, u_steps)
 
 
 def tiny_state(Y, family, U, V, penalty=0.0, index=None):
@@ -729,7 +729,7 @@ class TestDegenerateColumns:
 
     def degenerate_state(self, penalty=0.0, zero_pair=False):
         state = random_state(g.poisson(), seed=95, penalty=penalty)
-        k = state.index.latent_cols[-1]
+        k = latent_cols(state)[-1]
         state.V[:, k] = 0.0
         if zero_pair:
             state.U[:, k] = 0.0
@@ -915,6 +915,26 @@ class TestFit:
                 "latent product)"]
         else:
             assert not any("rejected" in w for w in result.warnings)
+
+    def test_halved_sweep_does_not_stop_the_fit(self):
+        # under a ridge of 10, sweep 1 is accepted after 8 halvings and
+        # moves Q by less than tol: the fit goes on, and stops after a
+        # full-step sweep, at each row's intercept-only GLM fit given the
+        # offset, up to the small latent blocks the ridge allows
+        Y = (np.random.default_rng(1).random((60, 40)) < 0.3).astype(float)
+        offset = np.linspace(-1.0, 1.0, 40)
+        state = g.build_model(Y, n_latent=2, family=g.bernoulli(),
+                              offset=offset, penalty=10.0)
+        q0 = model.score_pass(state)[0]
+        result = g.fit(state, g.FitConfig(tol=1e-6))
+        q1 = result.trace[0][1]
+        assert abs(q1 - q0) / (abs(q0) + 1.0) < 1e-6
+        assert result.warnings == ["sweep step-halvings applied (x8)"]
+        assert result.stop_reason == "tol" and result.iterations_run == 4
+        expected = [oracle.irls_glm(y, np.ones((40, 1)), g.bernoulli(),
+                                    offset=offset)[0] for y in Y]
+        np.testing.assert_allclose(result.coef_A[:, 0], expected, rtol=0,
+                                   atol=1e-6)
 
     def test_trace_has_one_row_per_sweep(self):
         state = random_state(g.poisson(), seed=92)
@@ -1164,8 +1184,8 @@ class TestResidualStart:
         if zero_intercept:
             state.V[:, 0] = 0.0
         ref = dataclasses.replace(state, U=state.U.copy(), V=state.V.copy())
-        q0, sketch, fallbacks = model.score_pass(ref, sketch=True)
-        assert fallbacks == 0 and sketch[0].shape == (40, 10)
+        q0, sketch = model.sketch_pass(ref)
+        assert sketch[0].shape == (40, 10)
         u_start, v_start = model.residual_start(sketch, 2)
         ref.U_latent[...] = scale * u_start
         ref.V_latent[...] = scale * v_start
@@ -1201,7 +1221,7 @@ class TestResidualStart:
         p, s, w_t = np.linalg.svd(pearson)
         expected = (p[:, :2] * s[:2] / np.sqrt(a)[:, None]) @ \
             (w_t[:2] / np.sqrt(b))
-        sketch = model.score_pass(state, sketch=True)[1]
+        sketch = model.sketch_pass(state)[1]
         u_start, v_start = model.residual_start(sketch, 2)
         np.testing.assert_allclose(v_start @ u_start.T, expected, rtol=0,
                                    atol=1e-12 * np.abs(expected).max())
@@ -1227,7 +1247,7 @@ class TestResidualStart:
         state = g.build_model(rank_two_counts(), n_latent=2,
                               family=g.poisson(), obs_covariates=X,
                               feat_covariates=Z, offset="auto")
-        q0, sketch, _ = model.score_pass(state, sketch=True)
+        q0, sketch = model.sketch_pass(state)
         u_start, v_start = model.residual_start(sketch, 2)
         a, col_sums = sketch[2], sketch[3]
         weighted_u = np.sqrt(col_sums / col_sums.mean())[:, None] * u_start
@@ -1244,7 +1264,7 @@ class TestResidualStart:
         state = g.build_model(rank_two_counts(), n_latent=2,
                               family=g.poisson(), intercept=False)
         assert state.index.n_obs_cov == state.index.n_feat_cov == 0
-        sketch = model.score_pass(state, sketch=True)[1]
+        sketch = model.sketch_pass(state)[1]
         omega = model.sketch_matrix(30, 2 + model.OVERSAMPLE)  # expected
         _, _, resid, info = model.row_weights(state, slice(None))
         pearson = resid / np.sqrt(info)
@@ -1255,6 +1275,35 @@ class TestResidualStart:
                              model.residual_start(
                                  (t, pearson.T @ t) + sketch[2:], 2)):
             np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("designs", [True, False],
+                             ids=["X and Z", "none"])
+    @pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: f.kind)
+    def test_both_first_passes_score_the_null_point_alike(self, family,
+                                                          designs,
+                                                          monkeypatch):
+        # an unstarted state over three chunks: the sketch pass gives the
+        # scoring pass's Q bit for bit, and it builds and solves no row
+        # system
+        rng = np.random.default_rng(8)
+        n_feat, n_obs = 300, 30
+        assert n_feat > 2 * model.CHUNK_ROWS
+        R = rng.normal(0.0, 0.5, (n_feat, 1)) + rng.normal(
+            0.0, 0.5, (n_feat, 2)) @ rng.normal(0.0, 0.5, (2, n_obs))
+        Y = sample_response(rng, family, family._mean(R))
+        covariates = (dict(obs_covariates=rng.normal(size=(n_obs, 2)),
+                           feat_covariates=rng.normal(size=(n_feat, 1)))
+                      if designs else dict(intercept=False))
+        state = g.build_model(Y, n_latent=2, family=family, **covariates)
+        calls = []
+        for name in ("row_system", "solve_rows"):
+            real = getattr(model, name)
+            monkeypatch.setattr(model, name, lambda *args, real=real, **kw:
+                                calls.append(real) or real(*args, **kw))
+        q_sketch = model.sketch_pass(state)[0]
+        assert calls == [] and not state.started
+        assert q_sketch == model.score_pass(state)[0]
+        assert calls  # the patched names are the ones a pass calls
 
     def test_residual_of_rank_below_l_gives_a_zero_pair(self):
         # two distinct rows: the null model's residual has rank 2, so
@@ -1342,7 +1391,7 @@ class TestResidualStart:
         # SVD fails: no start is taken, and sweep 1 is taken without one
         Y = np.random.default_rng(2).poisson(3.0, (8, 12)) * 1e160
         state = g.build_model(Y, n_latent=2, family=g.poisson())
-        sketch = model.score_pass(state, sketch=True)[1]
+        sketch = model.sketch_pass(state)[1]
         assert not np.isfinite(sketch[1]).all()
         starts = []
         monkeypatch.setattr(optimizer, "residual_start",

@@ -7,7 +7,7 @@ import glmpca as g
 from oracle import OracleError
 import oracle
 
-from conftest import gradient, means, random_state
+from conftest import gradient, latent_cols, means, random_state
 
 
 class TestFiniteDiffGradient:
@@ -23,7 +23,7 @@ class TestFiniteDiffGradient:
     def test_penalty_only_gradient(self):
         state = random_state(g.gaussian(), seed=2, penalty=0.5)
         state.Y = means(state)  # data term vanishes
-        k = state.index.latent_cols[0]
+        k = latent_cols(state)[0]
         fd = oracle.finite_diff_gradient(state, "U", k)
         np.testing.assert_allclose(fd, -0.5 * state.U[:, k], rtol=0,
                                    atol=1e-7)

@@ -11,7 +11,8 @@ from glmpca import IndexSets, ModelState, model
 from glmpca.postprocess import rotate_factors
 import oracle
 
-from conftest import ALL_FAMILIES, advance, means, noise_start, random_state
+from conftest import (ALL_FAMILIES, advance, latent_cols, means, noise_start,
+                      random_state)
 
 
 class TestProjection:
@@ -225,7 +226,7 @@ class TestFullPipeline:
         Z = rng.normal(size=(12, 1))
         state = noise_start(g.build_model(Y, n_latent=2, family=g.poisson(),
                                           feat_covariates=Z, penalty=0.0))
-        k = state.index.latent_cols[-1]
+        k = latent_cols(state)[-1]
         state.U[:, k] = 0.0
         state.V[:, k] = 0.0
         result = g.fit(state, g.FitConfig(max_iters=20))
