@@ -336,14 +336,17 @@ def read_matrix(path) -> LoadedMatrix:
 # writers
 
 
-def _write_csv(path: Path, values: np.ndarray, row_names: list[str],
-               col_names: list[str]) -> None:
+def _write_csv(path: Path, values: np.ndarray, row_names: list,
+               col_names: list[str], corner: str = "") -> None:
+    """Write the rows of ``values``, each led by its row name and every
+    number as ``"%.17g"``, under a header of ``corner`` and the column
+    names."""
     with open(path, "w", newline="") as fh:
         # csv quotes names holding commas or quotes; others are written
-        # bare.  The empty corner cell, as pandas writes it, marks the
+        # bare.  An empty corner cell, as pandas writes it, marks the
         # row-name column even when every row name is a number.
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["", *col_names])
+        writer.writerow([corner, *col_names])
         writer.writerows(
             [name, *["%.17g" % v for v in row]]
             for name, row in zip(row_names, np.atleast_2d(values).tolist()))
@@ -366,10 +369,13 @@ def write_result(result: FitResult, out_dir, row_names=None, col_names=None,
 
     factors.csv (N x L), loadings.csv (J x L), coef_A.csv (J x K_o),
     coef_Gamma.csv (N x K_f, omitted when there are no feature
-    covariates), offset.csv, trace.csv, and meta.json.  Positional names
-    are generated when none are supplied; supplied names must number J
-    (``row_names``) and N (``col_names``), else ConfigError is raised
-    before any file is written.
+    covariates), offset.csv, trace.csv, and meta.json.  Every CSV file
+    is one table written by _write_csv; trace.csv is the column Q with
+    the iteration numbers as row names, under the corner cell
+    ``iteration``.  Positional names are generated when none are
+    supplied; supplied names must number J (``row_names``) and N
+    (``col_names``), else ConfigError is raised before any file is
+    written.
     """
     n_obs, n_latent = result.factors.shape
     feat_names = _names(row_names, "row_names", result.loadings.shape[0],
@@ -381,9 +387,9 @@ def write_result(result: FitResult, out_dir, row_names=None, col_names=None,
 
     written = []
 
-    def emit(name, values, rnames, cnames):
+    def emit(name, values, rnames, cnames, corner=""):
         target = out / name
-        _write_csv(target, values, rnames, cnames)
+        _write_csv(target, values, rnames, cnames, corner)
         written.append(target)
 
     emit("factors.csv", result.factors, obs_names, dims)
@@ -396,13 +402,8 @@ def write_result(result: FitResult, out_dir, row_names=None, col_names=None,
         emit("coef_Gamma.csv", result.coef_Gamma, obs_names,
              [f"z{k + 1}" for k in range(n_feat_cov)])
     emit("offset.csv", result.offset[:, None], obs_names, ["offset"])
-
-    trace_path = out / "trace.csv"
-    with open(trace_path, "w", newline="\n") as fh:
-        fh.write("iteration,Q\n")
-        for iteration, q in result.trace:
-            fh.write("%s,%.17g\n" % (iteration, q))
-    written.append(trace_path)
+    emit("trace.csv", np.array([q for _, q in result.trace])[:, None],
+         [t for t, _ in result.trace], ["Q"], "iteration")
 
     meta = {
         "converged": result.converged,

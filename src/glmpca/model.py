@@ -491,18 +491,20 @@ def score_pass(state: ModelState, v_scale: float | None = None):
         - 1/2 lambda (||U_latent||^2 + ||V_latent||^2)
 
     and the unpenalized U system (row_system), both at the point the
-    pass ends on.  With ``v_scale``, the pass takes the V step, scaled
-    by ``v_scale``, in place, one group of consecutive chunks at a
-    time: given U, the V step separates over the rows of Y, and every
-    chunk's V system has the one design U[:, v_cols], whose column
-    products are formed once per pass.  Each chunk of a group writes
-    its V system into its rows of the group's system arrays, one
-    solve_rows call steps the group's rows of V, and then the group's
-    chunks are scored at their new V rows.  A group holds
-    max(1, N // (m (m + 1))) chunks, m = len(v_cols), so its V system
-    takes no more memory than one chunk buffer, and it is freed before
-    the group is scored.  So a chunk's R is built once without a step
-    and twice with one, and no J x N array is made.  The pass allocates
+    pass ends on.  The pass runs one group of consecutive chunks at a
+    time, max(1, N // (m (m + 1))) chunks, m = len(v_cols), with or
+    without a step; without one, a group's chunks are scored in order,
+    as every chunk is.  With ``v_scale``, the pass takes the V step,
+    scaled by ``v_scale``, in place, one group at a time: given U, the
+    V step separates over the rows of Y, and every chunk's V system has
+    the one design U[:, v_cols], whose column products are formed once
+    per pass.  Each chunk of a group writes its V system into its rows
+    of the group's system arrays, one solve_rows call steps the group's
+    rows of V, and then the group's chunks are scored at their new V
+    rows.  So a group's V system takes no more memory than one chunk
+    buffer, and it is freed before the group is scored.  A chunk's R
+    is built once without a step and twice with one, and no J x N
+    array is made.  The pass allocates
     one stack of five chunk buffers, which each chunk's row_weights and
     log likelihood write into, so no chunk allocates an array of its
     size; the returned system shares no memory with it.  The updateable
@@ -521,16 +523,14 @@ def score_pass(state: ModelState, v_scale: float | None = None):
     q, fallbacks = 0.0, 0
     u_cols = slice(idx.n_obs_cov, idx.n_total)
     v_cols = np.array(idx.v_cols) if idx.n_feat_cov else slice(idx.n_total)
-    m = len(idx.u_cols)
+    m, m_v = len(idx.u_cols), len(idx.v_cols)
     u_grad = np.zeros((n_obs, m))
     u_gram = np.zeros((n_obs, m, m))
     stack = np.empty((5, min(CHUNK_ROWS, n_feat), n_obs))
-    group_rows = n_feat
+    group_rows = CHUNK_ROWS * max(1, n_obs // (m_v * (m_v + 1)))
     if v_scale is not None:  # U, so the V design, is fixed in the pass
         v_design = state.U[:, v_cols]
         v_products = column_products(v_design)
-        m_v = v_design.shape[1]
-        group_rows = CHUNK_ROWS * max(1, n_obs // (m_v * (m_v + 1)))
     # an exp that overflows or underflows is clamped, and a non-finite
     # Q is the optimizer's to handle
     with np.errstate(all="ignore"):
@@ -582,14 +582,17 @@ def sketch_pass(state: ModelState):
     leave the sweeps to move the latent blocks back off them.  Before the
     pass omega becomes (I - P_x) omega.  Each chunk's E, written into
     the buffer S no longer needs, writes the chunk's rows of
-    T = E omega (J x k) and adds E' T into an N x k array, and with Z
-    also adds E' Q_z into an N x n_feat_cov one; the pass keeps the row
-    means and the column sums of I.  After it, with zt = Q_z' T, T
-    becomes T - Q_z zt = E_perp omega and E' T becomes
+    T = E omega (J x k) and adds E' T into an N x k array and E' Q_z
+    into an N x n_feat_cov one; the pass keeps the row means and the
+    column sums of I.  After it, with zt = Q_z' T, T becomes
+    T - Q_z zt = E_perp omega and E' T becomes
     (I - P_x)(E' T - (E' Q_z) zt) = E_perp' (E_perp omega).  So the
     projection costs O((J + N) (k + n_obs_cov + n_feat_cov)) beside the
-    pass, and no QR is taken of an empty design: with neither, the
-    sketch is that of E itself.  The pass takes no step and builds no
+    pass.  The projection has one path for every design: an empty
+    design, of which no QR is taken, is its own zero-column basis, every
+    product over its zero columns is all +0.0, and subtracting it leaves
+    each value as it was, so without X and Z the sketch is that of E
+    itself, bit for bit.  The pass takes no step and builds no
     row system; like score_pass, it allocates one stack of five chunk
     buffers and ignores every floating-point error.
 
@@ -599,13 +602,12 @@ def sketch_pass(state: ModelState):
     """
     n_feat, n_obs, q = state.n_feat, state.n_obs, 0.0
     omega = sketch_matrix(n_obs, state.index.n_latent + OVERSAMPLE)
-    # orthonormal bases of the designs X and Z; none of an empty one
-    x_basis = np.linalg.qr(state.X)[0] if state.index.n_obs_cov else None
-    z_basis = np.linalg.qr(state.Z)[0] if state.index.n_feat_cov else None
-    if x_basis is not None:
-        omega = omega - x_basis @ (x_basis.T @ omega)
-    if z_basis is not None:
-        e_z = np.zeros((n_obs, state.index.n_feat_cov))
+    # orthonormal bases of the designs X and Z; an empty design, with no
+    # columns to factor, is its own
+    x_basis, z_basis = (np.linalg.qr(design)[0] if design.shape[1]
+                        else design for design in (state.X, state.Z))
+    omega = omega - x_basis @ (x_basis.T @ omega)
+    e_z = np.zeros((n_obs, z_basis.shape[1]))
     t = np.empty((n_feat, omega.shape[1]))
     co_sketch = np.zeros((n_obs, omega.shape[1]))
     row_means = np.empty(n_feat)
@@ -622,18 +624,15 @@ def sketch_pass(state: ModelState):
             pearson = np.sqrt(info, out=buffers[3])
             np.divide(resid, pearson, out=pearson)
             co_sketch += pearson.T @ np.matmul(pearson, omega, out=t[rows])
-            if z_basis is not None:
-                e_z += pearson.T @ z_basis[rows]
+            e_z += pearson.T @ z_basis[rows]
             np.matmul(info, mean_weights, out=row_means[rows])
             col_sums += ones[:len(info)] @ info
             q += state.family._loglik_sum(state.Y[rows], R, M)  # spends R
         q = _penalized(state, q)
-        if z_basis is not None:
-            z_sketch = z_basis.T @ t
-            t -= z_basis @ z_sketch
-            co_sketch -= e_z @ z_sketch
-        if x_basis is not None:
-            co_sketch -= x_basis @ (x_basis.T @ co_sketch)
+        z_sketch = z_basis.T @ t
+        t -= z_basis @ z_sketch
+        co_sketch -= e_z @ z_sketch
+        co_sketch -= x_basis @ (x_basis.T @ co_sketch)
     return q, (t, co_sketch, row_means, col_sums)
 
 

@@ -1202,18 +1202,23 @@ class TestResidualStart:
         np.testing.assert_array_equal(state.V, ref.V)
 
     @staticmethod
-    def check_weighted_svd(feat_covariates):
+    def check_weighted_svd(feat_covariates, intercept=True):
         # with J <= k the sketch spans every row, so the one-pass range
         # finder returns the exact weighted rank-L SVD of the Pearson
         # residuals with the spans of X and Z projected out
         Y = rank_two_counts(n_feat=8, n_obs=15)
         state = g.build_model(Y, n_latent=2, family=g.poisson(),
-                              feat_covariates=feat_covariates, offset="auto")
+                              feat_covariates=feat_covariates,
+                              intercept=intercept, offset="auto")
         _, _, resid, info = model.row_weights(state, slice(None))
         a = info.mean(axis=1)
         b = info.mean(axis=0) / info.mean()
 
         def complement(design):
+            # no pinv of an empty design: numpy 1.23 may not take the SVD
+            # of an empty matrix
+            if not design.shape[1]:
+                return np.eye(len(design))
             return np.eye(len(design)) - design @ np.linalg.pinv(design)
 
         pearson = complement(state.Z) @ (resid / np.sqrt(info)) \
@@ -1237,6 +1242,11 @@ class TestResidualStart:
     def test_start_with_z_is_the_weighted_svd_of_the_projected_residuals(
             self):
         self.check_weighted_svd(np.random.default_rng(4).normal(size=(8, 2)))
+
+    def test_start_with_z_alone_is_the_weighted_svd_of_the_projected_residuals(
+            self):
+        self.check_weighted_svd(np.random.default_rng(4).normal(size=(8, 2)),
+                                intercept=False)
 
     def test_start_is_orthogonal_to_the_covariates(self):
         # an intercept, 2 observation and 2 feature covariates: the start
@@ -1275,6 +1285,23 @@ class TestResidualStart:
                              model.residual_start(
                                  (t, pearson.T @ t) + sketch[2:], 2)):
             np.testing.assert_array_equal(got, want)
+        # the intercept alone, over one chunk: the sketch is bit for bit
+        # E's with only Q_x projected out, so the steps of Z's empty basis
+        # change no number
+        state = g.build_model(rank_two_counts(), n_latent=2,
+                              family=g.poisson())
+        assert state.index.n_obs_cov == 1 and state.index.n_feat_cov == 0
+        assert state.n_feat <= model.CHUNK_ROWS
+        sketch = model.sketch_pass(state)[1]
+        q_x = np.linalg.qr(state.X)[0]
+        omega = omega - q_x @ (q_x.T @ omega)
+        _, _, resid, info = model.row_weights(state, slice(None))
+        pearson = resid / np.sqrt(info)
+        t = pearson @ omega
+        co_sketch = pearson.T @ t
+        np.testing.assert_array_equal(sketch[0], t)
+        np.testing.assert_array_equal(sketch[1],
+                                      co_sketch - q_x @ (q_x.T @ co_sketch))
 
     @pytest.mark.parametrize("designs", [True, False],
                              ids=["X and Z", "none"])
